@@ -158,12 +158,12 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
                 p = fam.multiply(g, s)
                 kp = key(p)
                 if kp not in nxt:
+                    stored += 1
+                    if stored > element_budget:
+                        raise BudgetExceededError(
+                            "product-set enumeration exceeded budget "
+                            f"{element_budget}", last_radius=j - 1)
                     nxt[kp] = p
-        stored += len(nxt)
-        if stored > element_budget:
-            raise BudgetExceededError(
-                f"product-set enumeration exceeded budget {element_budget}",
-                last_radius=j - 1)
         h.append(len(set(nxt) - set(current)))
         current = nxt
     best: Fraction | None = None

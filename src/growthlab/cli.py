@@ -8,7 +8,8 @@ timestamp is suppressed with --no-timestamp so outputs can be compared
 byte for byte.
 
 Exit codes: 0 success; 2 configuration or argument problems (with a
-line/field diagnostic when the problem is in a config file); 3 an
+line/field diagnostic when the problem is in a config file) and output
+files that cannot be written; 3 an
 enumeration exceeded its element budget (partial results are emitted
 when available, flagged as such); 4 a structural invariant or built-in
 check failed, including any failing `verify` run.
@@ -21,7 +22,7 @@ import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
 from .config import (build_lattice, build_marked_group, build_polytope,
@@ -142,10 +143,12 @@ def cmd_analyze(args) -> int:
                             {analysis.DYE_IDENTITY_CONVENTION,
                              analysis.DYE_AS_GIVEN_CONVENTION},
                             default=analysis.DYE_IDENTITY_CONVENTION)
+    budget = _budget(doc)
     report = analysis.analyze_group(m, kmax, digits=digits,
-                                    element_budget=_budget(doc))
+                                    element_budget=budget)
     if convention == analysis.DYE_AS_GIVEN_CONVENTION:
-        strict = analysis.dye_quantity_strict(m, max(1, kmax // 2))
+        strict = analysis.dye_quantity_strict(m, max(1, kmax // 2),
+                                              element_budget=budget)
         report = dataclasses.replace(report, dye=strict)
     rows = []
     _flatten_for_csv("", report.to_json_dict(), rows)
@@ -210,9 +213,17 @@ def cmd_gauss(args) -> int:
 
     tmax = get_int(doc, "tmax", default=10000, minimum=1)
     if mode == "check-bound":
-        margin_text = doc.get("margin")
-        margin = (Decimal(margin_text.value) if margin_text is not None
-                  else gauss.DEFAULT_MARGIN)
+        margin, entry = gauss.DEFAULT_MARGIN, doc.get("margin")
+        if entry is not None:
+            try:
+                margin = Decimal(entry.value)
+            except InvalidOperation:
+                margin = Decimal("NaN")
+            # a negative margin would weaken the bound check
+            if not margin.is_finite() or margin < 0:
+                raise ConfigError("expected a finite nonnegative number, "
+                                  f"got {entry.value!r}",
+                                  line=entry.line, field="margin")
         ts = list(range(0, tmax + 1))
         dyadic_to = get_int(doc, "dyadic-to", default=None)
         if dyadic_to is not None:
@@ -467,6 +478,9 @@ def main(argv=None) -> int:
     except (StructuralError, CheckFailure) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

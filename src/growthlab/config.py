@@ -125,11 +125,6 @@ def require(doc: ConfigDocument, key: str) -> ConfigEntry:
     return entry
 
 
-def get_str(doc, key, default=None):
-    entry = doc.get(key)
-    return default if entry is None else entry.value
-
-
 def get_int(doc, key, default=None, minimum=None) -> int | None:
     entry = doc.get(key)
     if entry is None:

@@ -8,7 +8,9 @@ bounding box of the dilated vertex set and membership in the convex
 hull is decided by a phase-1 simplex over the rationals with Bland's
 rule, so no convex-hull or facet computation is ever needed.  That is
 what makes the lower-dimensional root-polytope case (the A_n lattice
-inside Z^{n+1}) painless.
+inside Z^{n+1}) painless.  Lattice coordinates of the vertices and the
+rank checks at construction come from the exact routines in
+:mod:`growthlab.linalg`.
 
 Closed forms for the two families treated here:
 
@@ -27,67 +29,11 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from . import linalg
 from .errors import ArgumentError, CheckFailure, StructuralError
 from .series import RationalFunction, poly_mul
 
 Vec = tuple
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra on small systems
-# ---------------------------------------------------------------------------
-
-def _solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]):
-    """Solve A c = b exactly; returns the solution vector or None when
-    inconsistent.  A may be rectangular with full column rank."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [row[:] + [b[i]] for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    if r < n:
-        return None  # underdetermined; basis was not independent
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
-
-
-def _rank_exact(rows) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [v - f * p for v, p in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +131,7 @@ class LatticePolytope:
         for row in basis:
             if len(row) != ambient_dim:
                 raise StructuralError("basis row has wrong length")
-        if _rank_exact(basis) != len(basis):
+        if linalg.rank(basis) != len(basis):
             raise StructuralError("lattice basis rows are dependent")
         verts = []
         seen = set()
@@ -199,11 +145,10 @@ class LatticePolytope:
         if not verts:
             raise ArgumentError("polytope needs at least one vertex")
         # write each vertex in lattice coordinates: solve B^T c = v
-        bt = [[Fraction(basis[j][i]) for j in range(len(basis))]
-              for i in range(ambient_dim)]
+        bt = [[row[i] for row in basis] for i in range(ambient_dim)]
         coords = []
         for v in verts:
-            sol = _solve_exact(bt, [Fraction(x) for x in v])
+            sol = linalg.solve(bt, v)
             if sol is None:
                 raise StructuralError(f"vertex {v} is outside the lattice span")
             if any(c.denominator != 1 for c in sol):
@@ -221,7 +166,7 @@ class LatticePolytope:
                  for v in self.vertex_coords[1:]]
         if not diffs:
             return 0
-        return _rank_exact(diffs)
+        return linalg.rank(diffs)
 
 
 def count_dilate(P: LatticePolytope, k: int) -> int:

@@ -8,7 +8,8 @@ Four families are supported:
   tuples of nonzero signed letters (``2`` means the second basis letter,
   ``-2`` its inverse);
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
-  the integers (determinant +-1 is enforced for generators);
+  the integers (determinant +-1 is enforced for generators; determinants
+  and inverses come from the exact routines in :mod:`growthlab.linalg`);
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
 
@@ -25,9 +26,9 @@ inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ConfigError, StructuralError
+from .linalg import det_exact, mat_inverse_exact
 
 Element = tuple
 
@@ -39,32 +40,8 @@ def _as_int(x, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (small matrices only)
+# element helpers (exact determinants and inverses come from linalg.py)
 # ---------------------------------------------------------------------------
-
-def det_exact(rows) -> int:
-    """Determinant of a square integer matrix, exact, via fraction-free
-    Gaussian elimination."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return int(det)
-
 
 def mat_mul(a: Element, b: Element) -> Element:
     n = len(a)
@@ -72,40 +49,6 @@ def mat_mul(a: Element, b: Element) -> Element:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, colv)) for colv in bt) for row in a
     )
-
-
-def mat_inverse_exact(rows: Element) -> Element:
-    """Inverse of an integer matrix, required to be integral.
-
-    Raises StructuralError when the matrix is singular or the inverse has
-    a non-integer entry (i.e. the matrix is not invertible over Z).
-    """
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise StructuralError("matrix is singular, no inverse exists")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = m[i][n + j]
-            if v.denominator != 1:
-                raise StructuralError(
-                    "matrix inverse is not integral; the matrix is not "
-                    "invertible over the integers")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _reduce_word(letters) -> Element:

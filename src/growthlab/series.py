@@ -59,10 +59,6 @@ def poly_mul(a, b) -> list:
     return poly_trim(out)
 
 
-def poly_scale(a, c) -> list:
-    return poly_trim([x * c for x in a])
-
-
 def poly_divmod(a, b):
     """Exact division with remainder over the rationals."""
     a = [Fraction(x) for x in poly_trim(a)]

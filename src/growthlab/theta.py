@@ -3,11 +3,13 @@
 The coefficient r(m) counts lattice vectors of squared norm m, i.e.
 integer coordinate vectors c with c^T G c = m for the Gram matrix G.
 The primary enumerator is Fincke-Pohst style: an exact rational LDL^T
-decomposition of G turns the form into sum_i d_i y_i^2 with
+decomposition of G (from the fraction-free elimination in
+:mod:`growthlab.linalg`) turns the form into sum_i d_i y_i^2 with
 y_i = x_i + sum_{j>i} L_ji x_j, and coordinates are enumerated from the
 last one down with exact interval bounds at every level.  A naive box
 scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) is kept as an independent
-oracle for small ranks.
+oracle for small ranks; it computes the diagonal of G^{-1} with its own
+elimination so that it shares no code with the enumerator.
 
 For Z^n the theta series is the n-th power of
 theta3 = 1 + 2q + 2q^4 + 2q^9 + ...; `theta3_power` produces that
@@ -22,6 +24,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
+from . import linalg
 from .errors import ArgumentError, StructuralError
 
 
@@ -45,7 +48,7 @@ class IntegralLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise StructuralError("gram matrix is not symmetric")
-        _ldl(rows)  # raises when not positive definite
+        linalg.ldl(rows)  # raises when not positive definite
         return IntegralLattice(n, rows)
 
 
@@ -99,35 +102,12 @@ class MatchReport:
         return f"disagreement at index {self.first_mismatch}"
 
 
-def _ldl(gram) -> tuple:
-    """Exact G = L D L^T with unit lower-triangular L; raises
-    StructuralError unless all pivots d_i are positive, which is
-    equivalent to positive definiteness."""
-    n = len(gram)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        acc = Fraction(gram[i][i])
-        for k in range(i):
-            acc -= low[i][k] * low[i][k] * d[k]
-        if acc <= 0:
-            raise StructuralError("gram matrix is not positive definite")
-        d[i] = acc
-        low[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            s = Fraction(gram[j][i])
-            for k in range(i):
-                s -= low[j][k] * low[i][k] * d[k]
-            low[j][i] = s / d[i]
-    return low, d
-
-
 def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
     """Exact theta coefficients r(0..rmax) by recursive bounded
     enumeration with rational LDL^T coordinate bounds."""
     if rmax < 0:
         raise ArgumentError("rmax must be nonnegative")
-    low, d = _ldl(L.gram)
+    low, d = linalg.ldl(L.gram)
     n = L.rank
     counts = [0] * (rmax + 1)
     budget = Fraction(rmax)

@@ -12,6 +12,8 @@ values tie exactly (sigma(2)/beta(1) = 18/7 while sigma(4)/beta(2) =
 the requirement itself is what the tie violates.  See README.
 """
 
+import io
+
 from growthlab import acceptance
 
 
@@ -72,3 +74,17 @@ def test_criterion_12_dye_quantity(capsys):
 
 def test_criterion_13_s3_polynomial(capsys):
     _run(13, capsys)
+
+
+def test_internal_error_is_a_failed_check(monkeypatch):
+    def broken():
+        return 1 // 0
+
+    checks = list(acceptance.CHECKS)
+    checks[0] = (1, "gauss-value", broken)
+    monkeypatch.setattr(acceptance, "CHECKS", tuple(checks))
+    results = acceptance.run_all([1, 6], stream=io.StringIO())
+    assert [r.ident for r in results] == [1, 6]
+    assert not results[0].passed
+    assert "ZeroDivisionError" in results[0].detail
+    assert results[1].passed

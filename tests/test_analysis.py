@@ -10,8 +10,9 @@ from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
                                 exponential_rate, krause_degree)
 from growthlab.cayley import enumerate_balls, trivial_ball_table
 from growthlab.errors import ArgumentError, BudgetExceededError
-from growthlab.groups import (FreeAbelian, MarkedGroup, free_abelian_standard,
-                              free_group_standard, heisenberg_group)
+from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
+                              free_abelian_standard, free_group_standard,
+                              heisenberg_group)
 
 
 def test_exponential_rate_free_group():
@@ -126,10 +127,26 @@ def test_dye_strict_z2():
     assert res.argmin == 2
 
 
-def test_dye_strict_budget():
+def test_dye_strict_budget(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         dye_quantity_strict(free_group_standard(2), 3, element_budget=50)
     assert err.value.last_radius == 2
+
+    # F^1 and F^2 of F_2 hold 4 + 13 = 17 elements, so a budget of 18
+    # must stop at the second new element of F^3: 16 products for F^2
+    # and 2 more, not all 52 products of F^3
+    products = []
+    multiply = FreeGroup.multiply
+
+    def counting(self, a, b):
+        products.append((a, b))
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(FreeGroup, "multiply", counting)
+    with pytest.raises(BudgetExceededError) as err:
+        dye_quantity_strict(free_group_standard(2), 3, element_budget=18)
+    assert err.value.last_radius == 2
+    assert len(products) == 16 + 2
 
 
 def test_classify_free_group_exponential():

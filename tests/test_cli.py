@@ -126,6 +126,16 @@ def test_output_file(capsys, tmp_path):
     assert "k,catalan" in lines
 
 
+def test_output_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, "catalan", "--kmax", "7",
+                       "--output", str(target), "--no-timestamp")
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not target.exists()
+
+
 def test_analyze_csv_and_convention(capsys):
     rc, out, _ = run(capsys, "analyze", "--family", "free-abelian",
                      "--rank", "1", "--kmax", "6", "--no-timestamp")
@@ -146,6 +156,14 @@ def test_analyze_csv_and_convention(capsys):
     assert result["dye_quantity"]["convention"] == "as-given"
     assert result["dye_quantity"]["value"] == "7/9"
     assert result["verdict"] == "inconclusive"
+
+    # --budget also bounds the as-given product sets: Z^2 to radius 6
+    # stores a ball of 85 elements but 139 product-set elements
+    rc, out, err = run(capsys, "analyze", "--family", "free-abelian",
+                       "--rank", "2", "--kmax", "6", "--budget", "100",
+                       "--dye-convention", "as-given", "--no-timestamp")
+    assert rc == 3
+    assert "budget exceeded" in err
 
 
 def test_gauss_modes(capsys):
@@ -173,6 +191,15 @@ def test_gauss_modes(capsys):
     rc, out, _ = run(capsys, "gauss", "--check-bound", "--tmax", "20",
                      "--margin", "10")
     assert rc == 4
+
+    # a margin must be a finite nonnegative number: a negative one would
+    # weaken the check
+    for bad in ("abc", "-5", "NaN", "Infinity", "-inf"):
+        rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "20",
+                           f"--margin={bad}")
+        assert rc == 2, bad
+        assert "field 'margin'" in err
+        assert out == ""
 
     rc, out, _ = run(capsys, "gauss", "--fit", "--tmax", "2000",
                      "--format", "json", "--no-timestamp")
