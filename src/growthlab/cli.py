@@ -83,6 +83,19 @@ def _budget(doc) -> int:
                    minimum=1)
 
 
+def _table_bound(doc, key: str, default: int, minimum: int) -> int:
+    """An integer bound whose table holds bound + 1 entries, refused
+    before anything is allocated when that exceeds the element budget."""
+    value = get_int(doc, key, default=default, minimum=minimum)
+    budget = _budget(doc)
+    if value + 1 > budget:
+        entry = doc.get(key)
+        raise ConfigError(
+            f"a table of {value + 1} entries exceeds the budget of {budget}",
+            line=None if entry is None else entry.line, field=key)
+    return value
+
+
 def _precision(doc, default: int) -> int:
     return get_int(doc, "precision", default=default, minimum=1)
 
@@ -187,7 +200,7 @@ def _dyadic_extension(tmax: int, upto: int) -> list:
 
 def cmd_gauss(args) -> int:
     doc = _merged_document(
-        args, ("tmax", "kmax", "dyadic-to", "precision", "margin"))
+        args, ("tmax", "kmax", "dyadic-to", "precision", "margin", "budget"))
     modes = [m for m, on in (("table", args.table), ("check-bound", args.check_bound),
                              ("fit", args.fit)) if on]
     if len(modes) != 1:
@@ -197,7 +210,7 @@ def cmd_gauss(args) -> int:
     digits = _precision(doc, gauss.DEFAULT_PRECISION)
 
     if mode == "table":
-        kmax = get_int(doc, "kmax", default=100, minimum=0)
+        kmax = _table_bound(doc, "kmax", default=100, minimum=0)
         r2s = gauss.r2_table(kmax)
         cumulative = gauss.R2_table(kmax)
         csv_lines = ["k,r2,R2"]
@@ -211,8 +224,8 @@ def cmd_gauss(args) -> int:
         _emit(args, "gauss", doc, csv_lines, json_result)
         return 0
 
-    tmax = get_int(doc, "tmax", default=10000, minimum=1)
     if mode == "check-bound":
+        tmax = _table_bound(doc, "tmax", default=10000, minimum=1)
         margin, entry = gauss.DEFAULT_MARGIN, doc.get("margin")
         if entry is not None:
             try:
@@ -243,6 +256,7 @@ def cmd_gauss(args) -> int:
         return 0
 
     # error-exponent fit on a four-per-octave grid up to tmax
+    tmax = get_int(doc, "tmax", default=10000, minimum=1)
     grid = []
     j = 0
     while True:
@@ -302,9 +316,9 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    doc = _merged_document(args, ("rank", "rmax"), ("gram",))
+    doc = _merged_document(args, ("rank", "rmax", "budget"), ("gram",))
     lat = build_lattice(doc)
-    rmax = get_int(doc, "rmax", default=20, minimum=0)
+    rmax = _table_bound(doc, "rmax", default=20, minimum=0)
     prefix = theta.theta_coefficients(lat, rmax)
     csv_lines = [f"# lattice rank: {lat.rank}"]
     csv_lines.extend(prefix.to_csv_lines())
@@ -378,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="significant digits for decimal outputs")
     common.add_argument("--budget", type=int,
-                        help="element budget for enumerations")
+                        help="element budget for enumerations and "
+                             "table lengths")
 
     group_parent = argparse.ArgumentParser(add_help=False)
     group_parent.add_argument("--family",

@@ -3,14 +3,20 @@
 A polytope is given by its vertices (integer vectors in an ambient
 space) together with a basis of the lattice it lives in; for full
 Z^n the basis is the identity and can be omitted.  Counting works in
-lattice coordinates: candidate points are enumerated over the exact
-bounding box of the dilated vertex set and membership in the convex
-hull is decided by a phase-1 simplex over the rationals with Bland's
-rule, so no convex-hull or facet computation is ever needed.  That is
-what makes the lower-dimensional root-polytope case (the A_n lattice
-inside Z^{n+1}) painless.  Lattice coordinates of the vertices and the
-rank checks at construction come from the exact routines in
-:mod:`growthlab.linalg`.
+lattice coordinates.  P's inequalities are computed once, exactly: the
+equations of its affine hull from an integer null-space basis of the
+vertex differences, and one primitive outward normal per facet, found
+from the e-subsets of vertices (e the dimension of P) whose hyperplane
+inside the affine hull has every vertex on one side (Beck & Robins,
+*Computing the Continuous Discretely*, 2nd ed., 2015, ch. 2-3).  Each
+dilate kP is then counted over the bounding box of its vertices with
+integer dot products, a.x == k b and a.x <= k b.  Working in the affine
+hull keeps the lower-dimensional root-polytope case (the A_n lattice
+inside Z^{n+1}) and lower-dimensional custom polytopes exact.  Lattice
+coordinates, ranks and null spaces come from the exact routines in
+:mod:`growthlab.linalg`.  The phase-1 simplex `_hull_contains` decides
+membership in the convex hull with no facet data and is kept as the
+test oracle for the facet counter.
 
 Closed forms for the two families treated here:
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from . import linalg
@@ -169,28 +175,78 @@ class LatticePolytope:
         return linalg.rank(diffs)
 
 
+def _dot(a, x) -> int:
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
+def _inequalities(P: LatticePolytope) -> tuple:
+    """P as ``(equations, facets)`` in lattice coordinates: x is in kP
+    exactly when a.x == k b for every (a, b) in equations and
+    a.x <= k b for every (a, b) in facets.
+
+    The equations span the normals of P's affine hull, an integer basis
+    of the null space of the vertex differences.  A facet of P (of
+    dimension e = affine_dim) holds e affinely independent vertices; for
+    every e-subset of vertices the normal orthogonal both to the
+    equations and to the subset's differences is unique up to scale when
+    the subset is independent, and it is kept when every vertex lies on
+    one side of its hyperplane.  Normals are primitive and outward, so a
+    facet found from several subsets is kept once.  The work grows as
+    C(vertices, e), not with k.
+    """
+    v0 = P.vertex_coords[0]
+    diffs = [[a - b for a, b in zip(v, v0)] for v in P.vertex_coords[1:]]
+    normals = linalg.nullspace(diffs, P.rank)
+    equations = [(a, _dot(a, v0)) for a in normals]
+    e = P.rank - len(normals)
+    if e == 0:
+        return equations, []
+    facets = set()
+    for subset in combinations(P.vertex_coords, e):
+        s0 = subset[0]
+        flat = [[a - b for a, b in zip(s, s0)] for s in subset[1:]]
+        normal = linalg.nullspace(normals + flat, P.rank)
+        if len(normal) != 1:
+            continue
+        a = normal[0]
+        b = _dot(a, s0)
+        if all(_dot(a, v) <= b for v in P.vertex_coords):
+            facets.add((tuple(a), b))
+        elif all(_dot(a, v) >= b for v in P.vertex_coords):
+            facets.add((tuple(-c for c in a), -b))
+    return equations, sorted(facets)
+
+
+def _count(P: LatticePolytope, k: int, equations, facets) -> int:
+    """Lattice points of kP for k >= 1: a scan of the bounding box of kP
+    with integer dot products only."""
+    scaled = [tuple(k * c for c in v) for v in P.vertex_coords]
+    box = [range(min(col), max(col) + 1) for col in zip(*scaled)]
+    eq = [(a, k * b) for a, b in equations]
+    le = [(a, k * b) for a, b in facets]
+    return sum(1 for x in product(*box)
+               if all(_dot(a, x) == kb for a, kb in eq)
+               and all(_dot(a, x) <= kb for a, kb in le))
+
+
 def count_dilate(P: LatticePolytope, k: int) -> int:
     """Exact number of lattice points in the k-th dilate of P."""
     if k < 0:
         raise ArgumentError("dilation factor must be nonnegative")
     if k == 0:
         return 1
-    scaled = [tuple(k * c for c in v) for v in P.vertex_coords]
-    rank = P.rank
-    lo = [min(v[j] for v in scaled) for j in range(rank)]
-    hi = [max(v[j] for v in scaled) for j in range(rank)]
-    count = 0
-    for point in product(*(range(lo[j], hi[j] + 1) for j in range(rank))):
-        if _hull_contains(scaled, point):
-            count += 1
-    return count
+    return _count(P, k, *_inequalities(P))
 
 
 def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
-    """E_P(0)..E_P(kmax)."""
+    """E_P(0)..E_P(kmax); P's inequalities are computed once, and only
+    when some k >= 1 is counted."""
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
-    return [count_dilate(P, k) for k in range(kmax + 1)]
+    if kmax == 0:
+        return [1]
+    equations, facets = _inequalities(P)
+    return [1] + [_count(P, k, equations, facets) for k in range(1, kmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ Everything rests on one fraction-free row reduction, :func:`_echelon`
 (Bareiss, *Sylvester's identity and multistep integer-preserving
 Gaussian elimination*, Math. Comp. 22, 1968).  By Sylvester's identity
 every entry it produces is an integer minor of the input, so its
-divisions are exact.  Rank, determinant, exact solve, integral inverse
-and LDL^T are read off the reduced matrix.
+divisions are exact.  Rank, determinant, exact solve, integral inverse,
+an integer null-space basis and the integer form of LDL^T are read off
+the reduced matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import StructuralError
 
@@ -96,26 +98,49 @@ def mat_inverse_exact(rows) -> tuple:
     return tuple(tuple(int(col[i]) for col in cols) for i in range(n))
 
 
-def ldl(gram) -> tuple:
-    """Exact G = L D L^T with unit lower-triangular L, returned as
-    ``(L, D)`` lists of Fractions.  Raises StructuralError unless every
-    leading principal minor of G is positive, which is equivalent to
-    positive definiteness (Sylvester's criterion).
+def nullspace(rows, n: int) -> list:
+    """Basis of {x : A x = 0} for an integer matrix A with n columns.
 
-    Without row exchanges, reduced row i holds the minors that give
-    D_i = m[i][i] / m[i-1][i-1] and, by the symmetry of G,
-    L_ji = m[i][j] / m[i][i].
+    One primitive integer vector per non-pivot column of the echelon
+    form, so the basis has n - rank(A) vectors; it is empty when A has
+    full column rank and the unit vectors when A has no rows.  Back
+    substitution stays in integers: before a pivot variable is solved
+    for, the whole vector is scaled just enough for the division to be
+    exact.  That scale k = |p| / gcd(s, p) is coprime to the solved
+    entry -s k / p, so a vector with coprime entries keeps them, and
+    each basis vector is primitive from its start, the unit vector.
+    """
+    m, pivots, _ = _echelon(rows)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[free] = 1
+        for r in reversed(range(len(pivots))):
+            row, c = m[r], pivots[r]
+            s = sum(row[j] * x[j] for j in range(c + 1, n))
+            scale = abs(row[c]) // gcd(s, row[c])
+            if scale != 1:
+                x = [scale * v for v in x]
+                s *= scale
+            x[c] = -s // row[c]
+        basis.append(x)
+    return basis
+
+
+def ldl(gram) -> list:
+    """Exact G = L D L^T in integer form: the fraction-free reduced rows
+    ``m`` of G, upper triangular.  With p_i = m[i][i] (the leading
+    principal minors, p_{-1} = 1), D_i = p_i / p_{i-1} and
+    L_ji = m[i][j] / p_i, so that
+
+        x^T G x = sum_i u_i^2 / (p_i p_{i-1}),  u_i = sum_{j>=i} m[i][j] x_j,
+
+    with every u_i an integer for integer x.  Raises StructuralError
+    unless every p_i is positive, which is equivalent to positive
+    definiteness (Sylvester's criterion).
     """
     n = len(gram)
     m, pivots, swaps = _echelon(gram)
     if swaps or pivots != list(range(n)) or any(m[i][i] <= 0 for i in range(n)):
         raise StructuralError("gram matrix is not positive definite")
-    low = [[Fraction(0)] * n for _ in range(n)]
-    d = []
-    prev = 1
-    for i in range(n):
-        d.append(Fraction(m[i][i], prev))
-        prev = m[i][i]
-        for j in range(i, n):
-            low[j][i] = Fraction(m[i][j], m[i][i])
-    return low, d
+    return m

@@ -2,11 +2,13 @@
 
 The coefficient r(m) counts lattice vectors of squared norm m, i.e.
 integer coordinate vectors c with c^T G c = m for the Gram matrix G.
-The primary enumerator is Fincke-Pohst style: an exact rational LDL^T
-decomposition of G (from the fraction-free elimination in
-:mod:`growthlab.linalg`) turns the form into sum_i d_i y_i^2 with
-y_i = x_i + sum_{j>i} L_ji x_j, and coordinates are enumerated from the
-last one down with exact interval bounds at every level.  A naive box
+The primary enumerator is a Fincke-Pohst descent (Fincke & Pohst, Math.
+Comp. 44, 1985) that runs on Python ints alone: the fraction-free
+elimination in :mod:`growthlab.linalg` writes the form as
+sum_i u_i^2 / (p_i p_{i-1}) with integer u_i and pivot minors p_i,
+scaling by the lcm of the denominators makes every term an integer, and
+coordinates are enumerated from the last one down with `isqrt` and
+floor-division bounds at every level.  A naive box
 scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) is kept as an independent
 oracle for small ranks; it computes the diagonal of G^{-1} with its own
 elimination so that it shares no code with the enumerator.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import ArgumentError, StructuralError
@@ -103,40 +105,48 @@ class MatchReport:
 
 
 def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
-    """Exact theta coefficients r(0..rmax) by recursive bounded
-    enumeration with rational LDL^T coordinate bounds."""
+    """Exact theta coefficients r(0..rmax) by Fincke-Pohst descent in
+    integers.
+
+    With the integer LDL^T form from :func:`growthlab.linalg.ldl` the
+    norm is sum_i u_i^2 / N_i with N_i = p_i p_{i-1}; scaled by
+    delta = lcm(N_i) it is sum_i w_i u_i^2 with integer weights
+    w_i = delta / N_i.  Level i fixes x_i with w_i u_i^2 <= R, where R is
+    what is left of delta * rmax, i.e. |u_i| <= isqrt(R // w_i), and
+    u_i = p_i x_i + c with c fixed by x_{i+1..n-1}, so the range of x_i
+    comes from floor division.
+    """
     if rmax < 0:
         raise ArgumentError("rmax must be nonnegative")
-    low, d = linalg.ldl(L.gram)
+    m = linalg.ldl(L.gram)
     n = L.rank
+    piv = [m[i][i] for i in range(n)]
+    norms = [piv[i] * (piv[i - 1] if i else 1) for i in range(n)]
+    delta = lcm(*norms)
+    weight = [delta // q for q in norms]
+    tail = [[(j, m[i][j]) for j in range(i + 1, n) if m[i][j]]
+            for i in range(n)]
+    top = delta * rmax
     counts = [0] * (rmax + 1)
-    budget = Fraction(rmax)
+    x = [0] * n
 
-    def descend(i: int, remaining: Fraction, coords: list):
-        if i < 0:
-            norm = budget - remaining
-            counts[int(norm)] += 1
+    def descend(i: int, remaining: int):
+        p, w = piv[i], weight[i]
+        c = sum(mij * x[j] for j, mij in tail[i])
+        t = isqrt(remaining // w)
+        lo = -((t + c) // p)
+        hi = (t - c) // p
+        if i == 0:
+            used = top - remaining
+            for u in range(p * lo + c, p * hi + c + 1, p):
+                counts[(used + w * u * u) // delta] += 1
             return
-        # y_i = x_i + c with c determined by the already-fixed coords
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if low[j][i]:
-                c += low[j][i] * coords[j]
-        # d_i (x_i + c)^2 <= remaining; float guess, exact tightening
-        s = (float(remaining) / float(d[i])) ** 0.5
-        cf = float(c)
-        lo = int(-s - cf) - 2
-        hi = int(s - cf) + 2
-        while lo <= hi and d[i] * (lo + c) ** 2 > remaining:
-            lo += 1
-        while hi >= lo and d[i] * (hi + c) ** 2 > remaining:
-            hi -= 1
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            descend(i - 1, remaining - d[i] * (x + c) ** 2, coords)
-        coords[i] = 0
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            u = p * xi + c
+            descend(i - 1, remaining - w * u * u)
 
-    descend(n - 1, budget, [0] * n)
+    descend(n - 1, top)
     return ThetaPrefix(rmax, tuple(counts))
 
 

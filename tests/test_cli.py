@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -277,3 +278,107 @@ def test_verify_output_file(capsys, tmp_path):
                      "--output", str(target), "--no-timestamp")
     assert rc == 0
     assert "PASS 13" in target.read_text()
+
+
+def test_oversized_tables_are_config_errors(capsys):
+    # refused before anything is allocated: the default budget is far
+    # below 10**20, and a small --budget bounds a small table
+    huge = str(10 ** 20)
+    cases = [
+        (("theta", "--gram", "1", "--rmax", huge), "rmax"),
+        (("gauss", "--table", "--kmax", huge), "kmax"),
+        (("gauss", "--check-bound", "--tmax", huge), "tmax"),
+        (("theta", "--rank", "2", "--rmax", "10", "--budget", "10"), "rmax"),
+        (("gauss", "--table", "--kmax", "10", "--budget", "10"), "kmax"),
+        (("gauss", "--check-bound", "--tmax", "10", "--budget", "10"), "tmax"),
+    ]
+    for argv, field in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+def test_table_within_budget(capsys):
+    # a table of exactly --budget entries is allowed, and the budget is
+    # echoed as a job option
+    rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "5",
+                       "--budget", "6", "--no-timestamp")
+    assert rc == 0
+    assert "Traceback" not in err
+    assert "# option: budget = 6" in out
+    assert out.splitlines()[-1] == "5,8"
+
+    rc, out, err = run(capsys, "gauss", "--table", "--kmax", "10",
+                       "--budget", "11", "--no-timestamp")
+    assert rc == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[-1] == "10,8,37"
+
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "10",
+                       "--budget", "11", "--no-timestamp")
+    assert rc == 0
+    assert "Traceback" not in err
+    assert "11,50," in out
+
+
+def _stock_payload(command, job, result):
+    payload = {"tool": {"name": "growthlab", "version": "0.1.0"},
+               "command": command,
+               "job": [{"key": k, "value": v} for k, v in job],
+               "result": result}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _ehrhart_series(numerator, kmax):
+    # sum_j h_j z^j / (1 - z)^(n+1) with n = len(h) - 1:
+    # E(k) = sum_j h_j C(k - j + n, n)
+    n = len(numerator) - 1
+    return [sum(h * comb(k - j + n, n) for j, h in enumerate(numerator)
+                if k >= j) for k in range(kmax + 1)]
+
+
+def test_stock_ehrhart_and_theta_bytes(capsys):
+    # the slow stock runs, pinned byte for byte against closed forms
+    # computed here: the l1-ball sum, C(n, j)^2 over (1 - z)^(n+1) and
+    # the eight-squares formula r_8(m) = 16 sum_{d | m} (-1)^(m+d) d^3
+    quartic = ["1", "-4", "6", "-4", "1"]
+    cross = [sum(comb(3, i) * comb(k, i) * 2 ** i for i in range(4))
+             for k in range(9)]
+    assert cross == _ehrhart_series([1, 3, 3, 1], 8)
+    root = _ehrhart_series([comb(3, j) ** 2 for j in range(4)], 6)
+    r8 = [1] + [16 * sum((-1) ** (m + d) * d ** 3
+                         for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, 13)]
+    expected = {
+        ("ehrhart", "--polytope", "cross", "--n", "3", "--kmax", "8"):
+            _stock_payload("ehrhart", [("polytope", "cross"), ("n", "3"),
+                                       ("kmax", "8")], {
+                "polytope": "cross", "ambient_dim": 3, "vertices": 6,
+                "counts": [str(c) for c in cross],
+                "series": {"numerator": ["1", "3", "3", "1"],
+                           "denominator": quartic,
+                           "display": "(1 + 3z + 3z^2 + z^3) / "
+                                      "(1 - 4z + 6z^2 - 4z^3 + z^4)"}}),
+        ("ehrhart", "--polytope", "root", "--n", "3", "--kmax", "6"):
+            _stock_payload("ehrhart", [("polytope", "root"), ("n", "3"),
+                                       ("kmax", "6")], {
+                "polytope": "root", "ambient_dim": 4, "vertices": 12,
+                "counts": [str(c) for c in root],
+                "series": {"numerator": ["1", "9", "9", "1"],
+                           "denominator": quartic,
+                           "display": "(1 + 9z + 9z^2 + z^3) / "
+                                      "(1 - 4z + 6z^2 - 4z^3 + z^4)"}}),
+        ("theta", "--rank", "8", "--rmax", "12"):
+            _stock_payload("theta", [("rank", "8"), ("rmax", "12")], {
+                "rmax": 12, "counts": [str(c) for c in r8], "rank": 8,
+                "gram": [[int(i == j) for j in range(8)]
+                         for i in range(8)]}),
+    }
+    for argv, text in expected.items():
+        rc, out, err = run(capsys, *argv, "--format", "json",
+                           "--no-timestamp")
+        assert rc == 0, argv
+        assert err == ""
+        assert out == text, argv

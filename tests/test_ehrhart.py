@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from growthlab.ehrhart import (LatticePolytope, count_dilate,
-                               cross_polytope, cross_polytope_series,
-                               ehrhart_sequence, legendre, root_polytope,
-                               root_polytope_series)
+from growthlab import linalg
+from growthlab.ehrhart import (LatticePolytope, _hull_contains,
+                               _inequalities, count_dilate, cross_polytope,
+                               cross_polytope_series, ehrhart_sequence,
+                               legendre, root_polytope, root_polytope_series)
 from growthlab.errors import ArgumentError, StructuralError
 
 
@@ -174,3 +176,95 @@ def test_count_preconditions():
         cross_polytope_series(0)
     with pytest.raises(ArgumentError):
         root_polytope_series(0)
+
+
+def simplex_box_scan(P, k):
+    """The facet-free oracle: a phase-1 simplex for every point of the
+    bounding box of kP, in lattice coordinates."""
+    if k == 0:
+        return 1
+    scaled = [tuple(k * c for c in v) for v in P.vertex_coords]
+    box = [range(min(col), max(col) + 1) for col in zip(*scaled)]
+    return sum(1 for x in product(*box) if _hull_contains(scaled, x))
+
+
+def random_polytope(rng, ambient, rank, flat_dim):
+    """At most six vertices in the span of a random rank-`rank` lattice
+    in Z^ambient; with flat_dim < rank they lie on a flat of that
+    dimension, so points, segments and polygons occur."""
+    while True:
+        if rank == ambient and rng.random() < 0.5:
+            basis = [tuple(int(i == j) for j in range(ambient))
+                     for i in range(ambient)]
+        else:
+            basis = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+                     for _ in range(rank)]
+        dirs = [[rng.randint(-1, 1) for _ in range(rank)]
+                for _ in range(flat_dim)]
+        base = [rng.randint(-1, 1) for _ in range(rank)]
+        coords = []
+        for _ in range(rng.randint(flat_dim + 1, 6)):
+            t = [rng.randint(-1, 1) for _ in dirs]
+            coords.append([b + sum(ti * d[i] for ti, d in zip(t, dirs))
+                           for i, b in enumerate(base)])
+        verts = [tuple(sum(c[i] * basis[i][j] for i in range(rank))
+                       for j in range(ambient)) for c in coords]
+        try:
+            P = LatticePolytope.make(ambient, verts, basis)
+        except StructuralError:  # dependent basis rows
+            continue
+        if P.affine_dim() == flat_dim:
+            return P
+
+
+def assert_inequalities(P):
+    """Every equation holds on all vertices; every facet inequality is
+    primitive, tight on the vertices of a face of dimension e - 1 and
+    strict on some vertex, and no two facets repeat."""
+    eq, facets = _inequalities(P)
+    e = P.affine_dim()
+    assert len(eq) == P.rank - e
+    assert len(set(facets)) == len(facets)
+    for a, b in eq + facets:
+        assert math.gcd(*a) == 1
+        heights = [sum(x * y for x, y in zip(a, v)) for v in P.vertex_coords]
+        assert max(heights) == b
+        if (a, b) in eq:
+            assert min(heights) == b
+            continue
+        assert min(heights) < b
+        face = [v for v, h in zip(P.vertex_coords, heights) if h == b]
+        diffs = [[x - y for x, y in zip(v, face[0])] for v in face[1:]]
+        assert (linalg.rank(diffs) if diffs else 0) == e - 1
+    return eq, facets
+
+
+def test_facet_counter_matches_simplex_oracle():
+    rng = random.Random(2015)
+    shapes = [(1, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 1, 1),
+              (3, 3, 0), (3, 3, 1), (3, 3, 2), (3, 3, 3), (3, 2, 2),
+              (3, 2, 1), (3, 1, 1)]
+    for ambient, rank, flat_dim in shapes:
+        for _ in range(4):
+            P = random_polytope(rng, ambient, rank, flat_dim)
+            assert_inequalities(P)
+            kmax = 2 if flat_dim >= 2 else 3
+            assert ehrhart_sequence(P, kmax) == [
+                simplex_box_scan(P, k) for k in range(kmax + 1)], P
+
+
+def test_facet_counts():
+    square = LatticePolytope.make(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    triangle = LatticePolytope.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    # a tetrahedron with the midpoint (1, 1, 1) of an edge listed as a
+    # vertex: a collinear vertex triple spans no facet
+    tetra = LatticePolytope.make(3, [(2, 1, 0), (1, 1, 1), (0, 1, 2),
+                                     (0, 2, 2), (2, 2, 2)])
+    for P, equations, facets in ((cross_polytope(3), 0, 8),
+                                 (root_polytope(3), 0, 14),  # cuboctahedron
+                                 (square, 0, 4),
+                                 (tetra, 0, 4),
+                                 (triangle, 1, 3),
+                                 (LatticePolytope.make(3, [(1, 2, 3)]), 3, 0)):
+        eq, fa = assert_inequalities(P)
+        assert (len(eq), len(fa)) == (equations, facets)

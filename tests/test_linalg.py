@@ -1,8 +1,9 @@
 """The exact elimination routines against oracles that share no code
-with them: the Leibniz permutation sum for determinants, the largest
-nonzero minor for rank, and direct multiplication for solve, inverse
-and LDL^T."""
+with them: the Leibniz permutation sum for determinants and pivot
+minors, the largest nonzero minor for rank, and direct multiplication
+for solve, inverse, null spaces and LDL^T."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,7 +11,8 @@ from itertools import combinations, permutations
 import pytest
 
 from growthlab.errors import StructuralError
-from growthlab.linalg import det_exact, ldl, mat_inverse_exact, rank, solve
+from growthlab.linalg import (det_exact, ldl, mat_inverse_exact, nullspace,
+                             rank, solve)
 
 
 def leibniz(m):
@@ -133,11 +135,21 @@ def random_gram(rng, n, nonsingular=True):
 
 
 def test_ldl_reconstructs_gram():
+    # the integer form: pivots p_i = m[i][i] are the leading principal
+    # minors, L_ji = m[i][j] / p_i and D_i = p_i / p_{i-1}
     rng = random.Random(15)
     for _ in range(200):
         n = rng.randint(1, 4)
         g = random_gram(rng, n)
-        low, d = ldl(g)
+        m = ldl(g)
+        assert all(type(v) is int for row in m for v in row)
+        assert all(m[i][j] == 0 for i in range(n) for j in range(i))
+        piv = [m[i][i] for i in range(n)]
+        assert piv == [leibniz([row[:i + 1] for row in g[:i + 1]])
+                       for i in range(n)]
+        low = [[Fraction(m[j][i], piv[j]) for j in range(n)]
+               for i in range(n)]
+        d = [Fraction(piv[i], piv[i - 1] if i else 1) for i in range(n)]
         for i in range(n):
             assert low[i][i] == 1
             assert all(low[i][j] == 0 for j in range(i + 1, n))
@@ -145,6 +157,37 @@ def test_ldl_reconstructs_gram():
         rebuilt = [[sum(low[i][k] * d[k] * low[j][k] for k in range(n))
                     for j in range(n)] for i in range(n)]
         assert rebuilt == g
+        # x^T G x = sum_i u_i^2 / (p_i p_{i-1}) with integer u_i
+        x = [rng.randint(-5, 5) for _ in range(n)]
+        form = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+        u = [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)]
+        assert sum(Fraction(u[i] ** 2, piv[i] * (piv[i - 1] if i else 1))
+                   for i in range(n)) == form
+
+
+def test_nullspace_basis():
+    rng = random.Random(17)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols)
+        basis = nullspace(a, cols)
+        assert len(basis) == cols - minor_rank(a)
+        for v in basis:
+            assert len(v) == cols
+            assert all(type(c) is int for c in v)
+            assert math.gcd(*v) == 1
+            assert all(sum(r * c for r, c in zip(row, v)) == 0 for row in a)
+        if basis:
+            assert minor_rank(basis) == len(basis)
+
+
+def test_nullspace_empty_and_full_rank():
+    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[2, 1], [1, 3]], 2) == []
+    assert nullspace([[1, 0, 0], [0, 5, 0], [0, 0, 7]], 3) == []
+    assert nullspace([[2, 4, 6]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+    assert nullspace([[3, 2]], 2) == [[-2, 3]]
 
 
 def test_ldl_rejects_non_positive_definite():

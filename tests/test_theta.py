@@ -171,3 +171,52 @@ def test_serialization():
     d = pre.to_json_dict()
     assert d["rmax"] == 4
     assert d["counts"] == ["1", "0", "2", "0", "0"]
+
+
+def _divisor_sum(n, weight):
+    return sum(weight(d) for d in range(1, n + 1) if n % d == 0)
+
+
+# E8 as the Cartan matrix of its Dynkin diagram: a chain of seven nodes
+# with the eighth attached to the third.  Its leading principal minors
+# are 2, 3, 4, ..., so the integer descent runs with a common
+# denominator above 1.
+E8 = [[2, -1, 0, 0, 0, 0, 0, 0],
+      [-1, 2, -1, 0, 0, 0, 0, 0],
+      [0, -1, 2, -1, 0, 0, 0, -1],
+      [0, 0, -1, 2, -1, 0, 0, 0],
+      [0, 0, 0, -1, 2, -1, 0, 0],
+      [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0],
+      [0, 0, -1, 0, 0, 0, 0, 2]]
+
+
+def test_e8_closed_form():
+    # r(2m) = 240 sigma_3(m) and nothing at odd norms (SPLAG ch. 4)
+    counts = theta_coefficients(IntegralLattice.make(E8), 8).counts
+    assert [counts[2 * m] for m in range(1, 5)] == [
+        240 * _divisor_sum(m, lambda d: d ** 3) for m in range(1, 5)]
+    assert [counts[2 * m] for m in range(1, 5)] == [240, 2160, 6720, 17520]
+    assert all(counts[m] == 0 for m in range(1, 9, 2))
+
+
+def test_z4_jacobi_four_squares():
+    # r_4(n) = 8 sum_{d | n, 4 does not divide d} d
+    gram = [[int(i == j) for j in range(4)] for i in range(4)]
+    counts = theta_coefficients(IntegralLattice.make(gram), 40).counts
+    assert list(counts[1:]) == [
+        8 * _divisor_sum(n, lambda d: d if d % 4 else 0)
+        for n in range(1, 41)]
+
+
+def test_a2_hexagonal_closed_form():
+    # r(2n) = 6 (d_{1,3}(n) - d_{2,3}(n)), where d_{a,3}(n) counts the
+    # divisors of n that are a mod 3; the form is even, so r(odd) = 0
+    counts = theta_coefficients(A2, 60).counts
+
+    def chi(d):
+        return (0, 1, -1)[d % 3]
+
+    assert [counts[2 * n] for n in range(1, 31)] == [
+        6 * _divisor_sum(n, chi) for n in range(1, 31)]
+    assert all(counts[m] == 0 for m in range(1, 61, 2))
