@@ -145,26 +145,24 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     honest set products instead of a ball table."""
     if K < 1:
         raise ArgumentError("K must be at least 1")
-    fam = m.family
+    mul = m.family.multiply
     gens = m.effective_generating_set()
-    key = fam.canonical_key
-    current = {key(g): g for g in gens}  # F^1; generators never contain id
+    current = set(gens)  # F^1; generators never contain the identity
     stored = len(current)
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):
-        nxt = {}
-        for g in current.values():
+        nxt = set()
+        for g in current:
             for s in gens:
-                p = fam.multiply(g, s)
-                kp = key(p)
-                if kp not in nxt:
+                p = mul(g, s)
+                if p not in nxt:
                     stored += 1
                     if stored > element_budget:
                         raise BudgetExceededError(
                             "product-set enumeration exceeded budget "
                             f"{element_budget}", last_radius=j - 1)
-                    nxt[kp] = p
-        h.append(len(set(nxt) - set(current)))
+                    nxt.add(p)
+        h.append(len(nxt - current))
         current = nxt
     best: Fraction | None = None
     best_k = 0

@@ -1,9 +1,18 @@
 """Exact breadth-first enumeration of word-metric spheres and balls.
 
 For a marked group (G, S) the word length of g is the least k with
-g in (S u S^-1)^k.  ``enumerate_balls`` expands spheres frontier by
-frontier, keeping a visited set of canonical byte keys, and returns the
-exact sphere sizes sigma(k) and ball sizes beta(k) up to a radius.
+g in (S u S^-1)^k.  One private generator, ``_spheres``, expands the
+spheres S(1), S(2), ... frontier by frontier; ``enumerate_balls`` turns
+their sizes into the exact sphere sizes sigma(k) and ball sizes beta(k)
+up to a radius, and ``word_length`` searches them for one element.
+
+Elements are their own keys: every family stores elements in a
+canonical hashable form, so the visited set holds the elements
+themselves.  When the marking is symmetrized the Cayley graph is
+undirected and every neighbour of S(k) lies in S(k-1), S(k) or S(k+1),
+so once S(k+1) is complete S(k-1) is dropped from the visited set; the
+set then holds at most three spheres.  As-given markings keep every
+element visited.  The element budget counts the whole ball either way.
 The enumeration is deterministic: the resulting sizes do not depend on
 any iteration order.
 """
@@ -11,6 +20,7 @@ any iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
@@ -75,84 +85,77 @@ def trivial_ball_table(kmax: int) -> BallTable:
     return _table(kmax, [1] + [0] * kmax, "trivial group")
 
 
+def _spheres(m: MarkedGroup, element_budget: int):
+    """Yield the spheres S(1), S(2), ... of ``m`` as lists, forever
+    (empty once a finite group is exhausted).
+
+    Raises BudgetExceededError, without a partial table, when the ball
+    would outgrow ``element_budget`` elements.
+    """
+    gens = m.effective_generating_set()
+    mul = m.family.multiply
+    ident = m.family.identity()
+    visited = {ident}
+    before, frontier = [], [ident]
+    stored = 1
+    for k in count(1):
+        sphere = []
+        for g in frontier:
+            for s in gens:
+                h = mul(g, s)
+                if h not in visited:
+                    if stored >= element_budget:
+                        raise BudgetExceededError(
+                            f"element budget {element_budget} exhausted while "
+                            f"expanding radius {k}", last_radius=k - 1)
+                    visited.add(h)
+                    stored += 1
+                    sphere.append(h)
+        if m.symmetrize:
+            # undirected graph: S(k+1) has no neighbour in S(k-1)
+            visited.difference_update(before)
+            before = frontier
+        yield sphere
+        frontier = sphere
+
+
 def enumerate_balls(m: MarkedGroup, kmax: int,
                     element_budget: int = DEFAULT_ELEMENT_BUDGET) -> BallTable:
     """Exact sphere sizes sigma(0..kmax) of the marked group.
 
-    Raises BudgetExceededError when the visited set would outgrow
-    ``element_budget``; the error carries the last completed radius and
-    the partial table up to it.
+    Raises BudgetExceededError when the ball would outgrow
+    ``element_budget`` elements; the error carries the last completed
+    radius and the partial table up to it.
     """
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     if element_budget <= 0:
         raise ArgumentError("element_budget must be positive")
-    fam = m.family
-    gens = m.effective_generating_set()
-    mul = fam.multiply
-    key = fam.canonical_key
-    ident = fam.identity()
-
-    visited = {key(ident)}
-    frontier = [ident]
     sigma = [1]
-    stored = 1
-    for k in range(1, kmax + 1):
-        new_elements = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, s)
-                kh = key(h)
-                if kh not in visited:
-                    if stored >= element_budget:
-                        raise BudgetExceededError(
-                            f"element budget {element_budget} exhausted while "
-                            f"expanding radius {k}",
-                            last_radius=k - 1,
-                            partial=_table(k - 1, sigma[:k], m.describe()))
-                    visited.add(kh)
-                    stored += 1
-                    new_elements.append(h)
-        sigma.append(len(new_elements))
-        frontier = new_elements
+    try:
+        for _, sphere in zip(range(kmax), _spheres(m, element_budget)):
+            sigma.append(len(sphere))
+    except BudgetExceededError as exc:
+        exc.partial = _table(exc.last_radius, sigma, m.describe())
+        raise
     return _table(kmax, sigma, m.describe())
 
 
 def word_length(m: MarkedGroup, g, kmax: int,
                 element_budget: int = DEFAULT_ELEMENT_BUDGET) -> int | None:
     """Least k <= kmax with g in the k-ball, or None when kmax is not
-    enough.  Family mismatch raises StructuralError."""
-    fam = m.family
-    target = fam.canonicalize(g)
-    ident = fam.identity()
-    if target == ident:
-        return 0
-    target_key = fam.canonical_key(target)
-    gens = m.effective_generating_set()
-    mul = fam.multiply
-    key = fam.canonical_key
+    enough.  Family mismatch raises StructuralError.
 
-    visited = {key(ident)}
-    frontier = [ident]
-    stored = 1
-    for k in range(1, kmax + 1):
-        new_elements = []
-        for g0 in frontier:
-            for s in gens:
-                h = mul(g0, s)
-                kh = key(h)
-                if kh not in visited:
-                    if kh == target_key:
-                        return k
-                    if stored >= element_budget:
-                        raise BudgetExceededError(
-                            f"element budget {element_budget} exhausted while "
-                            f"expanding radius {k}", last_radius=k - 1)
-                    visited.add(kh)
-                    stored += 1
-                    new_elements.append(h)
-        frontier = new_elements
-        if not frontier:
+    The target is looked for only once its sphere is complete, so the
+    element budget must hold the whole ball of radius word_length(g).
+    """
+    target = m.family.canonicalize(g)
+    if target == m.family.identity():
+        return 0
+    for k, sphere in zip(range(1, kmax + 1), _spheres(m, element_budget)):
+        if target in sphere:
+            return k
+        if not sphere:
             return None
     return None
 

@@ -26,7 +26,8 @@ from decimal import Decimal, InvalidOperation
 
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
 from .config import (build_lattice, build_marked_group, build_polytope,
-                     empty_document, get_choice, get_int, load_config)
+                     empty_document, get_budget, get_choice, get_int,
+                     load_config)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -78,16 +79,11 @@ def _emit(args, command: str, doc, csv_lines, json_result) -> None:
         sys.stdout.write(text)
 
 
-def _budget(doc) -> int:
-    return get_int(doc, "budget", default=cayley.DEFAULT_ELEMENT_BUDGET,
-                   minimum=1)
-
-
 def _table_bound(doc, key: str, default: int, minimum: int) -> int:
     """An integer bound whose table holds bound + 1 entries, refused
     before anything is allocated when that exceeds the element budget."""
     value = get_int(doc, key, default=default, minimum=minimum)
-    budget = _budget(doc)
+    budget = get_budget(doc)
     if value + 1 > budget:
         entry = doc.get(key)
         raise ConfigError(
@@ -115,7 +111,7 @@ def cmd_growth(args) -> int:
     guard = get_int(doc, "guard", default=4, minimum=1)
     partial = False
     try:
-        table = cayley.enumerate_balls(m, kmax, _budget(doc))
+        table = cayley.enumerate_balls(m, kmax, get_budget(doc))
     except BudgetExceededError as exc:
         if exc.partial is None:
             raise
@@ -156,7 +152,7 @@ def cmd_analyze(args) -> int:
                             {analysis.DYE_IDENTITY_CONVENTION,
                              analysis.DYE_AS_GIVEN_CONVENTION},
                             default=analysis.DYE_IDENTITY_CONVENTION)
-    budget = _budget(doc)
+    budget = get_budget(doc)
     report = analysis.analyze_group(m, kmax, digits=digits,
                                     element_budget=budget)
     if convention == analysis.DYE_AS_GIVEN_CONVENTION:

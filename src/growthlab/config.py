@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .cayley import DEFAULT_ELEMENT_BUDGET
 from .errors import ConfigError
 from .ehrhart import LatticePolytope, cross_polytope, root_polytope
 from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
@@ -207,6 +208,11 @@ GROUP_FAMILIES = frozenset({
 })
 
 
+def get_budget(doc) -> int:
+    """The element budget: the `budget` key, or the ball-search default."""
+    return get_int(doc, "budget", default=DEFAULT_ELEMENT_BUDGET, minimum=1)
+
+
 def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     """Construct a marked group from a config document."""
     family = get_choice(doc, "family", GROUP_FAMILIES)
@@ -222,8 +228,19 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
         degree = require_int(doc, "degree", minimum=2)
         return symmetric_group_adjacent(degree)
 
-    if family == "free-abelian":
+    if family in ("free-abelian", "free"):
         rank = require_int(doc, "rank", minimum=1)
+        if not gen_entries:
+            # checked before the stock generators are built, which for a
+            # huge rank would never finish
+            budget = get_budget(doc)
+            if 2 * rank > budget:
+                raise ConfigError(
+                    f"the {2 * rank} stock generators and inverses exceed "
+                    f"the budget of {budget}",
+                    line=doc.get("rank").line, field="rank")
+
+    if family == "free-abelian":
         if not gen_entries:
             mg = free_abelian_standard(rank)
             if symmetrize:
@@ -239,7 +256,6 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
         return MarkedGroup(FreeAbelian(rank), tuple(gens), symmetrize)
 
     if family == "free":
-        rank = require_int(doc, "rank", minimum=1)
         if not gen_entries:
             return free_group_standard(rank)
         gens = []

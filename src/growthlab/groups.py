@@ -4,9 +4,13 @@ Four families are supported:
 
 * ``FreeAbelian(rank)``   -- elements are integer vectors, the group law
   is componentwise addition;
-* ``FreeGroup(rank)``     -- elements are freely reduced words encoded as
-  tuples of nonzero signed letters (``2`` means the second basis letter,
-  ``-2`` its inverse);
+* ``FreeGroup(rank)``     -- elements are freely reduced words on the
+  signed letters ``1..rank`` (``-2`` is the inverse of the second basis
+  letter), stored as ``bytes``: letter l becomes l + rank in a fixed
+  width of ``((2*rank).bit_length()+7)//8`` big-endian bytes, so a letter
+  and its inverse sum to 2*rank.  Only ``FreeGroup`` knows this format;
+  ``canonicalize`` takes letter sequences and ``element_repr`` prints
+  them;
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
   the integers (determinant +-1 is enforced for generators; determinants
   and inverses come from the exact routines in :mod:`growthlab.linalg`);
@@ -14,8 +18,8 @@ Four families are supported:
   ``{1..degree}``.
 
 Every element is stored in a canonical hashable form, so equality of
-canonical forms is equality in the group; ``canonical_key`` returns a
-compact byte encoding used by ball enumeration as the visited-set key.
+elements is equality in the group and an element is its own key in the
+visited sets of ball enumeration.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -51,16 +55,6 @@ def mat_mul(a: Element, b: Element) -> Element:
     )
 
 
-def _reduce_word(letters) -> Element:
-    out: list[int] = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -91,9 +85,6 @@ class FreeAbelian:
     def inverse(self, a: Element) -> Element:
         return tuple(-x for x in a)
 
-    def canonical_key(self, a: Element) -> bytes:
-        return repr(a).encode()
-
     def describe(self) -> str:
         return f"free-abelian rank {self.rank}"
 
@@ -103,48 +94,65 @@ class FreeAbelian:
 
 @dataclass(frozen=True)
 class FreeGroup:
-    """Free group on `rank` letters; elements are freely reduced words."""
+    """Free group on `rank` letters; elements are freely reduced words,
+    encoded as ``_width`` bytes per letter (see the module docstring)."""
 
     rank: int
+    _width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise StructuralError("free group rank must be at least 1")
+        object.__setattr__(self, "_width",
+                           ((2 * self.rank).bit_length() + 7) // 8)
 
-    def identity(self) -> Element:
-        return ()
+    def _encode(self, letters) -> bytes:
+        w, r = self._width, self.rank
+        return b"".join((l + r).to_bytes(w, "big") for l in letters)
 
-    def canonicalize(self, obj) -> Element:
-        letters = [_as_int(x, "letter") for x in obj]
-        for l in letters:
+    def _decode(self, a: bytes) -> list[int]:
+        w, r = self._width, self.rank
+        return [int.from_bytes(a[i:i + w], "big") - r
+                for i in range(0, len(a), w)]
+
+    def identity(self) -> bytes:
+        return b""
+
+    def canonicalize(self, obj) -> bytes:
+        out: list[int] = []
+        for x in obj:
+            l = _as_int(x, "letter")
             if l == 0 or abs(l) > self.rank:
                 raise StructuralError(
                     f"letter {l} outside +-1..+-{self.rank}")
-        return _reduce_word(letters)
+            if out and out[-1] == -l:
+                out.pop()
+            else:
+                out.append(l)
+        return self._encode(out)
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        # a and b are already reduced; cancellation can only happen at
-        # the junction, which the stack pass handles in one sweep.
-        return _reduce_word(a + b)
+    def multiply(self, a: bytes, b: bytes) -> bytes:
+        # a and b are already reduced, so letters cancel only at the
+        # junction: strip while a's last letter and b's first sum to 2*rank.
+        w, twice = self._width, 2 * self.rank
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and (int.from_bytes(a[i - w:i], "big")
+                               + int.from_bytes(b[j:j + w], "big")) == twice:
+            i -= w
+            j += w
+        return a[:i] + b[j:]
 
-    def inverse(self, a: Element) -> Element:
-        return tuple(-l for l in reversed(a))
-
-    def canonical_key(self, a: Element) -> bytes:
-        if self.rank <= 120:
-            return bytes(l + 128 for l in a)
-        return repr(a).encode()
+    def inverse(self, a: bytes) -> bytes:
+        return self._encode(-l for l in reversed(self._decode(a)))
 
     def describe(self) -> str:
         return f"free rank {self.rank}"
 
-    def element_repr(self, a: Element) -> str:
+    def element_repr(self, a: bytes) -> str:
         if not a:
             return "e"
-        parts = []
-        for l in a:
-            parts.append(f"x{l}" if l > 0 else f"x{-l}^-1")
-        return "*".join(parts)
+        return "*".join(f"x{l}" if l > 0 else f"x{-l}^-1"
+                        for l in self._decode(a))
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,6 @@ class MatrixGroup:
 
     def inverse(self, a: Element) -> Element:
         return mat_inverse_exact(a)
-
-    def canonical_key(self, a: Element) -> bytes:
-        return repr(a).encode()
 
     def describe(self) -> str:
         return f"matrix dim {self.dim}"
@@ -221,11 +226,6 @@ class PermutationGroup:
         for i, v in enumerate(a):
             out[v - 1] = i + 1
         return tuple(out)
-
-    def canonical_key(self, a: Element) -> bytes:
-        if self.degree <= 255:
-            return bytes(a)
-        return repr(a).encode()
 
     def describe(self) -> str:
         return f"permutation degree {self.degree}"
@@ -272,18 +272,10 @@ class MarkedGroup:
     def effective_generating_set(self) -> list:
         """Deduplicated generator list, closed under inversion when
         ``symmetrize`` is set; never contains the identity."""
-        fam = self.family
-        out: list = []
-        seen = set()
         pool = list(self.generators)
         if self.symmetrize:
-            pool += [fam.inverse(g) for g in self.generators]
-        for g in pool:
-            k = fam.canonical_key(g)
-            if k not in seen:
-                seen.add(k)
-                out.append(g)
-        return out
+            pool += [self.family.inverse(g) for g in self.generators]
+        return list(dict.fromkeys(pool))
 
     def describe(self) -> str:
         fam = self.family

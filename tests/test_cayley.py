@@ -7,7 +7,8 @@ import pytest
 from growthlab.cayley import (BallTable, enumerate_balls, trivial_ball_table,
                               word_distance, word_length)
 from growthlab.errors import ArgumentError, BudgetExceededError
-from growthlab.groups import (FreeAbelian, MarkedGroup, free_abelian_standard,
+from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
+                              free_abelian_standard,
                               free_group_standard, heisenberg_group,
                               symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian, expand
@@ -60,29 +61,64 @@ def brute_force_ball(m: MarkedGroup, k: int) -> int:
     any visited-set machinery; oracle for small k only."""
     fam = m.family
     gens = m.effective_generating_set()
-    seen = {fam.canonical_key(fam.identity())}
+    seen = {fam.identity()}
     for length in range(1, k + 1):
         for combo in product(gens, repeat=length):
             g = fam.identity()
             for s in combo:
                 g = fam.multiply(g, s)
-            seen.add(fam.canonical_key(g))
+            seen.add(g)
     return len(seen)
 
 
+def _random_z2_set(rng, size):
+    gens = []
+    while len(gens) < size:
+        v = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if v != (0, 0) and v not in gens:
+            gens.append(v)
+    return FreeAbelian(2), tuple(gens)
+
+
+def _random_f2_set(rng, size):
+    fam = FreeGroup(2)
+    gens = []
+    while len(gens) < size:
+        w = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))]
+        if fam.canonicalize(w) != fam.identity() and w not in gens:
+            gens.append(w)
+    return fam, tuple(gens)
+
+
 def test_bfs_against_brute_force_random_sets():
+    # symmetrized sets run the windowed visited set, as-given sets the
+    # full one; both must agree with plain product enumeration.  Three
+    # as-given generators carry relations that lead back more than one
+    # sphere, which a window would miss.
     rng = random.Random(777)
-    fam = FreeAbelian(2)
-    for _ in range(8):
-        gens = []
-        while len(gens) < 2:
-            v = (rng.randint(-2, 2), rng.randint(-2, 2))
-            if v != (0, 0) and v not in gens:
-                gens.append(v)
-        m = MarkedGroup(fam, tuple(gens))
-        table = enumerate_balls(m, 4)
-        for k in range(5):
-            assert table.ball_sizes[k] == brute_force_ball(m, k)
+    for make in (_random_z2_set, _random_f2_set):
+        for symmetrize, size in ((True, 2), (False, 3)):
+            for _ in range(8):
+                fam, gens = make(rng, size)
+                m = MarkedGroup(fam, gens, symmetrize)
+                table = enumerate_balls(m, 4)
+                for k in range(5):
+                    assert table.ball_sizes[k] == brute_force_ball(m, k)
+
+
+def test_symmetric_group_spheres_are_mahonian():
+    # sigma(k) of S_n under adjacent transpositions counts permutations
+    # with k inversions: the coefficients of prod_{i<=n} (1 + ... + z^(i-1))
+    for n in range(2, 7):
+        coeffs = [1]
+        for i in range(2, n + 1):
+            nxt = [0] * (len(coeffs) + i - 1)
+            for j, c in enumerate(coeffs):
+                for t in range(i):
+                    nxt[j + t] += c
+            coeffs = nxt
+        table = enumerate_balls(symmetric_group_adjacent(n), len(coeffs))
+        assert list(table.sphere_sizes) == coeffs + [0]
 
 
 def test_asymmetric_generating_set():

@@ -300,6 +300,42 @@ def test_oversized_tables_are_config_errors(capsys):
         assert out == ""
 
 
+def test_oversized_stock_rank_is_config_error(capsys, tmp_path):
+    # the 2*rank stock generators and inverses are refused before any is
+    # built, so a huge rank returns at once instead of hanging
+    huge = str(10 ** 11)
+    cases = [
+        ("growth", "--family", "free", "--rank", huge, "--kmax", "0"),
+        ("growth", "--family", "free-abelian", "--rank", huge),
+        ("analyze", "--family", "free", "--rank", "6", "--budget", "11"),
+        ("growth", "--family", "free-abelian", "--rank", "6", "--budget", "11",
+         "--no-symmetrize"),
+    ]
+    for argv in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert "field 'rank'" in err
+        assert "Traceback" not in err
+        assert out == ""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = free\nrank = 6\nbudget = 11\n")
+    rc, out, err = run(capsys, "growth", "--config", str(cfg))
+    assert rc == 2
+    assert "line 2: field 'rank'" in err
+
+    # 2*rank equal to the budget is allowed, and explicit generators are
+    # not stock ones
+    rc, out, err = run(capsys, "growth", "--family", "free-abelian",
+                       "--rank", "5", "--budget", "10", "--kmax", "0",
+                       "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "0,1,1"
+    rc, out, err = run(capsys, "growth", "--family", "free", "--rank", huge,
+                       "--generator", "1", "--kmax", "3", "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "3,2,7"
+
+
 def test_table_within_budget(capsys):
     # a table of exactly --budget entries is allowed, and the budget is
     # echoed as a job option

@@ -56,6 +56,18 @@ def test_r2_sieve_matches_direct():
         r2_table(-1)
 
 
+def test_r2_sieve_matches_divisor_formula():
+    # Jacobi: r2(n) = 4 (d_{1,4}(n) - d_{3,4}(n)), counting the divisors
+    # of n that are 1 and 3 mod 4
+    table = r2_table(2000)
+    assert table[0] == 1
+    for n in range(1, 2001):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        d1 = sum(1 for d in divisors if d % 4 == 1)
+        d3 = sum(1 for d in divisors if d % 4 == 3)
+        assert table[n] == 4 * (d1 - d3)
+
+
 def test_cumulative_matches_disc_count():
     table = R2_table(500)
     for k in range(0, 501, 13):

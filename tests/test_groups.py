@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from growthlab.cayley import enumerate_balls
 from growthlab.errors import ConfigError, StructuralError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup, det_exact,
@@ -29,21 +31,47 @@ def test_free_abelian_rejects_wrong_arity():
         fam.canonicalize((1, "x"))
 
 
+def _letters_of(fam, w):
+    """The signed letters of a word, read back from its printed form."""
+    if w == fam.identity():
+        return []
+    return [-int(p[1:-3]) if p.endswith("^-1") else int(p[1:])
+            for p in fam.element_repr(w).split("*")]
+
+
+def _check_free_group_reduction(fam, rng, lengths):
+    letters = [l for i in range(1, fam.rank + 1) for l in (i, -i)]
+    for _ in range(300):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, lengths))]
+        w = fam.canonicalize(word)
+        out = _letters_of(fam, w)
+        for i in range(len(out) - 1):
+            assert out[i] != -out[i + 1]
+        assert fam.element_repr(fam.multiply(w, fam.inverse(w))) == "e"
+        assert fam.element_repr(fam.multiply(fam.inverse(w), w)) == "e"
+        assert _letters_of(fam, fam.inverse(w)) == [-l for l in reversed(out)]
+
+
+def _check_free_group_associativity(fam, rng):
+    letters = [l for i in range(1, fam.rank + 1) for l in (i, -i)]
+    for _ in range(100):
+        words = [
+            fam.canonicalize([rng.choice(letters)
+                              for _ in range(rng.randint(0, 6))])
+            for _ in range(3)
+        ]
+        a, b, c = words
+        assert fam.multiply(fam.multiply(a, b), c) == \
+            fam.multiply(a, fam.multiply(b, c))
+
+
 def test_free_group_reduction():
     fam = FreeGroup(2)
-    assert fam.canonicalize([1, -1]) == ()
-    assert fam.canonicalize([1, 2, -2, -1]) == ()
-    assert fam.canonicalize([1, 2, -1]) == (1, 2, -1)
+    assert fam.element_repr(fam.canonicalize([1, -1])) == "e"
+    assert fam.element_repr(fam.canonicalize([1, 2, -2, -1])) == "e"
+    assert fam.element_repr(fam.canonicalize([1, 2, -1])) == "x1*x2*x1^-1"
     # random words always come out freely reduced and invert correctly
-    rng = random.Random(7)
-    letters = [1, -1, 2, -2]
-    for _ in range(300):
-        word = [rng.choice(letters) for _ in range(rng.randint(0, 12))]
-        w = fam.canonicalize(word)
-        for i in range(len(w) - 1):
-            assert w[i] != -w[i + 1]
-        assert fam.multiply(w, fam.inverse(w)) == ()
-        assert fam.multiply(fam.inverse(w), w) == ()
+    _check_free_group_reduction(fam, random.Random(7), 12)
 
 
 def test_free_group_letter_range():
@@ -55,18 +83,22 @@ def test_free_group_letter_range():
 
 
 def test_free_group_associativity_sample():
-    fam = FreeGroup(2)
-    rng = random.Random(11)
-    letters = [1, -1, 2, -2]
-    for _ in range(100):
-        words = [
-            fam.canonicalize([rng.choice(letters)
-                              for _ in range(rng.randint(0, 6))])
-            for _ in range(3)
-        ]
-        a, b, c = words
-        assert fam.multiply(fam.multiply(a, b), c) == \
-            fam.multiply(a, fam.multiply(b, c))
+    _check_free_group_associativity(FreeGroup(2), random.Random(11))
+
+
+def test_free_group_two_byte_letters():
+    # rank 200 needs letters l + 200 up to 400, two bytes each
+    fam = FreeGroup(200)
+    assert fam.element_repr(fam.canonicalize([200, -199, 199, 1])) == \
+        "x200*x1"
+    assert fam.element_repr(fam.canonicalize([-200, 200])) == "e"
+    assert fam.element_repr(fam.inverse(fam.canonicalize([200, -3]))) == \
+        "x3*x200^-1"
+    rng = random.Random(13)
+    _check_free_group_reduction(fam, rng, 12)
+    _check_free_group_associativity(fam, rng)
+    table = enumerate_balls(free_group_standard(200), 2)
+    assert list(table.sphere_sizes) == [1, 400, 400 * 399]
 
 
 def test_det_exact_small_cases():
@@ -166,7 +198,8 @@ def test_effective_generating_set_symmetrizes():
 def test_stock_constructions():
     assert free_abelian_standard(3).generators == (
         (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert free_group_standard(2).generators == ((1,), (2,))
+    f2 = free_group_standard(2)
+    assert [f2.family.element_repr(g) for g in f2.generators] == ["x1", "x2"]
 
     h = heisenberg_group()
     assert det_exact(h.generators[0]) == 1
@@ -185,14 +218,13 @@ def test_describe_mentions_family_and_set():
     assert "symmetrized" in text
 
 
-def test_canonical_keys_distinguish_elements():
+def test_distinct_elements_are_distinct_keys():
     fam = FreeGroup(2)
     words = [(), (1,), (-1,), (1, 2), (2, 1), (1, -2), (2,), (-2,)]
-    keys = {fam.canonical_key(w) for w in words}
-    assert len(keys) == len(words)
+    elements = {fam.canonicalize(w) for w in words}
+    assert len(elements) == len(words)
 
     perm = PermutationGroup(4)
-    import itertools
-    keys = {perm.canonical_key(p)
-            for p in itertools.permutations(range(1, 5))}
-    assert len(keys) == 24
+    elements = {perm.canonicalize(p)
+                for p in itertools.permutations(range(1, 5))}
+    assert len(elements) == 24
