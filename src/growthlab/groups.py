@@ -9,8 +9,8 @@ Four families are supported:
   letter), stored as ``bytes``: letter l becomes l + rank in a fixed
   width of ``((2*rank).bit_length()+7)//8`` big-endian bytes, so a letter
   and its inverse sum to 2*rank.  Only ``FreeGroup`` knows this format;
-  ``canonicalize`` takes letter sequences and ``element_repr`` prints
-  them;
+  ``canonicalize`` takes letter sequences (or a word already in this
+  form) and ``element_repr`` prints them;
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
   the integers (determinant +-1 is enforced for generators; determinants
   and inverses come from the exact routines in :mod:`growthlab.linalg`);
@@ -48,7 +48,6 @@ def _as_int(x, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 def mat_mul(a: Element, b: Element) -> Element:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, colv)) for colv in bt) for row in a
@@ -119,6 +118,10 @@ class FreeGroup:
         return b""
 
     def canonicalize(self, obj) -> bytes:
+        if isinstance(obj, bytes):  # already encoded: read the letters back
+            if len(obj) % self._width:
+                raise StructuralError(f"{len(obj)} bytes do not form a word")
+            obj = self._decode(obj)
         out: list[int] = []
         for x in obj:
             l = _as_int(x, "letter")

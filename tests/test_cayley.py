@@ -157,6 +157,25 @@ def test_word_distance_symmetry():
         assert d1 == manhattan
 
 
+
+def test_word_distance_free_group():
+    m = free_group_standard(2)
+    fam = m.family
+    assert word_distance(m, (1,), (2,), 5) == 2
+    assert word_distance(m, (1, 2), (1, 2), 5) == 0
+    rng = random.Random(56)
+    for _ in range(30):
+        g = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))]
+        h = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))]
+        d1 = word_distance(m, g, h, 10)
+        d2 = word_distance(m, h, g, 10)
+        assert d1 == d2
+        # in a free basis the distance is the length of the reduced
+        # word g^-1 h
+        inv_g = [-x for x in reversed(g)]
+        reduced = fam.element_repr(fam.canonicalize(inv_g + h))
+        assert d1 == (0 if reduced == "e" else len(reduced.split("*")))
+
 def test_budget_exceeded_carries_partial_table():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_balls(free_group_standard(2), 12, element_budget=500)

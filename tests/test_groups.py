@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -228,3 +229,25 @@ def test_distinct_elements_are_distinct_keys():
     elements = {perm.canonicalize(p)
                 for p in itertools.permutations(range(1, 5))}
     assert len(elements) == 24
+
+
+def test_canonicalize_accepts_its_own_output():
+    samples = [
+        (FreeAbelian(3), (1, -2, 0)),
+        (FreeGroup(2), (1, 2, -1, -2, 2)),
+        (FreeGroup(200), (200, -3, 3, -199)),
+        (MatrixGroup(2), ((1, 1), (0, 1))),
+        (PermutationGroup(4), (2, 3, 4, 1)),
+    ]
+    for fam, obj in samples:
+        c = fam.canonicalize(obj)
+        assert fam.canonicalize(c) == c
+    with pytest.raises(StructuralError):
+        FreeGroup(200).canonicalize(b"\x00\x01\x02")
+
+    # re-marking an existing marking keeps its generators
+    for m in (free_group_standard(2), free_group_standard(200),
+              MarkedGroup(FreeGroup(2), ((1, 2), (-2,)))):
+        assert MarkedGroup(m.family, m.generators) == m
+        asym = dataclasses.replace(m, symmetrize=False)
+        assert asym.generators == m.generators
