@@ -23,8 +23,7 @@ from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
                      PermutationGroup, free_abelian_standard,
                      free_group_standard, heisenberg_group,
                      symmetric_group_adjacent)
-from .series import (RationalFunction, ball_series, catalan,
-                     closed_form_free_abelian, evaluate_at_one, expand,
+from .series import (RationalFunction, catalan, closed_form_free_abelian,
                      recognize_rational)
 from .theta import (IntegralLattice, ThetaPrefix, compare_sequences,
                     compare_theta, theta3_power, theta_coefficients,
@@ -36,11 +35,11 @@ __all__ = [
     "GrowthLabError", "GrowthReport", "IntegralLattice", "LatticePolytope",
     "MarkedGroup", "MatrixGroup", "PermutationGroup", "R2",
     "RationalFunction", "StructuralError", "ThetaPrefix", "analyze_group",
-    "ball_series", "catalan", "classify", "closed_form_free_abelian",
+    "catalan", "classify", "closed_form_free_abelian",
     "compare_sequences", "compare_theta", "count_dilate", "count_disc",
     "cross_polytope", "cross_polytope_series", "dye_quantity",
     "dye_quantity_strict", "ehrhart_sequence", "enumerate_balls",
-    "error_exponent_fit", "evaluate_at_one", "expand", "exponential_rate",
+    "error_exponent_fit", "exponential_rate",
     "free_abelian_standard", "free_group_standard", "gauss_bound_check",
     "heisenberg_group", "krause_degree", "legendre", "pi_decimal", "r2",
     "r2_table", "recognize_rational", "root_polytope",

@@ -72,7 +72,7 @@ def _check_z_series():
     m = free_abelian_standard(1)
     table = cayley.enumerate_balls(m, 30)
     target = closed_form_free_abelian(1)
-    if list(table.sphere_sizes) != series.expand(target, 30):
+    if list(table.sphere_sizes) != target.expand(30):
         return False, "BFS spheres of Z disagree with (1+z)/(1-z)"
     found = series.recognize_rational(list(table.sphere_sizes), guard=4)
     if found != target:
@@ -85,7 +85,7 @@ def _check_zn_series():
     for n, kmax in ((2, 25), (3, 25), (4, 15)):
         m = free_abelian_standard(n)
         table = cayley.enumerate_balls(m, kmax)
-        want = series.expand(closed_form_free_abelian(n), kmax)
+        want = closed_form_free_abelian(n).expand(kmax)
         if list(table.sphere_sizes) != want:
             return False, f"Z^{n} spheres disagree with ((1+z)/(1-z))^{n}"
     elapsed = time.perf_counter() - t0
@@ -146,7 +146,7 @@ def _check_catalan():
 def _check_cross_polytope():
     for n in (1, 2, 3):
         counts = ehrhart.ehrhart_sequence(ehrhart.cross_polytope(n), 8)
-        want = series.expand(ehrhart.cross_polytope_series(n), 8)
+        want = ehrhart.cross_polytope_series(n).expand(8)
         if counts != want:
             return False, f"n={n}: counts {counts} vs series {want}"
     return True, "counts match (1/(1-z))((1+z)/(1-z))^n for n <= 3, k <= 8"
@@ -156,7 +156,7 @@ def _check_root_polytope():
     for n in (1, 2, 3):
         f = ehrhart.root_polytope_series(n)
         counts = ehrhart.ehrhart_sequence(ehrhart.root_polytope(n), 6)
-        want = series.expand(f, 6)
+        want = f.expand(6)
         if counts != want:
             return False, f"n={n}: counts {counts} vs series {want}"
     for n in range(1, 9):
@@ -202,16 +202,19 @@ def _check_free_group():
 
 
 def _check_krause():
+    # pass/fail compares integers; the Decimal terminals are for display
     terminals = []
+    tol = Fraction(3, 10)
     for n in (1, 2, 3):
         table = cayley.enumerate_balls(free_abelian_standard(n), 25)
-        track = analysis.krause_degree(table)
-        terminals.append(track.terminal)
-        if abs(float(track.terminal) - n) > 0.3:
-            return False, f"Z^{n} terminal estimate {track.terminal} off by > 0.3"
+        terminals.append(analysis.krause_degree(table).terminal)
+        if not analysis.log_ratio_within(table.ball_sizes[25], 25,
+                                         n - tol, n + tol):
+            return False, f"Z^{n} terminal estimate {terminals[-1]} off by > 0.3"
     table = cayley.enumerate_balls(heisenberg_group(), 20)
     h = analysis.krause_degree(table).terminal
-    if not (Decimal("3.4") <= h <= Decimal("4.4")):
+    if not analysis.log_ratio_within(table.ball_sizes[20], 20,
+                                     Fraction(17, 5), Fraction(22, 5)):
         return False, f"Heisenberg terminal estimate {h} outside [3.4, 4.4]"
     shown = ", ".join(str(t)[:5] for t in terminals)
     return True, (f"Z^n terminals ({shown}) within 0.3 of rank;"
@@ -251,7 +254,7 @@ def _check_s3():
     found = series.recognize_rational(sigma, guard=4)
     if found != RationalFunction.make([1, 2, 2, 1], [1]):
         return False, f"recognizer returned {found}"
-    total = series.evaluate_at_one(found)
+    total = found.evaluate(1)
     if total != 6:
         return False, f"value at 1 is {total}"
     return True, "growth polynomial 1 + 2z + 2z^2 + z^3, value 6 = |S_3| at z=1"

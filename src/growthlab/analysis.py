@@ -17,7 +17,9 @@ flat for genuinely exponential growth and halve under radius doubling
 for polynomial growth), and polynomial evidence requires the degree
 track to hug one integer over the last third of the radii.  Short
 tables of slowly converging groups (the Heisenberg group at radius 8,
-say) land in ``inconclusive``.
+say) land in ``inconclusive``.  The thresholds are exact rationals and
+every branch of the verdict is an integer inequality on the ball sizes,
+so no rounding can tip it.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
 
 DEFAULT_PRECISION = 50
-TAU_EXP = 0.1
-TAU_DEG = 0.3
-RHO_EXP = 0.8
+TAU_EXP = Fraction(1, 10)
+TAU_DEG = Fraction(3, 10)
+RHO_EXP = Fraction(4, 5)
 
 DYE_IDENTITY_CONVENTION = "identity-in-F"
 DYE_AS_GIVEN_CONVENTION = "as-given"
@@ -182,12 +184,9 @@ class GrowthReport:
     rate: RateEstimates
     degree: DegreeTrack
     dye: DyeResult
-    persistence: float
+    persistence: float  # display only; the verdict compares integers
     verdict: str
     polynomial_degree: int | None
-    tau_exp: float
-    tau_deg: float
-    rho_exp: float
     digits: int
 
     def to_json_dict(self) -> dict:
@@ -213,26 +212,35 @@ class GrowthReport:
             "polynomial_degree": (None if self.polynomial_degree is None
                                   else str(self.polynomial_degree)),
             "thresholds": {
-                "tau_exp": repr(self.tau_exp),
-                "tau_deg": repr(self.tau_deg),
-                "rho_exp": repr(self.rho_exp),
+                name: str(Decimal(t.numerator) / t.denominator)
+                for name, t in (("tau_exp", TAU_EXP), ("tau_deg", TAU_DEG),
+                                ("rho_exp", RHO_EXP))
             },
         }
 
 
-def classify(table: BallTable, tau_exp: float = TAU_EXP,
-             tau_deg: float = TAU_DEG, rho_exp: float = RHO_EXP,
-             digits: int = DEFAULT_PRECISION) -> GrowthReport:
-    """Assemble a growth verdict from the diagnostic tracks.
+def log_ratio_within(x: int, k: int, lo: Fraction, hi: Fraction) -> bool:
+    """Whether lo <= ln x / ln k <= hi, for integers x >= 1 and k >= 2,
+    decided exactly: with q the common denominator of lo and hi this is
+    k^(q lo) <= x^q <= k^(q hi), compared as rationals.  The powers grow
+    with q, so the bounds are meant to be fixed thresholds like 3/10."""
+    q = math.lcm(lo.denominator, hi.denominator)
+    return Fraction(k) ** int(lo * q) <= x ** q <= Fraction(k) ** int(hi * q)
 
-    evidence-exponential requires the Fekete upper bound to stay above
-    1 + tau_exp AND the terminal log increment of ln beta to persist at
-    rho_exp of its half-radius value; for polynomial growth that ratio
-    collapses to about one half, which keeps Z^n out of this branch at
-    any radius.  evidence-polynomial(d) requires the degree track over
-    the last third of the radii to stay within tau_deg of the integer d.
-    Everything else, in particular short tables whose degree track is
-    still drifting, is inconclusive.
+
+def classify(table: BallTable,
+             digits: int = DEFAULT_PRECISION) -> GrowthReport:
+    """Assemble a growth verdict from the ball sizes.
+
+    evidence-exponential requires the Fekete upper bound to stay at or
+    above 1 + TAU_EXP AND the terminal log increment of ln beta to
+    persist at RHO_EXP of its half-radius value; for polynomial growth
+    that ratio collapses to about one half, which keeps Z^n out of this
+    branch at any radius.  evidence-polynomial(d) requires the degree
+    track over the last third of the radii to stay within TAU_DEG of the
+    integer d.  Everything else, in particular short tables whose degree
+    track is still drifting, is inconclusive.  Every test is exact over
+    the integers; the tracks and the persistence are display only.
     """
     n = table.radius_max
     if n < 6:
@@ -245,27 +253,30 @@ def classify(table: BallTable, tau_exp: float = TAU_EXP,
     if table.sphere_sizes[n] == 0:
         # the ball has stabilized: the group is finite, growth is bounded
         return GrowthReport(rate, degree, dye, 0.0, "evidence-polynomial(0)",
-                            0, tau_exp, tau_deg, rho_exp, digits)
+                            0, digits)
 
-    half = max(2, n // 2)
-    g_term = math.log(beta[n]) - math.log(beta[n - 1])
-    g_half = math.log(beta[half]) - math.log(beta[half - 1])
-    persistence = g_term / g_half
-
-    if float(rate.minimum) >= 1.0 + tau_exp and persistence >= rho_exp:
+    # no sphere refills after an empty one, so both increments are positive
+    h = n // 2
+    persistence = ((math.log(beta[n]) - math.log(beta[n - 1]))
+                   / (math.log(beta[h]) - math.log(beta[h - 1])))
+    # ln(a)/ln(b) >= RHO_EXP = r/s exactly when a^s >= b^r, as b > 1
+    if (all(beta[k] >= (1 + TAU_EXP) ** k for k in range(1, n + 1))
+            and Fraction(beta[n], beta[n - 1]) ** RHO_EXP.denominator
+            >= Fraction(beta[h], beta[h - 1]) ** RHO_EXP.numerator):
         return GrowthReport(rate, degree, dye, persistence,
-                            "evidence-exponential", None,
-                            tau_exp, tau_deg, rho_exp, digits)
+                            "evidence-exponential", None, digits)
 
-    window_start = max(2, (2 * n) // 3)
-    window = [float(degree.value(k)) for k in range(window_start, n + 1)]
-    d = round(window[-1])
-    if d >= 0 and all(abs(v - d) <= tau_deg for v in window):
+    # d is the integer nearest ln beta(n)/ln n, a tie at d + 1/2 rounding
+    # down; a tie fails the window either way because TAU_DEG < 1/2
+    d = 0
+    while beta[n] ** 2 > n ** (2 * d + 1):
+        d += 1
+    if all(log_ratio_within(beta[k], k, d - TAU_DEG, d + TAU_DEG)
+           for k in range(2 * n // 3, n + 1)):
         return GrowthReport(rate, degree, dye, persistence,
-                            f"evidence-polynomial({d})", d,
-                            tau_exp, tau_deg, rho_exp, digits)
+                            f"evidence-polynomial({d})", d, digits)
     return GrowthReport(rate, degree, dye, persistence, "inconclusive",
-                        None, tau_exp, tau_deg, rho_exp, digits)
+                        None, digits)
 
 
 def analyze_group(m: MarkedGroup, kmax: int, digits: int = DEFAULT_PRECISION,

@@ -52,6 +52,10 @@ class BallTable:
             acc += s
             if b != acc:
                 raise ArgumentError("ball sizes must be partial sums of sphere sizes")
+        sigma = self.sphere_sizes
+        if any(a == 0 < b for a, b in zip(sigma, sigma[1:])):
+            # a Cayley graph never reaches past an empty sphere
+            raise ArgumentError("a sphere cannot be nonempty after an empty one")
 
     def to_csv_lines(self) -> list[str]:
         lines = ["k,sigma,beta"]

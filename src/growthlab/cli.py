@@ -37,7 +37,18 @@ from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
 # ---------------------------------------------------------------------------
 
 def _merged_document(args, single_keys, multi_keys=()):
+    """The config document with the inline flags applied.  A config key
+    or a --budget/--precision flag that the command never reads is
+    refused, so it cannot look applied in the echoed options."""
     doc = load_config(args.config) if args.config else empty_document()
+    read = set(single_keys) | set(multi_keys)
+    unread = [(e.line, e.key) for e in doc.entries if e.key not in read]
+    unread += [(None, key) for key in ("budget", "precision")
+               if getattr(args, key) is not None and key not in read]
+    if unread:
+        line, key = unread[0]
+        raise ConfigError(f"the {args.command} command does not read this key",
+                          line=line, field=key)
     single = {}
     for key in single_keys:
         attr = key.replace("-", "_")
@@ -292,7 +303,7 @@ def cmd_ehrhart(args) -> int:
         closed = ehrhart.root_polytope_series(get_int(doc, "n", minimum=1))
     elif len(counts) >= 2 * guard + 2:
         closed = series.recognize_rational(counts, guard=guard)
-    if closed is not None and series.expand(closed, kmax) != counts:
+    if closed is not None and closed.expand(kmax) != counts:
         raise CheckFailure("closed form disagrees with lattice counts",
                            context=kind)
     shown = closed.display() if closed is not None else "none"
@@ -337,6 +348,7 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _merged_document(args, ())  # verify reads no config key
     selected = None
     if args.only:
         selected = []

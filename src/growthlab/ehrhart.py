@@ -290,29 +290,15 @@ def root_polytope(n: int) -> LatticePolytope:
     return LatticePolytope.make(dim, verts, basis)
 
 
-@dataclass(frozen=True)
-class LegendrePoly:
-    """Exact Legendre polynomial P_n; coefficients ascending in x."""
-
-    degree: int
-    coefficients: tuple  # Fractions
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def legendre(n: int) -> LegendrePoly:
-    """P_n by the three-term recurrence
+def legendre(n: int) -> tuple:
+    """The Legendre polynomial P_n as exact Fraction coefficients,
+    ascending in x, by the three-term recurrence
     (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}."""
     if n < 0:
         raise ArgumentError("degree must be nonnegative")
     p_prev = [Fraction(1)]       # P_0
     if n == 0:
-        return LegendrePoly(0, tuple(p_prev))
+        return tuple(p_prev)
     p_cur = [Fraction(0), Fraction(1)]  # P_1 = x
     for m in range(1, n):
         shifted = [Fraction(0)] + p_cur  # x * P_m
@@ -323,7 +309,7 @@ def legendre(n: int) -> LegendrePoly:
             b = p_prev[i] if i < len(p_prev) else Fraction(0)
             nxt.append(((2 * m + 1) * a - m * b) / (m + 1))
         p_prev, p_cur = p_cur, nxt
-    return LegendrePoly(n, tuple(p_cur))
+    return tuple(p_cur)
 
 
 def root_polytope_series(n: int) -> RationalFunction:
@@ -339,7 +325,7 @@ def root_polytope_series(n: int) -> RationalFunction:
     form_binomial = RationalFunction.make(numerator, den)
 
     u = RationalFunction.make([1, 1], [1, -1])
-    coeffs = legendre(n).coefficients
+    coeffs = legendre(n)
     acc = RationalFunction.constant(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * u + RationalFunction.constant(c)

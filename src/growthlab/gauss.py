@@ -84,10 +84,9 @@ def r2_table(kmax: int) -> list[int]:
 
 
 def R2(k: int) -> int:
-    """Cumulative representation count sum_{j<=k} r2(j)."""
-    if k < 0:
-        raise ArgumentError("k must be nonnegative")
-    return sum(r2_table(k))
+    """Cumulative representation count sum_{j<=k} r2(j), which is the
+    disc count R(k)."""
+    return count_disc(k)
 
 
 def R2_table(kmax: int) -> list[int]:
@@ -119,40 +118,35 @@ class CircleCount:
 
 
 def circle_count(t: int, digits: int = DEFAULT_PRECISION,
-                 margin: Decimal = DEFAULT_MARGIN,
-                 _pi: Decimal | None = None,
-                 _R: int | None = None) -> CircleCount:
+                 margin: Decimal = DEFAULT_MARGIN) -> CircleCount:
     """Count the disc at t and check the error bound at `digits`."""
-    R = count_disc(t) if _R is None else _R
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        pi = pi_decimal(digits + 10) if _pi is None else _pi
-        error = abs(Decimal(R) - pi * t)
-        bound = 2 * pi * (1 + Decimal(2 * t).sqrt())
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return CircleCount(t, R, +error, +bound, digits, margin)
+    return gauss_bound_check([t], digits, margin)[0]
 
 
 def gauss_bound_check(t_values, digits: int = DEFAULT_PRECISION,
                       margin: Decimal = DEFAULT_MARGIN) -> list[CircleCount]:
     """Check |R(t) - pi t| <= 2 pi (1 + sqrt(2t)) for every t given.
 
-    Returns the per-t records on success; raises CheckFailure carrying
-    the offending t if any check fails (it never should).
+    One sieve of as many entries as there are values counts every t up
+    to that size, so a dense range costs one linear pass; a t beyond
+    the sieve is counted on its own.  Returns the per-t records on
+    success; raises CheckFailure carrying the offending t if any check
+    fails (it never should).
     """
     ts = list(t_values)
     if not ts:
         raise ArgumentError("t_values must be nonempty")
+    table = R2_table(len(ts))
     pi = pi_decimal(digits + 10)
-    dense_max = max(ts)
-    table = None
-    if len(ts) > 64 and dense_max <= 200_000:
-        table = R2_table(dense_max)
     out = []
     for t in ts:
-        R = table[t] if table is not None else None
-        out.append(circle_count(t, digits, margin, _pi=pi, _R=R))
+        R = table[t] if 0 <= t < len(table) else count_disc(t)
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            error = abs(Decimal(R) - pi * t)
+            bound = 2 * pi * (1 + Decimal(2 * t).sqrt())
+            ctx.prec = digits
+            out.append(CircleCount(t, R, +error, +bound, digits, margin))
     return out
 
 

@@ -42,12 +42,6 @@ def poly_add(a, b) -> list:
                       for i in range(n)])
 
 
-def poly_sub(a, b) -> list:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-
 def poly_mul(a, b) -> list:
     if not a or not b:
         return []
@@ -219,15 +213,6 @@ class RationalFunction:
         }
 
 
-def expand(f: RationalFunction, kmax: int) -> list:
-    return f.expand(kmax)
-
-
-def evaluate_at_one(f: RationalFunction) -> Fraction | None:
-    """f(1) as an exact rational, or None when 1 is a pole."""
-    return f.evaluate(1)
-
-
 def closed_form_free_abelian(n: int) -> RationalFunction:
     """The normalized growth series ((1+z)/(1-z))^n of Z^n with its
     standard symmetric basis."""
@@ -309,18 +294,6 @@ def recognize_rational(seq, guard: int = 4) -> RationalFunction | None:
 # ---------------------------------------------------------------------------
 # series utilities
 # ---------------------------------------------------------------------------
-
-def ball_series(sphere_counts) -> list:
-    """Partial sums of a sphere sequence: division of the series by (1-z)."""
-    if not sphere_counts:
-        raise ArgumentError("sequence must be nonempty")
-    out = []
-    acc = 0
-    for c in sphere_counts:
-        acc += c
-        out.append(acc)
-    return out
-
 
 def catalan(kmax: int) -> list[int]:
     """Catalan numbers c_0..c_kmax by the convolution recurrence

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
                                 DYE_IDENTITY_CONVENTION, analyze_group,
                                 classify, dye_quantity, dye_quantity_strict,
-                                exponential_rate, krause_degree)
-from growthlab.cayley import enumerate_balls, trivial_ball_table
+                                exponential_rate, krause_degree,
+                                log_ratio_within)
+from growthlab.cayley import BallTable, enumerate_balls, trivial_ball_table
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
-                              heisenberg_group)
+                              heisenberg_group, symmetric_group_adjacent)
 
 
 def test_exponential_rate_free_group():
@@ -197,6 +199,124 @@ def test_classify_needs_radius():
         classify(trivial_ball_table(5))
 
 
+def ball_table(beta):
+    sigma = [beta[0]] + [b - a for a, b in zip(beta, beta[1:])]
+    return BallTable(len(beta) - 1, tuple(sigma), tuple(beta))
+
+
+def test_classify_exact_persistence_boundary():
+    # ln(1568/98) / ln(96/3) = ln 16 / ln 32 is exactly 4/5, and every
+    # beta(k)^(1/k) is at least 1.1; the float ratio reads 0.79999...
+    report = classify(ball_table([1, 2, 3, 96, 97, 98, 1568]))
+    assert report.verdict == "evidence-exponential"
+    assert report.polynomial_degree is None
+    # one element fewer at the last radius drops below the threshold
+    report = classify(ball_table([1, 2, 3, 96, 97, 98, 1567]))
+    assert report.verdict == "inconclusive"
+
+
+def test_classify_exact_degree_window_boundary():
+    # beta(k) = k + 1 below radius 1024 and beta(1024) = 8192 = 1024^1.3,
+    # so the degree track ends exactly on d + 3/10 with d = 1
+    beta = list(range(1, 1025)) + [8192]
+    report = classify(ball_table(beta))
+    assert report.verdict == "evidence-polynomial(1)"
+    assert report.polynomial_degree == 1
+    beta[-1] += 1
+    assert classify(ball_table(beta)).verdict == "inconclusive"
+    # ln 27 / ln 9 = 3/2 ties between degrees 1 and 2 and fits neither
+    tie = ball_table([1, 2, 3, 4, 8, 12, 16, 21, 26, 27])
+    assert classify(tie).verdict == "inconclusive"
+
+
+def test_classify_verdict_does_not_depend_on_digits():
+    # the degree track sits near 3.65; rounded to one or two digits it
+    # would read 4, but the verdict never looks at the rounded tracks
+    beta = [1, 2, 14, 56, 159, 357, 693, 1216, 1979, 3042, 4468, 6326,
+            8691, 11639, 15254]
+    for digits in (1, 2, 50):
+        assert classify(ball_table(beta), digits).verdict == "inconclusive"
+
+
+def test_log_ratio_within_is_exact_at_both_ends():
+    # ln 8 / ln 4 is exactly 3/2, and ln 1 / ln k is 0
+    half = Fraction(3, 2)
+    assert log_ratio_within(8, 4, half, Fraction(2))
+    assert log_ratio_within(8, 4, Fraction(1), half)
+    assert not log_ratio_within(8, 4, Fraction(151, 100), Fraction(2))
+    assert not log_ratio_within(8, 4, Fraction(1), Fraction(149, 100))
+    assert log_ratio_within(1, 5, Fraction(-3, 10), Fraction(3, 10))
+    assert not log_ratio_within(1, 5, Fraction(1, 10), Fraction(3, 10))
+    assert not log_ratio_within(7, 5, Fraction(-3, 10), Fraction(3, 10))
+
+
+def test_classify_finite_group():
+    # S_4 has diameter 6 under adjacent transpositions
+    report = classify(enumerate_balls(symmetric_group_adjacent(4), 8))
+    assert report.verdict == "evidence-polynomial(0)"
+    assert report.polynomial_degree == 0
+    assert report.persistence == 0.0
+
+
+def float_verdict(beta):
+    """The verdict recomputed in floats, or None when some quantity lies
+    within 1e-9 of a threshold, where rounding could tip the float."""
+    n = len(beta) - 1
+    if beta[n] == beta[n - 1]:
+        return "evidence-polynomial(0)"
+    h = n // 2
+    persistence = ((math.log(beta[n]) - math.log(beta[n - 1]))
+                   / (math.log(beta[h]) - math.log(beta[h - 1])))
+    rate = min(math.exp(math.log(beta[k]) / k) for k in range(1, n + 1))
+    track = [math.log(beta[k]) / math.log(k)
+             for k in range(2 * n // 3, n + 1)]
+    d = math.floor(track[-1] + 0.5)
+    margins = [rate - 1.1, persistence - 0.8,
+               track[-1] - math.floor(track[-1]) - 0.5]
+    margins += [abs(v - d) - 0.3 for v in track]
+    if min(abs(m) for m in margins) < 1e-9:
+        return None
+    if rate >= 1.1 and persistence >= 0.8:
+        return "evidence-exponential"
+    if all(abs(v - d) <= 0.3 for v in track):
+        return f"evidence-polynomial({d})"
+    return "inconclusive"
+
+
+def test_classify_matches_float_reference_away_from_thresholds():
+    rng = random.Random(61)
+    seen = {}
+    for _ in range(300):
+        n = rng.randint(6, 25)
+        kind = rng.choice(("exponential", "polynomial", "finite"))
+        if kind == "exponential":
+            r = rng.uniform(1.02, 3.0)
+            sigma = [max(1, round(rng.uniform(0.5, 2.0) * r ** k))
+                     for k in range(1, n + 1)]
+        elif kind == "polynomial":
+            d, c = rng.randint(1, 4), rng.uniform(0.5, 4.0)
+            sigma = [max(1, round(c * k ** (d - 1) * rng.uniform(0.8, 1.2)))
+                     for k in range(1, n + 1)]
+        else:
+            m = rng.randint(1, n - 1)
+            sigma = [rng.randint(1, 9) for _ in range(m)] + [0] * (n - m)
+        beta = [1]
+        for s in sigma:
+            beta.append(beta[-1] + s)
+        want = float_verdict(beta)
+        if want is None:
+            continue
+        got = classify(ball_table(beta)).verdict
+        assert got == want, beta
+        seen[got] = seen.get(got, 0) + 1
+    assert sum(seen.values()) >= 290
+    assert seen["evidence-exponential"] >= 20
+    assert seen["inconclusive"] >= 20
+    assert sum(v for k, v in seen.items()
+               if k.startswith("evidence-polynomial(")
+               and k != "evidence-polynomial(0)") >= 20
+
+
 def test_report_serialization():
     table = enumerate_balls(free_abelian_standard(2), 12)
     report = classify(table)
@@ -204,7 +324,8 @@ def test_report_serialization():
     assert d["dye_quantity"]["value"] == str(report.dye.value)
     assert d["verdict"] == report.verdict
     assert isinstance(d["rate_upper"]["estimates"][0], str)
-    assert d["thresholds"]["tau_deg"] == repr(report.tau_deg)
+    assert d["thresholds"] == {"tau_exp": "0.1", "tau_deg": "0.3",
+                               "rho_exp": "0.8"}
 
 
 def test_analyze_group_matches_manual_pipeline():

@@ -11,7 +11,7 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard,
                               free_group_standard, heisenberg_group,
                               symmetric_group_adjacent)
-from growthlab.series import closed_form_free_abelian, expand
+from growthlab.series import closed_form_free_abelian
 
 
 def abelian_ball(n: int, k: int) -> int:
@@ -22,7 +22,7 @@ def abelian_ball(n: int, k: int) -> int:
 
 def test_z_spheres_match_closed_form():
     table = enumerate_balls(free_abelian_standard(1), 30)
-    assert list(table.sphere_sizes) == expand(closed_form_free_abelian(1), 30)
+    assert list(table.sphere_sizes) == closed_form_free_abelian(1).expand(30)
     assert list(table.ball_sizes) == [2 * k + 1 for k in range(31)]
 
 
@@ -202,6 +202,17 @@ def test_ball_table_validation():
         BallTable(1, (2, 2), (2, 4))         # sigma(0) must be 1
     with pytest.raises(ArgumentError):
         BallTable(-1, (), ())
+
+
+def test_ball_table_refuses_a_sphere_after_an_empty_one():
+    # no Cayley graph reaches past an empty sphere, and classify would
+    # divide by a zero log increment on such a table
+    with pytest.raises(ArgumentError):
+        BallTable(6, (1, 2, 0, 0, 0, 0, 1), (1, 3, 3, 3, 3, 3, 4))
+    with pytest.raises(ArgumentError):
+        BallTable(3, (1, 0, 2, 2), (1, 1, 3, 5))
+    finite = BallTable(6, (1, 2, 1, 0, 0, 0, 0), (1, 3, 4, 4, 4, 4, 4))
+    assert finite.ball_sizes[-1] == 4
 
 
 def test_ball_table_serialization():

@@ -336,6 +336,52 @@ def test_oversized_stock_rank_is_config_error(capsys, tmp_path):
     assert out.splitlines()[-1] == "3,2,7"
 
 
+def test_unread_config_key_is_config_error(capsys, tmp_path):
+    # a misspelt or foreign key used to be echoed as an option and ignored
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("polytope = cross\nn = 2\nkmaxx = 99\n")
+    rc, out, err = run(capsys, "ehrhart", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'kmaxx'" in err
+    assert out == ""
+    cfg.write_text("kmax = 5\nbudget = 10\n")  # catalan reads no budget
+    rc, out, err = run(capsys, "catalan", "--config", str(cfg))
+    assert rc == 2
+    assert "line 2: field 'budget'" in err
+    cfg.write_text("kmax = 5\n")
+    rc, out, err = run(capsys, "verify", "--only", "13", "--config", str(cfg))
+    assert rc == 2
+    assert "line 1: field 'kmax'" in err
+    rc, out, err = run(capsys, "catalan", "--config", str(cfg),
+                       "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "5,42"
+
+
+def test_unread_budget_and_precision_flags_are_config_errors(capsys):
+    cases = [
+        ("ehrhart", "--polytope", "cross", "--n", "2", "--budget", "1"),
+        ("catalan", "--budget", "1"),
+        ("catalan", "--precision", "5"),
+        ("growth", "--family", "free", "--rank", "2", "--precision", "5"),
+        ("theta", "--rank", "2", "--precision", "5"),
+        ("verify", "--only", "13", "--budget", "1"),
+    ]
+    for argv in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert f"field '{argv[-2][2:]}'" in err
+        assert "Traceback" not in err
+        assert out == ""
+    # the commands that read them still take them
+    rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "4",
+                       "--budget", "5")
+    assert rc == 0
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "4",
+                       "--precision", "5")
+    assert rc == 0
+
+
 def test_table_within_budget(capsys):
     # a table of exactly --budget entries is allowed, and the budget is
     # echoed as a job option

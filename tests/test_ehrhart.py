@@ -12,6 +12,7 @@ from growthlab.ehrhart import (LatticePolytope, _hull_contains,
                                cross_polytope_series, ehrhart_sequence,
                                legendre, root_polytope, root_polytope_series)
 from growthlab.errors import ArgumentError, StructuralError
+from growthlab.series import poly_eval
 
 
 def l1_ball(n, k):
@@ -93,16 +94,15 @@ def test_root_series_denominator_degree():
 
 
 def test_legendre_polynomials():
-    assert legendre(0).coefficients == (Fraction(1),)
-    assert legendre(1).coefficients == (Fraction(0), Fraction(1))
-    assert legendre(2).coefficients == (Fraction(-1, 2), Fraction(0),
-                                        Fraction(3, 2))
-    assert legendre(3).coefficients == (Fraction(0), Fraction(-3, 2),
-                                        Fraction(0), Fraction(5, 2))
-    assert legendre(4).evaluate(0) == Fraction(3, 8)
+    assert legendre(0) == (Fraction(1),)
+    assert legendre(1) == (Fraction(0), Fraction(1))
+    assert legendre(2) == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
+    assert legendre(3) == (Fraction(0), Fraction(-3, 2),
+                           Fraction(0), Fraction(5, 2))
+    assert poly_eval(legendre(4), Fraction(0)) == Fraction(3, 8)
     for n in range(9):
-        assert legendre(n).evaluate(1) == 1
-        assert legendre(n).evaluate(-1) == (-1) ** n
+        assert poly_eval(legendre(n), Fraction(1)) == 1
+        assert poly_eval(legendre(n), Fraction(-1)) == (-1) ** n
     with pytest.raises(ArgumentError):
         legendre(-1)
 

@@ -107,8 +107,13 @@ def test_gauss_bound_check_batch():
     recs_dense = gauss_bound_check(range(0, 100))
     for rec in recs_dense[::17]:
         assert rec.R == count_disc(rec.t)
+    # values beyond the sieve are counted one by one, in the given order
+    ts = [3, 10 ** 6, 2, 4]
+    assert [r.R for r in gauss_bound_check(ts)] == [count_disc(t) for t in ts]
     with pytest.raises(ArgumentError):
         gauss_bound_check([])
+    with pytest.raises(ArgumentError):
+        gauss_bound_check([5, -1, 7])
 
 
 def test_bound_holds_at_random_points():
