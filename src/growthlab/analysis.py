@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .cayley import BallTable, enumerate_balls
+from .cayley import DEFAULT_ELEMENT_BUDGET, BallTable, enumerate_balls
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
 
@@ -140,7 +140,7 @@ def dye_quantity(table: BallTable, K: int) -> DyeResult:
 
 
 def dye_quantity_strict(m: MarkedGroup, K: int,
-                        element_budget: int = 1_000_000) -> DyeResult:
+                        element_budget: int = DEFAULT_ELEMENT_BUDGET) -> DyeResult:
     """Dye quantity with F taken exactly as the effective generating set,
     identity not added.  F^k is then the set of products of exactly k
     factors, which need not be nested, so the shells are computed by
@@ -280,7 +280,7 @@ def classify(table: BallTable,
 
 
 def analyze_group(m: MarkedGroup, kmax: int, digits: int = DEFAULT_PRECISION,
-                  element_budget: int = 10_000_000) -> GrowthReport:
+                  element_budget: int = DEFAULT_ELEMENT_BUDGET) -> GrowthReport:
     """BFS enumeration followed by classification, in one call."""
     table = enumerate_balls(m, kmax, element_budget)
     return classify(table, digits=digits)

@@ -3,6 +3,8 @@
 Subcommands: growth, analyze, gauss, ehrhart, theta, catalan, verify.
 Every command reads an optional config document (--config) whose values
 inline flags override, and emits CSV or JSON to stdout or --output.
+Once a command has read its inputs it refuses any key, from the file or
+a flag, that it did not read, so every echoed job option was applied.
 Outputs embed the tool version and the effective job options; the
 timestamp is suppressed with --no-timestamp so outputs can be compared
 byte for byte.
@@ -25,9 +27,9 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
-from .config import (build_lattice, build_marked_group, build_polytope,
-                     empty_document, get_budget, get_choice, get_int,
-                     load_config)
+from .config import (POLYTOPE_FAMILIES, build_lattice, build_marked_group,
+                     build_polytope, empty_document, get_budget, get_choice,
+                     get_int, load_config)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -37,29 +39,13 @@ from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
 # ---------------------------------------------------------------------------
 
 def _merged_document(args, single_keys, multi_keys=()):
-    """The config document with the inline flags applied.  A config key
-    or a --budget/--precision flag that the command never reads is
-    refused, so it cannot look applied in the echoed options."""
+    """The config document with the inline flags applied.  The keys name
+    every flag of the command that feeds the document, in echo order;
+    whether the job reads them is for `refuse_unread` to say."""
     doc = load_config(args.config) if args.config else empty_document()
-    read = set(single_keys) | set(multi_keys)
-    unread = [(e.line, e.key) for e in doc.entries if e.key not in read]
-    unread += [(None, key) for key in ("budget", "precision")
-               if getattr(args, key) is not None and key not in read]
-    if unread:
-        line, key = unread[0]
-        raise ConfigError(f"the {args.command} command does not read this key",
-                          line=line, field=key)
-    single = {}
-    for key in single_keys:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is not None:
-            single[key] = value
-    multi = {}
-    for key in multi_keys:
-        values = getattr(args, key.replace("-", "_"), None)
-        if values:
-            multi[key] = [str(v) for v in values]
+    single = {key: getattr(args, key.replace("-", "_"))
+              for key in single_keys}
+    multi = {key: getattr(args, key.replace("-", "_")) for key in multi_keys}
     return doc.override(single, multi)
 
 
@@ -116,13 +102,16 @@ _GROUP_KEYS = ("family", "rank", "degree", "dim", "symmetrize")
 
 def cmd_growth(args) -> int:
     doc = _merged_document(
-        args, _GROUP_KEYS + ("kmax", "guard", "budget"), ("generator",))
+        args, _GROUP_KEYS + ("kmax", "guard", "budget", "precision"),
+        ("generator",))
     m = build_marked_group(doc)
     kmax = get_int(doc, "kmax", default=12, minimum=0)
     guard = get_int(doc, "guard", default=4, minimum=1)
+    budget = get_budget(doc)
+    doc.refuse_unread("growth")
     partial = False
     try:
-        table = cayley.enumerate_balls(m, kmax, get_budget(doc))
+        table = cayley.enumerate_balls(m, kmax, budget)
     except BudgetExceededError as exc:
         if exc.partial is None:
             raise
@@ -164,6 +153,7 @@ def cmd_analyze(args) -> int:
                              analysis.DYE_AS_GIVEN_CONVENTION},
                             default=analysis.DYE_IDENTITY_CONVENTION)
     budget = get_budget(doc)
+    doc.refuse_unread("analyze")
     report = analysis.analyze_group(m, kmax, digits=digits,
                                     element_budget=budget)
     if convention == analysis.DYE_AS_GIVEN_CONVENTION:
@@ -214,10 +204,13 @@ def cmd_gauss(args) -> int:
         raise ArgumentError(
             "choose exactly one of --table, --check-bound, --fit")
     mode = modes[0]
-    digits = _precision(doc, gauss.DEFAULT_PRECISION)
+    # the r2 table is exact; only the bound check and the fit round
+    if mode != "table":
+        digits = _precision(doc, gauss.DEFAULT_PRECISION)
 
     if mode == "table":
         kmax = _table_bound(doc, "kmax", default=100, minimum=0)
+        doc.refuse_unread("gauss")
         r2s = gauss.r2_table(kmax)
         cumulative = gauss.R2_table(kmax)
         csv_lines = ["k,r2,R2"]
@@ -244,8 +237,9 @@ def cmd_gauss(args) -> int:
                 raise ConfigError("expected a finite nonnegative number, "
                                   f"got {entry.value!r}",
                                   line=entry.line, field="margin")
-        ts = list(range(0, tmax + 1))
         dyadic_to = get_int(doc, "dyadic-to", default=None)
+        doc.refuse_unread("gauss")
+        ts = list(range(0, tmax + 1))
         if dyadic_to is not None:
             ts.extend(_dyadic_extension(tmax, dyadic_to))
         results = gauss.gauss_bound_check(ts, digits=digits, margin=margin)
@@ -264,6 +258,7 @@ def cmd_gauss(args) -> int:
 
     # error-exponent fit on a four-per-octave grid up to tmax
     tmax = get_int(doc, "tmax", default=10000, minimum=1)
+    doc.refuse_unread("gauss")
     grid = []
     j = 0
     while True:
@@ -288,14 +283,16 @@ def cmd_gauss(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     doc = _merged_document(
-        args, ("polytope", "n", "kmax", "guard", "ambient-dim"),
-        ("vertex", "basis"))
+        args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget",
+               "precision"), ("vertex", "basis"))
     P = build_polytope(doc)
+    kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
     kmax = get_int(doc, "kmax", default=6, minimum=0)
-    guard = get_int(doc, "guard", default=4, minimum=1)
+    # stock polytopes take their closed form, so only custom ones recognize
+    if kind == "custom":
+        guard = get_int(doc, "guard", default=4, minimum=1)
+    doc.refuse_unread("ehrhart")
     counts = ehrhart.ehrhart_sequence(P, kmax)
-    kind = get_choice(doc, "polytope",
-                      {"cross", "root", "custom"}, default="custom")
     closed = None
     if kind == "cross":
         closed = ehrhart.cross_polytope_series(get_int(doc, "n", minimum=1))
@@ -323,9 +320,11 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    doc = _merged_document(args, ("rank", "rmax", "budget"), ("gram",))
+    doc = _merged_document(args, ("rank", "rmax", "budget", "precision"),
+                           ("gram",))
     lat = build_lattice(doc)
     rmax = _table_bound(doc, "rmax", default=20, minimum=0)
+    doc.refuse_unread("theta")
     prefix = theta.theta_coefficients(lat, rmax)
     csv_lines = [f"# lattice rank: {lat.rank}"]
     csv_lines.extend(prefix.to_csv_lines())
@@ -337,8 +336,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_catalan(args) -> int:
-    doc = _merged_document(args, ("kmax",))
+    doc = _merged_document(args, ("kmax", "budget", "precision"))
     kmax = get_int(doc, "kmax", default=20, minimum=0)
+    doc.refuse_unread("catalan")
     coeffs = series.catalan(kmax)
     csv_lines = ["k,catalan"]
     csv_lines.extend(f"{k},{c}" for k, c in enumerate(coeffs))
@@ -348,7 +348,8 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _merged_document(args, ())  # verify reads no config key
+    doc = _merged_document(args, ("budget", "precision"))
+    doc.refuse_unread("verify")  # verify reads no config key
     selected = None
     if args.only:
         selected = []
@@ -361,17 +362,13 @@ def cmd_verify(args) -> int:
             if ident not in acceptance.CHECK_IDS:
                 raise ArgumentError(f"no acceptance check numbered {ident}")
             selected.append(ident)
-    results = acceptance.run_all(selected)
-    if args.output:
-        doc = empty_document()
-        if args.format == "json":
-            json_result = [{
-                "id": r.ident, "slug": r.slug, "passed": r.passed,
-                "detail": r.detail, "elapsed": round(r.elapsed, 3),
-            } for r in results]
-            _emit(args, "verify", doc, [], json_result)
-        else:
-            _emit(args, "verify", doc, [r.line() for r in results], None)
+    # progress goes live to stderr; the result is emitted like any other
+    results = acceptance.run_all(selected, stream=sys.stderr)
+    json_result = [{
+        "id": r.ident, "slug": r.slug, "passed": r.passed,
+        "detail": r.detail, "elapsed": round(r.elapsed, 3),
+    } for r in results]
+    _emit(args, "verify", doc, [r.line() for r in results], json_result)
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed",

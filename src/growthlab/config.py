@@ -13,17 +13,20 @@ values pack rows into one line with `;` between rows:
 
 Inline command-line flags override file values: single-valued keys are
 replaced, repeatable keys are replaced as a block when any inline
-value for them is present.  Every diagnostic carries the offending
-line and field so a malformed document never surfaces as a traceback.
+value for them is present.  A document remembers which keys the job
+looked up, and `refuse_unread` refuses the first entry it never read,
+so a key is accepted exactly when the job reads it.  Every diagnostic
+carries the offending line and field so a malformed document never
+surfaces as a traceback.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cayley import DEFAULT_ELEMENT_BUDGET
-from .errors import ConfigError
+from .errors import ConfigError, StructuralError
 from .ehrhart import LatticePolytope, cross_polytope, root_polytope
 from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
                      PermutationGroup, free_abelian_standard,
@@ -32,9 +35,6 @@ from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
 from .theta import IntegralLattice
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9-]*$")
-
-# keys that accumulate rows instead of overwriting
-MULTI_KEYS = frozenset({"generator", "vertex", "basis", "gram"})
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,12 @@ class ConfigEntry:
 @dataclass(frozen=True)
 class ConfigDocument:
     entries: tuple
+    # every key looked up through get or get_all
+    read: set = field(default_factory=set, compare=False, repr=False)
 
     def get(self, key: str) -> ConfigEntry | None:
         """Last entry for a single-valued key (later lines win)."""
+        self.read.add(key)
         found = None
         for e in self.entries:
             if e.key == key:
@@ -57,7 +60,16 @@ class ConfigDocument:
         return found
 
     def get_all(self, key: str) -> list:
+        self.read.add(key)
         return [e for e in self.entries if e.key == key]
+
+    def refuse_unread(self, command: str) -> None:
+        """Refuse the first entry whose key was never read, so no key is
+        echoed as a job option that the job ignored."""
+        for e in self.entries:
+            if e.key not in self.read:
+                raise ConfigError(f"the {command} command does not read "
+                                  "this key", line=e.line, field=e.key)
 
     def keys(self) -> set:
         return {e.key for e in self.entries}
@@ -202,100 +214,67 @@ def _int_rows(entry: ConfigEntry) -> list:
 # object builders
 # ---------------------------------------------------------------------------
 
-GROUP_FAMILIES = frozenset({
-    "free-abelian", "free", "heisenberg", "symmetric", "matrix",
-    "permutation",
-})
-
-
 def get_budget(doc) -> int:
     """The element budget: the `budget` key, or the ball-search default."""
     return get_int(doc, "budget", default=DEFAULT_ELEMENT_BUDGET, minimum=1)
 
 
+# families that take `generator` rows: the family class, the key that
+# sizes it, and the parser of one row
+_CUSTOM_FAMILIES = {
+    "free-abelian": (FreeAbelian, "rank", _int_list),
+    "free": (FreeGroup, "rank", _int_list),
+    "matrix": (MatrixGroup, "dim", _int_rows),
+    "permutation": (PermutationGroup, "degree", _int_list),
+}
+GROUP_FAMILIES = frozenset(_CUSTOM_FAMILIES) | {"heisenberg", "symmetric"}
+
+
 def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
-    """Construct a marked group from a config document."""
+    """Construct a marked group from a config document.  Each `generator`
+    row goes through its family's own canonicalize; without rows a
+    family gets its stock generators, where it has any.  `symmetrize`
+    applies to every family."""
     family = get_choice(doc, "family", GROUP_FAMILIES)
     if family is None:
         raise ConfigError("missing required key", field="family")
     symmetrize = get_bool(doc, "symmetrize", True)
-    gen_entries = doc.get_all("generator")
+    rows = ()
+    if family in _CUSTOM_FAMILIES:
+        kind, size_key, parse = _CUSTOM_FAMILIES[family]
+        size = require_int(doc, size_key, minimum=1)
+        rows = doc.get_all("generator")
+    if rows:
+        fam, gens = kind(size), []
+        for e in rows:
+            try:
+                gens.append(fam.canonicalize(parse(e)))
+            except StructuralError as exc:
+                raise ConfigError(str(exc), line=e.line, field="generator")
+    else:
+        stock = _stock_marking(doc, family)
+        fam, gens = stock.family, stock.generators
+    return MarkedGroup(fam, tuple(gens), symmetrize)
 
+
+def _stock_marking(doc: ConfigDocument, family: str) -> MarkedGroup:
     if family == "heisenberg":
         return heisenberg_group()
-
     if family == "symmetric":
-        degree = require_int(doc, "degree", minimum=2)
-        return symmetric_group_adjacent(degree)
-
-    if family in ("free-abelian", "free"):
-        rank = require_int(doc, "rank", minimum=1)
-        if not gen_entries:
-            # checked before the stock generators are built, which for a
-            # huge rank would never finish
-            budget = get_budget(doc)
-            if 2 * rank > budget:
-                raise ConfigError(
-                    f"the {2 * rank} stock generators and inverses exceed "
-                    f"the budget of {budget}",
-                    line=doc.get("rank").line, field="rank")
-
-    if family == "free-abelian":
-        if not gen_entries:
-            mg = free_abelian_standard(rank)
-            if symmetrize:
-                return mg
-            return MarkedGroup(mg.family, mg.generators, symmetrize=False)
-        gens = []
-        for e in gen_entries:
-            vec = _int_list(e)
-            if len(vec) != rank:
-                raise ConfigError(f"generator must have {rank} coordinates",
-                                  line=e.line, field="generator")
-            gens.append(tuple(vec))
-        return MarkedGroup(FreeAbelian(rank), tuple(gens), symmetrize)
-
-    if family == "free":
-        if not gen_entries:
-            return free_group_standard(rank)
-        gens = []
-        for e in gen_entries:
-            word = _int_list(e)
-            if any(x == 0 or abs(x) > rank for x in word):
-                raise ConfigError(
-                    f"free group letters must lie in 1..{rank} with sign",
-                    line=e.line, field="generator")
-            gens.append(tuple(word))
-        return MarkedGroup(FreeGroup(rank), tuple(gens), symmetrize)
-
-    if family == "matrix":
-        dim = require_int(doc, "dim", minimum=1)
-        if not gen_entries:
-            raise ConfigError("matrix groups need explicit generators",
-                              field="generator")
-        gens = []
-        for e in gen_entries:
-            rows = _int_rows(e)
-            if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise ConfigError(f"generator must be a {dim}x{dim} matrix",
-                                  line=e.line, field="generator")
-            gens.append(tuple(tuple(r) for r in rows))
-        return MarkedGroup(MatrixGroup(dim), tuple(gens), symmetrize)
-
-    # permutation
-    degree = require_int(doc, "degree", minimum=1)
-    if not gen_entries:
-        raise ConfigError("permutation groups need explicit generators",
+        return symmetric_group_adjacent(require_int(doc, "degree", minimum=2))
+    if family in ("matrix", "permutation"):
+        raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
-    gens = []
-    for e in gen_entries:
-        img = _int_list(e)
-        if sorted(img) != list(range(1, degree + 1)):
-            raise ConfigError(
-                f"generator must be a permutation of 1..{degree}",
-                line=e.line, field="generator")
-        gens.append(tuple(img))
-    return MarkedGroup(PermutationGroup(degree), tuple(gens), symmetrize)
+    # checked before the stock generators are built, which for a huge
+    # rank would never finish
+    rank, budget = require_int(doc, "rank"), get_budget(doc)
+    if 2 * rank > budget:
+        raise ConfigError(f"the {2 * rank} stock generators and inverses "
+                          f"exceed the budget of {budget}",
+                          line=doc.get("rank").line, field="rank")
+    if family == "free":
+        return free_group_standard(rank)
+    return free_abelian_standard(rank)
 
 
 POLYTOPE_FAMILIES = frozenset({"cross", "root", "custom"})

@@ -1,9 +1,10 @@
+import argparse
 import json
 from math import comb
 
 import pytest
 
-from growthlab.cli import main
+from growthlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -464,3 +465,129 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
         assert rc == 0, argv
         assert err == ""
         assert out == text, argv
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("growth", "--family", "heisenberg", "--rank", "7"), "rank"),
+    (("growth", "--family", "heisenberg", "--generator", "1"), "generator"),
+    (("growth", "--family", "symmetric", "--degree", "3", "--generator", "1"),
+     "generator"),
+    (("gauss", "--table", "--kmax", "3", "--tmax", "99"), "tmax"),
+    (("gauss", "--table", "--kmax", "3", "--margin", "5"), "margin"),
+    (("gauss", "--table", "--kmax", "3", "--precision", "3"), "precision"),
+    (("gauss", "--check-bound", "--tmax", "10", "--kmax", "5"), "kmax"),
+    (("gauss", "--fit", "--tmax", "100", "--dyadic-to", "1000"), "dyadic-to"),
+    (("theta", "--rank", "3", "--gram", "1"), "rank"),
+    (("ehrhart", "--polytope", "cross", "--n", "2", "--guard", "1"), "guard"),
+    (("ehrhart", "--polytope", "cross", "--n", "2", "--ambient-dim", "5"),
+     "ambient-dim"),
+    (("ehrhart", "--polytope", "root", "--n", "2", "--vertex", "1"), "vertex"),
+    (("ehrhart", "--ambient-dim", "2", "--vertex", "0 0", "--vertex", "1 0",
+      "--vertex", "0 1", "--n", "7"), "n"),
+])
+def test_key_read_only_by_another_family_or_mode_is_refused(capsys, argv,
+                                                           field):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert f"field '{field}'" in err
+
+
+def test_unread_key_in_file_names_its_line(capsys, tmp_path):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("kmax = 3\ntmax = 99\n")
+    rc, out, err = run(capsys, "gauss", "--table", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert "line 2: field 'tmax'" in err
+
+
+def _spheres(capsys, *argv):
+    rc, out, err = run(capsys, "growth", *argv, "--format", "json",
+                       "--no-timestamp")
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert result["group"].endswith("(as-given)")
+    return [int(s) for s in result["table"]["sphere_sizes"]]
+
+
+def test_stock_markings_honour_as_given(capsys):
+    # the free monoid on two letters: 2^k words of length k, all distinct
+    assert _spheres(capsys, "--family", "free", "--rank", "2", "--kmax", "8",
+                    "--no-symmetrize") == [2 ** k for k in range(9)]
+
+    # positive words in x = I + E12 and y = I + E23: every word for an
+    # element has the same length, so the k-sphere holds the distinct
+    # products of the 2^k words of length k
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(3))
+                           for j in range(3)) for i in range(3))
+    x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    layer = {((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    expected = []
+    for _ in range(7):
+        expected.append(len(layer))
+        layer = {mul(w, g) for w in layer for g in (x, y)}
+    assert _spheres(capsys, "--family", "heisenberg", "--kmax", "6",
+                    "--no-symmetrize") == expected
+
+
+def test_verify_json_on_stdout(capsys):
+    rc, out, err = run(capsys, "verify", "--only", "13", "--format", "json",
+                       "--no-timestamp")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert len(result) == 1
+    assert result[0]["id"] == 13
+    assert "PASS 13" in err  # progress goes to stderr
+
+
+# a minimal job per command, and a valid value for every option that feeds
+# the job document (None for a switch)
+_BASE_JOBS = {
+    "growth": {"--family": "free-abelian", "--rank": "1", "--kmax": "2"},
+    "analyze": {"--family": "free-abelian", "--rank": "1", "--kmax": "6"},
+    "gauss": {"--table": None, "--kmax": "2"},
+    "ehrhart": {"--polytope": "cross", "--n": "1", "--kmax": "2"},
+    "theta": {"--gram": "1", "--rmax": "2"},
+    "catalan": {"--kmax": "2"},
+    "verify": {"--only": "13"},
+}
+_OPTION_VALUES = {
+    "family": "free-abelian", "rank": "1", "degree": "2", "dim": "1",
+    "generator": "1", "symmetrize": None, "kmax": "6", "guard": "1",
+    "budget": "1000", "precision": "5", "dye-convention": "as-given",
+    "tmax": "10", "dyadic-to": "64", "margin": "0", "polytope": "cross",
+    "n": "1", "ambient-dim": "1", "vertex": "0", "basis": "1", "gram": "1",
+    "rmax": "2",
+}
+_PLUMBING = {"help", "config", "output", "format", "no_timestamp", "only",
+             "table", "check_bound", "fit"}
+
+
+def _job_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if action.dest not in _PLUMBING:
+                yield command, action.option_strings[0], action.dest
+
+
+@pytest.mark.parametrize("command, option, dest", list(_job_options()))
+def test_no_flag_is_silently_dropped(capsys, command, option, dest):
+    # every option either lands in the echoed job or is refused by name
+    key = dest.replace("_", "-")
+    job = dict(_BASE_JOBS[command])
+    job[option] = _OPTION_VALUES[key]  # replaces the base job's own value
+    argv = [part for flag, value in job.items()
+            for part in ((flag,) if value is None else (flag, value))]
+    rc, out, err = run(capsys, command, *argv, "--no-timestamp")
+    if rc == 0:
+        shown = job[option] if job[option] is not None else "True"
+        assert f"# option: {key} = {shown}" in out.splitlines()
+    else:
+        assert rc == 2, err
+        assert f"field '{key}'" in err

@@ -131,6 +131,14 @@ def test_build_group_stock_families():
     m = build_marked_group(doc_from(("family", "free"), ("rank", "2")))
     assert enumerate_balls(m, 2).sphere_sizes == (1, 4, 12)
 
+    # symmetrize applies to stock markings too
+    m = build_marked_group(doc_from(("family", "heisenberg"),
+                                    ("symmetrize", "false")))
+    assert len(m.effective_generating_set()) == 2
+    m = build_marked_group(doc_from(("family", "symmetric"), ("degree", "3"),
+                                    ("symmetrize", "no")))
+    assert not m.symmetrize
+
 
 def test_build_group_custom_generators():
     doc = doc_from(("family", "free-abelian"), ("rank", "2"),
