@@ -48,7 +48,8 @@ class ConfigEntry:
 class ConfigDocument:
     entries: tuple
     # every key looked up through get or get_all
-    read: set = field(default_factory=set, compare=False, repr=False)
+    read: set = field(init=False, default_factory=set, compare=False,
+                      repr=False)
 
     def get(self, key: str) -> ConfigEntry | None:
         """Last entry for a single-valued key (later lines win)."""
@@ -68,7 +69,7 @@ class ConfigDocument:
         echoed as a job option that the job ignored."""
         for e in self.entries:
             if e.key not in self.read:
-                raise ConfigError(f"the {command} command does not read "
+                raise ConfigError(f"this {command} job does not read "
                                   "this key", line=e.line, field=e.key)
 
     def keys(self) -> set:
@@ -239,25 +240,26 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     if family is None:
         raise ConfigError("missing required key", field="family")
     symmetrize = get_bool(doc, "symmetrize", True)
-    rows = ()
+    rows = size = None
     if family in _CUSTOM_FAMILIES:
         kind, size_key, parse = _CUSTOM_FAMILIES[family]
         size = require_int(doc, size_key, minimum=1)
         rows = doc.get_all("generator")
-    if rows:
-        fam, gens = kind(size), []
-        for e in rows:
-            try:
-                gens.append(fam.canonicalize(parse(e)))
-            except StructuralError as exc:
-                raise ConfigError(str(exc), line=e.line, field="generator")
-    else:
-        stock = _stock_marking(doc, family)
-        fam, gens = stock.family, stock.generators
+    if not rows:
+        stock = _stock_marking(doc, family, size)
+        if stock.symmetrize == symmetrize:
+            return stock
+        return MarkedGroup(stock.family, stock.generators, symmetrize)
+    fam, gens = kind(size), []
+    for e in rows:
+        try:
+            gens.append(fam.canonicalize(parse(e)))
+        except StructuralError as exc:
+            raise ConfigError(str(exc), line=e.line, field="generator")
     return MarkedGroup(fam, tuple(gens), symmetrize)
 
 
-def _stock_marking(doc: ConfigDocument, family: str) -> MarkedGroup:
+def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     if family == "heisenberg":
         return heisenberg_group()
     if family == "symmetric":
@@ -265,9 +267,8 @@ def _stock_marking(doc: ConfigDocument, family: str) -> MarkedGroup:
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
-    # checked before the stock generators are built, which for a huge
-    # rank would never finish
-    rank, budget = require_int(doc, "rank"), get_budget(doc)
+    # checked first: for a huge rank the stock generators would never finish
+    budget = get_budget(doc)
     if 2 * rank > budget:
         raise ConfigError(f"the {2 * rank} stock generators and inverses "
                           f"exceed the budget of {budget}",
@@ -318,9 +319,7 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     alone for the standard Z^rank identity form."""
     gram_entries = doc.get_all("gram")
     if gram_entries:
-        rows = []
-        for e in gram_entries:
-            rows.append(_int_list(e))
+        rows = [_int_list(e) for e in gram_entries]
         width = len(rows)
         for e, row in zip(gram_entries, rows):
             if len(row) != width:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from growthlab.cayley import enumerate_balls
@@ -116,6 +118,24 @@ def test_typed_accessor_errors():
     assert err.value.field == "family"
     with pytest.raises(ConfigError):
         get_int(doc_from(("n", "0")), "n", minimum=1)
+
+
+def test_refuse_unread_names_the_first_unread_entry():
+    doc = ConfigDocument((ConfigEntry(2, "kmax", "3"),
+                          ConfigEntry(3, "tmax", "99")))
+    assert get_int(doc, "kmax") == 3
+    with pytest.raises(ConfigError) as err:
+        doc.refuse_unread("gauss")
+    assert err.value.line == 3 and err.value.field == "tmax"
+    assert "this gauss job does not read this key" in str(err.value)
+    get_int(doc, "tmax")
+    doc.refuse_unread("gauss")
+    # the read record is the document's own state: not a constructor
+    # argument, and not shared with a copy
+    with pytest.raises(TypeError):
+        ConfigDocument((), read={"tmax"})
+    with pytest.raises(ConfigError):
+        dataclasses.replace(doc).refuse_unread("gauss")
 
 
 def test_build_group_stock_families():
