@@ -6,6 +6,12 @@ spheres S(1), S(2), ... frontier by frontier; ``enumerate_balls`` turns
 their sizes into the exact sphere sizes sigma(k) and ball sizes beta(k)
 up to a radius, and ``word_length`` searches them for one element.
 
+Each product is a neighbour g*s of a frontier element g by one element
+s of the effective generating set, so ``_spheres`` never calls the
+general ``multiply``: it asks the family once per s for
+``right_multiplier(s)``, a callable g -> g*s precomputed for that s
+(see :mod:`growthlab.groups`), and calls those in its inner loop.
+
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
 themselves.  When the marking is symmetrized the Cayley graph is
@@ -94,24 +100,30 @@ def _spheres(m: MarkedGroup, element_budget: int):
     (empty once a finite group is exhausted).
 
     Raises BudgetExceededError, without a partial table, when the ball
-    would outgrow ``element_budget`` elements.
+    would outgrow ``element_budget`` elements; its message names the
+    elements stored, the frontier being expanded and the bound
+    |frontier|*|S| on the sphere it was building.
     """
-    gens = m.effective_generating_set()
-    mul = m.family.multiply
-    ident = m.family.identity()
+    fam = m.family
+    acts = [fam.right_multiplier(s) for s in m.effective_generating_set()]
+    ident = fam.identity()
     visited = {ident}
     before, frontier = [], [ident]
     stored = 1
     for k in count(1):
         sphere = []
         for g in frontier:
-            for s in gens:
-                h = mul(g, s)
+            for act in acts:
+                h = act(g)
                 if h not in visited:
                     if stored >= element_budget:
+                        f, n = len(frontier), len(acts)
                         raise BudgetExceededError(
                             f"element budget {element_budget} exhausted while "
-                            f"expanding radius {k}", last_radius=k - 1)
+                            f"expanding radius {k}: {stored} elements stored, "
+                            f"frontier |S({k - 1})| = {f}, next sphere "
+                            f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
+                            last_radius=k - 1)
                     visited.add(h)
                     stored += 1
                     sphere.append(h)

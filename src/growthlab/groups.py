@@ -21,6 +21,17 @@ Every element is stored in a canonical hashable form, so equality of
 elements is equality in the group and an element is its own key in the
 visited sets of ball enumeration.
 
+Every family has two ways to multiply.  ``multiply(a, b)`` is the
+general product.  ``right_multiplier(s)`` does the work that depends on
+s alone once and returns a callable ``act`` with ``act(g) ==
+multiply(g, s)`` for every element g; ball enumeration builds one per
+generator and calls it for every product.  The callable is specialised
+to the shape of s: a vector with one nonzero coordinate changes one
+slot, a matrix I + d*E_kc adds d times column k to column c, a
+one-letter word appends or cancels one letter, and a permutation is a
+table lookup per point.  Other vectors and matrices use the general
+rule with the work on s done once; longer words call ``multiply``.
+
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
 (the default) makes word length count both generators and their
@@ -29,6 +40,8 @@ inverses.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, StructuralError
@@ -80,6 +93,14 @@ class FreeAbelian:
 
     def multiply(self, a: Element, b: Element) -> Element:
         return tuple(x + y for x, y in zip(a, b))
+
+    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+        nonzero = [i for i, x in enumerate(s) if x]
+        if len(nonzero) == 1:
+            i = nonzero[0]
+            v = s[i]
+            return lambda g: g[:i] + (g[i] + v,) + g[i + 1:]
+        return lambda g: tuple(map(operator.add, g, s))
 
     def inverse(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -145,6 +166,14 @@ class FreeGroup:
             j += w
         return a[:i] + b[j:]
 
+    def right_multiplier(self, s: bytes) -> Callable[[bytes], bytes]:
+        w = self._width
+        if len(s) != w:
+            return lambda g: self.multiply(g, s)
+        # g is reduced, so g*s cancels exactly when g ends in s^-1
+        inv = (2 * self.rank - int.from_bytes(s, "big")).to_bytes(w, "big")
+        return lambda g: g[:-w] if g[-w:] == inv else g + s
+
     def inverse(self, a: bytes) -> bytes:
         return self._encode(-l for l in reversed(self._decode(a)))
 
@@ -189,6 +218,24 @@ class MatrixGroup:
     def multiply(self, a: Element, b: Element) -> Element:
         return mat_mul(a, b)
 
+    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+        # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
+        # as for the Heisenberg generators, that adds d * g[r][k] to g[r][c]
+        # in each row r.  Any other s multiplies rows by its columns,
+        # transposed once here; adding g(s - I) column by column measured
+        # slower than mat_mul once s - I is dense.
+        n = self.dim
+        delta = [(k, c, s[k][c] - (k == c)) for k in range(n)
+                 for c in range(n) if s[k][c] != (k == c)]
+        if len(delta) == 1:
+            (k, c, d), = delta
+            return lambda g: tuple([
+                row[:c] + (row[c] + d * row[k],) + row[c + 1:] for row in g])
+        cols = tuple(zip(*s))
+        mul = operator.mul
+        return lambda g: tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                for row in g])
+
     def inverse(self, a: Element) -> Element:
         return mat_inverse_exact(a)
 
@@ -223,6 +270,10 @@ class PermutationGroup:
     def multiply(self, a: Element, b: Element) -> Element:
         # apply a first, then b
         return tuple(b[a[i] - 1] for i in range(self.degree))
+
+    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+        image = ((0,) + s).__getitem__  # image(i) = s(i), points are 1-based
+        return lambda g: tuple(map(image, g))
 
     def inverse(self, a: Element) -> Element:
         out = [0] * self.degree

@@ -8,7 +8,7 @@ from growthlab.cayley import (BallTable, enumerate_balls, trivial_ball_table,
                               word_distance, word_length)
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
-                              free_abelian_standard,
+                              MatrixGroup, free_abelian_standard,
                               free_group_standard, heisenberg_group,
                               symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
@@ -90,13 +90,33 @@ def _random_f2_set(rng, size):
     return fam, tuple(gens)
 
 
+def _random_matrix_set(rng, size):
+    # products of one or two shears I + d*E_ij in dimension 2 or 3; the
+    # first generator has a row negated (determinant -1) half the time
+    n = rng.choice((2, 3))
+    fam = MatrixGroup(n)
+    gens = []
+    while len(gens) < size:
+        g = fam.identity()
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.sample(range(n), 2)
+            shear = [[int(r == c) for c in range(n)] for r in range(n)]
+            shear[i][j] = rng.choice((-2, -1, 1, 2))
+            g = fam.multiply(g, fam.canonicalize(shear))
+        if not gens and rng.random() < 0.5:
+            g = (tuple(-x for x in g[0]),) + g[1:]
+        if g != fam.identity() and g not in gens:
+            gens.append(g)
+    return fam, tuple(gens)
+
+
 def test_bfs_against_brute_force_random_sets():
     # symmetrized sets run the windowed visited set, as-given sets the
     # full one; both must agree with plain product enumeration.  Three
     # as-given generators carry relations that lead back more than one
     # sphere, which a window would miss.
     rng = random.Random(777)
-    for make in (_random_z2_set, _random_f2_set):
+    for make in (_random_z2_set, _random_f2_set, _random_matrix_set):
         for symmetrize, size in ((True, 2), (False, 3)):
             for _ in range(8):
                 fam, gens = make(rng, size)
@@ -187,6 +207,18 @@ def test_budget_exceeded_carries_partial_table():
     assert exc.partial.ball_sizes[-1] <= 500
     full = enumerate_balls(free_group_standard(2), exc.last_radius)
     assert exc.partial.sphere_sizes == full.sphere_sizes
+
+
+def test_budget_message_names_what_was_reached():
+    # F_2 balls are 1, 5, 17, 53, 161, 485: radius 6 runs out at 500
+    # stored elements while expanding the 324-element sphere S(5)
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_balls(free_group_standard(2), 12, element_budget=500)
+    assert str(err.value) == (
+        "element budget 500 exhausted while expanding radius 6: 500 "
+        "elements stored, frontier |S(5)| = 324, next sphere estimate "
+        "|S(5)|*|S| = 324*4 = 1296")
+    assert err.value.last_radius == 5
 
 
 def test_trivial_ball_table():

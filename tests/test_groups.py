@@ -170,6 +170,92 @@ def test_permutation_validation():
         fam.canonicalize((1, 2))
 
 
+def _reduced_letters(rng, rank, n):
+    out = []
+    while len(out) < n:
+        l = rng.choice((1, -1)) * rng.randint(1, rank)
+        if not out or l != -out[-1]:
+            out.append(l)
+    return out
+
+
+def _check_right_multiplier(fam, gens, elements):
+    """right_multiplier(s) against multiply(g, s) on every pair; returns
+    how many products came out shorter than g (free words that cancel)."""
+    shorter = 0
+    for s in gens:
+        act = fam.right_multiplier(s)
+        for g in elements:
+            assert act(g) == fam.multiply(g, s), (s, g)
+            shorter += len(fam.multiply(g, s)) < len(g)
+    return shorter
+
+
+def test_right_multiplier_matches_multiply():
+    # the action precomputed for one s agrees with the general product,
+    # for every shape of s that right_multiplier treats on its own
+    rng = random.Random(4141)
+
+    for rank in (1, 3, 6):
+        fam = FreeAbelian(rank)
+
+        def vec(nonzero):
+            v = [0] * rank
+            for i in rng.sample(range(rank), nonzero):
+                v[i] = rng.choice((-3, -1, 1, 3))
+            return tuple(v)
+        gens = [vec(1) for _ in range(6)]
+        gens += [vec(rng.randint(2, rank)) for _ in range(6) if rank > 1]
+        elements = [fam.identity()] + [
+            tuple(rng.randint(-50, 50) for _ in range(rank))
+            for _ in range(40)]
+        _check_right_multiplier(fam, gens, elements)
+
+    for rank in (2, 200):  # one-byte and two-byte letters
+        fam = FreeGroup(rank)
+        for length in (1, 2, 3, 5):
+            gens = [fam.canonicalize(_reduced_letters(rng, rank, length))
+                    for _ in range(6)]
+            elements = [fam.identity()]
+            elements += [fam.canonicalize(_reduced_letters(rng, rank, n))
+                         for n in range(1, 9)]
+            # words that end in s^-1, so g*s cancels at the junction
+            elements += [fam.multiply(w, fam.inverse(s))
+                         for s in gens for w in elements[:5]]
+            assert _check_right_multiplier(fam, gens, elements) > 0
+
+    def flip(a):  # negate the first row: determinant -1
+        return (tuple(-x for x in a[0]),) + a[1:]
+
+    for dim in (2, 3, 4):
+        fam = MatrixGroup(dim)
+        gens = [flip(fam.identity())]
+        for i, j in itertools.permutations(range(dim), 2):
+            for d in (1, -1, 3, -3):  # unipotent I + d*E_ij
+                gens.append(tuple(
+                    tuple(int(r == c) + d * ((r, c) == (i, j))
+                          for c in range(dim))
+                    for r in range(dim)))
+        dense = [_random_unimodular(dim, rng) for _ in range(4)]
+        gens += dense + [flip(a) for a in dense]
+        elements = [fam.identity()]
+        for _ in range(10):
+            a = _random_unimodular(dim, rng)
+            elements += [a, flip(a)]
+        _check_right_multiplier(fam, gens, elements)
+
+    for degree in range(1, 8):
+        fam = PermutationGroup(degree)
+
+        def perm():
+            img = list(range(1, degree + 1))
+            rng.shuffle(img)
+            return tuple(img)
+        gens = [perm() for _ in range(5)]
+        elements = [fam.identity()] + [perm() for _ in range(20)]
+        _check_right_multiplier(fam, gens, elements)
+
+
 def test_marked_group_needs_generators():
     with pytest.raises(ConfigError):
         MarkedGroup(FreeAbelian(2), ())
