@@ -26,11 +26,10 @@ general product.  ``right_multiplier(s)`` does the work that depends on
 s alone once and returns a callable ``act`` with ``act(g) ==
 multiply(g, s)`` for every element g; ball enumeration builds one per
 generator and calls it for every product.  The callable is specialised
-to the shape of s: a vector with one nonzero coordinate changes one
-slot, a matrix I + d*E_kc adds d times column k to column c, a
-one-letter word appends or cancels one letter, and a permutation is a
-table lookup per point.  Other vectors and matrices use the general
-rule with the work on s done once; longer words call ``multiply``.
+to the shape of s: a vector adds coordinatewise, a matrix I + d*E_kc
+adds d times column k to column c, a one-letter word appends or cancels
+one letter, and a permutation is a table lookup per point.  Other
+matrices and longer words take the general product.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -95,11 +94,6 @@ class FreeAbelian:
         return tuple(x + y for x, y in zip(a, b))
 
     def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
-        nonzero = [i for i, x in enumerate(s) if x]
-        if len(nonzero) == 1:
-            i = nonzero[0]
-            v = s[i]
-            return lambda g: g[:i] + (g[i] + v,) + g[i + 1:]
         return lambda g: tuple(map(operator.add, g, s))
 
     def inverse(self, a: Element) -> Element:
@@ -221,9 +215,7 @@ class MatrixGroup:
     def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
         # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
         # as for the Heisenberg generators, that adds d * g[r][k] to g[r][c]
-        # in each row r.  Any other s multiplies rows by its columns,
-        # transposed once here; adding g(s - I) column by column measured
-        # slower than mat_mul once s - I is dense.
+        # in each row r.  Any other s takes the general product.
         n = self.dim
         delta = [(k, c, s[k][c] - (k == c)) for k in range(n)
                  for c in range(n) if s[k][c] != (k == c)]
@@ -231,10 +223,7 @@ class MatrixGroup:
             (k, c, d), = delta
             return lambda g: tuple([
                 row[:c] + (row[c] + d * row[k],) + row[c + 1:] for row in g])
-        cols = tuple(zip(*s))
-        mul = operator.mul
-        return lambda g: tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                                for row in g])
+        return lambda g: mat_mul(g, s)
 
     def inverse(self, a: Element) -> Element:
         return mat_inverse_exact(a)
