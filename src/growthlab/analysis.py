@@ -147,16 +147,16 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     honest set products instead of a ball table."""
     if K < 1:
         raise ArgumentError("K must be at least 1")
-    mul = m.family.multiply
     gens = m.effective_generating_set()
+    acts = [m.family.right_multiplier(s) for s in gens]
     current = set(gens)  # F^1; generators never contain the identity
     stored = len(current)
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):
         nxt = set()
         for g in current:
-            for s in gens:
-                p = mul(g, s)
+            for act in acts:
+                p = act(g)
                 if p not in nxt:
                     stored += 1
                     if stored > element_budget:

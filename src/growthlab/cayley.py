@@ -7,10 +7,11 @@ their sizes into the exact sphere sizes sigma(k) and ball sizes beta(k)
 up to a radius, and ``word_length`` searches them for one element.
 
 Each product is a neighbour g*s of a frontier element g by one element
-s of the effective generating set, so ``_spheres`` never calls the
-general ``multiply``: it asks the family once per s for
-``right_multiplier(s)``, a callable g -> g*s precomputed for that s
-(see :mod:`growthlab.groups`), and calls those in its inner loop.
+s of the effective generating set.  ``_spheres`` asks the family once
+per s for ``right_multiplier(s)``, the family's one group law: a
+callable g -> g*s precomputed for that s (see :mod:`growthlab.groups`),
+which it calls in its inner loop.  ``word_distance`` forms its one
+product g^-1 h the same way.
 
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
@@ -181,4 +182,4 @@ def word_distance(m: MarkedGroup, g, h, kmax: int) -> int | None:
     fam = m.family
     a = fam.canonicalize(g)
     b = fam.canonicalize(h)
-    return word_length(m, fam.multiply(fam.inverse(a), b), kmax)
+    return word_length(m, fam.right_multiplier(b)(fam.inverse(a)), kmax)

@@ -109,7 +109,7 @@ def cmd_growth(args) -> int:
     guard = get_int(doc, "guard", default=4, minimum=1)
     budget = get_budget(doc)
     doc.refuse_unread("growth")
-    partial = False
+    stopped = None
     try:
         table = cayley.enumerate_balls(m, kmax, budget)
     except BudgetExceededError as exc:
@@ -117,7 +117,8 @@ def cmd_growth(args) -> int:
             raise
         print(f"warning: budget exceeded, emitting radii 0..{exc.last_radius}",
               file=sys.stderr)
-        table, partial = exc.partial, True
+        table, stopped = exc.partial, exc
+    partial = stopped is not None
     sigma = list(table.sphere_sizes)
     recognized = None
     if len(sigma) >= 2 * guard + 2:
@@ -135,8 +136,7 @@ def cmd_growth(args) -> int:
     }
     _emit(args, "growth", doc, csv_lines, json_result)
     if partial:
-        raise BudgetExceededError("enumeration stopped early",
-                                  last_radius=table.radius_max)
+        raise stopped
     return 0
 
 

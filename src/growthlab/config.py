@@ -180,8 +180,8 @@ def get_choice(doc, key, choices, default=None) -> str | None:
     entry = doc.get(key)
     if entry is None:
         return default
-    value = entry.value.lower()
-    if value not in choices:
+    value = {c.lower(): c for c in choices}.get(entry.value.lower())
+    if value is None:
         raise ConfigError(
             f"unknown value {entry.value!r} (choices: {', '.join(sorted(choices))})",
             line=entry.line, field=key)
@@ -253,9 +253,13 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     fam, gens = kind(size), []
     for e in rows:
         try:
-            gens.append(fam.canonicalize(parse(e)))
+            g = fam.canonicalize(parse(e))
         except StructuralError as exc:
             raise ConfigError(str(exc), line=e.line, field="generator")
+        if g == fam.identity():
+            raise ConfigError("the identity may not be listed as a generator",
+                              line=e.line, field="generator")
+        gens.append(g)
     return MarkedGroup(fam, tuple(gens), symmetrize)
 
 

@@ -12,7 +12,7 @@ Four families are supported:
   ``canonicalize`` takes letter sequences (or a word already in this
   form) and ``element_repr`` prints them;
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
-  the integers (determinant +-1 is enforced for generators; determinants
+  the integers (``canonicalize`` enforces determinant +-1; determinants
   and inverses come from the exact routines in :mod:`growthlab.linalg`);
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
@@ -21,15 +21,15 @@ Every element is stored in a canonical hashable form, so equality of
 elements is equality in the group and an element is its own key in the
 visited sets of ball enumeration.
 
-Every family has two ways to multiply.  ``multiply(a, b)`` is the
-general product.  ``right_multiplier(s)`` does the work that depends on
-s alone once and returns a callable ``act`` with ``act(g) ==
-multiply(g, s)`` for every element g; ball enumeration builds one per
+Every family has one group law, ``right_multiplier(s)``.  It does the
+work that depends on s alone once and returns a callable ``act`` with
+``act(g) == g*s`` for every element g; ball enumeration builds one per
 generator and calls it for every product.  The callable is specialised
 to the shape of s: a vector adds coordinatewise, a matrix I + d*E_kc
-adds d times column k to column c, a one-letter word appends or cancels
-one letter, and a permutation is a table lookup per point.  Other
-matrices and longer words take the general product.
+adds d times column k to column c and any other matrix takes the
+general product ``mat_mul``, a one-letter word appends or cancels one
+letter and a longer word acts letter by letter, and a permutation is a
+table lookup per point.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -90,9 +90,6 @@ class FreeAbelian:
                 f"vector has length {len(vec)}, expected rank {self.rank}")
         return vec
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        return tuple(x + y for x, y in zip(a, b))
-
     def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
         return lambda g: tuple(map(operator.add, g, s))
 
@@ -149,21 +146,18 @@ class FreeGroup:
                 out.append(l)
         return self._encode(out)
 
-    def multiply(self, a: bytes, b: bytes) -> bytes:
-        # a and b are already reduced, so letters cancel only at the
-        # junction: strip while a's last letter and b's first sum to 2*rank.
-        w, twice = self._width, 2 * self.rank
-        i, j, n = len(a), 0, len(b)
-        while i and j < n and (int.from_bytes(a[i - w:i], "big")
-                               + int.from_bytes(b[j:j + w], "big")) == twice:
-            i -= w
-            j += w
-        return a[:i] + b[j:]
-
     def right_multiplier(self, s: bytes) -> Callable[[bytes], bytes]:
         w = self._width
         if len(s) != w:
-            return lambda g: self.multiply(g, s)
+            # a longer word acts letter by letter, the empty word not at all
+            acts = [self.right_multiplier(s[i:i + w])
+                    for i in range(0, len(s), w)]
+
+            def act(g: bytes) -> bytes:
+                for letter in acts:
+                    g = letter(g)
+                return g
+            return act
         # g is reduced, so g*s cancels exactly when g ends in s^-1
         inv = (2 * self.rank - int.from_bytes(s, "big")).to_bytes(w, "big")
         return lambda g: g[:-w] if g[-w:] == inv else g + s
@@ -200,17 +194,10 @@ class MatrixGroup:
         rows = tuple(tuple(_as_int(x, "matrix entry") for x in row) for row in obj)
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise StructuralError(f"matrix is not {self.dim}x{self.dim}")
-        return rows
-
-    def validate_generator(self, a: Element) -> Element:
-        d = det_exact(a)
+        d = det_exact(rows)
         if d not in (1, -1):
-            raise StructuralError(
-                f"generator matrix has determinant {d}, must be +-1")
-        return a
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        return mat_mul(a, b)
+            raise StructuralError(f"matrix has determinant {d}, must be +-1")
+        return rows
 
     def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
         # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
@@ -256,11 +243,8 @@ class PermutationGroup:
                 f"{img} is not a permutation of 1..{self.degree}")
         return img
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        # apply a first, then b
-        return tuple(b[a[i] - 1] for i in range(self.degree))
-
     def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+        # g*s applies g first, then s
         image = ((0,) + s).__getitem__  # image(i) = s(i), points are 1-based
         return lambda g: tuple(map(image, g))
 
@@ -307,8 +291,6 @@ class MarkedGroup:
             c = fam.canonicalize(g)
             if c == ident:
                 raise StructuralError("the identity may not be listed as a generator")
-            if isinstance(fam, MatrixGroup):
-                fam.validate_generator(c)
             canon.append(c)
         object.__setattr__(self, "generators", tuple(canon))
 

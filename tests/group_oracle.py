@@ -1,0 +1,79 @@
+"""Test oracles for the group law, and random markings to feed them.
+
+The products are taken from each family's definition and share no code
+with ``right_multiplier``, so the tests use them as the oracle for the
+group law and for everything built on it.  Each ``random_*_set(rng,
+size)`` returns a family and `size` generators for a MarkedGroup.
+"""
+
+from itertools import product
+
+from growthlab.groups import FreeAbelian, FreeGroup, MatrixGroup, mat_mul
+
+
+def oracle_product(fam, a, b):
+    """a*b: coordinatewise sums, the free reduction of the concatenated
+    words, the matrix product, or the permutation that applies a first
+    and then b."""
+    if isinstance(fam, FreeAbelian):
+        return tuple(x + y for x, y in zip(a, b))
+    if isinstance(fam, FreeGroup):
+        return fam.canonicalize(a + b)
+    if isinstance(fam, MatrixGroup):
+        return mat_mul(a, b)
+    return tuple(b[i - 1] for i in a)
+
+
+def exact_products(m, length):
+    """The set of products of exactly `length` elements of the effective
+    generating set of the marked group m, by plain enumeration."""
+    fam = m.family
+    out = set()
+    for combo in product(m.effective_generating_set(), repeat=length):
+        g = fam.identity()
+        for s in combo:
+            g = oracle_product(fam, g, s)
+        out.add(g)
+    return out
+
+
+def random_z2_set(rng, size):
+    """`size` distinct nonzero vectors of Z^2 with entries in -2..2."""
+    gens = []
+    while len(gens) < size:
+        v = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if v != (0, 0) and v not in gens:
+            gens.append(v)
+    return FreeAbelian(2), tuple(gens)
+
+
+def random_f2_set(rng, size):
+    """`size` distinct nontrivial words of 1-3 letters in F_2."""
+    fam = FreeGroup(2)
+    gens = []
+    while len(gens) < size:
+        w = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))]
+        if fam.canonicalize(w) != fam.identity() and w not in gens:
+            gens.append(w)
+    return fam, tuple(gens)
+
+
+def random_matrix_set(rng, size):
+    """`size` distinct products of one or two shears I + d*E_ij in
+    dimension 2 or 3; the first has a row negated (determinant -1) half
+    the time."""
+    n = rng.choice((2, 3))
+    fam = MatrixGroup(n)
+    gens = []
+    while len(gens) < size:
+        g = fam.identity()
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.sample(range(n), 2)
+            shear = [[int(r == c) for c in range(n)] for r in range(n)]
+            shear[i][j] = rng.choice((-2, -1, 1, 2))
+            g = oracle_product(fam, g, fam.canonicalize(shear))
+        if not gens and rng.random() < 0.5:
+            g = (tuple(-x for x in g[0]),) + g[1:]
+        if g != fam.identity() and g not in gens:
+            gens.append(g)
+    return fam, tuple(gens)

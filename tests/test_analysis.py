@@ -15,6 +15,8 @@ from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, symmetric_group_adjacent)
+from group_oracle import (exact_products, random_f2_set, random_matrix_set,
+                          random_z2_set)
 
 
 def test_exponential_rate_free_group():
@@ -138,17 +140,40 @@ def test_dye_strict_budget(monkeypatch):
     # must stop at the second new element of F^3: 16 products for F^2
     # and 2 more, not all 52 products of F^3
     products = []
-    multiply = FreeGroup.multiply
+    right_multiplier = FreeGroup.right_multiplier
 
-    def counting(self, a, b):
-        products.append((a, b))
-        return multiply(self, a, b)
+    def counting(self, s):
+        act = right_multiplier(self, s)
 
-    monkeypatch.setattr(FreeGroup, "multiply", counting)
+        def counted(g):
+            products.append((g, s))
+            return act(g)
+        return counted
+
+    monkeypatch.setattr(FreeGroup, "right_multiplier", counting)
     with pytest.raises(BudgetExceededError) as err:
         dye_quantity_strict(free_group_standard(2), 3, element_budget=18)
     assert err.value.last_radius == 2
     assert len(products) == 16 + 2
+
+
+def test_dye_strict_against_product_oracle():
+    # h_1 = |F^1| and h_j = |F^j minus F^(j-1)|, with every F^j counted
+    # from all j-fold products of the effective generating set
+    rng = random.Random(2024)
+    for make in (random_z2_set, random_f2_set, random_matrix_set):
+        for symmetrize, size in ((True, 2), (False, 3)):
+            for _ in range(4):
+                fam, gens = make(rng, size)
+                m = MarkedGroup(fam, gens, symmetrize)
+                sets = [exact_products(m, j) for j in range(1, 5)]
+                h = [len(sets[0])] + [len(b - a)
+                                      for a, b in zip(sets, sets[1:])]
+                for K in (1, 2):
+                    best = min((Fraction(h[2 * k - 1], sum(h[:k])), k)
+                               for k in range(1, K + 1))
+                    res = dye_quantity_strict(m, K)
+                    assert (res.value, res.argmin) == best, (gens, K)
 
 
 def test_classify_free_group_exponential():

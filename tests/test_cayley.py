@@ -1,5 +1,4 @@
 import random
-from itertools import product
 from math import comb
 
 import pytest
@@ -7,11 +6,12 @@ import pytest
 from growthlab.cayley import (BallTable, enumerate_balls, trivial_ball_table,
                               word_distance, word_length)
 from growthlab.errors import ArgumentError, BudgetExceededError
-from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
-                              MatrixGroup, free_abelian_standard,
-                              free_group_standard, heisenberg_group,
-                              symmetric_group_adjacent)
+from growthlab.groups import (FreeAbelian, MarkedGroup,
+                              free_abelian_standard, free_group_standard,
+                              heisenberg_group, symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
+from group_oracle import (exact_products, random_f2_set, random_matrix_set,
+                          random_z2_set)
 
 
 def abelian_ball(n: int, k: int) -> int:
@@ -57,57 +57,10 @@ def test_finite_group_terminates():
 
 
 def brute_force_ball(m: MarkedGroup, k: int) -> int:
-    """Count distinct products of at most k effective generators without
-    any visited-set machinery; oracle for small k only."""
-    fam = m.family
-    gens = m.effective_generating_set()
-    seen = {fam.identity()}
-    for length in range(1, k + 1):
-        for combo in product(gens, repeat=length):
-            g = fam.identity()
-            for s in combo:
-                g = fam.multiply(g, s)
-            seen.add(g)
-    return len(seen)
-
-
-def _random_z2_set(rng, size):
-    gens = []
-    while len(gens) < size:
-        v = (rng.randint(-2, 2), rng.randint(-2, 2))
-        if v != (0, 0) and v not in gens:
-            gens.append(v)
-    return FreeAbelian(2), tuple(gens)
-
-
-def _random_f2_set(rng, size):
-    fam = FreeGroup(2)
-    gens = []
-    while len(gens) < size:
-        w = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 3))]
-        if fam.canonicalize(w) != fam.identity() and w not in gens:
-            gens.append(w)
-    return fam, tuple(gens)
-
-
-def _random_matrix_set(rng, size):
-    # products of one or two shears I + d*E_ij in dimension 2 or 3; the
-    # first generator has a row negated (determinant -1) half the time
-    n = rng.choice((2, 3))
-    fam = MatrixGroup(n)
-    gens = []
-    while len(gens) < size:
-        g = fam.identity()
-        for _ in range(rng.randint(1, 2)):
-            i, j = rng.sample(range(n), 2)
-            shear = [[int(r == c) for c in range(n)] for r in range(n)]
-            shear[i][j] = rng.choice((-2, -1, 1, 2))
-            g = fam.multiply(g, fam.canonicalize(shear))
-        if not gens and rng.random() < 0.5:
-            g = (tuple(-x for x in g[0]),) + g[1:]
-        if g != fam.identity() and g not in gens:
-            gens.append(g)
-    return fam, tuple(gens)
+    """Count distinct products of at most k effective generators, formed
+    by the oracle product without any visited-set machinery; oracle for
+    small k only."""
+    return len(set().union(*(exact_products(m, j) for j in range(k + 1))))
 
 
 def test_bfs_against_brute_force_random_sets():
@@ -116,7 +69,7 @@ def test_bfs_against_brute_force_random_sets():
     # as-given generators carry relations that lead back more than one
     # sphere, which a window would miss.
     rng = random.Random(777)
-    for make in (_random_z2_set, _random_f2_set, _random_matrix_set):
+    for make in (random_z2_set, random_f2_set, random_matrix_set):
         for symmetrize, size in ((True, 2), (False, 3)):
             for _ in range(8):
                 fam, gens = make(rng, size)

@@ -117,6 +117,37 @@ def test_budget_exhaustion_emits_partial(capsys):
     assert "budget exceeded" in err
 
 
+def test_growth_budget_error_names_what_was_reached(capsys):
+    # the partial table is emitted, then the ball search's own message
+    rc, out, err = run(capsys, "growth", "--family", "free", "--rank", "2",
+                       "--kmax", "12", "--budget", "200", "--no-timestamp")
+    assert rc == 3
+    assert "# partial: true" in out
+    assert out.splitlines()[-1] == "4,108,161"
+    assert "200 elements stored" in err
+    assert "frontier |S(4)| = 108" in err
+    assert err.rstrip().endswith("(complete through radius 4)")
+
+
+def test_bad_generator_row_is_config_error(capsys, tmp_path):
+    cases = [
+        ("--family", "free-abelian", "--rank", "2", "--generator", "0 0"),
+        ("--family", "free", "--rank", "2", "--generator", "1 -1"),
+        ("--family", "matrix", "--dim", "2", "--generator", "2 0; 0 1"),
+    ]
+    for argv in cases:
+        rc, out, err = run(capsys, "growth", *argv)
+        assert rc == 2, argv
+        assert err.startswith("config error: field 'generator': ")
+        assert out == ""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = matrix\ndim = 2\n"
+                   "generator = 1 1; 0 1\ngenerator = 2 0; 0 1\n")
+    rc, out, err = run(capsys, "growth", "--config", str(cfg))
+    assert rc == 2
+    assert "line 4: field 'generator': matrix has determinant 2" in err
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "out.csv"
     rc, out, _ = run(capsys, "catalan", "--kmax", "7",
@@ -166,6 +197,18 @@ def test_analyze_csv_and_convention(capsys):
                        "--dye-convention", "as-given", "--no-timestamp")
     assert rc == 3
     assert "budget exceeded" in err
+
+
+def test_default_dye_convention_can_be_named(capsys):
+    args = ("analyze", "--family", "heisenberg", "--kmax", "8",
+            "--no-timestamp")
+    rc, plain, _ = run(capsys, *args)
+    assert rc == 0
+    rc, named, _ = run(capsys, *args, "--dye-convention", "identity-in-F")
+    assert rc == 0
+    echo = "# option: dye-convention = identity-in-F"
+    assert echo in named.splitlines()
+    assert named.replace(echo + "\n", "") == plain
 
 
 def test_gauss_modes(capsys):
