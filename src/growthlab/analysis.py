@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import filterfalse, islice
 
 from .cayley import DEFAULT_ELEMENT_BUDGET, BallTable, enumerate_balls
 from .errors import ArgumentError, BudgetExceededError
@@ -154,16 +155,19 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):
         nxt = set()
-        for g in current:
-            for act in acts:
-                p = act(g)
-                if p not in nxt:
-                    stored += 1
-                    if stored > element_budget:
-                        raise BudgetExceededError(
-                            "product-set enumeration exceeded budget "
-                            f"{element_budget}", last_radius=j - 1)
-                    nxt.add(p)
+        for act in acts:
+            # one act's images are distinct, so only nxt can hold them;
+            # draw at most one element more than the budget has room for
+            # (none is left when F alone outgrows the budget)
+            room = max(element_budget - stored, 0)
+            before = len(nxt)
+            nxt.update(islice(filterfalse(nxt.__contains__, act(current)),
+                              room + 1))
+            stored += len(nxt) - before
+            if stored > element_budget:
+                raise BudgetExceededError(
+                    "product-set enumeration exceeded budget "
+                    f"{element_budget}", last_radius=j - 1)
         h.append(len(nxt - current))
         current = nxt
     best: Fraction | None = None

@@ -8,10 +8,14 @@ up to a radius, and ``word_length`` searches them for one element.
 
 Each product is a neighbour g*s of a frontier element g by one element
 s of the effective generating set.  ``_spheres`` asks the family once
-per s for ``right_multiplier(s)``, the family's one group law: a
-callable g -> g*s precomputed for that s (see :mod:`growthlab.groups`),
-which it calls in its inner loop.  ``word_distance`` forms its one
-product g^-1 h the same way.
+per s for ``right_multiplier(s)``, the family's one group law: an act
+precomputed for that s that maps a batch of elements to their products
+g*s (see :mod:`growthlab.groups`).  Each act maps the whole frontier in
+one pass; the images not yet visited are appended to the new sphere
+and then added to the visited set.  The membership tests, appends and
+inserts run inside ``filterfalse``, ``list.extend`` and ``set.update``,
+so the search loop itself takes no Python step per product.
+``word_distance`` forms its one product g^-1 h as a batch of one.
 
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
@@ -27,7 +31,7 @@ any iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, filterfalse, islice
 
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
@@ -113,21 +117,24 @@ def _spheres(m: MarkedGroup, element_budget: int):
     stored = 1
     for k in count(1):
         sphere = []
-        for g in frontier:
-            for act in acts:
-                h = act(g)
-                if h not in visited:
-                    if stored >= element_budget:
-                        f, n = len(frontier), len(acts)
-                        raise BudgetExceededError(
-                            f"element budget {element_budget} exhausted while "
-                            f"expanding radius {k}: {stored} elements stored, "
-                            f"frontier |S({k - 1})| = {f}, next sphere "
-                            f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
-                            last_radius=k - 1)
-                    visited.add(h)
-                    stored += 1
-                    sphere.append(h)
+        for act in acts:
+            # g -> g*s is injective, so one act's images of the frontier
+            # are distinct and only the visited set can hold them already;
+            # draw at most one element more than the budget has room for
+            room = element_budget - stored
+            start = len(sphere)
+            sphere.extend(islice(filterfalse(visited.__contains__,
+                                             act(frontier)), room + 1))
+            visited.update(islice(sphere, start, None))
+            stored += len(sphere) - start
+            if stored > element_budget:
+                f, n = len(frontier), len(acts)
+                raise BudgetExceededError(
+                    f"element budget {element_budget} exhausted while "
+                    f"expanding radius {k}: {element_budget} elements "
+                    f"stored, frontier |S({k - 1})| = {f}, next sphere "
+                    f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
+                    last_radius=k - 1)
         if m.symmetrize:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
             visited.difference_update(before)
@@ -166,6 +173,8 @@ def word_length(m: MarkedGroup, g, kmax: int,
     The target is looked for only once its sphere is complete, so the
     element budget must hold the whole ball of radius word_length(g).
     """
+    if element_budget <= 0:
+        raise ArgumentError("element_budget must be positive")
     target = m.family.canonicalize(g)
     if target == m.family.identity():
         return 0
@@ -182,4 +191,5 @@ def word_distance(m: MarkedGroup, g, h, kmax: int) -> int | None:
     fam = m.family
     a = fam.canonicalize(g)
     b = fam.canonicalize(h)
-    return word_length(m, fam.right_multiplier(b)(fam.inverse(a)), kmax)
+    [x] = fam.right_multiplier(b)([fam.inverse(a)])
+    return word_length(m, x, kmax)

@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="growth diagnostics: rate, degree, verdict")
     p.add_argument("--kmax", type=int)
     p.add_argument("--dye-convention",
-                   choices=(analysis.DYE_IDENTITY_CONVENTION,
-                            analysis.DYE_AS_GIVEN_CONVENTION))
+                   help=f"{analysis.DYE_IDENTITY_CONVENTION} (default) or "
+                        f"{analysis.DYE_AS_GIVEN_CONVENTION}")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gauss", parents=[common],
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehrhart", parents=[common],
                        help="lattice point counts of dilated polytopes")
-    p.add_argument("--polytope", choices=("cross", "root", "custom"))
+    p.add_argument("--polytope", help="cross, root or custom (default)")
     p.add_argument("--n", type=int, help="index of the stock family")
     p.add_argument("--kmax", type=int)
     p.add_argument("--guard", type=int)

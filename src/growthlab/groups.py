@@ -22,14 +22,22 @@ elements is equality in the group and an element is its own key in the
 visited sets of ball enumeration.
 
 Every family has one group law, ``right_multiplier(s)``.  It does the
-work that depends on s alone once and returns a callable ``act`` with
-``act(g) == g*s`` for every element g; ball enumeration builds one per
-generator and calls it for every product.  The callable is specialised
-to the shape of s: a vector adds coordinatewise, a matrix I + d*E_kc
-adds d times column k to column c and any other matrix takes the
-general product ``mat_mul``, a one-letter word appends or cancels one
-letter and a longer word acts letter by letter, and a permutation is a
-table lookup per point.
+work that depends on s alone once and returns a callable ``act`` that
+maps a whole batch of elements: ``act(gs)`` takes an iterable of
+elements and returns an iterable of the products g*s, in the order of
+``gs``.  Ball enumeration builds one act per generator and passes it
+each sphere whole, so the per-product work runs inside one expression
+instead of one Python call per product; a single product is
+``[gs] = act([g])``.  The act is specialised to the shape of s: vectors
+are transposed once and each coordinate column is shifted by its
+entry of s, a matrix I + d*E_kc adds d times column k to column c
+(rows with a zero in column k are kept as they are) and any other
+matrix takes the general product ``mat_mul``, a one-letter word
+appends or cancels one letter and a longer word chains the acts of its
+letters, and a permutation is a table lookup per point.  The acts of
+the free group, matrix and permutation families are lazy: they read
+``gs`` only as their output is read.  The free-abelian act reads all
+of ``gs`` when called, so it needs a finite batch.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -39,14 +47,15 @@ inverses.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, StructuralError
 from .linalg import det_exact, mat_inverse_exact
 
 Element = tuple
+# the group law by one element s: a batch of elements g -> their g*s in order
+Act = Callable[[Iterable], Iterable]
 
 
 def _as_int(x, what: str) -> int:
@@ -90,8 +99,13 @@ class FreeAbelian:
                 f"vector has length {len(vec)}, expected rank {self.rank}")
         return vec
 
-    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
-        return lambda g: tuple(map(operator.add, g, s))
+    def right_multiplier(self, s: Element) -> Act:
+        if not s:  # rank 0: no columns to transpose, and g*s is g
+            return iter
+        # transpose the batch once, shift each column with a nonzero entry
+        # of s in C, and zip the columns back into vectors
+        return lambda gs: zip(*[map(x.__add__, col) if x else col
+                                for x, col in zip(s, zip(*gs))])
 
     def inverse(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -146,21 +160,22 @@ class FreeGroup:
                 out.append(l)
         return self._encode(out)
 
-    def right_multiplier(self, s: bytes) -> Callable[[bytes], bytes]:
+    def right_multiplier(self, s: bytes) -> Act:
         w = self._width
         if len(s) != w:
-            # a longer word acts letter by letter, the empty word not at all
+            # a longer word chains the acts of its letters, the empty
+            # word does not act at all
             acts = [self.right_multiplier(s[i:i + w])
                     for i in range(0, len(s), w)]
 
-            def act(g: bytes) -> bytes:
+            def act(gs: Iterable[bytes]) -> Iterable[bytes]:
                 for letter in acts:
-                    g = letter(g)
-                return g
+                    gs = letter(gs)
+                return gs
             return act
         # g is reduced, so g*s cancels exactly when g ends in s^-1
         inv = (2 * self.rank - int.from_bytes(s, "big")).to_bytes(w, "big")
-        return lambda g: g[:-w] if g[-w:] == inv else g + s
+        return lambda gs: (g[:-w] if g[-w:] == inv else g + s for g in gs)
 
     def inverse(self, a: bytes) -> bytes:
         return self._encode(-l for l in reversed(self._decode(a)))
@@ -199,18 +214,20 @@ class MatrixGroup:
             raise StructuralError(f"matrix has determinant {d}, must be +-1")
         return rows
 
-    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+    def right_multiplier(self, s: Element) -> Act:
         # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
         # as for the Heisenberg generators, that adds d * g[r][k] to g[r][c]
-        # in each row r.  Any other s takes the general product.
+        # in each row r, and a row with g[r][k] == 0 stays as it is.  Any
+        # other s takes the general product.
         n = self.dim
         delta = [(k, c, s[k][c] - (k == c)) for k in range(n)
                  for c in range(n) if s[k][c] != (k == c)]
         if len(delta) == 1:
             (k, c, d), = delta
-            return lambda g: tuple([
-                row[:c] + (row[c] + d * row[k],) + row[c + 1:] for row in g])
-        return lambda g: mat_mul(g, s)
+            return lambda gs: (tuple([
+                row[:c] + (row[c] + d * row[k],) + row[c + 1:] if row[k]
+                else row for row in g]) for g in gs)
+        return lambda gs: (mat_mul(g, s) for g in gs)
 
     def inverse(self, a: Element) -> Element:
         return mat_inverse_exact(a)
@@ -243,10 +260,10 @@ class PermutationGroup:
                 f"{img} is not a permutation of 1..{self.degree}")
         return img
 
-    def right_multiplier(self, s: Element) -> Callable[[Element], Element]:
+    def right_multiplier(self, s: Element) -> Act:
         # g*s applies g first, then s
         image = ((0,) + s).__getitem__  # image(i) = s(i), points are 1-based
-        return lambda g: tuple(map(image, g))
+        return lambda gs: (tuple(map(image, g)) for g in gs)
 
     def inverse(self, a: Element) -> Element:
         out = [0] * self.degree

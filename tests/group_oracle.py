@@ -3,12 +3,17 @@
 The products are taken from each family's definition and share no code
 with ``right_multiplier``, so the tests use them as the oracle for the
 group law and for everything built on it.  Each ``random_*_set(rng,
-size)`` returns a family and `size` generators for a MarkedGroup.
+size)`` returns a family and `size` generators for a MarkedGroup;
+``stock_markings()`` gives the stock marked groups both ways.
 """
 
 from itertools import product
 
-from growthlab.groups import FreeAbelian, FreeGroup, MatrixGroup, mat_mul
+from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
+                              MatrixGroup, PermutationGroup,
+                              free_abelian_standard, free_group_standard,
+                              heisenberg_group, mat_mul,
+                              symmetric_group_adjacent)
 
 
 def oracle_product(fam, a, b):
@@ -35,6 +40,15 @@ def exact_products(m, length):
             g = oracle_product(fam, g, s)
         out.add(g)
     return out
+
+
+def stock_markings():
+    """F_2, Z^3, the Heisenberg group and S_4 with their stock
+    generators, each symmetrized and as-given."""
+    for m in (free_group_standard(2), free_abelian_standard(3),
+              heisenberg_group(), symmetric_group_adjacent(4)):
+        yield m
+        yield MarkedGroup(m.family, m.generators, symmetrize=False)
 
 
 def random_z2_set(rng, size):
@@ -74,6 +88,19 @@ def random_matrix_set(rng, size):
             g = oracle_product(fam, g, fam.canonicalize(shear))
         if not gens and rng.random() < 0.5:
             g = (tuple(-x for x in g[0]),) + g[1:]
+        if g != fam.identity() and g not in gens:
+            gens.append(g)
+    return fam, tuple(gens)
+
+
+def random_perm_set(rng, size):
+    """`size` distinct non-identity permutations of degree 4 or 5."""
+    fam = PermutationGroup(rng.choice((4, 5)))
+    gens = []
+    while len(gens) < size:
+        img = list(fam.identity())
+        rng.shuffle(img)
+        g = tuple(img)
         if g != fam.identity() and g not in gens:
             gens.append(g)
     return fam, tuple(gens)

@@ -16,7 +16,7 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, symmetric_group_adjacent)
 from group_oracle import (exact_products, random_f2_set, random_matrix_set,
-                          random_z2_set)
+                          random_z2_set, stock_markings)
 
 
 def test_exponential_rate_free_group():
@@ -138,16 +138,18 @@ def test_dye_strict_budget(monkeypatch):
 
     # F^1 and F^2 of F_2 hold 4 + 13 = 17 elements, so a budget of 18
     # must stop at the second new element of F^3: 16 products for F^2
-    # and 2 more, not all 52 products of F^3
+    # and 2 more, not all 52 products of F^3.  Each act maps a whole
+    # set, so the products are counted as they are drawn from it.
     products = []
     right_multiplier = FreeGroup.right_multiplier
 
     def counting(self, s):
         act = right_multiplier(self, s)
 
-        def counted(g):
-            products.append((g, s))
-            return act(g)
+        def counted(gs):
+            for p in act(gs):
+                products.append((p, s))
+                yield p
         return counted
 
     monkeypatch.setattr(FreeGroup, "right_multiplier", counting)
@@ -155,6 +157,25 @@ def test_dye_strict_budget(monkeypatch):
         dye_quantity_strict(free_group_standard(2), 3, element_budget=18)
     assert err.value.last_radius == 2
     assert len(products) == 16 + 2
+
+
+def test_dye_strict_budget_boundary():
+    # F^1, ..., F^2K are stored whole, sum |F^j| elements together: that
+    # budget completes, one less stops while F^2K is being built
+    for m in stock_markings():
+        for K in (1, 2):
+            total = sum(len(exact_products(m, j)) for j in range(1, 2 * K + 1))
+            assert dye_quantity_strict(m, K, element_budget=total) == \
+                dye_quantity_strict(m, K)
+            with pytest.raises(BudgetExceededError) as err:
+                dye_quantity_strict(m, K, element_budget=total - 1)
+            assert err.value.last_radius == 2 * K - 1
+            assert str(err.value) == \
+                f"product-set enumeration exceeded budget {total - 1}"
+    # F alone outgrows a budget smaller than |F|
+    with pytest.raises(BudgetExceededError) as err:
+        dye_quantity_strict(free_abelian_standard(3), 1, element_budget=2)
+    assert err.value.last_radius == 1
 
 
 def test_dye_strict_against_product_oracle():

@@ -11,7 +11,7 @@ from growthlab.groups import (FreeAbelian, MarkedGroup,
                               heisenberg_group, symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
 from group_oracle import (exact_products, random_f2_set, random_matrix_set,
-                          random_z2_set)
+                          random_perm_set, random_z2_set, stock_markings)
 
 
 def abelian_ball(n: int, k: int) -> int:
@@ -69,7 +69,8 @@ def test_bfs_against_brute_force_random_sets():
     # as-given generators carry relations that lead back more than one
     # sphere, which a window would miss.
     rng = random.Random(777)
-    for make in (random_z2_set, random_f2_set, random_matrix_set):
+    for make in (random_z2_set, random_f2_set, random_matrix_set,
+                 random_perm_set):
         for symmetrize, size in ((True, 2), (False, 3)):
             for _ in range(8):
                 fam, gens = make(rng, size)
@@ -174,6 +175,23 @@ def test_budget_message_names_what_was_reached():
     assert err.value.last_radius == 5
 
 
+def test_budget_of_exactly_the_ball_completes_it():
+    # a budget of |B(k)| holds the k-ball; one less stops at radius k-1
+    # with the whole budget stored, so the search neither stops short of
+    # its budget nor stores past it
+    for m in stock_markings():
+        full = enumerate_balls(m, 5)
+        for k in range(1, 6):
+            beta = full.ball_sizes[k]
+            table = enumerate_balls(m, k, element_budget=beta)
+            assert table.sphere_sizes == full.sphere_sizes[:k + 1]
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_balls(m, k, element_budget=beta - 1)
+            assert err.value.last_radius == k - 1
+            assert f": {beta - 1} elements stored," in str(err.value)
+            assert err.value.partial.sphere_sizes == full.sphere_sizes[:k]
+
+
 def test_trivial_ball_table():
     table = trivial_ball_table(5)
     assert list(table.sphere_sizes) == [1, 0, 0, 0, 0, 0]
@@ -217,3 +235,5 @@ def test_enumerate_preconditions():
         enumerate_balls(m, -1)
     with pytest.raises(ArgumentError):
         enumerate_balls(m, 3, element_budget=0)
+    with pytest.raises(ArgumentError):
+        word_length(m, (1,), 3, element_budget=0)

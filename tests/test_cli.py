@@ -211,6 +211,43 @@ def test_default_dye_convention_can_be_named(capsys):
     assert named.replace(echo + "\n", "") == plain
 
 
+@pytest.mark.parametrize("command, job, key, value", [
+    ("analyze", {"family": "heisenberg", "kmax": "6", "dye-convention": None},
+     "dye-convention", "as-given"),
+    ("ehrhart", {"polytope": None, "n": "2", "kmax": "3"},
+     "polytope", "cross"),
+])
+def test_choice_spellings_agree_in_flag_and_file(capsys, tmp_path, command,
+                                                 job, key, value):
+    # flags and config files share one validator, so a choice matches in
+    # any case in both forms, and an unknown one is refused by name; the
+    # job lists its keys in the order the output echoes them
+    cfg = tmp_path / "job.cfg"
+
+    def both_forms(given):
+        fields = {**job, key: given}
+        flags = [part for k, v in fields.items() for part in (f"--{k}", v)]
+        from_flags = run(capsys, command, *flags, "--no-timestamp")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        from_file = run(capsys, command, "--config", str(cfg),
+                        "--no-timestamp")
+        return from_flags, from_file
+
+    outputs = []
+    for given in (value, value.upper()):
+        (rc, out, _), from_file = both_forms(given)
+        assert rc == 0
+        assert from_file == (rc, out, "")
+        outputs.append(out.replace(f"# option: {key} = {given}\n", ""))
+    assert outputs[0] == outputs[1]
+
+    (rc, _, err), (file_rc, _, file_err) = both_forms("bogus")
+    assert (rc, file_rc) == (2, 2)
+    assert f"config error: field '{key}': unknown value 'bogus'" in err
+    line = list(job).index(key) + 1
+    assert f"line {line}: field '{key}': unknown value 'bogus'" in file_err
+
+
 def test_gauss_modes(capsys):
     rc, out, err = run(capsys, "gauss")
     assert rc == 2

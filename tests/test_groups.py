@@ -15,8 +15,9 @@ from group_oracle import oracle_product
 
 
 def mul(fam, a, b):
-    """a*b through the group law under test."""
-    return fam.right_multiplier(b)(a)
+    """a*b through the group law under test, as a batch of one."""
+    [ab] = fam.right_multiplier(b)([a])
+    return ab
 
 
 def test_free_abelian_group_law():
@@ -186,16 +187,21 @@ def _reduced_letters(rng, rank, n):
 
 
 def _check_right_multiplier(fam, gens, elements):
-    """right_multiplier(s) against the oracle product g*s on every pair;
-    returns how many products came out shorter than g (free words that
-    cancel)."""
+    """right_multiplier(s) against the oracle product g*s on every pair:
+    each act maps the whole list of elements, and the same elements
+    through an iterator, to their products in order, and an empty batch
+    to nothing; returns how many products came out shorter than g (free
+    words that cancel)."""
     shorter = 0
+    half = len(elements) // 2
     for s in gens:
         act = fam.right_multiplier(s)
-        for g in elements:
-            gs = oracle_product(fam, g, s)
-            assert act(g) == gs, (s, g)
-            shorter += len(gs) < len(g)
+        expected = [oracle_product(fam, g, s) for g in elements]
+        assert list(act(elements)) == expected, s
+        assert list(act(itertools.chain(elements[:half],
+                                        elements[half:]))) == expected, s
+        assert list(act([])) == [], s
+        shorter += sum(len(gs) < len(g) for g, gs in zip(elements, expected))
     return shorter
 
 
@@ -219,6 +225,8 @@ def test_right_multiplier_matches_oracle():
             tuple(rng.randint(-50, 50) for _ in range(rank))
             for _ in range(40)]
         _check_right_multiplier(fam, gens, elements)
+    # rank 0: the empty vector, no columns to transpose
+    _check_right_multiplier(FreeAbelian(0), [()], [()] * 3)
 
     for rank in (2, 200):  # one-byte and two-byte letters
         fam = FreeGroup(rank)
@@ -265,6 +273,28 @@ def test_right_multiplier_matches_oracle():
         gens = [perm() for _ in range(5)]
         elements = [fam.identity()] + [perm() for _ in range(20)]
         _check_right_multiplier(fam, gens, elements)
+
+
+def test_lazy_acts_read_only_what_is_drawn():
+    # the free-group, matrix and permutation acts are generators: on an
+    # endless batch they return at once and yield products as drawn
+    f2, m3, s4 = FreeGroup(2), MatrixGroup(3), PermutationGroup(4)
+    cases = [
+        (f2, f2.canonicalize([1, 2, -1]), (1,)),
+        (f2, f2.canonicalize([2, 1]), (-1,)),
+        (f2, f2.canonicalize([2]), (1, 2, -1, -2)),
+        (f2, f2.canonicalize([1]), ()),  # the empty word acts trivially
+        (m3, m3.canonicalize(((1, 2, 0), (0, 1, 0), (0, 0, 1))),
+         ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
+        (m3, m3.canonicalize(((1, 2, 0), (0, 1, 0), (0, 0, 1))),
+         ((0, 1, 0), (1, 0, 0), (0, 0, -1))),
+        (s4, (2, 3, 4, 1), (2, 1, 4, 3)),
+    ]
+    for fam, g, s in cases:
+        s = fam.canonicalize(s)
+        out = fam.right_multiplier(s)(itertools.repeat(g))
+        assert list(itertools.islice(out, 3)) == \
+            [oracle_product(fam, g, s)] * 3, (g, s)
 
 
 def test_marked_group_needs_generators():
