@@ -276,7 +276,7 @@ def test_right_multiplier_matches_oracle():
 
 
 def test_lazy_acts_read_only_what_is_drawn():
-    # the free-group, matrix and permutation acts are generators: on an
+    # the free-group, matrix and permutation acts are lazy: on an
     # endless batch they return at once and yield products as drawn
     f2, m3, s4 = FreeGroup(2), MatrixGroup(3), PermutationGroup(4)
     cases = [
