@@ -12,12 +12,12 @@ from .analysis import (DyeResult, GrowthReport, analyze_group, classify,
                        krause_degree)
 from .cayley import (BallTable, enumerate_balls, trivial_ball_table,
                      word_distance, word_length)
-from .ehrhart import (LatticePolytope, count_dilate, cross_polytope,
-                      cross_polytope_series, ehrhart_sequence, legendre,
-                      root_polytope, root_polytope_series)
+from .ehrhart import (LatticePolytope, cross_polytope, cross_polytope_series,
+                      ehrhart_sequence, legendre, root_polytope,
+                      root_polytope_series)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, GrowthLabError, StructuralError)
-from .gauss import (R2, count_disc, error_exponent_fit, gauss_bound_check,
+from .gauss import (count_disc, error_exponent_fit, gauss_bound_check,
                     pi_decimal, r2, r2_table)
 from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
                      PermutationGroup, free_abelian_standard,
@@ -25,18 +25,16 @@ from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
                      symmetric_group_adjacent)
 from .series import (RationalFunction, catalan, closed_form_free_abelian,
                      recognize_rational)
-from .theta import (IntegralLattice, ThetaPrefix, compare_sequences,
-                    compare_theta, theta3_power, theta_coefficients,
-                    theta_naive)
+from .theta import (IntegralLattice, ThetaPrefix, theta3_power,
+                    theta_coefficients)
 
 __all__ = [
     "ArgumentError", "BallTable", "BudgetExceededError", "CheckFailure",
     "ConfigError", "DyeResult", "FreeAbelian", "FreeGroup",
     "GrowthLabError", "GrowthReport", "IntegralLattice", "LatticePolytope",
-    "MarkedGroup", "MatrixGroup", "PermutationGroup", "R2",
+    "MarkedGroup", "MatrixGroup", "PermutationGroup",
     "RationalFunction", "StructuralError", "ThetaPrefix", "analyze_group",
-    "catalan", "classify", "closed_form_free_abelian",
-    "compare_sequences", "compare_theta", "count_dilate", "count_disc",
+    "catalan", "classify", "closed_form_free_abelian", "count_disc",
     "cross_polytope", "cross_polytope_series", "dye_quantity",
     "dye_quantity_strict", "ehrhart_sequence", "enumerate_balls",
     "error_exponent_fit", "exponential_rate",
@@ -44,7 +42,7 @@ __all__ = [
     "heisenberg_group", "krause_degree", "legendre", "pi_decimal", "r2",
     "r2_table", "recognize_rational", "root_polytope",
     "root_polytope_series", "symmetric_group_adjacent",
-    "theta3_power", "theta_coefficients", "theta_naive",
+    "theta3_power", "theta_coefficients",
     "trivial_ball_table", "word_distance", "word_length",
     "__version__",
 ]

@@ -167,16 +167,16 @@ def _check_root_polytope():
 
 def _check_theta():
     t0 = time.perf_counter()
-    for n in range(1, 5):
+    cases = [(f"Z^{n} vs theta3^{n}", n, theta.theta3_power(n, 100))
+             for n in range(1, 5)]
+    cases.append(("Z^2 vs r2", 2, gauss.r2_table(1000)))
+    for label, n, want in cases:
         gram = [[int(i == j) for j in range(n)] for i in range(n)]
         lat = theta.IntegralLattice.make(gram)
-        report = theta.compare_theta(lat, theta.theta3_power(n, 100))
-        if not report.matched:
-            return False, f"Z^{n} vs theta3^{n} mismatch at {report.first_mismatch}"
-    z2 = theta.IntegralLattice.make([[1, 0], [0, 1]])
-    report = theta.compare_theta(z2, gauss.r2_table(1000))
-    if not report.matched:
-        return False, f"Z^2 vs r2 mismatch at {report.first_mismatch}"
+        got = list(theta.theta_coefficients(lat, len(want) - 1).counts)
+        if got != want:
+            at = next(i for i, (x, y) in enumerate(zip(got, want)) if x != y)
+            return False, f"{label} mismatch at {at}"
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     return ok, (f"Z^n = theta3^n (n<=4, rmax=100) and Z^2 = r2 (k<=1000)"

@@ -7,7 +7,10 @@ Four views of the same data:
   upper bound for the exponential growth rate;
 * ``krause_degree``     -- the polynomial-degree track ln beta(k)/ln k;
 * ``dye_quantity``      -- the approximate-finiteness quantity
-  min_k h_{2k}/(h_1+...+h_k) over shell sizes, exact rational;
+  min_k h_{2k}/(h_1+...+h_k) over shell sizes, exact rational; its
+  as-given form ``dye_quantity_strict`` builds the product sets with
+  the search's own frontier step, :func:`growthlab.cayley.expand`, and
+  both forms take the one minimum over their shells;
 * ``classify``          -- a conservative verdict (evidence-exponential,
   evidence-polynomial(d), or inconclusive) assembled from the tracks.
 
@@ -28,9 +31,10 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import filterfalse, islice
+from itertools import accumulate
 
-from .cayley import DEFAULT_ELEMENT_BUDGET, BallTable, enumerate_balls
+from .cayley import (DEFAULT_ELEMENT_BUDGET, BallTable, enumerate_balls,
+                     expand)
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
 
@@ -80,6 +84,17 @@ class DyeResult:
     convention: str
 
 
+def _track(f, ks, digits: int) -> list:
+    """f(k) for each k in ks, evaluated at digits + 5 significant digits
+    and rounded to digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        vals = [f(k) for k in ks]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return [+v for v in vals]
+
+
 def exponential_rate(table: BallTable,
                      digits: int = DEFAULT_PRECISION) -> RateEstimates:
     """Per-radius estimates of the exponential growth rate.
@@ -89,14 +104,9 @@ def exponential_rate(table: BallTable,
     """
     if table.radius_max < 2:
         raise ArgumentError("need radius_max >= 2")
-    with localcontext() as ctx:
-        ctx.prec = digits + 5
-        ests = []
-        for k in range(1, table.radius_max + 1):
-            ests.append((_ln(table.ball_sizes[k]) / k).exp())
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ests = [+e for e in ests]
+    beta = table.ball_sizes
+    ests = _track(lambda k: (_ln(beta[k]) / k).exp(),
+                  range(1, table.radius_max + 1), digits)
     best = min(range(len(ests)), key=lambda i: ests[i])
     return RateEstimates(tuple(ests), ests[best], best + 1, digits)
 
@@ -107,15 +117,19 @@ def krause_degree(table: BallTable,
     estimate at the largest radius.  No convergence claim is attached."""
     if table.radius_max < 4:
         raise ArgumentError("need radius_max >= 4")
-    with localcontext() as ctx:
-        ctx.prec = digits + 5
-        vals = []
-        for k in range(2, table.radius_max + 1):
-            vals.append(_ln(table.ball_sizes[k]) / _ln(k))
-    with localcontext() as ctx:
-        ctx.prec = digits
-        vals = [+v for v in vals]
+    beta = table.ball_sizes
+    vals = _track(lambda k: _ln(beta[k]) / _ln(k),
+                  range(2, table.radius_max + 1), digits)
     return DegreeTrack(tuple(vals), vals[-1], digits)
+
+
+def _dye_minimum(h, K: int, convention: str) -> DyeResult:
+    """min over 1 <= k <= K of h_{2k}/(h_1 + ... + h_k), exact, for the
+    shell sizes h = [h_1, ..., h_{2K}]; the first minimum wins a tie."""
+    sums = list(accumulate(h[:K]))
+    ratios = [Fraction(h[2 * k + 1], sums[k]) for k in range(K)]
+    best = min(range(K), key=ratios.__getitem__)
+    return DyeResult(ratios[best], best + 1, K, convention)
 
 
 def dye_quantity(table: BallTable, K: int) -> DyeResult:
@@ -131,13 +145,8 @@ def dye_quantity(table: BallTable, K: int) -> DyeResult:
     if table.radius_max < 2 * K:
         raise ArgumentError(
             f"need radius_max >= {2 * K} for K={K}, table has {table.radius_max}")
-    best: Fraction | None = None
-    best_k = 0
-    for k in range(1, K + 1):
-        ratio = Fraction(table.sphere_sizes[2 * k], table.ball_sizes[k])
-        if best is None or ratio < best:
-            best, best_k = ratio, k
-    return DyeResult(best, best_k, K, DYE_IDENTITY_CONVENTION)
+    h = [table.ball_sizes[1], *table.sphere_sizes[2:2 * K + 1]]
+    return _dye_minimum(h, K, DYE_IDENTITY_CONVENTION)
 
 
 def dye_quantity_strict(m: MarkedGroup, K: int,
@@ -145,7 +154,10 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     """Dye quantity with F taken exactly as the effective generating set,
     identity not added.  F^k is then the set of products of exactly k
     factors, which need not be nested, so the shells are computed by
-    honest set products instead of a ball table."""
+    honest set products instead of a ball table.  Each product set
+    F^j = F^(j-1) F comes from one :func:`growthlab.cayley.expand` step
+    into an empty set, so the element budget counts every product set
+    stored."""
     if K < 1:
         raise ArgumentError("K must be at least 1")
     gens = m.effective_generating_set()
@@ -155,30 +167,16 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):
         nxt = set()
-        for act in acts:
-            # one act's images are distinct, so only nxt can hold them;
-            # draw at most one element more than the budget has room for
-            # (none is left when F alone outgrows the budget)
-            room = max(element_budget - stored, 0)
-            before = len(nxt)
-            nxt.update(islice(filterfalse(nxt.__contains__, act(current)),
-                              room + 1))
-            stored += len(nxt) - before
-            if stored > element_budget:
-                raise BudgetExceededError(
-                    "product-set enumeration exceeded budget "
-                    f"{element_budget}", last_radius=j - 1)
+        # no room is left when F alone outgrows the budget
+        found = expand(acts, current, nxt, max(element_budget - stored, 0))
+        if found is None:
+            raise BudgetExceededError(
+                "product-set enumeration exceeded budget "
+                f"{element_budget}", last_radius=j - 1)
+        stored += len(found)
         h.append(len(nxt - current))
         current = nxt
-    best: Fraction | None = None
-    best_k = 0
-    denom = 0
-    for k in range(1, K + 1):
-        denom += h[k - 1]
-        ratio = Fraction(h[2 * k - 1], denom)
-        if best is None or ratio < best:
-            best, best_k = ratio, k
-    return DyeResult(best, best_k, K, DYE_AS_GIVEN_CONVENTION)
+    return _dye_minimum(h, K, DYE_AS_GIVEN_CONVENTION)
 
 
 @dataclass(frozen=True)

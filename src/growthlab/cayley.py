@@ -10,12 +10,16 @@ Each product is a neighbour g*s of a frontier element g by one element
 s of the effective generating set.  ``_spheres`` asks the family once
 per s for ``right_multiplier(s)``, the family's one group law: an act
 precomputed for that s that maps a batch of elements to their products
-g*s (see :mod:`growthlab.groups`).  Each act maps the whole frontier in
-one pass; the images not yet visited are appended to the new sphere
-and then added to the visited set.  The membership tests, appends and
-inserts run inside ``filterfalse``, ``list.extend`` and ``set.update``,
-so the search loop itself takes no Python step per product.
-``word_distance`` forms its one product g^-1 h as a batch of one.
+g*s (see :mod:`growthlab.groups`).  ``expand`` is the one frontier
+step: each act maps the whole frontier in one pass, and the images not
+yet seen are appended to the new sphere and then added to the seen
+set, stopping once they outgrow the room left in the budget.  The
+membership tests, appends and inserts run inside ``filterfalse``,
+``list.extend`` and ``set.update``, so no Python code runs per
+product.  The product sets of
+:func:`growthlab.analysis.dye_quantity_strict` are built by the same
+step.  ``word_distance`` forms its one product g^-1 h as a batch of
+one.
 
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
@@ -31,7 +35,7 @@ any iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, filterfalse, islice
+from itertools import accumulate, count, filterfalse, islice
 
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
@@ -84,12 +88,8 @@ class BallTable:
 
 
 def _table(radius: int, sigma: list[int], description: str) -> BallTable:
-    beta = []
-    acc = 0
-    for s in sigma:
-        acc += s
-        beta.append(acc)
-    return BallTable(radius, tuple(sigma), tuple(beta), description)
+    return BallTable(radius, tuple(sigma), tuple(accumulate(sigma)),
+                     description)
 
 
 def trivial_ball_table(kmax: int) -> BallTable:
@@ -98,6 +98,27 @@ def trivial_ball_table(kmax: int) -> BallTable:
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     return _table(kmax, [1] + [0] * kmax, "trivial group")
+
+
+def expand(acts, frontier, seen, room: int) -> list | None:
+    """The images of ``frontier`` under each act that ``seen`` does not
+    hold, in act order; each is added to ``seen`` as its act finishes.
+
+    g -> g*s is injective, so one act's images of a frontier are
+    distinct and only ``seen`` can hold them already.  At most one
+    element more than ``room`` is drawn: when that many turn up the step
+    stops and returns None, so a caller stores no more than room + 1
+    new elements before it reports its budget.
+    """
+    new = []
+    for act in acts:
+        start = len(new)
+        new.extend(islice(filterfalse(seen.__contains__, act(frontier)),
+                          room - start + 1))
+        seen.update(islice(new, start, None))
+        if len(new) > room:
+            return None
+    return new
 
 
 def _spheres(m: MarkedGroup, element_budget: int):
@@ -116,25 +137,16 @@ def _spheres(m: MarkedGroup, element_budget: int):
     before, frontier = [], [ident]
     stored = 1
     for k in count(1):
-        sphere = []
-        for act in acts:
-            # g -> g*s is injective, so one act's images of the frontier
-            # are distinct and only the visited set can hold them already;
-            # draw at most one element more than the budget has room for
-            room = element_budget - stored
-            start = len(sphere)
-            sphere.extend(islice(filterfalse(visited.__contains__,
-                                             act(frontier)), room + 1))
-            visited.update(islice(sphere, start, None))
-            stored += len(sphere) - start
-            if stored > element_budget:
-                f, n = len(frontier), len(acts)
-                raise BudgetExceededError(
-                    f"element budget {element_budget} exhausted while "
-                    f"expanding radius {k}: {element_budget} elements "
-                    f"stored, frontier |S({k - 1})| = {f}, next sphere "
-                    f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
-                    last_radius=k - 1)
+        sphere = expand(acts, frontier, visited, element_budget - stored)
+        if sphere is None:
+            f, n = len(frontier), len(acts)
+            raise BudgetExceededError(
+                f"element budget {element_budget} exhausted while "
+                f"expanding radius {k}: {element_budget} elements "
+                f"stored, frontier |S({k - 1})| = {f}, next sphere "
+                f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
+                last_radius=k - 1)
+        stored += len(sphere)
         if m.symmetrize:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
             visited.difference_update(before)

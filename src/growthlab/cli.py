@@ -25,6 +25,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from itertools import accumulate
 
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
 from .config import (POLYTOPE_FAMILIES, build_lattice, build_marked_group,
@@ -212,7 +213,7 @@ def cmd_gauss(args) -> int:
         kmax = _table_bound(doc, "kmax", default=100, minimum=0)
         doc.refuse_unread("gauss")
         r2s = gauss.r2_table(kmax)
-        cumulative = gauss.R2_table(kmax)
+        cumulative = list(accumulate(r2s))
         csv_lines = ["k,r2,R2"]
         csv_lines.extend(f"{k},{r2s[k]},{cumulative[k]}"
                          for k in range(kmax + 1))

@@ -11,13 +11,13 @@ values pack rows into one line with `;` between rows:
     generator = 1 1 0 ; 0 1 0 ; 0 0 1
     generator = 1 0 0 ; 0 1 1 ; 0 0 1
 
-Inline command-line flags override file values: single-valued keys are
-replaced, repeatable keys are replaced as a block when any inline
-value for them is present.  A document remembers which keys the job
-looked up, and `refuse_unread` refuses the first entry it never read,
-so a key is accepted exactly when the job reads it.  Every diagnostic
-carries the offending line and field so a malformed document never
-surfaces as a traceback.
+Inline command-line flags override file values: a key given inline
+drops every file entry for it, so a repeatable key is replaced as a
+block.  A single-valued key given twice in a file is refused.  A
+document remembers which keys the job looked up, and `refuse_unread`
+refuses the first entry it never read, so a key is accepted exactly
+when the job reads it.  Every diagnostic carries the offending line
+and field so a malformed document never surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -52,13 +52,14 @@ class ConfigDocument:
                       repr=False)
 
     def get(self, key: str) -> ConfigEntry | None:
-        """Last entry for a single-valued key (later lines win)."""
+        """The entry for a single-valued key, or None; a key given twice
+        is refused at its second line."""
         self.read.add(key)
-        found = None
-        for e in self.entries:
-            if e.key == key:
-                found = e
-        return found
+        found = [e for e in self.entries if e.key == key]
+        if len(found) > 1:
+            raise ConfigError("this key takes one value but is given "
+                              "again", line=found[1].line, field=key)
+        return found[0] if found else None
 
     def get_all(self, key: str) -> list:
         self.read.add(key)
@@ -79,20 +80,17 @@ class ConfigDocument:
         """Apply command-line values on top of this document.
 
         `single` maps key -> value (ignored when the value is None);
-        `multi` maps key -> list of values, replacing all file entries
-        for that key when the list is nonempty.
+        `multi` maps key -> list of values (ignored when empty).  Every
+        file entry for a key given inline is dropped, and the inline
+        values follow the remaining entries, `multi` ones first.
         """
-        entries = list(self.entries)
-        if multi:
-            for key, values in multi.items():
-                if values:
-                    entries = [e for e in entries if e.key != key]
-                    entries.extend(ConfigEntry(None, key, str(v))
-                                   for v in values)
-        if single:
-            for key, value in single.items():
-                if value is not None:
-                    entries.append(ConfigEntry(None, key, str(value)))
+        inline = {key: values for key, values in (multi or {}).items()
+                  if values}
+        inline.update((key, [value]) for key, value in (single or {}).items()
+                      if value is not None)
+        entries = [e for e in self.entries if e.key not in inline]
+        entries.extend(ConfigEntry(None, key, str(v))
+                       for key, values in inline.items() for v in values)
         return ConfigDocument(tuple(entries))
 
 
@@ -117,10 +115,15 @@ def parse_config_text(text: str) -> ConfigDocument:
 
 def load_config(path: str) -> ConfigDocument:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 (byte {exc.start})",
+                          line=data.count(b"\n", 0, exc.start) + 1)
     return parse_config_text(text)
 
 
@@ -330,7 +333,11 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
                 raise ConfigError(
                     f"gram matrix must be square ({width} rows)",
                     line=e.line, field="gram")
-        return IntegralLattice.make(rows)
+        try:
+            return IntegralLattice.make(rows)
+        except StructuralError as exc:
+            raise ConfigError(str(exc), line=gram_entries[0].line,
+                              field="gram")
     rank = require_int(doc, "rank", minimum=1)
     identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
     return IntegralLattice.make(identity)

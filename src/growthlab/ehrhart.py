@@ -14,9 +14,9 @@ integer dot products, a.x == k b and a.x <= k b.  Working in the affine
 hull keeps the lower-dimensional root-polytope case (the A_n lattice
 inside Z^{n+1}) and lower-dimensional custom polytopes exact.  Lattice
 coordinates, ranks and null spaces come from the exact routines in
-:mod:`growthlab.linalg`.  The phase-1 simplex `_hull_contains` decides
-membership in the convex hull with no facet data and is kept as the
-test oracle for the facet counter.
+:mod:`growthlab.linalg`.  The test oracle for the facet counter, a
+phase-1 simplex that decides membership in the convex hull with no
+facet data, lives with the tests (``tests/lattice_oracle.py``).
 
 Closed forms for the two families treated here:
 
@@ -38,74 +38,6 @@ from math import comb
 from . import linalg
 from .errors import ArgumentError, CheckFailure, StructuralError
 from .series import RationalFunction, poly_mul
-
-Vec = tuple
-
-
-# ---------------------------------------------------------------------------
-# phase-1 simplex feasibility
-# ---------------------------------------------------------------------------
-
-def _hull_contains(columns: list[Vec], rhs: Vec) -> bool:
-    """Is rhs a convex combination of the given columns?
-
-    Solves feasibility of {lam >= 0, sum lam = 1, sum lam_i col_i = rhs}
-    by minimizing the sum of artificial variables with exact fractions;
-    Bland's rule guarantees termination.
-    """
-    m = len(rhs) + 1
-    n = len(columns)
-    # tableau rows: [lambda columns | artificial columns | rhs]
-    rows = []
-    for i in range(m):
-        if i == 0:
-            coeffs = [Fraction(1)] * n
-            b = Fraction(1)
-        else:
-            coeffs = [Fraction(c[i - 1]) for c in columns]
-            b = Fraction(rhs[i - 1])
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        rows.append(coeffs + [Fraction(int(j == i)) for j in range(m)] + [b])
-    basis = [n + i for i in range(m)]
-
-    while True:
-        # phase-1 reduced costs over the real columns only; artificial
-        # variables are never allowed back into the basis
-        z = [Fraction(0)] * n
-        for i in range(m):
-            if basis[i] >= n:
-                row = rows[i]
-                for j in range(n):
-                    if row[j]:
-                        z[j] += row[j]
-        entering = next(
-            (j for j in range(n) if j not in basis and z[j] > 0), None)
-        if entering is None:
-            w = sum(rows[i][-1] for i in range(m) if basis[i] >= n)
-            return w == 0
-        # ratio test, Bland tie-break on the leaving basic variable
-        leave = None
-        best = None
-        for i in range(m):
-            a = rows[i][entering]
-            if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            # unbounded phase-1 objective cannot happen (w >= 0), but a
-            # missing leave row means the entering column is nonpositive
-            return False
-        piv = rows[leave][entering]
-        rows[leave] = [v / piv for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][entering]:
-                f = rows[i][entering]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[leave])]
-        basis[leave] = entering
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +161,6 @@ def _count(P: LatticePolytope, k: int, equations, facets) -> int:
                and all(_dot(a, x) <= kb for a, kb in le))
 
 
-def count_dilate(P: LatticePolytope, k: int) -> int:
-    """Exact number of lattice points in the k-th dilate of P."""
-    if k < 0:
-        raise ArgumentError("dilation factor must be nonnegative")
-    if k == 0:
-        return 1
-    return _count(P, k, *_inequalities(P))
-
-
 def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
     """E_P(0)..E_P(kmax); P's inequalities are computed once, and only
     when some k >= 1 is counted."""
@@ -296,19 +219,14 @@ def legendre(n: int) -> tuple:
     (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}."""
     if n < 0:
         raise ArgumentError("degree must be nonnegative")
-    p_prev = [Fraction(1)]       # P_0
+    p_prev, p_cur = [Fraction(1)], [Fraction(0), Fraction(1)]  # P_0, P_1
     if n == 0:
         return tuple(p_prev)
-    p_cur = [Fraction(0), Fraction(1)]  # P_1 = x
     for m in range(1, n):
-        shifted = [Fraction(0)] + p_cur  # x * P_m
-        nxt_len = max(len(shifted), len(p_prev))
-        nxt = []
-        for i in range(nxt_len):
-            a = shifted[i] if i < len(shifted) else Fraction(0)
-            b = p_prev[i] if i < len(p_prev) else Fraction(0)
-            nxt.append(((2 * m + 1) * a - m * b) / (m + 1))
-        p_prev, p_cur = p_cur, nxt
+        # x P_m is one longer than P_m, so P_{m-1} is padded by two
+        p_prev, p_cur = p_cur, [
+            ((2 * m + 1) * a - m * b) / (m + 1)
+            for a, b in zip([0] + p_cur, p_prev + [0, 0])]
     return tuple(p_cur)
 
 

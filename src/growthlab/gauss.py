@@ -83,17 +83,6 @@ def r2_table(kmax: int) -> list[int]:
     return counts
 
 
-def R2(k: int) -> int:
-    """Cumulative representation count sum_{j<=k} r2(j), which is the
-    disc count R(k)."""
-    return count_disc(k)
-
-
-def R2_table(kmax: int) -> list[int]:
-    """R2(0..kmax); equals count_disc pointwise."""
-    return list(accumulate(r2_table(kmax)))
-
-
 @dataclass(frozen=True)
 class CircleCount:
     """One bound check: exact count R(t), |R - pi t| and the classical
@@ -117,12 +106,6 @@ class CircleCount:
                     context=self.t)
 
 
-def circle_count(t: int, digits: int = DEFAULT_PRECISION,
-                 margin: Decimal = DEFAULT_MARGIN) -> CircleCount:
-    """Count the disc at t and check the error bound at `digits`."""
-    return gauss_bound_check([t], digits, margin)[0]
-
-
 def gauss_bound_check(t_values, digits: int = DEFAULT_PRECISION,
                       margin: Decimal = DEFAULT_MARGIN) -> list[CircleCount]:
     """Check |R(t) - pi t| <= 2 pi (1 + sqrt(2t)) for every t given.
@@ -136,7 +119,8 @@ def gauss_bound_check(t_values, digits: int = DEFAULT_PRECISION,
     ts = list(t_values)
     if not ts:
         raise ArgumentError("t_values must be nonempty")
-    table = R2_table(len(ts))
+    # the cumulative counts sum_{j<=k} r2(j) are the disc counts R(k)
+    table = list(accumulate(r2_table(len(ts))))
     pi = pi_decimal(digits + 10)
     out = []
     for t in ts:

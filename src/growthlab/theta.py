@@ -2,16 +2,15 @@
 
 The coefficient r(m) counts lattice vectors of squared norm m, i.e.
 integer coordinate vectors c with c^T G c = m for the Gram matrix G.
-The primary enumerator is a Fincke-Pohst descent (Fincke & Pohst, Math.
+The enumerator is a Fincke-Pohst descent (Fincke & Pohst, Math.
 Comp. 44, 1985) that runs on Python ints alone: the fraction-free
 elimination in :mod:`growthlab.linalg` writes the form as
 sum_i u_i^2 / (p_i p_{i-1}) with integer u_i and pivot minors p_i,
 scaling by the lcm of the denominators makes every term an integer, and
 coordinates are enumerated from the last one down with `isqrt` and
-floor-division bounds at every level.  A naive box
-scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) is kept as an independent
-oracle for small ranks; it computes the diagonal of G^{-1} with its own
-elimination so that it shares no code with the enumerator.
+floor-division bounds at every level.  Its independent oracle, a naive
+box scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) with its own
+elimination, lives with the tests (``tests/lattice_oracle.py``).
 
 For Z^n the theta series is the n-th power of
 theta3 = 1 + 2q + 2q^4 + 2q^9 + ...; `theta3_power` produces that
@@ -22,8 +21,6 @@ cross-checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from math import isqrt, lcm
 
 from . import linalg
@@ -92,18 +89,6 @@ class ThetaPrefix:
         }
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    matched: bool
-    first_mismatch: int | None
-    length: int
-
-    def describe(self) -> str:
-        if self.matched:
-            return f"full match over {self.length} coefficients"
-        return f"disagreement at index {self.first_mismatch}"
-
-
 def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
     """Exact theta coefficients r(0..rmax) by Fincke-Pohst descent in
     integers.
@@ -150,47 +135,6 @@ def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
     return ThetaPrefix(rmax, tuple(counts))
 
 
-def _inverse_diagonal(gram) -> list:
-    """Diagonal entries of G^{-1}, exact."""
-    n = len(gram)
-    aug = [[Fraction(gram[i][j]) for j in range(n)]
-           + [Fraction(int(j == i)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[col])]
-    return [aug[i][n + i] for i in range(n)]
-
-
-def theta_naive(L: IntegralLattice, rmax: int) -> ThetaPrefix:
-    """Independent oracle: scan the exact bounding box
-    |x_i| <= sqrt(rmax * (G^{-1})_ii) and evaluate the form directly.
-    Intended for small ranks and bounds only."""
-    if rmax < 0:
-        raise ArgumentError("rmax must be nonnegative")
-    n = L.rank
-    g = L.gram
-    inv_diag = _inverse_diagonal(g)
-    bounds = [isqrt(int(Fraction(rmax) * q)) for q in inv_diag]
-    counts = [0] * (rmax + 1)
-    for x in product(*(range(-b, b + 1) for b in bounds)):
-        norm = 0
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                norm += g[i][i] * xi * xi
-                for j in range(i):
-                    norm += 2 * g[i][j] * xi * x[j]
-        if 0 <= norm <= rmax:
-            counts[norm] += 1
-    return ThetaPrefix(rmax, tuple(counts))
-
-
 def theta3_power(n: int, rmax: int) -> list:
     """Coefficients 0..rmax of (1 + 2q + 2q^4 + 2q^9 + ...)^n."""
     if n < 1:
@@ -214,28 +158,3 @@ def theta3_power(n: int, rmax: int) -> list:
                         nxt[a + b] += ca * base[b]
         out = nxt
     return out
-
-
-def compare_sequences(a, b) -> MatchReport:
-    """Element-wise comparison of two coefficient sequences of equal
-    length; reports the first index of disagreement."""
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        raise ArgumentError("sequences have different lengths")
-    if not a:
-        raise ArgumentError("nothing to compare")
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return MatchReport(False, i, len(a))
-    return MatchReport(True, None, len(a))
-
-
-def compare_theta(L: IntegralLattice, seq) -> MatchReport:
-    """Enumerate theta coefficients of L out to len(seq)-1 and compare
-    against the given sequence."""
-    seq = list(seq)
-    if not seq:
-        raise ArgumentError("nothing to compare")
-    prefix = theta_coefficients(L, len(seq) - 1)
-    return compare_sequences(prefix.counts, seq)

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import growthlab
 from growthlab.cli import build_parser, main
 
 
@@ -77,11 +82,13 @@ def test_config_file_and_overrides(capsys, tmp_path):
     assert rc == 0
     assert "4,16,41" in out.splitlines()
 
-    # a single flag overrides the file value
+    # a single flag replaces the file value, and only it is echoed
     rc, out, _ = run(capsys, "growth", "--config", str(cfg),
                      "--kmax", "2", "--no-timestamp")
     assert rc == 0
     assert out.splitlines()[-1] == "2,8,13"
+    assert [l for l in out.splitlines() if l.startswith("# option: kmax")] \
+        == ["# option: kmax = 2"]
 
     # a repeatable flag replaces the whole generator block
     rc, out, _ = run(capsys, "growth", "--config", str(cfg),
@@ -327,8 +334,8 @@ def test_theta_command(capsys):
     assert result["gram"] == [[1, 0], [0, 1]]
 
     rc, out, err = run(capsys, "theta", "--gram", "0")
-    assert rc == 4
-    assert "check failed" in err
+    assert rc == 2
+    assert "config error: field 'gram': gram matrix is not positive" in err
 
 
 def test_verify_selection(capsys):
@@ -671,3 +678,45 @@ def test_no_flag_is_silently_dropped(capsys, command, option, dest):
     else:
         assert rc == 2, err
         assert f"field '{key}'" in err
+
+
+# (config file bytes or None, argv after the command, field named or None);
+# the config file, when given, is passed as --config
+MALFORMED = {
+    "non-utf8-config": (b"family = free\nrank = \xff2\n", ["growth"], None),
+    "repeated-key": (b"family = free\nrank = 2\nkmax = 3\nkmax = 4\n",
+                     ["growth"], "kmax"),
+    "non-pd-gram": (None, ["theta", "--gram", "1 2", "--gram", "2 1"], "gram"),
+    "asymmetric-gram": (b"gram = 1 2\ngram = 0 1\n", ["theta"], "gram"),
+    "non-numeric-file-value": (b"family = free\nrank = two\n", ["growth"],
+                               "rank"),
+    "non-numeric-flag": (None, ["theta", "--rank", "2", "--rmax", "x"],
+                         "rmax"),
+    "negative-value": (None, ["growth", "--family", "free", "--rank", "2",
+                              "--kmax", "-1"], "kmax"),
+    "negative-budget": (b"budget = -5\n", ["catalan"], "budget"),
+    "unwritable-output": (None, ["catalan", "--output",
+                                 "{tmp}/missing/out.csv"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_cleanly(tmp_path, case):
+    data, argv, field = MALFORMED[case]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if data is not None:
+        cfg = tmp_path / "job.cfg"
+        cfg.write_bytes(data)
+        argv += ["--config", str(cfg)]
+    src = str(Path(growthlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "growthlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode in (2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    if field is not None:
+        # a config diagnostic, or argparse's for a flag of the wrong type
+        assert (f"field '{field}'" in proc.stderr
+                or f"argument --{field}:" in proc.stderr), proc.stderr

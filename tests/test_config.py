@@ -31,9 +31,12 @@ def test_basic_grammar():
     assert doc.keys() == {"family", "rank", "generator"}
 
 
-def test_later_lines_win():
-    doc = parse_config_text("kmax = 5\nkmax = 9\n")
-    assert doc.get("kmax").value == "9"
+def test_repeated_single_key_is_refused():
+    doc = parse_config_text("kmax = 5\nrank = 2\nkmax = 9\n")
+    with pytest.raises(ConfigError) as err:
+        doc.get("kmax")
+    assert (err.value.line, err.value.field) == (3, "kmax")
+    assert doc.get("rank").value == "2"
     assert doc.get("missing") is None
 
 
@@ -73,13 +76,24 @@ def test_load_config_missing_file(tmp_path):
     assert load_config(str(p)).get("rank").value == "3"
 
 
+def test_load_config_refuses_non_utf8(tmp_path):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(b"family = free\nrank = \xff2\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    assert err.value.line == 2
+    assert "not UTF-8" in str(err.value)
+
+
 def test_override_semantics():
     base = parse_config_text(
         "family = free\nrank = 2\ngenerator = 1\ngenerator = 2\n")
-    # single values: None is ignored, others are appended and win
+    # single values: None is ignored, others replace the file entry
     out = base.override(single={"rank": 5, "kmax": None})
     assert out.get("rank").value == "5"
     assert out.get("rank").line is None
+    assert [e.key for e in out.entries] == [
+        "family", "generator", "generator", "rank"]
     assert "kmax" not in out.keys()
     # multi values replace the whole block only when nonempty
     out = base.override(multi={"generator": ["1 2"]})
@@ -252,5 +266,11 @@ def test_build_lattice():
     with pytest.raises(ConfigError) as err:
         build_lattice(doc_from(("gram", "2 1 0"), ("gram", "1 2 0")))
     assert err.value.field == "gram"
+    # a form that is not positive definite or not symmetric names the field
+    for rows in (("1 2", "2 1"), ("1 2", "0 1")):
+        with pytest.raises(ConfigError) as err:
+            build_lattice(parse_config_text(
+                "".join(f"gram = {r}\n" for r in rows)))
+        assert (err.value.line, err.value.field) == (1, "gram")
     with pytest.raises(ConfigError):
         build_lattice(empty_document())

@@ -1,12 +1,12 @@
 import math
 import random
 from decimal import Decimal
+from itertools import accumulate
 
 import pytest
 
 from growthlab.errors import ArgumentError, CheckFailure
-from growthlab.gauss import (CircleCount, R2, R2_table, circle_count,
-                             count_disc, error_exponent_fit,
+from growthlab.gauss import (CircleCount, count_disc, error_exponent_fit,
                              gauss_bound_check, pi_decimal, r2, r2_table)
 
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -69,18 +69,18 @@ def test_r2_sieve_matches_divisor_formula():
 
 
 def test_cumulative_matches_disc_count():
-    table = R2_table(500)
+    table = list(accumulate(r2_table(500)))
     for k in range(0, 501, 13):
         assert table[k] == count_disc(k)
-    assert R2(37) == table[37]
+    assert count_disc(37) == table[37]
 
 
 def test_pinned_large_count():
-    assert R2(100000) == 314197
+    assert count_disc(100000) == 314197
 
 
 def test_circle_count_record():
-    rec = circle_count(100)
+    [rec] = gauss_bound_check([100])
     assert rec.t == 100
     assert rec.R == count_disc(100)
     assert rec.bound - rec.error > 0
@@ -91,7 +91,7 @@ def test_circle_count_margin_can_force_failure():
     # at t=0 the slack is exactly 2 pi - 1, about 5.28, so a margin of
     # 10 must trip the check even though the bound itself holds
     with pytest.raises(CheckFailure) as err:
-        circle_count(0, margin=Decimal(10))
+        gauss_bound_check([0], margin=Decimal(10))
     assert err.value.context == 0
 
 
