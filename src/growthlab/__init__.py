@@ -7,9 +7,8 @@ lattice-point counting and theta series, all in exact arithmetic.
 
 __version__ = "0.1.0"
 
-from .analysis import (DyeResult, GrowthReport, analyze_group, classify,
-                       dye_quantity, dye_quantity_strict, exponential_rate,
-                       krause_degree)
+from .analysis import (DyeResult, GrowthReport, classify, dye_quantity,
+                       dye_quantity_strict, exponential_rate, krause_degree)
 from .cayley import (BallTable, enumerate_balls, trivial_ball_table,
                      word_distance, word_length)
 from .ehrhart import (LatticePolytope, cross_polytope, cross_polytope_series,
@@ -33,7 +32,7 @@ __all__ = [
     "ConfigError", "DyeResult", "FreeAbelian", "FreeGroup",
     "GrowthLabError", "GrowthReport", "IntegralLattice", "LatticePolytope",
     "MarkedGroup", "MatrixGroup", "PermutationGroup",
-    "RationalFunction", "StructuralError", "ThetaPrefix", "analyze_group",
+    "RationalFunction", "StructuralError", "ThetaPrefix",
     "catalan", "classify", "closed_form_free_abelian", "count_disc",
     "cross_polytope", "cross_polytope_series", "dye_quantity",
     "dye_quantity_strict", "ehrhart_sequence", "enumerate_balls",

@@ -57,8 +57,7 @@ def _check_gauss_bound():
     while 2 ** j <= 10 ** 7:
         ts.append(2 ** j)
         j += 1
-    results = gauss.gauss_bound_check(ts, digits=50,
-                                      margin=Decimal("1e-20"))
+    results = gauss.gauss_bound_check(ts, margin=Decimal("1e-20"))
     elapsed = time.perf_counter() - t0
     with localcontext() as ctx:
         ctx.prec = 60

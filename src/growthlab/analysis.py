@@ -5,7 +5,8 @@ Four views of the same data:
 * ``exponential_rate``  -- per-radius estimates beta(k)^(1/k) and their
   minimum, which by submultiplicativity of ball sizes is a rigorous
   upper bound for the exponential growth rate;
-* ``krause_degree``     -- the polynomial-degree track ln beta(k)/ln k;
+* ``krause_degree``     -- the polynomial-degree track ln beta(k)/ln k,
+  like the rate estimates a decimal at DIGITS = 50 significant digits;
 * ``dye_quantity``      -- the approximate-finiteness quantity
   min_k h_{2k}/(h_1+...+h_k) over shell sizes, exact rational; its
   as-given form ``dye_quantity_strict`` builds the product sets with
@@ -22,7 +23,7 @@ track to hug one integer over the last third of the radii.  Short
 tables of slowly converging groups (the Heisenberg group at radius 8,
 say) land in ``inconclusive``.  The thresholds are exact rationals and
 every branch of the verdict is an integer inequality on the ball sizes,
-so no rounding can tip it.
+so no rounding can tip it: the decimal tracks are shown, never used.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
-from .cayley import (DEFAULT_ELEMENT_BUDGET, BallTable, enumerate_balls,
-                     expand)
+from .cayley import DEFAULT_ELEMENT_BUDGET, BallTable, expand
 from .errors import ArgumentError, BudgetExceededError
+from .gauss import DIGITS
 from .groups import MarkedGroup
 
-DEFAULT_PRECISION = 50
 TAU_EXP = Fraction(1, 10)
 TAU_DEG = Fraction(3, 10)
 RHO_EXP = Fraction(4, 5)
@@ -58,7 +58,6 @@ class RateEstimates:
     estimates: tuple  # Decimal, index 0 holds k=1
     minimum: Decimal
     argmin: int
-    digits: int
 
     def estimate(self, k: int) -> Decimal:
         return self.estimates[k - 1]
@@ -70,7 +69,6 @@ class DegreeTrack:
 
     values: tuple  # Decimal, index 0 holds k=2
     terminal: Decimal
-    digits: int
 
     def value(self, k: int) -> Decimal:
         return self.values[k - 2]
@@ -84,19 +82,18 @@ class DyeResult:
     convention: str
 
 
-def _track(f, ks, digits: int) -> list:
-    """f(k) for each k in ks, evaluated at digits + 5 significant digits
-    and rounded to digits."""
+def _track(f, ks) -> list:
+    """f(k) for each k in ks, evaluated at DIGITS + 5 significant digits
+    and rounded to DIGITS."""
     with localcontext() as ctx:
-        ctx.prec = digits + 5
+        ctx.prec = DIGITS + 5
         vals = [f(k) for k in ks]
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DIGITS
         return [+v for v in vals]
 
 
-def exponential_rate(table: BallTable,
-                     digits: int = DEFAULT_PRECISION) -> RateEstimates:
+def exponential_rate(table: BallTable) -> RateEstimates:
     """Per-radius estimates of the exponential growth rate.
 
     The minimum over the computed radii is a true upper bound for
@@ -106,21 +103,20 @@ def exponential_rate(table: BallTable,
         raise ArgumentError("need radius_max >= 2")
     beta = table.ball_sizes
     ests = _track(lambda k: (_ln(beta[k]) / k).exp(),
-                  range(1, table.radius_max + 1), digits)
+                  range(1, table.radius_max + 1))
     best = min(range(len(ests)), key=lambda i: ests[i])
-    return RateEstimates(tuple(ests), ests[best], best + 1, digits)
+    return RateEstimates(tuple(ests), ests[best], best + 1)
 
 
-def krause_degree(table: BallTable,
-                  digits: int = DEFAULT_PRECISION) -> DegreeTrack:
+def krause_degree(table: BallTable) -> DegreeTrack:
     """Polynomial-degree track ln beta(k)/ln k; the terminal entry is the
     estimate at the largest radius.  No convergence claim is attached."""
     if table.radius_max < 4:
         raise ArgumentError("need radius_max >= 4")
     beta = table.ball_sizes
     vals = _track(lambda k: _ln(beta[k]) / _ln(k),
-                  range(2, table.radius_max + 1), digits)
-    return DegreeTrack(tuple(vals), vals[-1], digits)
+                  range(2, table.radius_max + 1))
+    return DegreeTrack(tuple(vals), vals[-1])
 
 
 def _dye_minimum(h, K: int, convention: str) -> DyeResult:
@@ -189,11 +185,10 @@ class GrowthReport:
     persistence: float  # display only; the verdict compares integers
     verdict: str
     polynomial_degree: int | None
-    digits: int
 
     def to_json_dict(self) -> dict:
         return {
-            "precision_digits": str(self.digits),
+            "precision_digits": str(DIGITS),
             "rate_upper": {
                 "estimates": [str(e) for e in self.rate.estimates],
                 "minimum": str(self.rate.minimum),
@@ -230,8 +225,7 @@ def log_ratio_within(x: int, k: int, lo: Fraction, hi: Fraction) -> bool:
     return Fraction(k) ** int(lo * q) <= x ** q <= Fraction(k) ** int(hi * q)
 
 
-def classify(table: BallTable,
-             digits: int = DEFAULT_PRECISION) -> GrowthReport:
+def classify(table: BallTable) -> GrowthReport:
     """Assemble a growth verdict from the ball sizes.
 
     evidence-exponential requires the Fekete upper bound to stay at or
@@ -247,15 +241,15 @@ def classify(table: BallTable,
     n = table.radius_max
     if n < 6:
         raise ArgumentError("need radius_max >= 6 to classify")
-    rate = exponential_rate(table, digits)
-    degree = krause_degree(table, digits)
+    rate = exponential_rate(table)
+    degree = krause_degree(table)
     dye = dye_quantity(table, n // 2)
 
     beta = table.ball_sizes
     if table.sphere_sizes[n] == 0:
         # the ball has stabilized: the group is finite, growth is bounded
         return GrowthReport(rate, degree, dye, 0.0, "evidence-polynomial(0)",
-                            0, digits)
+                            0)
 
     # no sphere refills after an empty one, so both increments are positive
     h = n // 2
@@ -266,7 +260,7 @@ def classify(table: BallTable,
             and Fraction(beta[n], beta[n - 1]) ** RHO_EXP.denominator
             >= Fraction(beta[h], beta[h - 1]) ** RHO_EXP.numerator):
         return GrowthReport(rate, degree, dye, persistence,
-                            "evidence-exponential", None, digits)
+                            "evidence-exponential", None)
 
     # d is the integer nearest ln beta(n)/ln n, a tie at d + 1/2 rounding
     # down; a tie fails the window either way because TAU_DEG < 1/2
@@ -276,13 +270,5 @@ def classify(table: BallTable,
     if all(log_ratio_within(beta[k], k, d - TAU_DEG, d + TAU_DEG)
            for k in range(2 * n // 3, n + 1)):
         return GrowthReport(rate, degree, dye, persistence,
-                            f"evidence-polynomial({d})", d, digits)
-    return GrowthReport(rate, degree, dye, persistence, "inconclusive",
-                        None, digits)
-
-
-def analyze_group(m: MarkedGroup, kmax: int, digits: int = DEFAULT_PRECISION,
-                  element_budget: int = DEFAULT_ELEMENT_BUDGET) -> GrowthReport:
-    """BFS enumeration followed by classification, in one call."""
-    table = enumerate_balls(m, kmax, element_budget)
-    return classify(table, digits=digits)
+                            f"evidence-polynomial({d})", d)
+    return GrowthReport(rate, degree, dye, persistence, "inconclusive", None)

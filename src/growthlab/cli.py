@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -30,7 +31,7 @@ from itertools import accumulate
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
 from .config import (POLYTOPE_FAMILIES, build_lattice, build_marked_group,
                      build_polytope, empty_document, get_budget, get_choice,
-                     get_int, load_config)
+                     get_int, load_config, refuse_over_budget)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -81,17 +82,9 @@ def _table_bound(doc, key: str, default: int, minimum: int) -> int:
     """An integer bound whose table holds bound + 1 entries, refused
     before anything is allocated when that exceeds the element budget."""
     value = get_int(doc, key, default=default, minimum=minimum)
-    budget = get_budget(doc)
-    if value + 1 > budget:
-        entry = doc.get(key)
-        raise ConfigError(
-            f"a table of {value + 1} entries exceeds the budget of {budget}",
-            line=None if entry is None else entry.line, field=key)
+    refuse_over_budget(doc, key, value + 1,
+                       f"a table of {value + 1} entries exceeds")
     return value
-
-
-def _precision(doc, default: int) -> int:
-    return get_int(doc, "precision", default=default, minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +96,7 @@ _GROUP_KEYS = ("family", "rank", "degree", "dim", "symmetrize")
 
 def cmd_growth(args) -> int:
     doc = _merged_document(
-        args, _GROUP_KEYS + ("kmax", "guard", "budget", "precision"),
-        ("generator",))
+        args, _GROUP_KEYS + ("kmax", "guard", "budget"), ("generator",))
     m = build_marked_group(doc)
     kmax = get_int(doc, "kmax", default=12, minimum=0)
     guard = get_int(doc, "guard", default=4, minimum=1)
@@ -143,20 +135,17 @@ def cmd_growth(args) -> int:
 
 def cmd_analyze(args) -> int:
     doc = _merged_document(
-        args,
-        _GROUP_KEYS + ("kmax", "budget", "precision", "dye-convention"),
+        args, _GROUP_KEYS + ("kmax", "budget", "dye-convention"),
         ("generator",))
     m = build_marked_group(doc)
     kmax = get_int(doc, "kmax", default=12, minimum=6)
-    digits = _precision(doc, analysis.DEFAULT_PRECISION)
     convention = get_choice(doc, "dye-convention",
                             {analysis.DYE_IDENTITY_CONVENTION,
                              analysis.DYE_AS_GIVEN_CONVENTION},
                             default=analysis.DYE_IDENTITY_CONVENTION)
     budget = get_budget(doc)
     doc.refuse_unread("analyze")
-    report = analysis.analyze_group(m, kmax, digits=digits,
-                                    element_budget=budget)
+    report = analysis.classify(cayley.enumerate_balls(m, kmax, budget))
     if convention == analysis.DYE_AS_GIVEN_CONVENTION:
         strict = analysis.dye_quantity_strict(m, max(1, kmax // 2),
                                               element_budget=budget)
@@ -198,16 +187,13 @@ def _dyadic_extension(tmax: int, upto: int) -> list:
 
 def cmd_gauss(args) -> int:
     doc = _merged_document(
-        args, ("tmax", "kmax", "dyadic-to", "precision", "margin", "budget"))
+        args, ("tmax", "kmax", "dyadic-to", "margin", "budget"))
     modes = [m for m, on in (("table", args.table), ("check-bound", args.check_bound),
                              ("fit", args.fit)) if on]
     if len(modes) != 1:
         raise ArgumentError(
             "choose exactly one of --table, --check-bound, --fit")
     mode = modes[0]
-    # the r2 table is exact; only the bound check and the fit round
-    if mode != "table":
-        digits = _precision(doc, gauss.DEFAULT_PRECISION)
 
     if mode == "table":
         kmax = _table_bound(doc, "kmax", default=100, minimum=0)
@@ -238,18 +224,21 @@ def cmd_gauss(args) -> int:
                 raise ConfigError("expected a finite nonnegative number, "
                                   f"got {entry.value!r}",
                                   line=entry.line, field="margin")
-        dyadic_to = get_int(doc, "dyadic-to", default=None)
+        dyadic = _dyadic_extension(tmax, get_int(doc, "dyadic-to", default=0))
+        # a t beyond the sieve is counted alone, over 2 isqrt(t) + 1 rows
+        rows = sum(2 * math.isqrt(t) + 1 for t in dyadic)
+        refuse_over_budget(doc, "dyadic-to", rows,
+                           f"the {rows} disc rows of {len(dyadic)} dyadic "
+                           "values exceed")
         doc.refuse_unread("gauss")
-        ts = list(range(0, tmax + 1))
-        if dyadic_to is not None:
-            ts.extend(_dyadic_extension(tmax, dyadic_to))
-        results = gauss.gauss_bound_check(ts, digits=digits, margin=margin)
+        ts = list(range(0, tmax + 1)) + dyadic
+        results = gauss.gauss_bound_check(ts, margin=margin)
         worst = min(r.bound - r.error for r in results)
         csv_lines = ["checked,digits,worst_slack",
-                     f"{len(results)},{digits},{worst:E}"]
+                     f"{len(results)},{gauss.DIGITS},{worst:E}"]
         json_result = {
             "checked": len(results),
-            "digits": digits,
+            "digits": gauss.DIGITS,
             "margin": str(margin),
             "worst_slack": f"{worst:E}",
             "holds": True,
@@ -269,7 +258,7 @@ def cmd_gauss(args) -> int:
         if t >= 16:
             grid.append(t)
         j += 1
-    fit = gauss.error_exponent_fit(grid, digits=digits)
+    fit = gauss.error_exponent_fit(grid)
     csv_lines = ["alpha,residual,windows",
                  f"{fit.alpha:.4f},{fit.residual:.4f},{len(fit.windows)}"]
     json_result = {
@@ -284,8 +273,8 @@ def cmd_gauss(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     doc = _merged_document(
-        args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget",
-               "precision"), ("vertex", "basis"))
+        args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget"),
+        ("vertex", "basis"))
     P = build_polytope(doc)
     kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
     kmax = get_int(doc, "kmax", default=6, minimum=0)
@@ -321,8 +310,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    doc = _merged_document(args, ("rank", "rmax", "budget", "precision"),
-                           ("gram",))
+    doc = _merged_document(args, ("rank", "rmax", "budget"), ("gram",))
     lat = build_lattice(doc)
     rmax = _table_bound(doc, "rmax", default=20, minimum=0)
     doc.refuse_unread("theta")
@@ -337,7 +325,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_catalan(args) -> int:
-    doc = _merged_document(args, ("kmax", "budget", "precision"))
+    doc = _merged_document(args, ("kmax", "budget"))
     kmax = get_int(doc, "kmax", default=20, minimum=0)
     doc.refuse_unread("catalan")
     coeffs = series.catalan(kmax)
@@ -349,7 +337,7 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = _merged_document(args, ("budget", "precision"))
+    doc = _merged_document(args, ("budget",))
     doc.refuse_unread("verify")  # verify reads no config key
     selected = None
     if args.only:
@@ -395,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-stable output")
-    common.add_argument("--precision", type=int,
-                        help="significant digits for decimal outputs")
     common.add_argument("--budget", type=int,
                         help="element budget for enumerations and "
                              "table lengths")

@@ -223,6 +223,18 @@ def get_budget(doc) -> int:
     return get_int(doc, "budget", default=DEFAULT_ELEMENT_BUDGET, minimum=1)
 
 
+def refuse_over_budget(doc, key: str, cost: int, what: str) -> None:
+    """Refuse work of `cost` budget units, before any of it is done, as
+    a config error naming `key` and its line; `what` says what the cost
+    counts and carries the verb, as in "a table of 5 entries exceeds"."""
+    budget = get_budget(doc)
+    if cost > budget:
+        entry = doc.get(key)
+        raise ConfigError(f"{what} the budget of {budget}",
+                          line=None if entry is None else entry.line,
+                          field=key)
+
+
 # families that take `generator` rows: the family class, the key that
 # sizes it, and the parser of one row
 _CUSTOM_FAMILIES = {
@@ -275,11 +287,8 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
     # checked first: for a huge rank the stock generators would never finish
-    budget = get_budget(doc)
-    if 2 * rank > budget:
-        raise ConfigError(f"the {2 * rank} stock generators and inverses "
-                          f"exceed the budget of {budget}",
-                          line=doc.get("rank").line, field="rank")
+    refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
+                       "generators and inverses exceed")
     if family == "free":
         return free_group_standard(rank)
     return free_abelian_standard(rank)
@@ -323,7 +332,8 @@ def build_polytope(doc: ConfigDocument) -> LatticePolytope:
 
 def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     """Construct an integral lattice: explicit `gram` rows, or `rank`
-    alone for the standard Z^rank identity form."""
+    alone for the standard Z^rank identity form, whose rank^2 entries
+    count against the budget before the matrix is built."""
     gram_entries = doc.get_all("gram")
     if gram_entries:
         rows = [_int_list(e) for e in gram_entries]
@@ -339,5 +349,7 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
             raise ConfigError(str(exc), line=gram_entries[0].line,
                               field="gram")
     rank = require_int(doc, "rank", minimum=1)
+    refuse_over_budget(doc, "rank", rank * rank, f"the {rank}x{rank} "
+                       "identity gram matrix exceeds")
     identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
     return IntegralLattice.make(identity)

@@ -3,8 +3,8 @@ classical error bound |R(t) - pi t| <= 2 pi (1 + sqrt(2t)), and an
 empirical fit of the error exponent.
 
 All counts are exact integers computed with integer square roots; the
-bound check runs in decimal arithmetic at a configurable precision
-(default 50 significant digits) and demands a safety margin, so a pass
+bound check runs in fixed 60-digit decimal arithmetic, shows its values
+at 50 significant digits (DIGITS) and demands a safety margin, so a pass
 can never be a rounding artifact.
 """
 
@@ -18,11 +18,12 @@ from statistics import linear_regression
 
 from .errors import ArgumentError, CheckFailure
 
-DEFAULT_PRECISION = 50
+# significant digits of every decimal growthlab shows
+DIGITS = 50
 DEFAULT_MARGIN = Decimal("1e-20")
 
 
-def pi_decimal(digits: int = DEFAULT_PRECISION) -> Decimal:
+def pi_decimal(digits: int = DIGITS) -> Decimal:
     """Pi to `digits` significant digits (arctan-free spigot iteration,
     the classic Decimal recipe)."""
     if digits < 1:
@@ -86,19 +87,18 @@ def r2_table(kmax: int) -> list[int]:
 @dataclass(frozen=True)
 class CircleCount:
     """One bound check: exact count R(t), |R - pi t| and the classical
-    bound, both to `digits` significant digits.  Construction fails
+    bound, both to DIGITS significant digits.  Construction fails
     (CheckFailure) unless the bound exceeds the error by the margin."""
 
     t: int
     R: int
     error: Decimal
     bound: Decimal
-    digits: int = DEFAULT_PRECISION
     margin: Decimal = DEFAULT_MARGIN
 
     def __post_init__(self):
         with localcontext() as ctx:
-            ctx.prec = self.digits + 10
+            ctx.prec = DIGITS + 10
             if self.bound - self.error <= self.margin:
                 raise CheckFailure(
                     f"Gauss bound violated at t={self.t}: "
@@ -106,7 +106,7 @@ class CircleCount:
                     context=self.t)
 
 
-def gauss_bound_check(t_values, digits: int = DEFAULT_PRECISION,
+def gauss_bound_check(t_values,
                       margin: Decimal = DEFAULT_MARGIN) -> list[CircleCount]:
     """Check |R(t) - pi t| <= 2 pi (1 + sqrt(2t)) for every t given.
 
@@ -121,16 +121,16 @@ def gauss_bound_check(t_values, digits: int = DEFAULT_PRECISION,
         raise ArgumentError("t_values must be nonempty")
     # the cumulative counts sum_{j<=k} r2(j) are the disc counts R(k)
     table = list(accumulate(r2_table(len(ts))))
-    pi = pi_decimal(digits + 10)
+    pi = pi_decimal(DIGITS + 10)
     out = []
     for t in ts:
         R = table[t] if 0 <= t < len(table) else count_disc(t)
         with localcontext() as ctx:
-            ctx.prec = digits + 10
+            ctx.prec = DIGITS + 10
             error = abs(Decimal(R) - pi * t)
             bound = 2 * pi * (1 + Decimal(2 * t).sqrt())
-            ctx.prec = digits
-            out.append(CircleCount(t, R, +error, +bound, digits, margin))
+            ctx.prec = DIGITS
+            out.append(CircleCount(t, R, +error, +bound, margin))
     return out
 
 
@@ -143,7 +143,7 @@ class ExponentFit:
     windows: tuple  # (log t at window center, log max error) pairs
 
 
-def error_exponent_fit(t_grid, digits: int = DEFAULT_PRECISION) -> ExponentFit:
+def error_exponent_fit(t_grid) -> ExponentFit:
     """Fit |R(t) - pi t| ~ t^alpha on dyadic windows of the grid.
 
     Within each window [2^j, 2^{j+1}) the maximum error is taken, which
@@ -155,10 +155,10 @@ def error_exponent_fit(t_grid, digits: int = DEFAULT_PRECISION) -> ExponentFit:
         raise ArgumentError("need at least 10 grid values")
     if ts[0] < 1:
         raise ArgumentError("grid values must be at least 1")
-    pi = pi_decimal(digits + 10)
+    pi = pi_decimal(DIGITS + 10)
     window_max: dict[int, Decimal] = {}
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = DIGITS + 10
         for t in ts:
             err = abs(Decimal(count_disc(t)) - pi * t)
             j = t.bit_length() - 1

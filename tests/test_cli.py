@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from math import comb
@@ -424,6 +425,42 @@ def test_oversized_stock_rank_is_config_error(capsys, tmp_path):
     assert out.splitlines()[-1] == "3,2,7"
 
 
+def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
+                                                               tmp_path):
+    # --dyadic-to 64 past --tmax 10 adds t = 16, 32, 64, whose discs
+    # span 9 + 11 + 17 = 37 rows
+    dyadic = ("gauss", "--check-bound", "--tmax", "10", "--dyadic-to", "64",
+              "--no-timestamp")
+    rc, out, err = run(capsys, *dyadic, "--budget", "37")
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("14,50,")
+    rc, out, err = run(capsys, *dyadic, "--budget", "36")
+    assert rc == 2
+    assert "field 'dyadic-to'" in err
+    assert "37 disc rows of 3 dyadic values" in err
+    assert out == ""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("tmax = 10\nbudget = 36\ndyadic-to = 64\n")
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'dyadic-to'" in err
+
+    # the identity gram of rank 3 has 9 entries
+    rc, out, err = run(capsys, "theta", "--rank", "3", "--rmax", "2",
+                       "--budget", "9", "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "2,12"
+    rc, out, err = run(capsys, "theta", "--rank", "3", "--rmax", "2",
+                       "--budget", "8")
+    assert rc == 2
+    assert "field 'rank'" in err
+    assert out == ""
+    cfg.write_text("rank = 3\nbudget = 8\n")
+    rc, out, err = run(capsys, "theta", "--config", str(cfg))
+    assert rc == 2
+    assert "line 1: field 'rank'" in err
+
+
 def test_unread_config_key_is_config_error(capsys, tmp_path):
     # a misspelt or foreign key used to be echoed as an option and ignored
     cfg = tmp_path / "job.cfg"
@@ -446,28 +483,53 @@ def test_unread_config_key_is_config_error(capsys, tmp_path):
     assert out.splitlines()[-1] == "5,42"
 
 
-def test_unread_budget_and_precision_flags_are_config_errors(capsys):
+def test_unread_budget_flags_are_config_errors(capsys):
     cases = [
         ("ehrhart", "--polytope", "cross", "--n", "2", "--budget", "1"),
         ("catalan", "--budget", "1"),
-        ("catalan", "--precision", "5"),
-        ("growth", "--family", "free", "--rank", "2", "--precision", "5"),
-        ("theta", "--rank", "2", "--precision", "5"),
+        ("gauss", "--fit", "--tmax", "100", "--budget", "1000"),
         ("verify", "--only", "13", "--budget", "1"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
-        assert f"field '{argv[-2][2:]}'" in err
+        assert "field 'budget'" in err
         assert "Traceback" not in err
         assert out == ""
-    # the commands that read them still take them
+    # the commands that read it still take it
     rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "4",
                        "--budget", "5")
     assert rc == 0
     rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "4",
-                       "--precision", "5")
+                       "--budget", "5")
     assert rc == 0
+
+
+def test_rounding_decides_no_check(capsys, tmp_path):
+    # at t = 0 the slack is 2 pi - 1 = 5.283..., so a margin of 5.29
+    # fails however the job is given; rounded to two digits the slack
+    # would read 5.3 and pass
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "1",
+                       "--margin", "5.29")
+    assert rc == 4
+    assert "t=0" in err
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("tmax = 1\nmargin = 5.29\n")
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--config", str(cfg))
+    assert rc == 4
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "1",
+                       "--margin", "5.28")
+    assert rc == 0
+
+    # beta(8)^(1/8) = 2.5509... is the smallest rate estimate; rounded
+    # to one digit radius 4 would tie with it at 3 and win
+    rc, out, err = run(capsys, "analyze", "--family", "heisenberg",
+                       "--kmax", "8", "--format", "json", "--no-timestamp")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["precision_digits"] == "50"
+    assert result["rate_upper"]["argmin"] == "8"
+    assert result["rate_upper"]["minimum"].startswith("2.5509")
 
 
 def test_table_within_budget(capsys):
@@ -561,7 +623,7 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
      "generator"),
     (("gauss", "--table", "--kmax", "3", "--tmax", "99"), "tmax"),
     (("gauss", "--table", "--kmax", "3", "--margin", "5"), "margin"),
-    (("gauss", "--table", "--kmax", "3", "--precision", "3"), "precision"),
+    (("gauss", "--fit", "--tmax", "100", "--margin", "5"), "margin"),
     (("gauss", "--check-bound", "--tmax", "10", "--kmax", "5"), "kmax"),
     (("gauss", "--fit", "--tmax", "100", "--dyadic-to", "1000"), "dyadic-to"),
     (("theta", "--rank", "3", "--gram", "1"), "rank"),
@@ -644,11 +706,19 @@ _BASE_JOBS = {
 _OPTION_VALUES = {
     "family": "free-abelian", "rank": "1", "degree": "2", "dim": "1",
     "generator": "1", "symmetrize": None, "kmax": "6", "guard": "1",
-    "budget": "1000", "precision": "5", "dye-convention": "as-given",
+    "budget": "1000", "dye-convention": "as-given",
     "tmax": "10", "dyadic-to": "64", "margin": "0", "polytope": "cross",
     "n": "1", "ambient-dim": "1", "vertex": "0", "basis": "1", "gram": "1",
     "rmax": "2",
 }
+
+
+def _flags(job: dict) -> list:
+    """The argv of a job given as {flag: value}, None marking a switch."""
+    return [part for flag, value in job.items()
+            for part in ((flag,) if value is None else (flag, value))]
+
+
 _PLUMBING = {"help", "config", "output", "format", "no_timestamp", "only",
              "table", "check_bound", "fit"}
 
@@ -669,15 +739,34 @@ def test_no_flag_is_silently_dropped(capsys, command, option, dest):
     key = dest.replace("_", "-")
     job = dict(_BASE_JOBS[command])
     job[option] = _OPTION_VALUES[key]  # replaces the base job's own value
-    argv = [part for flag, value in job.items()
-            for part in ((flag,) if value is None else (flag, value))]
-    rc, out, err = run(capsys, command, *argv, "--no-timestamp")
+    rc, out, err = run(capsys, command, *_flags(job), "--no-timestamp")
     if rc == 0:
         shown = job[option] if job[option] is not None else "True"
         assert f"# option: {key} = {shown}" in out.splitlines()
     else:
         assert rc == 2, err
         assert f"field '{key}'" in err
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_JOBS))
+def test_precision_is_no_option(capsys, tmp_path, command):
+    # decimals are shown at one fixed precision: the flag is a usage
+    # error and the config key is refused like any key no job reads
+    argv = _flags(_BASE_JOBS[command])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--precision", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--precision" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("precision = 5\n")
+    rc, out, err = run(capsys, command, *argv, "--config", str(cfg))
+    assert rc == 2
+    assert "line 1: field 'precision'" in err
+    assert out == ""
 
 
 # (config file bytes or None, argv after the command, field named or None);
@@ -697,6 +786,11 @@ MALFORMED = {
     "negative-budget": (b"budget = -5\n", ["catalan"], "budget"),
     "unwritable-output": (None, ["catalan", "--output",
                                  "{tmp}/missing/out.csv"], None),
+    # refused before any work: 2 isqrt(t) + 1 disc rows per dyadic t,
+    # and the rank^2 entries of the identity gram
+    "huge-dyadic-to": (None, ["gauss", "--check-bound", "--tmax", "10",
+                              "--dyadic-to", str(10 ** 30)], "dyadic-to"),
+    "huge-theta-rank": (None, ["theta", "--rank", "100000"], "rank"),
 }
 
 
@@ -720,3 +814,27 @@ def test_malformed_input_exits_cleanly(tmp_path, case):
         # a config diagnostic, or argparse's for a flag of the wrong type
         assert (f"field '{field}'" in proc.stderr
                 or f"argument --{field}:" in proc.stderr), proc.stderr
+
+
+def _readme_commands():
+    """The argv of every `growthlab ...` line in README.md's fenced
+    blocks, with a shell prompt and trailing comment dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    fenced = False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.removeprefix("$ ").startswith("growthlab "):
+            yield shlex.split(line.removeprefix("$ "), comments=True)[1:]
+
+
+def test_readme_commands_parse():
+    # parsed only, never run: a flag the parser no longer has fails here
+    commands = list(_readme_commands())
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows growthlab {shlex.join(argv)}")
