@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, localcontext
 from itertools import accumulate
 
 from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
@@ -233,7 +233,9 @@ def cmd_gauss(args) -> int:
         doc.refuse_unread("gauss")
         ts = list(range(0, tmax + 1)) + dyadic
         results = gauss.gauss_bound_check(ts, margin=margin)
-        worst = min(r.bound - r.error for r in results)
+        with localcontext() as ctx:
+            ctx.prec = gauss.DIGITS
+            worst = min(r.bound - r.error for r in results)
         csv_lines = ["checked,digits,worst_slack",
                      f"{len(results)},{gauss.DIGITS},{worst:E}"]
         json_result = {
@@ -246,18 +248,24 @@ def cmd_gauss(args) -> int:
         _emit(args, "gauss", doc, csv_lines, json_result)
         return 0
 
-    # error-exponent fit on a four-per-octave grid up to tmax
+    # error-exponent fit on a four-per-octave grid up to tmax; each t is
+    # counted alone, over 2 isqrt(t) + 1 disc rows, and the grid grows
+    # only while its rows fit the budget
     tmax = get_int(doc, "tmax", default=10000, minimum=1)
-    doc.refuse_unread("gauss")
-    grid = []
-    j = 0
-    while True:
+    budget = get_budget(doc)
+    grid, rows, j = [], 0, 0
+    while rows <= budget:
         t = round(2 ** (j / 4))
         if t > tmax:
             break
         if t >= 16:
             grid.append(t)
+            rows += 2 * math.isqrt(t) + 1
         j += 1
+    refuse_over_budget(doc, "tmax", rows,
+                       f"the {rows} disc rows of {len(grid)} grid values "
+                       "exceed")
+    doc.refuse_unread("gauss")
     fit = gauss.error_exponent_fit(grid)
     csv_lines = ["alpha,residual,windows",
                  f"{fit.alpha:.4f},{fit.residual:.4f},{len(fit.windows)}"]

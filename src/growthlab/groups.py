@@ -6,11 +6,13 @@ Four families are supported:
   is componentwise addition;
 * ``FreeGroup(rank)``     -- elements are freely reduced words on the
   signed letters ``1..rank`` (``-2`` is the inverse of the second basis
-  letter), stored as ``bytes``: letter l becomes l + rank in a fixed
-  width of ``((2*rank).bit_length()+7)//8`` big-endian bytes, so a letter
-  and its inverse sum to 2*rank.  Only ``FreeGroup`` knows this format;
-  ``canonicalize`` takes letter sequences (or a word already in this
-  form) and ``element_repr`` prints them;
+  letter), each stored as one int in base B = 2*rank + 1 with the last
+  letter least significant: letter l > 0 is the digit l and letter -l
+  the digit rank + l, and the empty word is 0.  Every digit is nonzero,
+  so distinct reduced words are distinct ints at any length.  Only
+  ``FreeGroup`` knows this format; ``canonicalize`` takes letter
+  sequences (or a word already in this form) and ``element_repr``
+  prints them;
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
   the integers (``canonicalize`` enforces determinant +-1; determinants
   and inverses come from the exact routines in :mod:`growthlab.linalg`);
@@ -32,12 +34,13 @@ instead of one Python call per product; a single product is
 are transposed once and each coordinate column is shifted by its
 entry of s, a matrix I + d*E_kc adds d times column k to column c
 (rows with a zero in column k are kept as they are) and any other
-matrix takes the general product ``mat_mul``, a one-letter word
-appends or cancels one letter and a longer word chains the acts of its
-letters, and a permutation is a table lookup per point.  The acts of
-the free group, matrix and permutation families are lazy: they read
-``gs`` only as their output is read.  The free-abelian act reads all
-of ``gs`` when called, so it needs a finite batch.
+matrix takes the general product ``mat_mul``, a one-letter word s
+drops the last digit of g when it is the digit of s^-1 and appends s
+otherwise, a longer word chains the acts of its letters, and a
+permutation is a table lookup per point.  The acts of the free group,
+matrix and permutation families are lazy: they read ``gs`` only as
+their output is read.  The free-abelian act reads all of ``gs`` when
+called, so it needs a finite batch.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -120,74 +123,82 @@ class FreeAbelian:
 @dataclass(frozen=True)
 class FreeGroup:
     """Free group on `rank` letters; elements are freely reduced words,
-    encoded as ``_width`` bytes per letter (see the module docstring)."""
+    each stored as one int whose base 2*rank + 1 digits spell the word
+    (see the module docstring)."""
 
     rank: int
-    _width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise StructuralError("free group rank must be at least 1")
-        object.__setattr__(self, "_width",
-                           ((2 * self.rank).bit_length() + 7) // 8)
 
-    def _encode(self, letters) -> bytes:
-        w, r = self._width, self.rank
-        return b"".join((l + r).to_bytes(w, "big") for l in letters)
+    def _digits(self, a: int) -> list[int]:
+        """The digits of the word a, first letter first."""
+        base = 2 * self.rank + 1
+        out = []
+        while a:
+            a, d = divmod(a, base)
+            out.append(d)
+        out.reverse()
+        return out
 
-    def _decode(self, a: bytes) -> list[int]:
-        w, r = self._width, self.rank
-        return [int.from_bytes(a[i:i + w], "big") - r
-                for i in range(0, len(a), w)]
+    def identity(self) -> int:
+        return 0
 
-    def identity(self) -> bytes:
-        return b""
-
-    def canonicalize(self, obj) -> bytes:
-        if isinstance(obj, bytes):  # already encoded: read the letters back
-            if len(obj) % self._width:
-                raise StructuralError(f"{len(obj)} bytes do not form a word")
-            obj = self._decode(obj)
+    def canonicalize(self, obj) -> int:
+        r = self.rank
+        base = 2 * r + 1
+        if isinstance(obj, int):  # already a word: read its letters back
+            if _as_int(obj, "word") < 0:
+                raise StructuralError(f"word {obj} is negative")
+            # a zero digit reads as the letter 0, refused below
+            obj = [d if d <= r else r - d for d in self._digits(obj)]
         out: list[int] = []
         for x in obj:
             l = _as_int(x, "letter")
-            if l == 0 or abs(l) > self.rank:
-                raise StructuralError(
-                    f"letter {l} outside +-1..+-{self.rank}")
+            if l == 0 or abs(l) > r:
+                raise StructuralError(f"letter {l} outside +-1..+-{r}")
             if out and out[-1] == -l:
                 out.pop()
             else:
                 out.append(l)
-        return self._encode(out)
+        a = 0
+        for l in out:
+            a = a * base + (l if l > 0 else r - l)
+        return a
 
-    def right_multiplier(self, s: bytes) -> Act:
-        w = self._width
-        if len(s) != w:
+    def right_multiplier(self, s: int) -> Act:
+        r = self.rank
+        base = 2 * r + 1
+        if not 0 < s < base:
             # a longer word chains the acts of its letters, the empty
             # word does not act at all
-            acts = [self.right_multiplier(s[i:i + w])
-                    for i in range(0, len(s), w)]
+            acts = [self.right_multiplier(d) for d in self._digits(s)]
 
-            def act(gs: Iterable[bytes]) -> Iterable[bytes]:
+            def act(gs: Iterable[int]) -> Iterable[int]:
                 for letter in acts:
                     gs = letter(gs)
                 return gs
             return act
         # g is reduced, so g*s cancels exactly when g ends in s^-1
-        inv = (2 * self.rank - int.from_bytes(s, "big")).to_bytes(w, "big")
-        return lambda gs: (g[:-w] if g[-w:] == inv else g + s for g in gs)
+        inv = s + r if s <= r else s - r
+        return lambda gs: (g // base if g % base == inv else g * base + s
+                           for g in gs)
 
-    def inverse(self, a: bytes) -> bytes:
-        return self._encode(-l for l in reversed(self._decode(a)))
+    def inverse(self, a: int) -> int:
+        r = self.rank
+        return self.canonicalize([-d if d <= r else d - r
+                                  for d in reversed(self._digits(a))])
 
     def describe(self) -> str:
         return f"free rank {self.rank}"
 
-    def element_repr(self, a: bytes) -> str:
+    def element_repr(self, a: int) -> str:
         if not a:
             return "e"
-        return "*".join(f"x{l}" if l > 0 else f"x{-l}^-1"
-                        for l in self._decode(a))
+        r = self.rank
+        return "*".join(f"x{d}" if d <= r else f"x{d - r}^-1"
+                        for d in self._digits(a))
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,37 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               symmetric_group_adjacent)
 
 
+def free_letters(fam, w):
+    """The signed letters of a free-group element, first letter first,
+    read back from its printed form ``x1*x2^-1``."""
+    if w == fam.identity():
+        return ()
+    return tuple(-int(p[1:-3]) if p.endswith("^-1") else int(p[1:])
+                 for p in fam.element_repr(w).split("*"))
+
+
+def free_reduce(letters):
+    """The free reduction of a letter sequence: a letter next to its
+    inverse cancels, on a stack."""
+    stack = []
+    for l in letters:
+        if stack and stack[-1] == -l:
+            stack.pop()
+        else:
+            stack.append(l)
+    return tuple(stack)
+
+
 def oracle_product(fam, a, b):
     """a*b: coordinatewise sums, the free reduction of the concatenated
-    words, the matrix product, or the permutation that applies a first
-    and then b."""
+    letters, the matrix product, or the permutation that applies a first
+    and then b.  A free word enters the family's form only as an
+    already reduced letter tuple."""
     if isinstance(fam, FreeAbelian):
         return tuple(x + y for x, y in zip(a, b))
     if isinstance(fam, FreeGroup):
-        return fam.canonicalize(a + b)
+        return fam.canonicalize(
+            free_reduce(free_letters(fam, a) + free_letters(fam, b)))
     if isinstance(fam, MatrixGroup):
         return mat_mul(a, b)
     return tuple(b[i - 1] for i in a)

@@ -276,7 +276,9 @@ def test_gauss_modes(capsys):
                      "--no-timestamp")
     assert rc == 0
     assert "checked,digits,worst_slack" in out
-    assert "51,50," in out
+    # the worst slack, 2 pi - 1 at t = 0, shows all of its 50 digits
+    assert out.splitlines()[-1] == \
+        "51,50,5.2831853071795864769252867665590057683943387987502E+0"
 
     rc, out, _ = run(capsys, "gauss", "--check-bound", "--tmax", "20",
                      "--margin", "10")
@@ -445,6 +447,18 @@ def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
     assert rc == 2
     assert "line 3: field 'dyadic-to'" in err
 
+    # the --fit grid up to 100 is t = 16, 19, 23, 27, 32, 38, 45, 54, 64,
+    # 76, 91, each counted alone over 2 isqrt(t) + 1 rows: 143 in all
+    fit = ("gauss", "--fit", "--tmax", "100", "--no-timestamp")
+    rc, out, err = run(capsys, *fit, "--budget", "143")
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(",3")
+    rc, out, err = run(capsys, *fit, "--budget", "142")
+    assert rc == 2
+    assert "field 'tmax'" in err
+    assert "143 disc rows of 11 grid values" in err
+    assert out == ""
+
     # the identity gram of rank 3 has 9 entries
     rc, out, err = run(capsys, "theta", "--rank", "3", "--rmax", "2",
                        "--budget", "9", "--no-timestamp")
@@ -487,7 +501,6 @@ def test_unread_budget_flags_are_config_errors(capsys):
     cases = [
         ("ehrhart", "--polytope", "cross", "--n", "2", "--budget", "1"),
         ("catalan", "--budget", "1"),
-        ("gauss", "--fit", "--tmax", "100", "--budget", "1000"),
         ("verify", "--only", "13", "--budget", "1"),
     ]
     for argv in cases:
@@ -502,6 +515,9 @@ def test_unread_budget_flags_are_config_errors(capsys):
     assert rc == 0
     rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "4",
                        "--budget", "5")
+    assert rc == 0
+    rc, out, err = run(capsys, "gauss", "--fit", "--tmax", "100",
+                       "--budget", "1000")
     assert rc == 0
 
 
@@ -791,6 +807,9 @@ MALFORMED = {
     "huge-dyadic-to": (None, ["gauss", "--check-bound", "--tmax", "10",
                               "--dyadic-to", str(10 ** 30)], "dyadic-to"),
     "huge-theta-rank": (None, ["theta", "--rank", "100000"], "rank"),
+    # and the 2 isqrt(t) + 1 disc rows of each value of the --fit grid
+    "huge-fit-tmax": (None, ["gauss", "--fit", "--tmax", str(10 ** 20)],
+                      "tmax"),
 }
 
 

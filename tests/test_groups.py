@@ -11,7 +11,7 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, mat_inverse_exact, mat_mul,
                               symmetric_group_adjacent)
-from group_oracle import oracle_product
+from group_oracle import free_letters, free_reduce, oracle_product
 
 
 def mul(fam, a, b):
@@ -39,25 +39,18 @@ def test_free_abelian_rejects_wrong_arity():
         fam.canonicalize((1, "x"))
 
 
-def _letters_of(fam, w):
-    """The signed letters of a word, read back from its printed form."""
-    if w == fam.identity():
-        return []
-    return [-int(p[1:-3]) if p.endswith("^-1") else int(p[1:])
-            for p in fam.element_repr(w).split("*")]
-
-
 def _check_free_group_reduction(fam, rng, lengths):
     letters = [l for i in range(1, fam.rank + 1) for l in (i, -i)]
     for _ in range(300):
         word = [rng.choice(letters) for _ in range(rng.randint(0, lengths))]
         w = fam.canonicalize(word)
-        out = _letters_of(fam, w)
+        out = free_letters(fam, w)
         for i in range(len(out) - 1):
             assert out[i] != -out[i + 1]
         assert fam.element_repr(mul(fam, w, fam.inverse(w))) == "e"
         assert fam.element_repr(mul(fam, fam.inverse(w), w)) == "e"
-        assert _letters_of(fam, fam.inverse(w)) == [-l for l in reversed(out)]
+        assert free_letters(fam, fam.inverse(w)) == \
+            tuple(-l for l in reversed(out))
 
 
 def _check_free_group_associativity(fam, rng):
@@ -93,8 +86,8 @@ def test_free_group_associativity_sample():
     _check_free_group_associativity(FreeGroup(2), random.Random(11))
 
 
-def test_free_group_two_byte_letters():
-    # rank 200 needs letters l + 200 up to 400, two bytes each
+def test_free_group_rank_200():
+    # base 401: the digits run up to 400, past one byte
     fam = FreeGroup(200)
     assert fam.element_repr(fam.canonicalize([200, -199, 199, 1])) == \
         "x200*x1"
@@ -106,6 +99,53 @@ def test_free_group_two_byte_letters():
     _check_free_group_associativity(fam, rng)
     table = enumerate_balls(free_group_standard(200), 2)
     assert list(table.sphere_sizes) == [1, 400, 400 * 399]
+
+
+def test_free_group_int_form():
+    # a word is one int in base 2*rank + 1, last letter least
+    # significant: letter l > 0 is the digit l, letter -l the digit
+    # rank + l, the empty word 0
+    f2 = FreeGroup(2)
+    assert f2.identity() == 0
+    assert f2.canonicalize([1, -2]) == 1 * 5 + 4
+    assert f2.canonicalize([-1, 2, 2]) == (3 * 5 + 2) * 5 + 2
+    assert FreeGroup(200).canonicalize([-200, 7]) == 400 * 401 + 7
+
+    for fam, length in ((f2, 30), (FreeGroup(200), 10)):
+        rng = random.Random(fam.rank)
+        letters = [l for i in range(1, fam.rank + 1) for l in (i, -i)]
+        for _ in range(200):
+            word = [rng.choice(letters)
+                    for _ in range(rng.randint(0, length))]
+            reduced = free_reduce(word)
+            w = fam.canonicalize(word)
+            assert isinstance(w, int) and not isinstance(w, bool)
+            assert fam.canonicalize(w) == w
+            assert free_letters(fam, w) == reduced
+            inv = fam.inverse(w)
+            assert fam.canonicalize(inv) == inv
+            assert free_letters(fam, inv) == \
+                tuple(-l for l in reversed(reduced))
+            assert fam.inverse(inv) == w
+
+    # an int is a word only when it is nonnegative and no digit is 0
+    for bad in (-1, -5, True, False, 5, 25, 5 ** 7 + 1):
+        with pytest.raises(StructuralError):
+            f2.canonicalize(bad)
+    with pytest.raises(StructuralError):
+        FreeGroup(200).canonicalize(401 * 3)
+
+    # digits that spell an unreduced word are reduced as its letters are
+    for fam in (f2, FreeGroup(200)):
+        r, base = fam.rank, 2 * fam.rank + 1
+        rng = random.Random(base)
+        for _ in range(200):
+            word = [rng.choice((1, -1)) * rng.randint(1, r)
+                    for _ in range(rng.randint(0, 12))]
+            spelled = 0
+            for l in word:
+                spelled = spelled * base + (l if l > 0 else r - l)
+            assert fam.canonicalize(spelled) == fam.canonicalize(word)
 
 
 def test_det_exact_small_cases():
@@ -201,7 +241,10 @@ def _check_right_multiplier(fam, gens, elements):
         assert list(act(itertools.chain(elements[:half],
                                         elements[half:]))) == expected, s
         assert list(act([])) == [], s
-        shorter += sum(len(gs) < len(g) for g, gs in zip(elements, expected))
+        if isinstance(fam, FreeGroup):
+            shorter += sum(len(free_letters(fam, gs))
+                           < len(free_letters(fam, g))
+                           for g, gs in zip(elements, expected))
     return shorter
 
 
@@ -228,10 +271,10 @@ def test_right_multiplier_matches_oracle():
     # rank 0: the empty vector, no columns to transpose
     _check_right_multiplier(FreeAbelian(0), [()], [()] * 3)
 
-    for rank in (2, 200):  # one-byte and two-byte letters
+    for rank in (2, 200):  # bases 5 and 401
         fam = FreeGroup(rank)
         word = fam.canonicalize([1, -rank])  # the empty word acts trivially
-        assert fam.right_multiplier(fam.identity())(word) == word
+        assert list(fam.right_multiplier(fam.identity())([word])) == [word]
         for length in (1, 2, 3, 5):
             gens = [fam.canonicalize(_reduced_letters(rng, rank, length))
                     for _ in range(6)]
@@ -370,7 +413,7 @@ def test_canonicalize_accepts_its_own_output():
         c = fam.canonicalize(obj)
         assert fam.canonicalize(c) == c
     with pytest.raises(StructuralError):
-        FreeGroup(200).canonicalize(b"\x00\x01\x02")
+        FreeGroup(200).canonicalize(401 * 401)  # two zero digits
 
     # re-marking an existing marking keeps its generators
     for m in (free_group_standard(2), free_group_standard(200),
