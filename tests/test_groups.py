@@ -87,7 +87,7 @@ def test_free_group_associativity_sample():
 
 
 def test_free_group_rank_200():
-    # base 401: the digits run up to 400, past one byte
+    # base 401: the digits run up to 400
     fam = FreeGroup(200)
     assert fam.element_repr(fam.canonicalize([200, -199, 199, 1])) == \
         "x200*x1"
