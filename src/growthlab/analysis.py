@@ -34,7 +34,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
-from .cayley import DEFAULT_ELEMENT_BUDGET, BallTable, expand
+from .cayley import BallTable, expand
+from .config import (DEFAULT_ELEMENT_BUDGET, DYE_AS_GIVEN_CONVENTION,
+                     DYE_IDENTITY_CONVENTION)
 from .errors import ArgumentError, BudgetExceededError
 from .gauss import DIGITS
 from .groups import MarkedGroup
@@ -42,9 +44,6 @@ from .groups import MarkedGroup
 TAU_EXP = Fraction(1, 10)
 TAU_DEG = Fraction(3, 10)
 RHO_EXP = Fraction(4, 5)
-
-DYE_IDENTITY_CONVENTION = "identity-in-F"
-DYE_AS_GIVEN_CONVENTION = "as-given"
 
 
 def _ln(x: int) -> Decimal:

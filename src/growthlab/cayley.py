@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, count, filterfalse, islice
 
+from .config import DEFAULT_ELEMENT_BUDGET
 from .errors import ArgumentError, BudgetExceededError
 from .groups import MarkedGroup
-
-DEFAULT_ELEMENT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

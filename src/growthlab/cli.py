@@ -24,12 +24,11 @@ import dataclasses
 import json
 import math
 import sys
-from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation, localcontext
 from itertools import accumulate
 
-from . import __version__, acceptance, analysis, cayley, ehrhart, gauss, series, theta
-from .config import (POLYTOPE_FAMILIES, build_lattice, build_marked_group,
+from . import __version__
+from .config import (DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
+                     POLYTOPE_FAMILIES, build_lattice, build_marked_group,
                      build_polytope, empty_document, get_budget, get_choice,
                      get_int, load_config, refuse_over_budget)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
@@ -54,6 +53,7 @@ def _merged_document(args, single_keys, multi_keys=()):
 def _emit(args, command: str, doc, csv_lines, json_result) -> None:
     stamp = None
     if not args.no_timestamp:
+        from datetime import datetime, timezone
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         payload = {
@@ -88,13 +88,14 @@ def _table_bound(doc, key: str, default: int, minimum: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports the kernels it runs, so a process loads no other
 # ---------------------------------------------------------------------------
 
 _GROUP_KEYS = ("family", "rank", "degree", "dim", "symmetrize")
 
 
 def cmd_growth(args) -> int:
+    from . import cayley, series
     doc = _merged_document(
         args, _GROUP_KEYS + ("kmax", "guard", "budget"), ("generator",))
     m = build_marked_group(doc)
@@ -134,19 +135,19 @@ def cmd_growth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, cayley
     doc = _merged_document(
         args, _GROUP_KEYS + ("kmax", "budget", "dye-convention"),
         ("generator",))
     m = build_marked_group(doc)
     kmax = get_int(doc, "kmax", default=12, minimum=6)
     convention = get_choice(doc, "dye-convention",
-                            {analysis.DYE_IDENTITY_CONVENTION,
-                             analysis.DYE_AS_GIVEN_CONVENTION},
-                            default=analysis.DYE_IDENTITY_CONVENTION)
+                            {DYE_IDENTITY_CONVENTION, DYE_AS_GIVEN_CONVENTION},
+                            default=DYE_IDENTITY_CONVENTION)
     budget = get_budget(doc)
     doc.refuse_unread("analyze")
     report = analysis.classify(cayley.enumerate_balls(m, kmax, budget))
-    if convention == analysis.DYE_AS_GIVEN_CONVENTION:
+    if convention == DYE_AS_GIVEN_CONVENTION:
         strict = analysis.dye_quantity_strict(m, max(1, kmax // 2),
                                               element_budget=budget)
         report = dataclasses.replace(report, dye=strict)
@@ -185,7 +186,19 @@ def _dyadic_extension(tmax: int, upto: int) -> list:
     return ts
 
 
+def _fit_grid_value(j: int) -> int:
+    """round(2^(j/4)), the j-th value of the four-per-octave fit grid, in
+    integers so that no j overflows a float: f = floor(2^(j/4)), plus 1
+    when 2^(j/4) > f + 1/2, that is when (2f + 1)^4 < 2^(j+4) (never a
+    tie, as the left side is odd)."""
+    f = math.isqrt(math.isqrt(2 ** j))
+    return f + ((2 * f + 1) ** 4 < 2 ** (j + 4))
+
+
 def cmd_gauss(args) -> int:
+    from decimal import Decimal, InvalidOperation, localcontext
+
+    from . import gauss
     doc = _merged_document(
         args, ("tmax", "kmax", "dyadic-to", "margin", "budget"))
     modes = [m for m, on in (("table", args.table), ("check-bound", args.check_bound),
@@ -255,7 +268,7 @@ def cmd_gauss(args) -> int:
     budget = get_budget(doc)
     grid, rows, j = [], 0, 0
     while rows <= budget:
-        t = round(2 ** (j / 4))
+        t = _fit_grid_value(j)
         if t > tmax:
             break
         if t >= 16:
@@ -280,6 +293,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
+    from . import ehrhart, series
     doc = _merged_document(
         args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget"),
         ("vertex", "basis"))
@@ -318,6 +332,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from . import theta
     doc = _merged_document(args, ("rank", "rmax", "budget"), ("gram",))
     lat = build_lattice(doc)
     rmax = _table_bound(doc, "rmax", default=20, minimum=0)
@@ -333,6 +348,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_catalan(args) -> int:
+    from . import series
     doc = _merged_document(args, ("kmax", "budget"))
     kmax = get_int(doc, "kmax", default=20, minimum=0)
     doc.refuse_unread("catalan")
@@ -345,6 +361,7 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
     doc = _merged_document(args, ("budget",))
     doc.refuse_unread("verify")  # verify reads no config key
     selected = None
@@ -423,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="growth diagnostics: rate, degree, verdict")
     p.add_argument("--kmax", type=int)
     p.add_argument("--dye-convention",
-                   help=f"{analysis.DYE_IDENTITY_CONVENTION} (default) or "
-                        f"{analysis.DYE_AS_GIVEN_CONVENTION}")
+                   help=f"{DYE_IDENTITY_CONVENTION} (default) or "
+                        f"{DYE_AS_GIVEN_CONVENTION}")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gauss", parents=[common],

@@ -24,15 +24,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .cayley import DEFAULT_ELEMENT_BUDGET
 from .errors import ConfigError, StructuralError
-from .ehrhart import LatticePolytope, cross_polytope, root_polytope
-from .groups import (FreeAbelian, FreeGroup, MarkedGroup, MatrixGroup,
-                     PermutationGroup, free_abelian_standard,
-                     free_group_standard, heisenberg_group,
-                     symmetric_group_adjacent)
-from .theta import IntegralLattice
+
+if TYPE_CHECKING:
+    from .ehrhart import LatticePolytope
+    from .groups import MarkedGroup
+    from .theta import IntegralLattice
+
+# The kernels are imported by the builders that use them, so a command
+# loads only its own.  The defaults and choices below are read by the
+# kernels and the CLI parser alike without loading any kernel.
+
+# the element budget when no `budget` key is given
+DEFAULT_ELEMENT_BUDGET = 10_000_000
+
+# the two values of `dye-convention`, the first the default
+DYE_IDENTITY_CONVENTION = "identity-in-F"
+DYE_AS_GIVEN_CONVENTION = "as-given"
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
@@ -235,13 +245,13 @@ def refuse_over_budget(doc, key: str, cost: int, what: str) -> None:
                           field=key)
 
 
-# families that take `generator` rows: the family class, the key that
-# sizes it, and the parser of one row
+# families that take `generator` rows: the name of the family class in
+# `groups`, the key that sizes it, and the parser of one row
 _CUSTOM_FAMILIES = {
-    "free-abelian": (FreeAbelian, "rank", _int_list),
-    "free": (FreeGroup, "rank", _int_list),
-    "matrix": (MatrixGroup, "dim", _int_rows),
-    "permutation": (PermutationGroup, "degree", _int_list),
+    "free-abelian": ("FreeAbelian", "rank", _int_list),
+    "free": ("FreeGroup", "rank", _int_list),
+    "matrix": ("MatrixGroup", "dim", _int_rows),
+    "permutation": ("PermutationGroup", "degree", _int_list),
 }
 GROUP_FAMILIES = frozenset(_CUSTOM_FAMILIES) | {"heisenberg", "symmetric"}
 
@@ -251,6 +261,8 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     row goes through its family's own canonicalize; without rows a
     family gets its stock generators, where it has any.  `symmetrize`
     applies to every family."""
+    from . import groups
+
     family = get_choice(doc, "family", GROUP_FAMILIES)
     if family is None:
         raise ConfigError("missing required key", field="family")
@@ -264,8 +276,8 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
         stock = _stock_marking(doc, family, size)
         if stock.symmetrize == symmetrize:
             return stock
-        return MarkedGroup(stock.family, stock.generators, symmetrize)
-    fam, gens = kind(size), []
+        return groups.MarkedGroup(stock.family, stock.generators, symmetrize)
+    fam, gens = getattr(groups, kind)(size), []
     for e in rows:
         try:
             g = fam.canonicalize(parse(e))
@@ -275,14 +287,17 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
             raise ConfigError("the identity may not be listed as a generator",
                               line=e.line, field="generator")
         gens.append(g)
-    return MarkedGroup(fam, tuple(gens), symmetrize)
+    return groups.MarkedGroup(fam, tuple(gens), symmetrize)
 
 
 def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
+    from . import groups
+
     if family == "heisenberg":
-        return heisenberg_group()
+        return groups.heisenberg_group()
     if family == "symmetric":
-        return symmetric_group_adjacent(require_int(doc, "degree", minimum=2))
+        return groups.symmetric_group_adjacent(
+            require_int(doc, "degree", minimum=2))
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
@@ -290,8 +305,8 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
                        "generators and inverses exceed")
     if family == "free":
-        return free_group_standard(rank)
-    return free_abelian_standard(rank)
+        return groups.free_group_standard(rank)
+    return groups.free_abelian_standard(rank)
 
 
 POLYTOPE_FAMILIES = frozenset({"cross", "root", "custom"})
@@ -301,11 +316,13 @@ def build_polytope(doc: ConfigDocument) -> LatticePolytope:
     """Construct a lattice polytope from a config document: either one
     of the stock families (`polytope = cross|root` with `n = ...`) or a
     custom vertex list with optional lattice basis rows."""
+    from . import ehrhart
+
     kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
     if kind == "cross":
-        return cross_polytope(require_int(doc, "n", minimum=1))
+        return ehrhart.cross_polytope(require_int(doc, "n", minimum=1))
     if kind == "root":
-        return root_polytope(require_int(doc, "n", minimum=1))
+        return ehrhart.root_polytope(require_int(doc, "n", minimum=1))
     ambient = require_int(doc, "ambient-dim", minimum=1)
     vertex_entries = doc.get_all("vertex")
     if not vertex_entries:
@@ -327,13 +344,15 @@ def build_polytope(doc: ConfigDocument) -> LatticePolytope:
                 raise ConfigError(f"basis row must have {ambient} coordinates",
                                   line=e.line, field="basis")
             basis.append(tuple(row))
-    return LatticePolytope.make(ambient, vertices, basis)
+    return ehrhart.LatticePolytope.make(ambient, vertices, basis)
 
 
 def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     """Construct an integral lattice: explicit `gram` rows, or `rank`
     alone for the standard Z^rank identity form, whose rank^2 entries
     count against the budget before the matrix is built."""
+    from . import theta
+
     gram_entries = doc.get_all("gram")
     if gram_entries:
         rows = [_int_list(e) for e in gram_entries]
@@ -344,7 +363,7 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
                     f"gram matrix must be square ({width} rows)",
                     line=e.line, field="gram")
         try:
-            return IntegralLattice.make(rows)
+            return theta.IntegralLattice.make(rows)
         except StructuralError as exc:
             raise ConfigError(str(exc), line=gram_entries[0].line,
                               field="gram")
@@ -352,4 +371,4 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     refuse_over_budget(doc, "rank", rank * rank, f"the {rank}x{rank} "
                        "identity gram matrix exceeds")
     identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    return IntegralLattice.make(identity)
+    return theta.IntegralLattice.make(identity)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab.cli import build_parser, main
+from growthlab.cli import _fit_grid_value, build_parser, main
 
 
 def run(capsys, *argv):
@@ -833,6 +833,65 @@ def test_malformed_input_exits_cleanly(tmp_path, case):
         # a config diagnostic, or argparse's for a flag of the wrong type
         assert (f"field '{field}'" in proc.stderr
                 or f"argument --{field}:" in proc.stderr), proc.stderr
+
+
+# a child that runs one CLI command in-process and prints its exit code
+# and the growthlab modules it loaded, as JSON on its last stdout line
+IMPORTS = """
+import json, sys
+from growthlab.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.startswith("growthlab."))]))
+"""
+
+
+def _loaded_modules(*argv):
+    src = str(Path(growthlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORTS, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return {m.removeprefix("growthlab.") for m in loaded}
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "--rank", "8", "--rmax", "4"),
+    ("gauss", "--check-bound", "--tmax", "100"),
+    ("ehrhart", "--polytope", "cross", "--n", "2", "--kmax", "3"),
+], ids=lambda argv: argv[0])
+def test_lattice_commands_load_no_group_kernel(argv):
+    loaded = _loaded_modules(*argv, "--no-timestamp")
+    assert argv[0] in loaded
+    assert loaded.isdisjoint({"groups", "cayley", "analysis", "acceptance"})
+
+
+def test_growth_loads_no_lattice_kernel():
+    loaded = _loaded_modules("growth", "--family", "free", "--rank", "2",
+                             "--kmax", "3", "--no-timestamp")
+    assert "cayley" in loaded
+    assert loaded.isdisjoint({"ehrhart", "theta", "gauss", "acceptance"})
+
+
+def test_version_loads_no_kernel():
+    assert _loaded_modules("--version") == {"cli", "config", "errors"}
+
+
+def test_fit_grid_is_rounded_in_integers():
+    assert [_fit_grid_value(j) for j in range(201)] == \
+        [round(2 ** (j / 4)) for j in range(201)]
+    # past j = 4096 the float 2^(j/4) overflows; each integer value t
+    # still satisfies t - 1/2 < 2^(j/4) < t + 1/2
+    with pytest.raises(OverflowError):
+        round(2 ** (4100 / 4))
+    for j in (4097, 4100, 5003):
+        t = _fit_grid_value(j)
+        assert (2 * t - 1) ** 4 < 2 ** (j + 4) < (2 * t + 1) ** 4
 
 
 def _readme_commands():
