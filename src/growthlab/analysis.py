@@ -35,10 +35,9 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .cayley import BallTable, expand
-from .config import (DEFAULT_ELEMENT_BUDGET, DYE_AS_GIVEN_CONVENTION,
+from .config import (DEFAULT_ELEMENT_BUDGET, DIGITS, DYE_AS_GIVEN_CONVENTION,
                      DYE_IDENTITY_CONVENTION)
 from .errors import ArgumentError, BudgetExceededError
-from .gauss import DIGITS
 from .groups import MarkedGroup
 
 TAU_EXP = Fraction(1, 10)

@@ -27,7 +27,7 @@ import sys
 from itertools import accumulate
 
 from . import __version__
-from .config import (DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
+from .config import (DIGITS, DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
                      POLYTOPE_FAMILIES, build_lattice, build_marked_group,
                      build_polytope, empty_document, get_budget, get_choice,
                      get_int, load_config, refuse_over_budget)
@@ -247,13 +247,13 @@ def cmd_gauss(args) -> int:
         ts = list(range(0, tmax + 1)) + dyadic
         results = gauss.gauss_bound_check(ts, margin=margin)
         with localcontext() as ctx:
-            ctx.prec = gauss.DIGITS
+            ctx.prec = DIGITS
             worst = min(r.bound - r.error for r in results)
         csv_lines = ["checked,digits,worst_slack",
-                     f"{len(results)},{gauss.DIGITS},{worst:E}"]
+                     f"{len(results)},{DIGITS},{worst:E}"]
         json_result = {
             "checked": len(results),
-            "digits": gauss.DIGITS,
+            "digits": DIGITS,
             "margin": str(margin),
             "worst_slack": f"{worst:E}",
             "holds": True,

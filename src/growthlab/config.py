@@ -40,6 +40,9 @@ if TYPE_CHECKING:
 # the element budget when no `budget` key is given
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
+# significant digits of every decimal growthlab shows
+DIGITS = 50
+
 # the two values of `dye-convention`, the first the default
 DYE_IDENTITY_CONVENTION = "identity-in-F"
 DYE_AS_GIVEN_CONVENTION = "as-given"
@@ -296,8 +299,13 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     if family == "heisenberg":
         return groups.heisenberg_group()
     if family == "symmetric":
-        return groups.symmetric_group_adjacent(
-            require_int(doc, "degree", minimum=2))
+        # checked first: for a huge degree the stock generators would
+        # never finish, each being a tuple of degree points
+        degree = require_int(doc, "degree", minimum=2)
+        entries = (degree - 1) * degree
+        refuse_over_budget(doc, "degree", entries, f"the {entries} entries "
+                           f"of the {degree - 1} stock generators exceed")
+        return groups.symmetric_group_adjacent(degree)
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")

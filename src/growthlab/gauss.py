@@ -16,10 +16,9 @@ from decimal import Decimal, localcontext
 from itertools import accumulate
 from statistics import linear_regression
 
+from .config import DIGITS
 from .errors import ArgumentError, CheckFailure
 
-# significant digits of every decimal growthlab shows
-DIGITS = 50
 DEFAULT_MARGIN = Decimal("1e-20")
 
 

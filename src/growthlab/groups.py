@@ -14,8 +14,13 @@ Four families are supported:
   sequences (or a word already in this form) and ``element_repr``
   prints them;
 * ``MatrixGroup(dim)``    -- elements are integer matrices invertible over
-  the integers (``canonicalize`` enforces determinant +-1; determinants
-  and inverses come from the exact routines in :mod:`growthlab.linalg`);
+  the integers, each stored as one flat row-major tuple of dim*dim
+  ints.  Only ``MatrixGroup`` knows this format; ``canonicalize`` takes
+  rows (dim sequences of dim ints) or the flat form, tells them apart
+  by the type of the first entry, enforces determinant +-1 and returns
+  the flat form, and ``element_repr`` prints rows.  Determinants and
+  inverses come from the exact routines in :mod:`growthlab.linalg`,
+  applied to the rows;
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
 
@@ -30,17 +35,19 @@ elements and returns an iterable of the products g*s, in the order of
 ``gs``.  Ball enumeration builds one act per generator and passes it
 each sphere whole, so the per-product work runs inside one expression
 instead of one Python call per product; a single product is
-``[gs] = act([g])``.  The act is specialised to the shape of s: vectors
-are transposed once and each coordinate column is shifted by its
-entry of s, a matrix I + d*E_kc adds d times column k to column c
-(rows with a zero in column k are kept as they are) and any other
-matrix takes the general product ``mat_mul``, a one-letter word s
-drops the last digit of g when it is the digit of s^-1 and appends s
-otherwise, a longer word chains the acts of its letters, and a
-permutation is a table lookup per point.  The acts of the free group,
-matrix and permutation families are lazy: they read ``gs`` only as
-their output is read.  The free-abelian act reads all of ``gs`` when
-called, so it needs a finite batch.
+``[gs] = act([g])``.  The act is specialised to the shape of s: each
+coordinate column i of a batch of vectors is read lazily with
+``itemgetter(i)``, shifted by s_i where s_i is nonzero, and the columns
+are zipped back into vectors; a matrix I + d*E_kc copies each flat g
+into one list, adds d times column k to column c in it and yields it
+as one tuple, and any other matrix takes the general product
+``mat_mul`` on rows; a one-letter word s drops the last digit of g when
+it is the digit of s^-1 and appends s otherwise, a longer word chains
+the acts of its letters, and a permutation is a table lookup per
+point.  The acts of the free group, matrix and permutation families
+are lazy: they read ``gs`` only as their output is read.  The
+free-abelian act reads ``gs`` once per coordinate, so it makes a batch
+that is not a list into one when called and needs a finite batch.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -52,6 +59,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import ConfigError, StructuralError
 from .linalg import det_exact, mat_inverse_exact
@@ -103,12 +112,19 @@ class FreeAbelian:
         return vec
 
     def right_multiplier(self, s: Element) -> Act:
-        if not s:  # rank 0: no columns to transpose, and g*s is g
+        if not s:  # rank 0: no columns to read, and g*s is g
             return iter
-        # transpose the batch once, shift each column with a nonzero entry
-        # of s in C, and zip the columns back into vectors
-        return lambda gs: zip(*[map(x.__add__, col) if x else col
-                                for x, col in zip(s, zip(*gs))])
+        # column i of a batch is read with itemgetter(i); a column with
+        # a nonzero entry of s is shifted by it in C
+        columns = [(itemgetter(i), x.__add__ if x else None)
+                   for i, x in enumerate(s)]
+
+        def act(gs: Iterable[Element]) -> Iterable[Element]:
+            if not isinstance(gs, list):
+                gs = list(gs)  # each column reads the batch once more
+            return zip(*[map(shift, map(get, gs)) if shift else map(get, gs)
+                         for get, shift in columns])
+        return act
 
     def inverse(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -203,7 +219,9 @@ class FreeGroup:
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """Subgroup of GL(dim, Z) generated by explicit integer matrices."""
+    """Subgroup of GL(dim, Z) generated by explicit integer matrices;
+    each element is one flat row-major tuple of dim*dim ints (see the
+    module docstring)."""
 
     dim: int
 
@@ -211,43 +229,67 @@ class MatrixGroup:
         if self.dim < 1:
             raise StructuralError("matrix dimension must be at least 1")
 
+    def _rows(self, a: Element) -> tuple:
+        n = self.dim
+        return tuple(a[i:i + n] for i in range(0, n * n, n))
+
     def identity(self) -> Element:
-        return tuple(
-            tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)
-        )
+        n = self.dim
+        return tuple(int(i == j) for i in range(n) for j in range(n))
 
     def canonicalize(self, obj) -> Element:
-        rows = tuple(tuple(_as_int(x, "matrix entry") for x in row) for row in obj)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise StructuralError(f"matrix is not {self.dim}x{self.dim}")
+        n = self.dim
+        obj = tuple(obj)
+        if obj and isinstance(obj[0], int):  # the flat form
+            flat = tuple(_as_int(x, "matrix entry") for x in obj)
+            if len(flat) != n * n:
+                raise StructuralError(f"matrix is not {n}x{n}")
+            rows = self._rows(flat)
+        else:  # dim rows of dim entries
+            rows = tuple(tuple(_as_int(x, "matrix entry") for x in row)
+                         for row in obj)
+            if len(rows) != n or any(len(r) != n for r in rows):
+                raise StructuralError(f"matrix is not {n}x{n}")
+            flat = tuple(chain.from_iterable(rows))
         d = det_exact(rows)
         if d not in (1, -1):
             raise StructuralError(f"matrix has determinant {d}, must be +-1")
-        return rows
+        return flat
 
     def right_multiplier(self, s: Element) -> Act:
         # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
-        # as for the Heisenberg generators, that adds d * g[r][k] to g[r][c]
-        # in each row r, and a row with g[r][k] == 0 stays as it is.  Any
-        # other s takes the general product.
+        # as for the Heisenberg generators, that adds d * g[r][k] to
+        # g[r][c] in each row r (a zero g[r][k] adds 0, which is cheaper
+        # than testing for it).  Any other s takes the general product on
+        # rows.
         n = self.dim
-        delta = [(k, c, s[k][c] - (k == c)) for k in range(n)
-                 for c in range(n) if s[k][c] != (k == c)]
+        delta = [(k, c, s[k * n + c] - (k == c)) for k in range(n)
+                 for c in range(n) if s[k * n + c] != (k == c)]
         if len(delta) == 1:
             (k, c, d), = delta
-            return lambda gs: (tuple([
-                row[:c] + (row[c] + d * row[k],) + row[c + 1:] if row[k]
-                else row for row in g]) for g in gs)
-        return lambda gs: (mat_mul(g, s) for g in gs)
+            # (position of g[r][k], position of g[r][c]) in each row r
+            pairs = [(r + k, r + c) for r in range(0, n * n, n)]
+
+            def act(gs: Iterable[Element]) -> Iterable[Element]:
+                for g in gs:
+                    h = list(g)
+                    for src, dst in pairs:
+                        h[dst] += d * g[src]
+                    yield tuple(h)
+            return act
+        rows, s_rows = self._rows, self._rows(s)
+        return lambda gs: (tuple(chain.from_iterable(mat_mul(rows(g), s_rows)))
+                           for g in gs)
 
     def inverse(self, a: Element) -> Element:
-        return mat_inverse_exact(a)
+        return tuple(chain.from_iterable(mat_inverse_exact(self._rows(a))))
 
     def describe(self) -> str:
         return f"matrix dim {self.dim}"
 
     def element_repr(self, a: Element) -> str:
-        return "[" + "; ".join(" ".join(map(str, row)) for row in a) + "]"
+        return "[" + "; ".join(" ".join(map(str, row))
+                               for row in self._rows(a)) + "]"
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ from itertools import product
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup,
                               free_abelian_standard, free_group_standard,
-                              heisenberg_group, mat_mul,
-                              symmetric_group_adjacent)
+                              heisenberg_group, symmetric_group_adjacent)
 
 
 def free_letters(fam, w):
@@ -23,6 +22,13 @@ def free_letters(fam, w):
         return ()
     return tuple(-int(p[1:-3]) if p.endswith("^-1") else int(p[1:])
                  for p in fam.element_repr(w).split("*"))
+
+
+def matrix_rows(fam, a):
+    """The rows of a matrix-group element, read back from its printed
+    form ``[1 1 0; 0 1 0; 0 0 1]``."""
+    return tuple(tuple(map(int, row.split()))
+                 for row in fam.element_repr(a)[1:-1].split(";"))
 
 
 def free_reduce(letters):
@@ -39,16 +45,20 @@ def free_reduce(letters):
 
 def oracle_product(fam, a, b):
     """a*b: coordinatewise sums, the free reduction of the concatenated
-    letters, the matrix product, or the permutation that applies a first
-    and then b.  A free word enters the family's form only as an
-    already reduced letter tuple."""
+    letters, the matrix product of the rows, or the permutation that
+    applies a first and then b.  A free word enters the family's form
+    only as an already reduced letter tuple, a matrix only as rows."""
     if isinstance(fam, FreeAbelian):
         return tuple(x + y for x, y in zip(a, b))
     if isinstance(fam, FreeGroup):
         return fam.canonicalize(
             free_reduce(free_letters(fam, a) + free_letters(fam, b)))
     if isinstance(fam, MatrixGroup):
-        return mat_mul(a, b)
+        a, b = matrix_rows(fam, a), matrix_rows(fam, b)
+        n = fam.dim
+        return fam.canonicalize(
+            [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+             for i in range(n)])
     return tuple(b[i - 1] for i in a)
 
 
@@ -110,7 +120,8 @@ def random_matrix_set(rng, size):
             shear[i][j] = rng.choice((-2, -1, 1, 2))
             g = oracle_product(fam, g, fam.canonicalize(shear))
         if not gens and rng.random() < 0.5:
-            g = (tuple(-x for x in g[0]),) + g[1:]
+            rows = matrix_rows(fam, g)
+            g = fam.canonicalize((tuple(-x for x in rows[0]),) + rows[1:])
         if g != fam.identity() and g not in gens:
             gens.append(g)
     return fam, tuple(gens)

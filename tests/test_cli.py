@@ -427,6 +427,27 @@ def test_oversized_stock_rank_is_config_error(capsys, tmp_path):
     assert out.splitlines()[-1] == "3,2,7"
 
 
+def test_oversized_stock_degree_is_config_error(capsys, tmp_path):
+    # the degree - 1 stock transpositions of degree points each are
+    # counted entry by entry before any is built: S_4 has 3 * 4 = 12
+    sym = ("growth", "--family", "symmetric", "--degree", "4", "--kmax", "1",
+           "--no-timestamp")
+    rc, out, err = run(capsys, *sym, "--budget", "12")
+    assert rc == 0
+    assert out.splitlines()[-1] == "1,3,4"
+    rc, out, err = run(capsys, *sym, "--budget", "11")
+    assert rc == 2
+    assert "field 'degree'" in err
+    assert "12 entries of the 3 stock generators" in err
+    assert "Traceback" not in err
+    assert out == ""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = symmetric\ndegree = 4\nbudget = 11\n")
+    rc, out, err = run(capsys, "analyze", "--config", str(cfg))
+    assert rc == 2
+    assert "line 2: field 'degree'" in err
+
+
 def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
                                                                tmp_path):
     # --dyadic-to 64 past --tmax 10 adds t = 16, 32, 64, whose discs
@@ -807,6 +828,10 @@ MALFORMED = {
     "huge-dyadic-to": (None, ["gauss", "--check-bound", "--tmax", "10",
                               "--dyadic-to", str(10 ** 30)], "dyadic-to"),
     "huge-theta-rank": (None, ["theta", "--rank", "100000"], "rank"),
+    # the (degree - 1) * degree entries of the stock transpositions
+    "huge-symmetric-degree": (None, ["growth", "--family", "symmetric",
+                                     "--degree", "100000", "--kmax", "1"],
+                              "degree"),
     # and the 2 isqrt(t) + 1 disc rows of each value of the --fit grid
     "huge-fit-tmax": (None, ["gauss", "--fit", "--tmax", str(10 ** 20)],
                       "tmax"),
@@ -876,6 +901,14 @@ def test_growth_loads_no_lattice_kernel():
                              "--kmax", "3", "--no-timestamp")
     assert "cayley" in loaded
     assert loaded.isdisjoint({"ehrhart", "theta", "gauss", "acceptance"})
+
+
+def test_analyze_loads_no_lattice_kernel():
+    # the digit count of its decimals lives in config, not in gauss
+    loaded = _loaded_modules("analyze", "--family", "heisenberg", "--kmax",
+                             "6", "--no-timestamp")
+    assert "analysis" in loaded
+    assert loaded.isdisjoint({"gauss", "ehrhart", "theta", "acceptance"})
 
 
 def test_version_loads_no_kernel():

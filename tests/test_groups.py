@@ -11,7 +11,8 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, mat_inverse_exact, mat_mul,
                               symmetric_group_adjacent)
-from group_oracle import free_letters, free_reduce, oracle_product
+from group_oracle import (free_letters, free_reduce, matrix_rows,
+                          oracle_product)
 
 
 def mul(fam, a, b):
@@ -174,8 +175,8 @@ def test_matrix_inverse_round_trip():
         a = _random_unimodular(3, rng)
         assert det_exact(a) == 1
         inv = mat_inverse_exact(a)
-        assert mat_mul(a, inv) == ident
-        assert mat_mul(inv, a) == ident
+        assert fam.canonicalize(mat_mul(a, inv)) == ident
+        assert fam.canonicalize(mat_mul(inv, a)) == ident
 
 
 def test_matrix_inverse_rejects_non_unimodular():
@@ -187,10 +188,74 @@ def test_matrix_inverse_rejects_non_unimodular():
 
 def test_matrix_generator_determinant_check():
     fam = MatrixGroup(2)
-    assert fam.canonicalize([[0, 1], [1, 0]]) == ((0, 1), (1, 0))  # det -1
+    assert fam.canonicalize([[0, 1], [1, 0]]) == (0, 1, 1, 0)  # det -1
     for bad in (((2, 0), (0, 1)), ((1, 1), (1, 1))):
         with pytest.raises(StructuralError, match="determinant"):
             fam.canonicalize(bad)
+
+
+def test_matrix_canonicalize_takes_rows_and_flat_form():
+    # an element is one flat row-major tuple of dim*dim ints; rows and
+    # the flat form are told apart by the type of the first entry, so
+    # dim 1 works as any other
+    rng = random.Random(29)
+    for dim in (1, 2, 3, 4):
+        fam = MatrixGroup(dim)
+        assert fam.identity() == tuple(int(i == j) for i in range(dim)
+                                       for j in range(dim))
+        if dim == 1:
+            samples = [((1,),), ((-1,),)]
+        else:
+            samples = [_random_unimodular(dim, rng) for _ in range(20)]
+            samples += [((tuple(-x for x in a[0]),) + a[1:])
+                        for a in samples[:10]]
+        for rows in samples:
+            flat = tuple(x for row in rows for x in row)
+            assert fam.canonicalize(rows) == flat
+            assert fam.canonicalize([list(row) for row in rows]) == flat
+            assert fam.canonicalize(flat) == flat
+            assert fam.canonicalize(list(flat)) == flat
+            assert matrix_rows(fam, flat) == rows
+            assert fam.inverse(flat) == \
+                fam.canonicalize(mat_inverse_exact(rows))
+
+
+def test_matrix_canonicalize_refusals():
+    fam = MatrixGroup(2)
+    # wrong shape, flat or as rows
+    for bad in ((1, 0, 0), (1, 0, 0, 1, 0), (1,), ((1, 0), (0, 1), (0, 0)),
+                ((1, 0), (0,)), ((1, 0, 0, 1),)):
+        with pytest.raises(StructuralError, match="not 2x2"):
+            fam.canonicalize(bad)
+    # a bool is no matrix entry, in either form
+    for bad in ((True, 0, 0, 1), (1, 0, 0, True), ((True, 0), (0, 1)),
+                ((1, 0), (0, True)), (1, 0.0, 0, 1)):
+        with pytest.raises(StructuralError, match="integer"):
+            fam.canonicalize(bad)
+    # the determinant must be +-1, in either form
+    for bad in ((2, 0, 0, 1), (1, 1, 1, 1), ((0, 0), (0, 0)), ((3, 1), (1, 1))):
+        with pytest.raises(StructuralError, match="determinant"):
+            fam.canonicalize(bad)
+    with pytest.raises(StructuralError, match="determinant 3"):
+        MatrixGroup(1).canonicalize((3,))
+
+
+def test_free_abelian_act_reads_a_one_shot_batch():
+    # the act reads its batch once per coordinate, so a batch that is
+    # not a list is made one first: a one-shot iterator gives the
+    # products of the list
+    rng = random.Random(53)
+    for rank in (2, 3, 6):
+        fam = FreeAbelian(rank)
+        batch = [tuple(rng.randint(-9, 9) for _ in range(rank))
+                 for _ in range(30)]
+        unit = tuple(int(i == 1) for i in range(rank))
+        dense = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rank))
+        for s in (unit, dense):
+            expected = [oracle_product(fam, g, s) for g in batch]
+            act = fam.right_multiplier(s)
+            assert list(act(iter(batch))) == expected
+            assert list(act(g for g in batch)) == expected
 
 
 def test_permutation_group_law():
@@ -287,22 +352,24 @@ def test_right_multiplier_matches_oracle():
             assert _check_right_multiplier(fam, gens, elements) > 0
 
     def flip(a):  # negate the first row: determinant -1
-        return (tuple(-x for x in a[0]),) + a[1:]
+        rows = matrix_rows(fam, a)
+        return fam.canonicalize((tuple(-x for x in rows[0]),) + rows[1:])
 
     for dim in (2, 3, 4):
         fam = MatrixGroup(dim)
         gens = [flip(fam.identity())]
         for i, j in itertools.permutations(range(dim), 2):
             for d in (1, -1, 3, -3):  # unipotent I + d*E_ij
-                gens.append(tuple(
+                gens.append(fam.canonicalize(
                     tuple(int(r == c) + d * ((r, c) == (i, j))
                           for c in range(dim))
                     for r in range(dim)))
-        dense = [_random_unimodular(dim, rng) for _ in range(4)]
+        dense = [fam.canonicalize(_random_unimodular(dim, rng))
+                 for _ in range(4)]
         gens += dense + [flip(a) for a in dense]
         elements = [fam.identity()]
         for _ in range(10):
-            a = _random_unimodular(dim, rng)
+            a = fam.canonicalize(_random_unimodular(dim, rng))
             elements += [a, flip(a)]
         _check_right_multiplier(fam, gens, elements)
 
@@ -373,7 +440,7 @@ def test_stock_constructions():
     assert [f2.family.element_repr(g) for g in f2.generators] == ["x1", "x2"]
 
     h = heisenberg_group()
-    assert det_exact(h.generators[0]) == 1
+    assert det_exact(matrix_rows(h.family, h.generators[0])) == 1
     assert len(h.effective_generating_set()) == 4
 
     s4 = symmetric_group_adjacent(4)
@@ -387,6 +454,13 @@ def test_describe_mentions_family_and_set():
     assert "free-abelian rank 2" in text
     assert "(1, 0)" in text
     assert "symmetrized" in text
+
+    # a matrix marking prints its generators as rows
+    m = MarkedGroup(MatrixGroup(3), (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                                     ((0, 1, 0), (1, 0, 0), (0, 0, -1))),
+                    symmetrize=False)
+    assert m.describe() == ("matrix dim 3; S = {[1 1 0; 0 1 0; 0 0 1], "
+                            "[0 1 0; 1 0 0; 0 0 -1]} (as-given)")
 
 
 def test_distinct_elements_are_distinct_keys():
