@@ -263,10 +263,11 @@ class MatrixGroup:
         # than testing for it).  Any other s takes the general product on
         # rows.
         n = self.dim
-        delta = [(k, c, s[k * n + c] - (k == c)) for k in range(n)
-                 for c in range(n) if s[k * n + c] != (k == c)]
+        delta = [(i, x - e) for i, (x, e) in enumerate(zip(s, self.identity()))
+                 if x != e]
         if len(delta) == 1:
-            (k, c, d), = delta
+            (i, d), = delta
+            k, c = divmod(i, n)
             # (position of g[r][k], position of g[r][c]) in each row r
             pairs = [(r + k, r + c) for r in range(0, n * n, n)]
 
