@@ -351,6 +351,10 @@ def cmd_catalan(args) -> int:
     from . import series
     doc = _merged_document(args, ("kmax", "budget"))
     kmax = get_int(doc, "kmax", default=20, minimum=0)
+    # c_k < 4^k, so c_0..c_kmax take fewer than kmax*(kmax+1) bits
+    bits = kmax * (kmax + 1)
+    refuse_over_budget(doc, "kmax", bits,
+                       f"an output bound of {bits} bits exceeds")
     doc.refuse_unread("catalan")
     coeffs = series.catalan(kmax)
     csv_lines = ["k,catalan"]

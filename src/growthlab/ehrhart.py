@@ -82,16 +82,21 @@ class LatticePolytope:
                 verts.append(vt)
         if not verts:
             raise ArgumentError("polytope needs at least one vertex")
-        # write each vertex in lattice coordinates: solve B^T c = v
-        bt = [[row[i] for row in basis] for i in range(ambient_dim)]
+        # write each vertex in lattice coordinates, B^T c = v: the rows of
+        # B are independent, so the null space of [B^T | -v] is empty or
+        # spanned by one primitive (c, t) with t > 0, and t = 1 exactly
+        # when c is integral
         coords = []
         for v in verts:
-            sol = linalg.solve(bt, v)
-            if sol is None:
+            null = linalg.nullspace([[row[i] for row in basis] + [-v[i]]
+                                     for i in range(ambient_dim)],
+                                    len(basis) + 1)
+            if not null:
                 raise StructuralError(f"vertex {v} is outside the lattice span")
-            if any(c.denominator != 1 for c in sol):
+            *c, t = null[0]
+            if t != 1:
                 raise StructuralError(f"vertex {v} is not a lattice point")
-            coords.append(tuple(int(c) for c in sol))
+            coords.append(tuple(c))
         return LatticePolytope(ambient_dim, basis, tuple(verts), tuple(coords))
 
     @property

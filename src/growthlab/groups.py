@@ -17,10 +17,10 @@ Four families are supported:
   the integers, each stored as one flat row-major tuple of dim*dim
   ints.  Only ``MatrixGroup`` knows this format; ``canonicalize`` takes
   rows (dim sequences of dim ints) or the flat form, tells them apart
-  by the type of the first entry, enforces determinant +-1 and returns
-  the flat form, and ``element_repr`` prints rows.  Determinants and
-  inverses come from the exact routines in :mod:`growthlab.linalg`,
-  applied to the rows;
+  by whether the first entry is a sequence, enforces determinant +-1
+  and returns the flat form, and ``element_repr`` prints rows.
+  Determinants and inverses come from the exact routines in
+  :mod:`growthlab.linalg`, applied to the rows;
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
 
@@ -35,19 +35,19 @@ elements and returns an iterable of the products g*s, in the order of
 ``gs``.  Ball enumeration builds one act per generator and passes it
 each sphere whole, so the per-product work runs inside one expression
 instead of one Python call per product; a single product is
-``[gs] = act([g])``.  The act is specialised to the shape of s: each
-coordinate column i of a batch of vectors is read lazily with
-``itemgetter(i)``, shifted by s_i where s_i is nonzero, and the columns
-are zipped back into vectors; a matrix I + d*E_kc copies each flat g
-into one list, adds d times column k to column c in it and yields it
-as one tuple, and any other matrix takes the general product
-``mat_mul`` on rows; a one-letter word s drops the last digit of g when
-it is the digit of s^-1 and appends s otherwise, a longer word chains
-the acts of its letters, and a permutation is a table lookup per
-point.  The acts of the free group, matrix and permutation families
-are lazy: they read ``gs`` only as their output is read.  The
-free-abelian act reads ``gs`` once per coordinate, so it makes a batch
-that is not a list into one when called and needs a finite batch.
+``[gs] = act([g])``.  Vectors and matrices share one act,
+``_column_act``: each entry of g*s is a short sum of integer multiples
+of entries of g, so the act reads each entry it needs as a column of
+the batch with ``itemgetter``, scales and adds whole columns with
+``map`` in C, and zips the columns back into elements.  Entry i of a
+vector g + s is column i shifted by s_i; entry (r, c) of a matrix g*s
+is the sum of s[j][c] * g[r][j] over the nonzero s[j][c].  That act
+reads ``gs`` once per column, so it makes a batch that is not a list
+into one when called and needs a finite batch.  A one-letter word s
+drops the last digit of g when it is the digit of s^-1 and appends s
+otherwise, a longer word chains the acts of its letters, and a
+permutation is a table lookup per point; these two acts are lazy and
+read ``gs`` only as their output is read.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import ConfigError, StructuralError
 from .linalg import det_exact, mat_inverse_exact
@@ -77,14 +77,29 @@ def _as_int(x, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# element helpers (exact determinants and inverses come from linalg.py)
+# the column-read act (exact determinants and inverses come from linalg.py)
 # ---------------------------------------------------------------------------
 
-def mat_mul(a: Element, b: Element) -> Element:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, colv)) for colv in bt) for row in a
-    )
+def _column_act(entries) -> Act:
+    """The act of a law whose product g*s is read off columns of g.
+
+    ``entries`` holds, for each entry of g*s in order, its terms and a
+    function ``finish`` or None: the entry is finish(sum of x * get(g)
+    over the terms (get, x)), or that sum when ``finish`` is None.
+    """
+    def column(gs, terms, finish):
+        cols = [map(get, gs) if x == 1 else map(x.__mul__, map(get, gs))
+                for get, x in terms]
+        col = cols[0]
+        for other in cols[1:]:
+            col = map(add, col, other)
+        return map(finish, col) if finish else col
+
+    def act(gs: Iterable[Element]) -> Iterable[Element]:
+        if not isinstance(gs, list):
+            gs = list(gs)  # each column reads the batch once more
+        return zip(*[column(gs, terms, finish) for terms, finish in entries])
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +129,9 @@ class FreeAbelian:
     def right_multiplier(self, s: Element) -> Act:
         if not s:  # rank 0: no columns to read, and g*s is g
             return iter
-        # column i of a batch is read with itemgetter(i); a column with
-        # a nonzero entry of s is shifted by it in C
-        columns = [(itemgetter(i), x.__add__ if x else None)
-                   for i, x in enumerate(s)]
-
-        def act(gs: Iterable[Element]) -> Iterable[Element]:
-            if not isinstance(gs, list):
-                gs = list(gs)  # each column reads the batch once more
-            return zip(*[map(shift, map(get, gs)) if shift else map(get, gs)
-                         for get, shift in columns])
-        return act
+        # entry i is column i, shifted by s_i where s_i is nonzero
+        return _column_act([([(itemgetter(i), 1)], x.__add__ if x else None)
+                            for i, x in enumerate(s)])
 
     def inverse(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -240,12 +247,16 @@ class MatrixGroup:
     def canonicalize(self, obj) -> Element:
         n = self.dim
         obj = tuple(obj)
-        if obj and isinstance(obj[0], int):  # the flat form
+        if obj and not hasattr(obj[0], "__iter__"):  # the flat form
             flat = tuple(_as_int(x, "matrix entry") for x in obj)
             if len(flat) != n * n:
                 raise StructuralError(f"matrix is not {n}x{n}")
             rows = self._rows(flat)
         else:  # dim rows of dim entries
+            for row in obj:
+                if not hasattr(row, "__iter__"):
+                    raise StructuralError(
+                        f"matrix row must be a sequence, got {row!r}")
             rows = tuple(tuple(_as_int(x, "matrix entry") for x in row)
                          for row in obj)
             if len(rows) != n or any(len(r) != n for r in rows):
@@ -257,30 +268,13 @@ class MatrixGroup:
         return flat
 
     def right_multiplier(self, s: Element) -> Act:
-        # g*s = g + g(s - I).  When s - I is d at (k, c) and 0 elsewhere,
-        # as for the Heisenberg generators, that adds d * g[r][k] to
-        # g[r][c] in each row r (a zero g[r][k] adds 0, which is cheaper
-        # than testing for it).  Any other s takes the general product on
-        # rows.
+        # entry (r, c) is the sum of s[j][c] * g[r][j] over the nonzero
+        # s[j][c]; an invertible s has one in every column
         n = self.dim
-        delta = [(i, x - e) for i, (x, e) in enumerate(zip(s, self.identity()))
-                 if x != e]
-        if len(delta) == 1:
-            (i, d), = delta
-            k, c = divmod(i, n)
-            # (position of g[r][k], position of g[r][c]) in each row r
-            pairs = [(r + k, r + c) for r in range(0, n * n, n)]
-
-            def act(gs: Iterable[Element]) -> Iterable[Element]:
-                for g in gs:
-                    h = list(g)
-                    for src, dst in pairs:
-                        h[dst] += d * g[src]
-                    yield tuple(h)
-            return act
-        rows, s_rows = self._rows, self._rows(s)
-        return lambda gs: (tuple(chain.from_iterable(mat_mul(rows(g), s_rows)))
-                           for g in gs)
+        return _column_act([
+            ([(itemgetter(r + j), s[j * n + c]) for j in range(n)
+              if s[j * n + c]], None)
+            for r in range(0, n * n, n) for c in range(n)])
 
     def inverse(self, a: Element) -> Element:
         return tuple(chain.from_iterable(mat_inverse_exact(self._rows(a))))

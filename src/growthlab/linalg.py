@@ -4,14 +4,13 @@ Everything rests on one fraction-free row reduction, :func:`_echelon`
 (Bareiss, *Sylvester's identity and multistep integer-preserving
 Gaussian elimination*, Math. Comp. 22, 1968).  By Sylvester's identity
 every entry it produces is an integer minor of the input, so its
-divisions are exact.  Rank, determinant, exact solve, integral inverse,
-an integer null-space basis and the integer form of LDL^T are read off
-the reduced matrix.
+divisions are exact.  Rank, determinant, an integer null-space basis
+and the integer form of LDL^T are read off the reduced matrix, and the
+integral inverse off null spaces.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import StructuralError
@@ -65,22 +64,6 @@ def det_exact(rows) -> int:
     return -det if swaps % 2 else det
 
 
-def solve(a_rows, b) -> list | None:
-    """Solve A c = b exactly; returns the solution as a list of
-    Fractions, or None when the system is inconsistent or A does not
-    have full column rank.  A may be rectangular."""
-    n = len(a_rows[0]) if a_rows else 0
-    m, pivots, _ = _echelon([list(row) + [v] for row, v in zip(a_rows, b)])
-    if pivots != list(range(n)):
-        return None
-    sol = [Fraction(0)] * n
-    for r in reversed(range(n)):
-        row = m[r]
-        acc = row[n] - sum(row[j] * sol[j] for j in range(r + 1, n))
-        sol[r] = Fraction(acc, row[r])
-    return sol
-
-
 def mat_inverse_exact(rows) -> tuple:
     """Inverse of an integer matrix, required to be integral.
 
@@ -88,14 +71,21 @@ def mat_inverse_exact(rows) -> tuple:
     a non-integer entry (i.e. the matrix is not invertible over Z).
     """
     n = len(rows)
-    cols = [solve(rows, [int(i == j) for i in range(n)]) for j in range(n)]
-    if None in cols:
+    if rank(rows) < n:
         raise StructuralError("matrix is singular, no inverse exists")
-    if any(v.denominator != 1 for col in cols for v in col):
-        raise StructuralError(
-            "matrix inverse is not integral; the matrix is not "
-            "invertible over the integers")
-    return tuple(tuple(int(col[i]) for col in cols) for i in range(n))
+    # column j of the inverse solves A c = e_j: the null space of
+    # [A | -e_j] is spanned by one primitive (c, t) with t > 0, and
+    # t = 1 exactly when c is integral
+    cols = []
+    for j in range(n):
+        [[*col, t]] = nullspace([[*row, -int(i == j)]
+                                 for i, row in enumerate(rows)], n + 1)
+        if t != 1:
+            raise StructuralError(
+                "matrix inverse is not integral; the matrix is not "
+                "invertible over the integers")
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def nullspace(rows, n: int) -> list:

@@ -244,19 +244,14 @@ def _berlekamp_massey(seq: list[Fraction]):
             continue
         coef = d / b
         shifted = [Fraction(0)] * m + [coef * x for x in B]
+        T = C  # C is rebuilt below, so T keeps the old polynomial
+        C = C + [Fraction(0)] * (len(shifted) - len(C))
+        for i, x in enumerate(shifted):
+            C[i] -= x
         if 2 * L <= n:
-            T = list(C)
-            if len(C) < len(shifted):
-                C = C + [Fraction(0)] * (len(shifted) - len(C))
-            for i, x in enumerate(shifted):
-                C[i] -= x
             L = n + 1 - L
             B, b, m = T, d, 1
         else:
-            if len(C) < len(shifted):
-                C = C + [Fraction(0)] * (len(shifted) - len(C))
-            for i, x in enumerate(shifted):
-                C[i] -= x
             m += 1
     while len(C) > 1 and C[-1] == 0:
         C.pop()
@@ -296,11 +291,12 @@ def recognize_rational(seq, guard: int = 4) -> RationalFunction | None:
 # ---------------------------------------------------------------------------
 
 def catalan(kmax: int) -> list[int]:
-    """Catalan numbers c_0..c_kmax by the convolution recurrence
-    c_{k+1} = sum_{i=0}^{k} c_i c_{k-i}, with c_0 = 1."""
+    """Catalan numbers c_0..c_kmax by the ratio recurrence
+    c_{k+1} = c_k * 2(2k+1) / (k+2), with c_0 = 1; the division is
+    exact (Stanley, *Catalan Numbers*, 2015, ch. 1)."""
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     c = [1]
     for k in range(kmax):
-        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+        c.append(c[k] * 2 * (2 * k + 1) // (k + 2))
     return c

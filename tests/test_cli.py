@@ -167,6 +167,32 @@ def test_output_file(capsys, tmp_path):
     assert "k,catalan" in lines
 
 
+def test_catalan_budget_counts_output_bits(capsys):
+    # c_k < 4^k, so c_0..c_kmax take fewer than kmax*(kmax+1) bits, and
+    # that bound counts against the budget before any work
+    for kmax in (0, 1, 7, 20):
+        bits = kmax * (kmax + 1)
+        rc, out, err = run(capsys, "catalan", "--kmax", str(kmax),
+                           "--budget", str(max(bits, 1)), "--no-timestamp")
+        assert rc == 0, err
+        assert len(out.splitlines()) == 6 + kmax
+        total = sum(int(line.split(",")[1]).bit_length()
+                    for line in out.splitlines()[-(kmax + 1):])
+        assert total <= max(bits, 1)
+        if bits > 1:
+            rc, out, err = run(capsys, "catalan", "--kmax", str(kmax),
+                               "--budget", str(bits - 1))
+            assert rc == 2
+            assert out == ""
+            assert (f"field 'kmax': an output bound of {bits} bits exceeds "
+                    f"the budget of {bits - 1}") in err
+    # at the default budget of 10^7 the largest kmax is 3161
+    rc, out, err = run(capsys, "catalan", "--kmax", "3162")
+    assert rc == 2
+    assert "field 'kmax'" in err
+    assert out == ""
+
+
 def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "x.csv"
     rc, out, err = run(capsys, "catalan", "--kmax", "7",
@@ -504,10 +530,11 @@ def test_unread_config_key_is_config_error(capsys, tmp_path):
     assert rc == 2
     assert "line 3: field 'kmaxx'" in err
     assert out == ""
-    cfg.write_text("kmax = 5\nbudget = 10\n")  # catalan reads no budget
-    rc, out, err = run(capsys, "catalan", "--config", str(cfg))
-    assert rc == 2
-    assert "line 2: field 'budget'" in err
+    cfg.write_text("kmax = 5\nbudget = 30\n")  # catalan reads its budget
+    rc, out, err = run(capsys, "catalan", "--config", str(cfg),
+                       "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "5,42"
     cfg.write_text("kmax = 5\n")
     rc, out, err = run(capsys, "verify", "--only", "13", "--config", str(cfg))
     assert rc == 2
@@ -521,7 +548,6 @@ def test_unread_config_key_is_config_error(capsys, tmp_path):
 def test_unread_budget_flags_are_config_errors(capsys):
     cases = [
         ("ehrhart", "--polytope", "cross", "--n", "2", "--budget", "1"),
-        ("catalan", "--budget", "1"),
         ("verify", "--only", "13", "--budget", "1"),
     ]
     for argv in cases:
@@ -531,6 +557,8 @@ def test_unread_budget_flags_are_config_errors(capsys):
         assert "Traceback" not in err
         assert out == ""
     # the commands that read it still take it
+    rc, out, err = run(capsys, "catalan", "--kmax", "2", "--budget", "6")
+    assert rc == 0
     rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "4",
                        "--budget", "5")
     assert rc == 0
@@ -835,6 +863,8 @@ MALFORMED = {
     # and the 2 isqrt(t) + 1 disc rows of each value of the --fit grid
     "huge-fit-tmax": (None, ["gauss", "--fit", "--tmax", str(10 ** 20)],
                       "tmax"),
+    # kmax*(kmax+1) bits bound the Catalan numbers c_0..c_kmax
+    "huge-catalan-kmax": (None, ["catalan", "--kmax", str(10 ** 8)], "kmax"),
 }
 
 

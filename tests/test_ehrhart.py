@@ -161,6 +161,43 @@ def test_validation_errors():
         LatticePolytope.make(1, [(1,)], basis=[(2,)])
 
 
+def test_vertex_coordinates_on_random_lattices():
+    # with the first row of B scaled by d, v = B^T c lies in the span and
+    # has coordinates (c_0 / d, c_1, ...), a lattice point exactly when
+    # d divides c_0, since the rows of B are independent; a vector that
+    # raises the rank of B is outside the span
+    rng = random.Random(41)
+    kinds = {"ok": 0, "not a lattice point": 0, "outside": 0}
+    for _ in range(300):
+        ambient = rng.randint(1, 4)
+        rank = rng.randint(1, ambient)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(ambient))
+                 for _ in range(rank)]
+        if linalg.rank(basis) < rank:
+            continue
+        c = [rng.randint(-4, 4) for _ in range(rank)]
+        v = tuple(sum(ci * row[j] for ci, row in zip(c, basis))
+                  for j in range(ambient))
+        d = rng.randint(1, 3)
+        scaled = [tuple(d * x for x in basis[0])] + basis[1:]
+        if c[0] % d == 0:
+            P = LatticePolytope.make(ambient, [v], scaled)
+            assert P.vertex_coords == ((c[0] // d, *c[1:]),)
+            kinds["ok"] += 1
+        else:
+            with pytest.raises(StructuralError,
+                               match="is not a lattice point"):
+                LatticePolytope.make(ambient, [v], scaled)
+            kinds["not a lattice point"] += 1
+        v = tuple(rng.randint(-3, 3) for _ in range(ambient))
+        if linalg.rank(basis + [v]) > rank:
+            with pytest.raises(StructuralError,
+                               match="is outside the lattice span"):
+                LatticePolytope.make(ambient, [v], basis)
+            kinds["outside"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_count_preconditions():
     P = cross_polytope(1)
     assert ehrhart_sequence(P, 0) == [1]
@@ -211,6 +248,10 @@ def random_polytope(rng, ambient, rank, flat_dim):
             P = LatticePolytope.make(ambient, verts, basis)
         except StructuralError:  # dependent basis rows
             continue
+        # each vertex in lattice coordinates: B^T c = v
+        for v, c in zip(P.vertices, P.vertex_coords):
+            assert tuple(sum(ci * row[j] for ci, row in zip(c, basis))
+                         for j in range(ambient)) == v
         if P.affine_dim() == flat_dim:
             return P
 

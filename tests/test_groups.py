@@ -9,7 +9,7 @@ from growthlab.errors import ConfigError, StructuralError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup, det_exact,
                               free_abelian_standard, free_group_standard,
-                              heisenberg_group, mat_inverse_exact, mat_mul,
+                              heisenberg_group, mat_inverse_exact,
                               symmetric_group_adjacent)
 from group_oracle import (free_letters, free_reduce, matrix_rows,
                           oracle_product)
@@ -175,8 +175,9 @@ def test_matrix_inverse_round_trip():
         a = _random_unimodular(3, rng)
         assert det_exact(a) == 1
         inv = mat_inverse_exact(a)
-        assert fam.canonicalize(mat_mul(a, inv)) == ident
-        assert fam.canonicalize(mat_mul(inv, a)) == ident
+        a, inv = fam.canonicalize(a), fam.canonicalize(inv)
+        assert oracle_product(fam, a, inv) == ident
+        assert oracle_product(fam, inv, a) == ident
 
 
 def test_matrix_inverse_rejects_non_unimodular():
@@ -196,8 +197,8 @@ def test_matrix_generator_determinant_check():
 
 def test_matrix_canonicalize_takes_rows_and_flat_form():
     # an element is one flat row-major tuple of dim*dim ints; rows and
-    # the flat form are told apart by the type of the first entry, so
-    # dim 1 works as any other
+    # the flat form are told apart by whether the first entry is a
+    # sequence, so dim 1 works as any other
     rng = random.Random(29)
     for dim in (1, 2, 3, 4):
         fam = MatrixGroup(dim)
@@ -227,11 +228,15 @@ def test_matrix_canonicalize_refusals():
                 ((1, 0), (0,)), ((1, 0, 0, 1),)):
         with pytest.raises(StructuralError, match="not 2x2"):
             fam.canonicalize(bad)
-    # a bool is no matrix entry, in either form
+    # a bool or a float is no matrix entry, in either form
     for bad in ((True, 0, 0, 1), (1, 0, 0, True), ((True, 0), (0, 1)),
-                ((1, 0), (0, True)), (1, 0.0, 0, 1)):
+                ((1, 0), (0, True)), (1, 0.0, 0, 1), (1.0, 0, 0, 1)):
         with pytest.raises(StructuralError, match="integer"):
             fam.canonicalize(bad)
+    # an int among rows is no row
+    with pytest.raises(StructuralError, match="matrix row must be a "
+                                              "sequence, got 5"):
+        fam.canonicalize(((1, 0), 5))
     # the determinant must be +-1, in either form
     for bad in ((2, 0, 0, 1), (1, 1, 1, 1), ((0, 0), (0, 0)), ((3, 1), (1, 1))):
         with pytest.raises(StructuralError, match="determinant"):
@@ -240,10 +245,10 @@ def test_matrix_canonicalize_refusals():
         MatrixGroup(1).canonicalize((3,))
 
 
-def test_free_abelian_act_reads_a_one_shot_batch():
-    # the act reads its batch once per coordinate, so a batch that is
-    # not a list is made one first: a one-shot iterator gives the
-    # products of the list
+def test_column_acts_read_a_one_shot_batch():
+    # the vector and matrix act reads its batch once per column, so a
+    # batch that is not a list is made one first: a one-shot iterator
+    # gives the products of the list
     rng = random.Random(53)
     for rank in (2, 3, 6):
         fam = FreeAbelian(rank)
@@ -256,6 +261,15 @@ def test_free_abelian_act_reads_a_one_shot_batch():
             act = fam.right_multiplier(s)
             assert list(act(iter(batch))) == expected
             assert list(act(g for g in batch)) == expected
+    m3 = MatrixGroup(3)
+    batch = [m3.canonicalize(_random_unimodular(3, rng)) for _ in range(30)]
+    for s in (((1, 0, 0), (0, 1, 1), (0, 0, 1)),
+              ((0, 1, 0), (1, 0, 0), (0, 0, -1))):
+        s = m3.canonicalize(s)
+        expected = [oracle_product(m3, g, s) for g in batch]
+        act = m3.right_multiplier(s)
+        assert list(act(iter(batch))) == expected
+        assert list(act(g for g in batch)) == expected
 
 
 def test_permutation_group_law():
@@ -333,7 +347,8 @@ def test_right_multiplier_matches_oracle():
             tuple(rng.randint(-50, 50) for _ in range(rank))
             for _ in range(40)]
         _check_right_multiplier(fam, gens, elements)
-    # rank 0: the empty vector, no columns to transpose
+    # rank 0: the empty vector has no columns, and a zip of no columns
+    # would map it to nothing
     _check_right_multiplier(FreeAbelian(0), [()], [()] * 3)
 
     for rank in (2, 200):  # bases 5 and 401
@@ -386,18 +401,14 @@ def test_right_multiplier_matches_oracle():
 
 
 def test_lazy_acts_read_only_what_is_drawn():
-    # the free-group, matrix and permutation acts are lazy: on an
-    # endless batch they return at once and yield products as drawn
-    f2, m3, s4 = FreeGroup(2), MatrixGroup(3), PermutationGroup(4)
+    # the free-group and permutation acts are lazy: on an endless batch
+    # they return at once and yield products as drawn
+    f2, s4 = FreeGroup(2), PermutationGroup(4)
     cases = [
         (f2, f2.canonicalize([1, 2, -1]), (1,)),
         (f2, f2.canonicalize([2, 1]), (-1,)),
         (f2, f2.canonicalize([2]), (1, 2, -1, -2)),
         (f2, f2.canonicalize([1]), ()),  # the empty word acts trivially
-        (m3, m3.canonicalize(((1, 2, 0), (0, 1, 0), (0, 0, 1))),
-         ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
-        (m3, m3.canonicalize(((1, 2, 0), (0, 1, 0), (0, 0, 1))),
-         ((0, 1, 0), (1, 0, 0), (0, 0, -1))),
         (s4, (2, 3, 4, 1), (2, 1, 4, 3)),
     ]
     for fam, g, s in cases:

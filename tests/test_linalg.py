@@ -1,7 +1,7 @@
 """The exact elimination routines against oracles that share no code
 with them: the Leibniz permutation sum for determinants and pivot
 minors, the largest nonzero minor for rank, and direct multiplication
-for solve, inverse, null spaces and LDL^T."""
+for inverse, null spaces and LDL^T."""
 
 import math
 import random
@@ -12,7 +12,7 @@ import pytest
 
 from growthlab.errors import StructuralError
 from growthlab.linalg import (det_exact, ldl, mat_inverse_exact, nullspace,
-                             rank, solve)
+                             rank)
 
 
 def leibniz(m):
@@ -68,36 +68,6 @@ def test_rank_is_largest_nonzero_minor():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         assert rank(m) == minor_rank(m)
     assert rank([[0, 0], [0, 0]]) == 0
-
-
-def test_solve_satisfies_the_system():
-    rng = random.Random(13)
-    solved = 0
-    for _ in range(300):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
-        a = random_matrix(rng, rows, cols)
-        if rng.random() < 0.5:
-            # consistent by construction
-            x = [rng.randint(-3, 3) for _ in range(cols)]
-            b = [sum(r[j] * x[j] for j in range(cols)) for r in a]
-        else:
-            b = [rng.randint(-4, 4) for _ in range(rows)]
-        c = solve(a, b)
-        full_column_rank = minor_rank(a) == cols
-        consistent = minor_rank([r + [v] for r, v in zip(a, b)]) == minor_rank(a)
-        if c is None:
-            assert not (full_column_rank and consistent)
-        else:
-            solved += 1
-            assert all(isinstance(v, Fraction) for v in c)
-            assert [sum(r[j] * c[j] for j in range(cols)) for r in a] == b
-    assert solved >= 50
-
-
-def test_solve_returns_fractions():
-    assert solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None  # inconsistent
-    assert solve([[1, 1]], [1]) is None  # underdetermined
 
 
 def test_inverse_exists_exactly_for_unit_determinant():

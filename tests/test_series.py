@@ -220,11 +220,21 @@ def test_recognize_guard_catches_late_break():
 # utilities
 # ---------------------------------------------------------------------------
 
+def convolution_catalan(kmax):
+    """c_0..c_kmax by the convolution c_{k+1} = sum_i c_i c_{k-i}, the
+    oracle for the ratio recurrence of `catalan`."""
+    c = [1]
+    for k in range(kmax):
+        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+    return c
+
+
 def test_catalan_values():
     assert catalan(7) == [1, 1, 2, 5, 14, 42, 132, 429]
     c = catalan(20)
     for k, value in enumerate(c):
         assert value == comb(2 * k, k) // (k + 1)
+    assert catalan(300) == convolution_catalan(300)
     assert catalan(0) == [1]
     with pytest.raises(ArgumentError):
         catalan(-1)
