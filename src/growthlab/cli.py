@@ -303,6 +303,23 @@ def cmd_ehrhart(args) -> int:
     # stock polytopes take their closed form, so only custom ones recognize
     if kind == "custom":
         guard = get_int(doc, "guard", default=4, minimum=1)
+    # the count tries C(vertices, e) facet subsets, then counts one line
+    # per point of kP's box in all lattice coordinates but the last
+    if kmax:
+        subsets = math.comb(len(P.vertices), P.affine_dim())
+        refuse_over_budget(doc, "vertex" if kind == "custom" else "n",
+                           subsets, f"the {subsets} facet subsets of "
+                           f"{len(P.vertices)} vertices exceed")
+    widths = [max(col) - min(col) for col in zip(*P.vertex_coords)][:-1]
+    # each dilate has a line at least, so the sum can stop once the
+    # lines so far and one per dilate left exceed the budget
+    budget = get_budget(doc)
+    lines, k = kmax, 0
+    while k < kmax and lines <= budget:
+        k += 1
+        lines += math.prod(k * w + 1 for w in widths) - 1
+    refuse_over_budget(doc, "kmax", lines, f"at least {lines} lines of "
+                       f"dilates 1..{kmax} exceed")
     doc.refuse_unread("ehrhart")
     counts = ehrhart.ehrhart_sequence(P, kmax)
     closed = None

@@ -239,12 +239,13 @@ def get_budget(doc) -> int:
 def refuse_over_budget(doc, key: str, cost: int, what: str) -> None:
     """Refuse work of `cost` budget units, before any of it is done, as
     a config error naming `key` and its line; `what` says what the cost
-    counts and carries the verb, as in "a table of 5 entries exceeds"."""
+    counts and carries the verb, as in "a table of 5 entries exceeds".
+    A key given on several lines is named at its first."""
     budget = get_budget(doc)
     if cost > budget:
-        entry = doc.get(key)
+        entries = doc.get_all(key)
         raise ConfigError(f"{what} the budget of {budget}",
-                          line=None if entry is None else entry.line,
+                          line=entries[0].line if entries else None,
                           field=key)
 
 

@@ -3,20 +3,20 @@
 A polytope is given by its vertices (integer vectors in an ambient
 space) together with a basis of the lattice it lives in; for full
 Z^n the basis is the identity and can be omitted.  Counting works in
-lattice coordinates.  P's inequalities are computed once, exactly: the
-equations of its affine hull from an integer null-space basis of the
-vertex differences, and one primitive outward normal per facet, found
-from the e-subsets of vertices (e the dimension of P) whose hyperplane
-inside the affine hull has every vertex on one side (Beck & Robins,
-*Computing the Continuous Discretely*, 2nd ed., 2015, ch. 2-3).  Each
-dilate kP is then counted over the bounding box of its vertices with
-integer dot products, a.x == k b and a.x <= k b.  Working in the affine
-hull keeps the lower-dimensional root-polytope case (the A_n lattice
-inside Z^{n+1}) and lower-dimensional custom polytopes exact.  Lattice
-coordinates, ranks and null spaces come from the exact routines in
-:mod:`growthlab.linalg`.  The test oracle for the facet counter, a
-phase-1 simplex that decides membership in the convex hull with no
-facet data, lives with the tests (``tests/lattice_oracle.py``).
+lattice coordinates.  P is computed once, exactly, as one list of
+halfspaces a.x <= b: both sides of each equation of its affine hull
+(an integer null-space basis of the vertex differences) and one
+primitive outward normal per facet, found from the e-subsets of
+vertices (e the dimension of P) whose hyperplane inside the affine hull
+has every vertex on one side (Beck & Robins, *Computing the Continuous
+Discretely*, 2nd ed., 2015, ch. 2-3).  Each dilate kP is then counted
+line by line: over the bounding box of kP in all lattice coordinates
+but the last, the last one runs over an interval cut with one floor
+division per halfspace.  The A_n root polytope inside Z^{n+1} and
+lower-dimensional custom polytopes are counted exactly on that path.
+Null spaces and ranks come from :mod:`growthlab.linalg`; the test
+oracle, a phase-1 simplex with no facet data, is in
+``tests/lattice_oracle.py``.
 
 Closed forms for the two families treated here:
 
@@ -116,65 +116,64 @@ def _dot(a, x) -> int:
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
-def _inequalities(P: LatticePolytope) -> tuple:
-    """P as ``(equations, facets)`` in lattice coordinates: x is in kP
-    exactly when a.x == k b for every (a, b) in equations and
-    a.x <= k b for every (a, b) in facets.
-
-    The equations span the normals of P's affine hull, an integer basis
-    of the null space of the vertex differences.  A facet of P (of
-    dimension e = affine_dim) holds e affinely independent vertices; for
-    every e-subset of vertices the normal orthogonal both to the
-    equations and to the subset's differences is unique up to scale when
-    the subset is independent, and it is kept when every vertex lies on
-    one side of its hyperplane.  Normals are primitive and outward, so a
-    facet found from several subsets is kept once.  The work grows as
-    C(vertices, e), not with k.
-    """
+def _halfspaces(P: LatticePolytope) -> list:
+    """P as one sorted list of pairs (a, b) in lattice coordinates: x is
+    in kP exactly when a.x <= k b for every pair.  Each normal a of P's
+    affine hull (an integer basis of the null space of the vertex
+    differences) gives (a, b) and (-a, -b).  An e-subset of vertices (e
+    = affine_dim) that leaves, with the hull's normals, one primitive
+    normal gives a facet when every vertex lies on one side of its
+    hyperplane.  The work grows as C(vertices, e), not with k."""
     v0 = P.vertex_coords[0]
     diffs = [[a - b for a, b in zip(v, v0)] for v in P.vertex_coords[1:]]
     normals = linalg.nullspace(diffs, P.rank)
-    equations = [(a, _dot(a, v0)) for a in normals]
-    e = P.rank - len(normals)
-    if e == 0:
-        return equations, []
-    facets = set()
-    for subset in combinations(P.vertex_coords, e):
-        s0 = subset[0]
-        flat = [[a - b for a, b in zip(s, s0)] for s in subset[1:]]
+    halfspaces = {(tuple(s * c for c in a), s * _dot(a, v0))
+                  for a in normals for s in (1, -1)}
+    for subset in combinations(P.vertex_coords, P.rank - len(normals)):
+        flat = [[a - b for a, b in zip(s, subset[0])] for s in subset[1:]]
         normal = linalg.nullspace(normals + flat, P.rank)
         if len(normal) != 1:
             continue
-        a = normal[0]
-        b = _dot(a, s0)
-        if all(_dot(a, v) <= b for v in P.vertex_coords):
-            facets.add((tuple(a), b))
-        elif all(_dot(a, v) >= b for v in P.vertex_coords):
-            facets.add((tuple(-c for c in a), -b))
-    return equations, sorted(facets)
+        # a subset normal is orthogonal to the hull's normals, so never
+        # to every vertex difference: at most one side holds them all
+        for s in (1, -1):
+            a = tuple(s * c for c in normal[0])
+            b = _dot(a, subset[0])
+            if all(_dot(a, v) <= b for v in P.vertex_coords):
+                halfspaces.add((a, b))
+    return sorted(halfspaces)
 
 
-def _count(P: LatticePolytope, k: int, equations, facets) -> int:
-    """Lattice points of kP for k >= 1: a scan of the bounding box of kP
-    with integer dot products only."""
-    scaled = [tuple(k * c for c in v) for v in P.vertex_coords]
-    box = [range(min(col), max(col) + 1) for col in zip(*scaled)]
-    eq = [(a, k * b) for a, b in equations]
-    le = [(a, k * b) for a, b in facets]
-    return sum(1 for x in product(*box)
-               if all(_dot(a, x) == kb for a, kb in eq)
-               and all(_dot(a, x) <= kb for a, kb in le))
+def _count(P: LatticePolytope, k: int, halfspaces) -> int:
+    """Lattice points of kP for k >= 1, a line at a time: over the
+    bounding box of kP in all lattice coordinates but the last, the last
+    coordinate t runs over one interval, found with integers only."""
+    box = [range(k * min(col), k * max(col) + 1)
+           for col in list(zip(*P.vertex_coords))[:-1]]
+    cuts = [(a[:-1], k * b, a[-1]) for a, b in halfspaces]
+    total = 0
+    for y in product(*box):
+        rooms = [(kb - _dot(a, y), at) for a, kb, at in cuts]
+        if all(room >= 0 for room, at in rooms if not at):
+            # a_t t <= room bounds t above or below by the sign of a_t; P
+            # is bounded, so both kinds occur once the lattice has a
+            # coordinate, and the defaults give a rank-0 lattice its point
+            lo = max((-(-room // at) for room, at in rooms if at < 0),
+                     default=0)
+            hi = min((room // at for room, at in rooms if at > 0), default=0)
+            total += max(0, hi - lo + 1)
+    return total
 
 
 def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
-    """E_P(0)..E_P(kmax); P's inequalities are computed once, and only
+    """E_P(0)..E_P(kmax); P's halfspaces are computed once, and only
     when some k >= 1 is counted."""
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     if kmax == 0:
         return [1]
-    equations, facets = _inequalities(P)
-    return [1] + [_count(P, k, equations, facets) for k in range(1, kmax + 1)]
+    halfspaces = _halfspaces(P)
+    return [1] + [_count(P, k, halfspaces) for k in range(1, kmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,13 @@ def _as_int(x, what: str) -> int:
     return x
 
 
+def _sequence(obj, what: str):
+    """obj itself, refused unless it can be iterated over."""
+    if not hasattr(obj, "__iter__"):
+        raise StructuralError(f"{what} must be a sequence, got {obj!r}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # the column-read act (exact determinants and inverses come from linalg.py)
 # ---------------------------------------------------------------------------
@@ -120,7 +127,8 @@ class FreeAbelian:
         return (0,) * self.rank
 
     def canonicalize(self, obj) -> Element:
-        vec = tuple(_as_int(x, "vector entry") for x in obj)
+        vec = tuple(_as_int(x, "vector entry")
+                    for x in _sequence(obj, "vector"))
         if len(vec) != self.rank:
             raise StructuralError(
                 f"vector has length {len(vec)}, expected rank {self.rank}")
@@ -177,7 +185,7 @@ class FreeGroup:
             # a zero digit reads as the letter 0, refused below
             obj = [d if d <= r else r - d for d in self._digits(obj)]
         out: list[int] = []
-        for x in obj:
+        for x in _sequence(obj, "word"):
             l = _as_int(x, "letter")
             if l == 0 or abs(l) > r:
                 raise StructuralError(f"letter {l} outside +-1..+-{r}")
@@ -246,18 +254,15 @@ class MatrixGroup:
 
     def canonicalize(self, obj) -> Element:
         n = self.dim
-        obj = tuple(obj)
+        obj = tuple(_sequence(obj, "matrix"))
         if obj and not hasattr(obj[0], "__iter__"):  # the flat form
             flat = tuple(_as_int(x, "matrix entry") for x in obj)
             if len(flat) != n * n:
                 raise StructuralError(f"matrix is not {n}x{n}")
             rows = self._rows(flat)
         else:  # dim rows of dim entries
-            for row in obj:
-                if not hasattr(row, "__iter__"):
-                    raise StructuralError(
-                        f"matrix row must be a sequence, got {row!r}")
-            rows = tuple(tuple(_as_int(x, "matrix entry") for x in row)
+            rows = tuple(tuple(_as_int(x, "matrix entry")
+                               for x in _sequence(row, "matrix row"))
                          for row in obj)
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise StructuralError(f"matrix is not {n}x{n}")
@@ -302,7 +307,7 @@ class PermutationGroup:
         return tuple(range(1, self.degree + 1))
 
     def canonicalize(self, obj) -> Element:
-        img = tuple(_as_int(x, "image") for x in obj)
+        img = tuple(_as_int(x, "image") for x in _sequence(obj, "permutation"))
         if len(img) != self.degree or sorted(img) != list(range(1, self.degree + 1)):
             raise StructuralError(
                 f"{img} is not a permutation of 1..{self.degree}")

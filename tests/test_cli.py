@@ -474,6 +474,43 @@ def test_oversized_stock_degree_is_config_error(capsys, tmp_path):
     assert "line 2: field 'degree'" in err
 
 
+def test_ehrhart_work_counts_against_the_budget(capsys, tmp_path):
+    # cross n=3 at kmax 8 counts sum (2k + 1)^2 = 968 lines over k = 1..8
+    # after C(6, 3) = 20 facet subsets
+    cross = ("ehrhart", "--polytope", "cross", "--n", "3", "--kmax", "8",
+             "--no-timestamp")
+    rc, out, err = run(capsys, *cross, "--budget", "968")
+    assert rc == 0
+    assert out.splitlines()[-1] == "8,833"
+    rc, out, err = run(capsys, *cross, "--budget", "967")
+    assert rc == 2
+    assert "field 'kmax'" in err
+    assert "at least 968 lines of dilates 1..8" in err
+    assert out == ""
+    # each dilate is a line at least, so a huge kmax is refused at once
+    rc, out, err = run(capsys, "ehrhart", "--ambient-dim", "1", "--vertex",
+                       "0", "--vertex", "1", "--kmax", str(10 ** 12))
+    assert rc == 2
+    assert f"at least {10 ** 12} lines" in err
+    # the cuboctahedron tries C(12, 3) = 220 subsets, and kmax 0 none
+    root = ("ehrhart", "--polytope", "root", "--n", "3", "--no-timestamp")
+    rc, out, err = run(capsys, *root, "--kmax", "1", "--budget", "219")
+    assert rc == 2
+    assert "field 'n'" in err
+    assert "220 facet subsets of 12 vertices" in err
+    rc, out, err = run(capsys, *root, "--kmax", "0", "--budget", "1")
+    assert rc == 0
+    assert out.splitlines()[-1] == "0,1"
+    # a custom polytope names its first vertex row
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("ambient-dim = 2\nbudget = 2\nvertex = 0 0\n"
+                   "vertex = 1 0\nvertex = 0 1\nkmax = 1\n")
+    rc, out, err = run(capsys, "ehrhart", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'vertex'" in err
+    assert "3 facet subsets of 3 vertices" in err
+
+
 def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
                                                                tmp_path):
     # --dyadic-to 64 past --tmax 10 adds t = 16, 32, 64, whose discs
@@ -546,17 +583,15 @@ def test_unread_config_key_is_config_error(capsys, tmp_path):
 
 
 def test_unread_budget_flags_are_config_errors(capsys):
-    cases = [
-        ("ehrhart", "--polytope", "cross", "--n", "2", "--budget", "1"),
-        ("verify", "--only", "13", "--budget", "1"),
-    ]
-    for argv in cases:
-        rc, out, err = run(capsys, *argv)
-        assert rc == 2, argv
-        assert "field 'budget'" in err
-        assert "Traceback" not in err
-        assert out == ""
+    rc, out, err = run(capsys, "verify", "--only", "13", "--budget", "1")
+    assert rc == 2
+    assert "field 'budget'" in err
+    assert "Traceback" not in err
+    assert out == ""
     # the commands that read it still take it
+    rc, out, err = run(capsys, "ehrhart", "--polytope", "cross", "--n", "2",
+                       "--budget", "1000")
+    assert rc == 0
     rc, out, err = run(capsys, "catalan", "--kmax", "2", "--budget", "6")
     assert rc == 0
     rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "4",
@@ -636,15 +671,36 @@ def _ehrhart_series(numerator, kmax):
                 if k >= j) for k in range(kmax + 1)]
 
 
+def _custom_argv(vertices, basis, kmax):
+    return ("ehrhart", *(a for v in vertices for a in ("--vertex", v)),
+            *(a for b in basis for a in ("--basis", b)),
+            "--ambient-dim", str(len(vertices[0].split())),
+            "--kmax", str(kmax))
+
+
+def _custom_job(vertices, basis, kmax):
+    # flags are echoed as job options: rows first, then single values
+    return ([("vertex", v) for v in vertices] + [("basis", b) for b in basis]
+            + [("kmax", str(kmax)),
+               ("ambient-dim", str(len(vertices[0].split())))])
+
+
 def test_stock_ehrhart_and_theta_bytes(capsys):
-    # the slow stock runs, pinned byte for byte against closed forms
-    # computed here: the l1-ball sum, C(n, j)^2 over (1 - z)^(n+1) and
-    # the eight-squares formula r_8(m) = 16 sum_{d | m} (-1)^(m+d) d^3
+    # the slow stock runs and custom polytopes, pinned byte for byte
+    # against closed forms computed here: the l1-ball sum, C(n, j)^2
+    # over (1 - z)^(n+1) and the eight-squares formula
+    # r_8(m) = 16 sum_{d | m} (-1)^(m+d) d^3
     quartic = ["1", "-4", "6", "-4", "1"]
     cross = [sum(comb(3, i) * comb(k, i) * 2 ** i for i in range(4))
              for k in range(9)]
     assert cross == _ehrhart_series([1, 3, 3, 1], 8)
     root = _ehrhart_series([comb(3, j) ** 2 for j in range(4)], 6)
+    cross3 = ["1 0 0", "-1 0 0", "0 0 -1", "0 0 1", "0 -1 0", "0 1 0"]
+    root3 = ["1 1 0 0", "0 1 -1 0", "0 1 0 -1", "-1 -1 0 0", "-1 0 -1 0",
+             "-1 0 0 -1", "0 -1 1 0", "1 0 1 0", "0 0 1 -1", "0 -1 0 1",
+             "1 0 0 1", "0 0 -1 1"]
+    root3_basis = ["1 1 0 0", "-1 0 -1 0", "0 0 1 -1"]
+    triangle = ["1 0 0", "0 1 0", "0 0 1"]
     r8 = [1] + [16 * sum((-1) ** (m + d) * d ** 3
                          for d in range(1, m + 1) if m % d == 0)
                 for m in range(1, 13)]
@@ -667,6 +723,25 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
                            "denominator": quartic,
                            "display": "(1 + 9z + 9z^2 + z^3) / "
                                       "(1 - 4z + 6z^2 - 4z^3 + z^4)"}}),
+        # the lattice-count presentations at seed 1: the cross-polytope
+        # under a signed permutation, the root polytope with a permuted
+        # basis; too few counts for the recognizer, so no series
+        _custom_argv(cross3, (), 8):
+            _stock_payload("ehrhart", _custom_job(cross3, (), 8), {
+                "polytope": "custom", "ambient_dim": 3, "vertices": 6,
+                "counts": [str(c) for c in cross], "series": None}),
+        _custom_argv(root3, root3_basis, 6):
+            _stock_payload("ehrhart", _custom_job(root3, root3_basis, 6), {
+                "polytope": "custom", "ambient_dim": 4, "vertices": 12,
+                "counts": [str(c) for c in root], "series": None}),
+        # a triangle in Z^3 with C(k + 2, 2) points in its k-th dilate
+        _custom_argv(triangle, (), 9):
+            _stock_payload("ehrhart", _custom_job(triangle, (), 9), {
+                "polytope": "custom", "ambient_dim": 3, "vertices": 3,
+                "counts": [str(comb(k + 2, 2)) for k in range(10)],
+                "series": {"numerator": ["1"],
+                           "denominator": ["1", "-3", "3", "-1"],
+                           "display": "(1) / (1 - 3z + 3z^2 - z^3)"}}),
         ("theta", "--rank", "8", "--rmax", "12"):
             _stock_payload("theta", [("rank", "8"), ("rmax", "12")], {
                 "rmax": 12, "counts": [str(c) for c in r8], "rank": 8,
@@ -865,6 +940,9 @@ MALFORMED = {
                       "tmax"),
     # kmax*(kmax+1) bits bound the Catalan numbers c_0..c_kmax
     "huge-catalan-kmax": (None, ["catalan", "--kmax", str(10 ** 8)], "kmax"),
+    # C(80, 40) facet subsets of the 40-dimensional cross-polytope
+    "huge-cross-n": (None, ["ehrhart", "--polytope", "cross", "--n", "40",
+                            "--kmax", "1"], "n"),
 }
 
 

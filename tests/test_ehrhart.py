@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from growthlab import linalg
-from growthlab.ehrhart import (LatticePolytope, _inequalities, cross_polytope,
+from growthlab.ehrhart import (LatticePolytope, _halfspaces, cross_polytope,
                                cross_polytope_series, ehrhart_sequence,
                                legendre, root_polytope, root_polytope_series)
 from growthlab.errors import ArgumentError, StructuralError
@@ -256,26 +256,29 @@ def random_polytope(rng, ambient, rank, flat_dim):
             return P
 
 
-def assert_inequalities(P):
-    """Every equation holds on all vertices; every facet inequality is
-    primitive, tight on the vertices of a face of dimension e - 1 and
-    strict on some vertex, and no two facets repeat."""
-    eq, facets = _inequalities(P)
+def assert_halfspaces(P):
+    """Every halfspace is primitive, tight on some vertex and listed
+    once; rank - e of them come in opposite pairs tight on every vertex,
+    the equations of the affine hull; every other one is strict on some
+    vertex and tight on the vertices of a face of dimension e - 1."""
+    halfspaces = _halfspaces(P)
     e = P.affine_dim()
-    assert len(eq) == P.rank - e
-    assert len(set(facets)) == len(facets)
-    for a, b in eq + facets:
+    assert halfspaces == sorted(set(halfspaces))
+    pairs = [(a, b) for a, b in halfspaces
+             if (tuple(-x for x in a), -b) in halfspaces]
+    assert len(pairs) == 2 * (P.rank - e)
+    for a, b in halfspaces:
         assert math.gcd(*a) == 1
         heights = [sum(x * y for x, y in zip(a, v)) for v in P.vertex_coords]
         assert max(heights) == b
-        if (a, b) in eq:
+        if (a, b) in pairs:
             assert min(heights) == b
             continue
         assert min(heights) < b
         face = [v for v, h in zip(P.vertex_coords, heights) if h == b]
         diffs = [[x - y for x, y in zip(v, face[0])] for v in face[1:]]
         assert (linalg.rank(diffs) if diffs else 0) == e - 1
-    return eq, facets
+    return len(pairs) // 2, len(halfspaces) - len(pairs)
 
 
 def test_facet_counter_matches_simplex_oracle():
@@ -286,7 +289,7 @@ def test_facet_counter_matches_simplex_oracle():
     for ambient, rank, flat_dim in shapes:
         for _ in range(4):
             P = random_polytope(rng, ambient, rank, flat_dim)
-            assert_inequalities(P)
+            assert_halfspaces(P)
             kmax = 2 if flat_dim >= 2 else 3
             assert ehrhart_sequence(P, kmax) == [
                 simplex_box_scan(P, k) for k in range(kmax + 1)], P
@@ -299,11 +302,48 @@ def test_facet_counts():
     # vertex: a collinear vertex triple spans no facet
     tetra = LatticePolytope.make(3, [(2, 1, 0), (1, 1, 1), (0, 1, 2),
                                      (0, 2, 2), (2, 2, 2)])
-    for P, equations, facets in ((cross_polytope(3), 0, 8),
-                                 (root_polytope(3), 0, 14),  # cuboctahedron
-                                 (square, 0, 4),
-                                 (tetra, 0, 4),
-                                 (triangle, 1, 3),
-                                 (LatticePolytope.make(3, [(1, 2, 3)]), 3, 0)):
-        eq, fa = assert_inequalities(P)
-        assert (len(eq), len(fa)) == (equations, facets)
+    for P, pairs, facets in ((cross_polytope(3), 0, 8),
+                             (root_polytope(3), 0, 14),  # cuboctahedron
+                             (square, 0, 4),
+                             (tetra, 0, 4),
+                             (triangle, 1, 3),
+                             (LatticePolytope.make(3, [(1, 2, 3)]), 3, 0)):
+        assert assert_halfspaces(P) == (pairs, facets)
+
+
+def test_found_segment_counts_its_lattice_points():
+    # gcd(10, 20, 30) = 10, so k times the segment holds 10k + 1 points,
+    # while its bounding box at k = 10 alone holds 6.1 M
+    P = LatticePolytope.make(3, [(0, 0, 0), (10, 20, 30)])
+    assert assert_halfspaces(P) == (2, 2)
+    assert ehrhart_sequence(P, 10) == [1 + 10 * k for k in range(11)]
+
+
+@pytest.mark.parametrize("P, pairs, facets, expected", [
+    # a segment parallel to the last axis: one line per dilate
+    (LatticePolytope.make(3, [(1, -2, 0), (1, -2, 4)]), 2, 2,
+     [1 + 4 * k for k in range(4)]),
+    # a pentagon in the plane x3 = 2: the hull pair fixes t itself
+    (LatticePolytope.make(3, [(0, 0, 2), (3, 0, 2), (0, 2, 2), (2, 2, 2),
+                              (1, -1, 2)]), 1, 5, None),
+    # a quadrilateral in the plane x1 + x2 = 2, whose hull pair leaves t
+    # free and cuts the prefix box instead
+    (LatticePolytope.make(3, [(0, 2, 0), (2, 0, 0), (1, 1, 3), (0, 2, 2)]),
+     1, 4, None),
+    (LatticePolytope.make(3, [(1, -2, 3)]), 3, 0, [1, 1, 1, 1]),
+    # a rank-1 lattice in Z^3, where kP is a single line
+    (LatticePolytope.make(3, [(-2, 2, 4), (3, -3, -6)],
+                          basis=[(1, -1, -2)]), 0, 2,
+     [1 + 5 * k for k in range(4)]),
+    # a rank-0 lattice holds one point
+    (LatticePolytope.make(2, [(0, 0)], basis=[]), 0, 0, [1, 1, 1, 1]),
+], ids=["last-axis-segment", "plane-x3", "plane-x1-x2", "point", "rank-1",
+        "rank-0"])
+def test_degenerate_polytopes_match_simplex_oracle(P, pairs, facets,
+                                                   expected):
+    assert assert_halfspaces(P) == (pairs, facets)
+    kmax = 3 if expected else 2
+    counts = ehrhart_sequence(P, kmax)
+    assert counts == [simplex_box_scan(P, k) for k in range(kmax + 1)]
+    if expected:
+        assert counts == expected

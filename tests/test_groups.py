@@ -245,6 +245,20 @@ def test_matrix_canonicalize_refusals():
         MatrixGroup(1).canonicalize((3,))
 
 
+def test_canonicalize_refuses_objects_that_are_not_sequences():
+    # every family reads an element from a sequence; a bare int is the
+    # free group's own word form and no other family's element
+    for fam, what in ((FreeAbelian(2), "vector"), (FreeGroup(2), "word"),
+                      (MatrixGroup(2), "matrix"),
+                      (PermutationGroup(2), "permutation")):
+        bad = [None, 1.5, object()] + [5] * (what != "word")
+        for obj in bad:
+            with pytest.raises(StructuralError,
+                               match=f"{what} must be a sequence, got "):
+                fam.canonicalize(obj)
+    assert FreeGroup(2).canonicalize(7) == 7  # the word x1*x2
+
+
 def test_column_acts_read_a_one_shot_batch():
     # the vector and matrix act reads its batch once per column, so a
     # batch that is not a list is made one first: a one-shot iterator
