@@ -17,25 +17,20 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
 from . import analysis, cayley, ehrhart, gauss, series, theta
+from .errors import Record
 from .groups import (FreeAbelian, MarkedGroup, free_abelian_standard,
                      free_group_standard, heisenberg_group,
                      symmetric_group_adjacent)
 from .series import RationalFunction, closed_form_free_abelian
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ident: int
-    slug: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(Record):
+    __slots__ = ("ident", "slug", "passed", "detail", "elapsed")
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

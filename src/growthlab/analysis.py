@@ -29,7 +29,6 @@ so no rounding can tip it: the decimal tracks are shown, never used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -37,7 +36,7 @@ from itertools import accumulate
 from .cayley import BallTable, expand
 from .config import (DEFAULT_ELEMENT_BUDGET, DIGITS, DYE_AS_GIVEN_CONVENTION,
                      DYE_IDENTITY_CONVENTION)
-from .errors import ArgumentError, BudgetExceededError
+from .errors import ArgumentError, BudgetExceededError, Record
 from .groups import MarkedGroup
 
 TAU_EXP = Fraction(1, 10)
@@ -49,35 +48,28 @@ def _ln(x: int) -> Decimal:
     return Decimal(x).ln()
 
 
-@dataclass(frozen=True)
-class RateEstimates:
-    """beta(k)^(1/k) for k = 1..radius_max plus the running minimum."""
+class RateEstimates(Record):
+    """beta(k)^(1/k) for k = 1..radius_max plus the running minimum;
+    the estimates are Decimals, index 0 holding k=1."""
 
-    estimates: tuple  # Decimal, index 0 holds k=1
-    minimum: Decimal
-    argmin: int
+    __slots__ = ("estimates", "minimum", "argmin")
 
     def estimate(self, k: int) -> Decimal:
         return self.estimates[k - 1]
 
 
-@dataclass(frozen=True)
-class DegreeTrack:
-    """ln beta(k)/ln k for k = 2..radius_max."""
+class DegreeTrack(Record):
+    """ln beta(k)/ln k for k = 2..radius_max, as Decimals with index 0
+    holding k=2."""
 
-    values: tuple  # Decimal, index 0 holds k=2
-    terminal: Decimal
+    __slots__ = ("values", "terminal")
 
     def value(self, k: int) -> Decimal:
         return self.values[k - 2]
 
 
-@dataclass(frozen=True)
-class DyeResult:
-    value: Fraction
-    argmin: int
-    K: int
-    convention: str
+class DyeResult(Record):
+    __slots__ = ("value", "argmin", "K", "convention")
 
 
 def _track(f, ks) -> list:
@@ -173,16 +165,12 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     return _dye_minimum(h, K, DYE_AS_GIVEN_CONVENTION)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """All growth diagnostics of one ball table plus a verdict."""
+class GrowthReport(Record):
+    """All growth diagnostics of one ball table plus a verdict; the
+    persistence is display only, the verdict compares integers."""
 
-    rate: RateEstimates
-    degree: DegreeTrack
-    dye: DyeResult
-    persistence: float  # display only; the verdict compares integers
-    verdict: str
-    polynomial_degree: int | None
+    __slots__ = ("rate", "degree", "dye", "persistence", "verdict",
+                 "polynomial_degree")
 
     def to_json_dict(self) -> dict:
         return {

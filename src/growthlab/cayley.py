@@ -34,42 +34,39 @@ any iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, count, filterfalse, islice
 
 from .config import DEFAULT_ELEMENT_BUDGET
-from .errors import ArgumentError, BudgetExceededError
+from .errors import ArgumentError, BudgetExceededError, Record
 from .groups import MarkedGroup
 
 
-@dataclass(frozen=True)
-class BallTable:
+class BallTable(Record):
     """Sphere and ball sizes of a marked group up to radius_max."""
 
-    radius_max: int
-    sphere_sizes: tuple
-    ball_sizes: tuple
-    group_description: str = ""
+    __slots__ = ("radius_max", "sphere_sizes", "ball_sizes",
+                 "group_description")
 
-    def __post_init__(self):
-        n = self.radius_max
+    def __init__(self, radius_max: int, sphere_sizes: tuple,
+                 ball_sizes: tuple, group_description: str = ""):
+        n = radius_max
         if n < 0:
             raise ArgumentError("radius_max must be nonnegative")
-        if len(self.sphere_sizes) != n + 1 or len(self.ball_sizes) != n + 1:
+        if len(sphere_sizes) != n + 1 or len(ball_sizes) != n + 1:
             raise ArgumentError("table length does not match radius_max")
-        if self.sphere_sizes[0] != 1:
+        if sphere_sizes[0] != 1:
             raise ArgumentError("sphere of radius 0 must have size 1")
         acc = 0
-        for s, b in zip(self.sphere_sizes, self.ball_sizes):
+        for s, b in zip(sphere_sizes, ball_sizes):
             if s < 0:
                 raise ArgumentError("sphere sizes must be nonnegative")
             acc += s
             if b != acc:
                 raise ArgumentError("ball sizes must be partial sums of sphere sizes")
-        sigma = self.sphere_sizes
-        if any(a == 0 < b for a, b in zip(sigma, sigma[1:])):
+        if any(a == 0 < b for a, b in zip(sphere_sizes, sphere_sizes[1:])):
             # a Cayley graph never reaches past an empty sphere
             raise ArgumentError("a sphere cannot be nonempty after an empty one")
+        super().__init__(n, sphere_sizes, ball_sizes, group_description)
 
     def to_csv_lines(self) -> list[str]:
         lines = ["k,sigma,beta"]

@@ -20,7 +20,6 @@ check failed, including any failing `verify` run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -30,7 +29,7 @@ from . import __version__
 from .config import (DIGITS, DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
                      POLYTOPE_FAMILIES, build_lattice, build_marked_group,
                      build_polytope, empty_document, get_budget, get_choice,
-                     get_int, load_config, refuse_over_budget)
+                     get_int, load_config, refuse_over_budget, require_int)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -150,7 +149,9 @@ def cmd_analyze(args) -> int:
     if convention == DYE_AS_GIVEN_CONVENTION:
         strict = analysis.dye_quantity_strict(m, max(1, kmax // 2),
                                               element_budget=budget)
-        report = dataclasses.replace(report, dye=strict)
+        report = analysis.GrowthReport(
+            report.rate, report.degree, strict, report.persistence,
+            report.verdict, report.polynomial_degree)
     rows = []
     _flatten_for_csv("", report.to_json_dict(), rows)
     # the group description holds commas, so it rides in a comment line
@@ -297,8 +298,11 @@ def cmd_ehrhart(args) -> int:
     doc = _merged_document(
         args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget"),
         ("vertex", "basis"))
-    P = build_polytope(doc)
     kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
+    if kind == "custom":
+        P = build_polytope(doc)
+    else:  # 2n or n(n+1) vertices in dimension n, known before the build
+        n = require_int(doc, "n", minimum=1)
     kmax = get_int(doc, "kmax", default=6, minimum=0)
     # stock polytopes take their closed form, so only custom ones recognize
     if kind == "custom":
@@ -306,10 +310,14 @@ def cmd_ehrhart(args) -> int:
     # the count tries C(vertices, e) facet subsets, then counts one line
     # per point of kP's box in all lattice coordinates but the last
     if kmax:
-        subsets = math.comb(len(P.vertices), P.affine_dim())
+        vertices, dim = ((len(P.vertices), P.affine_dim()) if kind == "custom"
+                         else (2 * n if kind == "cross" else n * (n + 1), n))
+        subsets = math.comb(vertices, dim)
         refuse_over_budget(doc, "vertex" if kind == "custom" else "n",
                            subsets, f"the {subsets} facet subsets of "
-                           f"{len(P.vertices)} vertices exceed")
+                           f"{vertices} vertices exceed")
+    if kind != "custom":
+        P = build_polytope(doc)
     widths = [max(col) - min(col) for col in zip(*P.vertex_coords)][:-1]
     # each dilate has a line at least, so the sum can stop once the
     # lines so far and one per dilate left exceed the budget
@@ -324,9 +332,9 @@ def cmd_ehrhart(args) -> int:
     counts = ehrhart.ehrhart_sequence(P, kmax)
     closed = None
     if kind == "cross":
-        closed = ehrhart.cross_polytope_series(get_int(doc, "n", minimum=1))
+        closed = ehrhart.cross_polytope_series(n)
     elif kind == "root":
-        closed = ehrhart.root_polytope_series(get_int(doc, "n", minimum=1))
+        closed = ehrhart.root_polytope_series(n)
     elif len(counts) >= 2 * guard + 2:
         closed = series.recognize_rational(counts, guard=guard)
     if closed is not None and closed.expand(kmax) != counts:

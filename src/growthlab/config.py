@@ -23,10 +23,9 @@ and field so a malformed document never surfaces as a traceback.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, Record, StructuralError
 
 if TYPE_CHECKING:
     from .ehrhart import LatticePolytope
@@ -50,19 +49,19 @@ DYE_AS_GIVEN_CONVENTION = "as-given"
 _KEY_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
-    line: int | None  # None for entries injected from command-line flags
-    key: str
-    value: str
+class ConfigEntry(Record):
+    __slots__ = ("line", "key", "value")  # line is None for a flag's entry
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
-    entries: tuple
-    # every key looked up through get or get_all
-    read: set = field(init=False, default_factory=set, compare=False,
-                      repr=False)
+class ConfigDocument(Record):
+    __slots__ = ("entries", "read")
+
+    def __init__(self, entries: tuple):
+        # read: every key looked up through get or get_all, not compared
+        super().__init__(entries, set())
+
+    def _values(self) -> tuple:
+        return (self.entries,)
 
     def get(self, key: str) -> ConfigEntry | None:
         """The entry for a single-valued key, or None; a key given twice
@@ -310,11 +309,15 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
-    # checked first: for a huge rank the stock generators would never finish
-    refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
-                       "generators and inverses exceed")
+    # checked first: for a huge rank the stock generators would never
+    # finish.  A free generator is one int, a free-abelian one rank ints
     if family == "free":
+        refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
+                           "generators and inverses exceed")
         return groups.free_group_standard(rank)
+    entries = rank * rank
+    refuse_over_budget(doc, "rank", entries, f"the {entries} entries of "
+                       f"the {rank} stock generators exceed")
     return groups.free_abelian_standard(rank)
 
 

@@ -30,13 +30,12 @@ compared; a mismatch would be an internal invariant violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from . import linalg
-from .errors import ArgumentError, CheckFailure, StructuralError
+from .errors import ArgumentError, CheckFailure, Record, StructuralError
 from .series import RationalFunction, poly_mul
 
 
@@ -44,8 +43,7 @@ from .series import RationalFunction, poly_mul
 # polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Record):
     """Vertex-presented polytope with its ambient lattice.
 
     ``basis`` rows span the lattice inside the ambient space;
@@ -53,10 +51,7 @@ class LatticePolytope:
     integers, computed at construction).
     """
 
-    ambient_dim: int
-    basis: tuple
-    vertices: tuple
-    vertex_coords: tuple
+    __slots__ = ("ambient_dim", "basis", "vertices", "vertex_coords")
 
     @staticmethod
     def make(ambient_dim: int, vertices, basis=None) -> "LatticePolytope":

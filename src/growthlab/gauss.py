@@ -11,13 +11,12 @@ can never be a rounding artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import accumulate
 from statistics import linear_regression
 
 from .config import DIGITS
-from .errors import ArgumentError, CheckFailure
+from .errors import ArgumentError, CheckFailure, Record
 
 DEFAULT_MARGIN = Decimal("1e-20")
 
@@ -83,26 +82,22 @@ def r2_table(kmax: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class CircleCount:
+class CircleCount(Record):
     """One bound check: exact count R(t), |R - pi t| and the classical
     bound, both to DIGITS significant digits.  Construction fails
     (CheckFailure) unless the bound exceeds the error by the margin."""
 
-    t: int
-    R: int
-    error: Decimal
-    bound: Decimal
-    margin: Decimal = DEFAULT_MARGIN
+    __slots__ = ("t", "R", "error", "bound", "margin")
 
-    def __post_init__(self):
+    def __init__(self, t: int, R: int, error: Decimal, bound: Decimal,
+                 margin: Decimal = DEFAULT_MARGIN):
         with localcontext() as ctx:
             ctx.prec = DIGITS + 10
-            if self.bound - self.error <= self.margin:
+            if bound - error <= margin:
                 raise CheckFailure(
-                    f"Gauss bound violated at t={self.t}: "
-                    f"error {self.error} vs bound {self.bound}",
-                    context=self.t)
+                    f"Gauss bound violated at t={t}: "
+                    f"error {error} vs bound {bound}", context=t)
+        super().__init__(t, R, error, bound, margin)
 
 
 def gauss_bound_check(t_values,
@@ -133,13 +128,11 @@ def gauss_bound_check(t_values,
     return out
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares slope of log windowed-max error against log t."""
+class ExponentFit(Record):
+    """Least-squares slope of log windowed-max error against log t; the
+    windows are (log t at window center, log max error) pairs."""
 
-    alpha: float
-    residual: float
-    windows: tuple  # (log t at window center, log max error) pairs
+    __slots__ = ("alpha", "residual", "windows")
 
 
 def error_exponent_fit(t_grid) -> ExponentFit:

@@ -58,11 +58,10 @@ inverses.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, itemgetter
 
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, Record, StructuralError
 from .linalg import det_exact, mat_inverse_exact
 
 Element = tuple
@@ -113,15 +112,15 @@ def _column_act(entries) -> Act:
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeAbelian:
+class FreeAbelian(Record):
     """Z^rank under addition; elements are integer vectors."""
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int):
+        if rank < 0:
             raise StructuralError("rank must be nonnegative")
+        super().__init__(rank)
 
     def identity(self) -> Element:
         return (0,) * self.rank
@@ -151,17 +150,17 @@ class FreeAbelian:
         return "(" + ", ".join(map(str, a)) + ")"
 
 
-@dataclass(frozen=True)
-class FreeGroup:
+class FreeGroup(Record):
     """Free group on `rank` letters; elements are freely reduced words,
     each stored as one int whose base 2*rank + 1 digits spell the word
     (see the module docstring)."""
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise StructuralError("free group rank must be at least 1")
+        super().__init__(rank)
 
     def _digits(self, a: int) -> list[int]:
         """The digits of the word a, first letter first."""
@@ -232,17 +231,17 @@ class FreeGroup:
                         for d in self._digits(a))
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(Record):
     """Subgroup of GL(dim, Z) generated by explicit integer matrices;
     each element is one flat row-major tuple of dim*dim ints (see the
     module docstring)."""
 
-    dim: int
+    __slots__ = ("dim",)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int):
+        if dim < 1:
             raise StructuralError("matrix dimension must be at least 1")
+        super().__init__(dim)
 
     def _rows(self, a: Element) -> tuple:
         n = self.dim
@@ -292,16 +291,16 @@ class MatrixGroup:
                                for row in self._rows(a)) + "]"
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(Record):
     """Subgroup of the symmetric group on {1..degree}; elements are image
     tuples, img[i-1] = image of i."""
 
-    degree: int
+    __slots__ = ("degree",)
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int):
+        if degree < 1:
             raise StructuralError("permutation degree must be at least 1")
+        super().__init__(degree)
 
     def identity(self) -> Element:
         return tuple(range(1, self.degree + 1))
@@ -338,8 +337,7 @@ Family = FreeAbelian | FreeGroup | MatrixGroup | PermutationGroup
 # marked groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkedGroup:
+class MarkedGroup(Record):
     """A group family together with a finite generating set.
 
     Growth depends on the pair, not on the group alone, so every
@@ -347,22 +345,20 @@ class MarkedGroup:
     canonical form; the identity is rejected as a generator.
     """
 
-    family: Family
-    generators: tuple = field(default=())
-    symmetrize: bool = True
+    __slots__ = ("family", "generators", "symmetrize")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, family: Family, generators: tuple = (),
+                 symmetrize: bool = True):
+        if not generators:
             raise ConfigError("generating set must be nonempty", field="generator")
-        fam = self.family
         canon = []
-        ident = fam.identity()
-        for g in self.generators:
-            c = fam.canonicalize(g)
+        ident = family.identity()
+        for g in generators:
+            c = family.canonicalize(g)
             if c == ident:
                 raise StructuralError("the identity may not be listed as a generator")
             canon.append(c)
-        object.__setattr__(self, "generators", tuple(canon))
+        super().__init__(family, tuple(canon), symmetrize)
 
     def effective_generating_set(self) -> list:
         """Deduplicated generator list, closed under inversion when

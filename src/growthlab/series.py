@@ -16,13 +16,10 @@ back as ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ArgumentError
-
-Poly = tuple  # integer or Fraction coefficients, ascending degree
+from .errors import ArgumentError, Record
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +113,12 @@ def poly_str(p, var: str = "z") -> str:
 # rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunction:
-    """P(z)/Q(z) with integer coefficients, normalized uniquely:
-    no common polynomial factor, no common integer content, Q(0) > 0."""
+class RationalFunction(Record):
+    """P(z)/Q(z) as tuples of integer coefficients in ascending degree,
+    normalized uniquely: no common polynomial factor, no common integer
+    content, Q(0) > 0."""
 
-    numerator: Poly
-    denominator: Poly
+    __slots__ = ("numerator", "denominator")
 
     @staticmethod
     def make(num, den) -> "RationalFunction":

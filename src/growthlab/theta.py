@@ -20,20 +20,17 @@ cross-checked against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
 
 from . import linalg
-from .errors import ArgumentError, StructuralError
+from .errors import ArgumentError, Record, StructuralError
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
+class IntegralLattice(Record):
     """Lattice presented by a symmetric positive-definite integer Gram
     matrix of pairwise inner products of basis vectors."""
 
-    rank: int
-    gram: tuple
+    __slots__ = ("rank", "gram")
 
     @staticmethod
     def make(gram) -> "IntegralLattice":
@@ -51,24 +48,23 @@ class IntegralLattice:
         return IntegralLattice(n, rows)
 
 
-@dataclass(frozen=True)
-class ThetaPrefix:
+class ThetaPrefix(Record):
     """counts[m] = number of lattice vectors of squared norm m."""
 
-    rmax: int
-    counts: tuple
+    __slots__ = ("rmax", "counts")
 
-    def __post_init__(self):
-        if self.rmax < 0:
+    def __init__(self, rmax: int, counts: tuple):
+        if rmax < 0:
             raise ArgumentError("rmax must be nonnegative")
-        if len(self.counts) != self.rmax + 1:
+        if len(counts) != rmax + 1:
             raise ArgumentError("counts length does not match rmax")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise ArgumentError("theta prefix must start with a single zero vector")
-        for m, c in enumerate(self.counts):
+        for m, c in enumerate(counts):
             if c < 0 or (m >= 1 and c % 2 != 0):
                 raise ArgumentError(
                     f"coefficient at norm {m} violates the +-x pairing")
+        super().__init__(rmax, counts)
 
     def vector_count(self, norm_bound: int) -> int:
         """Exact number of lattice vectors of squared norm <= norm_bound."""

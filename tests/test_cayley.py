@@ -205,6 +205,20 @@ def test_ball_table_validation():
         BallTable(1, (2, 2), (2, 4))         # sigma(0) must be 1
     with pytest.raises(ArgumentError):
         BallTable(-1, (), ())
+    with pytest.raises(ArgumentError,
+                       match="^table length does not match radius_max$"):
+        BallTable(2, (1, 2), (1, 3))
+
+
+def test_ball_table_is_immutable():
+    table = BallTable(1, (1, 2), (1, 3), "Z")
+    assert table == BallTable(1, (1, 2), (1, 3), group_description="Z")
+    assert hash(table) == hash(BallTable(1, (1, 2), (1, 3), "Z"))
+    with pytest.raises(AttributeError):
+        table.sphere_sizes = (1, 4)
+    with pytest.raises(AttributeError):
+        del table.radius_max
+    assert table.sphere_sizes == (1, 2) and table.radius_max == 1
 
 
 def test_ball_table_refuses_a_sphere_after_an_empty_one():

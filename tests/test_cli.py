@@ -442,15 +442,30 @@ def test_oversized_stock_rank_is_config_error(capsys, tmp_path):
 
     # 2*rank equal to the budget is allowed, and explicit generators are
     # not stock ones
-    rc, out, err = run(capsys, "growth", "--family", "free-abelian",
-                       "--rank", "5", "--budget", "10", "--kmax", "0",
-                       "--no-timestamp")
+    rc, out, err = run(capsys, "growth", "--family", "free", "--rank", "5",
+                       "--budget", "10", "--kmax", "0", "--no-timestamp")
     assert rc == 0
     assert out.splitlines()[-1] == "0,1,1"
     rc, out, err = run(capsys, "growth", "--family", "free", "--rank", huge,
                        "--generator", "1", "--kmax", "3", "--no-timestamp")
     assert rc == 0
     assert out.splitlines()[-1] == "3,2,7"
+
+
+def test_stock_free_abelian_counts_rank_squared_entries(capsys):
+    # each of the rank stock generators is a vector of rank entries, so
+    # rank 5 takes 25 units of the budget where a free group takes 10
+    argv = ("growth", "--family", "free-abelian", "--rank", "5", "--kmax",
+            "1", "--no-timestamp")
+    rc, out, err = run(capsys, *argv, "--budget", "25")
+    assert rc == 0
+    assert out.splitlines()[-1] == "1,10,11"
+    rc, out, err = run(capsys, *argv, "--budget", "24")
+    assert rc == 2
+    assert "field 'rank'" in err
+    assert "the 25 entries of the 5 stock generators exceed the budget " \
+        "of 24" in err
+    assert out == ""
 
 
 def test_oversized_stock_degree_is_config_error(capsys, tmp_path):
@@ -509,6 +524,25 @@ def test_ehrhart_work_counts_against_the_budget(capsys, tmp_path):
     assert rc == 2
     assert "line 3: field 'vertex'" in err
     assert "3 facet subsets of 3 vertices" in err
+
+
+def test_stock_polytope_is_refused_before_it_is_built(capsys, monkeypatch):
+    # a stock polytope's vertex count and dimension follow from n, so
+    # its facet subsets are refused without building it
+    from growthlab import ehrhart
+
+    def unbuilt(n):
+        raise AssertionError(f"polytope of n={n} built before the refusal")
+    monkeypatch.setattr(ehrhart, "cross_polytope", unbuilt)
+    monkeypatch.setattr(ehrhart, "root_polytope", unbuilt)
+    # 2n vertices of the cross-polytope, n(n+1) of the root polytope
+    for kind, n, vertices in (("cross", 80, 160), ("root", 30, 930)):
+        rc, out, err = run(capsys, "ehrhart", "--polytope", kind, "--n",
+                           str(n), "--kmax", "1")
+        assert rc == 2
+        assert f"field 'n': the {comb(vertices, n)} facet subsets of " \
+            f"{vertices} vertices exceed the budget of 10000000" in err
+        assert out == ""
 
 
 def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
@@ -969,7 +1003,7 @@ def test_malformed_input_exits_cleanly(tmp_path, case):
 
 
 # a child that runs one CLI command in-process and prints its exit code
-# and the growthlab modules it loaded, as JSON on its last stdout line
+# and the modules it loaded, as JSON on its last stdout line
 IMPORTS = """
 import json, sys
 from growthlab.cli import main
@@ -977,20 +1011,25 @@ try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m.startswith("growthlab."))]))
+print(json.dumps([rc, sorted(sys.modules)]))
 """
 
 
-def _loaded_modules(*argv):
+def _loaded_modules(*argv, rc=0):
+    """The growthlab submodules a command loads, without the package
+    prefix, and the top-level names of every other module it loads."""
     src = str(Path(growthlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORTS, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0, proc.stderr
-    return {m.removeprefix("growthlab.") for m in loaded}
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == rc, proc.stderr
+    ours = {m.removeprefix("growthlab.") for m in loaded
+            if m.startswith("growthlab.")}
+    others = {m.partition(".")[0] for m in loaded
+              if m.partition(".")[0] != "growthlab"}
+    return ours, others
 
 
 @pytest.mark.parametrize("argv", [
@@ -999,28 +1038,50 @@ def _loaded_modules(*argv):
     ("ehrhart", "--polytope", "cross", "--n", "2", "--kmax", "3"),
 ], ids=lambda argv: argv[0])
 def test_lattice_commands_load_no_group_kernel(argv):
-    loaded = _loaded_modules(*argv, "--no-timestamp")
+    loaded, _ = _loaded_modules(*argv, "--no-timestamp")
     assert argv[0] in loaded
     assert loaded.isdisjoint({"groups", "cayley", "analysis", "acceptance"})
 
 
 def test_growth_loads_no_lattice_kernel():
-    loaded = _loaded_modules("growth", "--family", "free", "--rank", "2",
-                             "--kmax", "3", "--no-timestamp")
+    loaded, _ = _loaded_modules("growth", "--family", "free", "--rank", "2",
+                                "--kmax", "3", "--no-timestamp")
     assert "cayley" in loaded
     assert loaded.isdisjoint({"ehrhart", "theta", "gauss", "acceptance"})
 
 
 def test_analyze_loads_no_lattice_kernel():
     # the digit count of its decimals lives in config, not in gauss
-    loaded = _loaded_modules("analyze", "--family", "heisenberg", "--kmax",
-                             "6", "--no-timestamp")
+    loaded, _ = _loaded_modules("analyze", "--family", "heisenberg",
+                                "--kmax", "6", "--no-timestamp")
     assert "analysis" in loaded
     assert loaded.isdisjoint({"gauss", "ehrhart", "theta", "acceptance"})
 
 
 def test_version_loads_no_kernel():
-    assert _loaded_modules("--version") == {"cli", "config", "errors"}
+    loaded, _ = _loaded_modules("--version")
+    assert loaded == {"cli", "config", "errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("growth", "--family", "free-abelian", "--rank", "3", "--kmax", "4"),
+    ("analyze", "--family", "heisenberg", "--kmax", "6",
+     "--dye-convention", "as-given"),
+    ("ehrhart", "--polytope", "root", "--n", "2", "--kmax", "3"),
+    ("theta", "--rank", "8", "--rmax", "4"),
+    ("gauss", "--check-bound", "--tmax", "100"),
+    ("gauss", "--fit", "--tmax", "200"),
+    ("catalan", "--kmax", "5"),
+    ("verify",),
+    ("--version",),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # building a dataclass needs inspect, which loads ast, dis and
+    # tokenize: about 20 ms of every process, so records are plain
+    # classes (errors.Record).  verify exits 4: check 12 fails as designed
+    _, others = _loaded_modules(*argv, rc=4 if argv == ("verify",) else 0)
+    assert others.isdisjoint({"dataclasses", "inspect", "ast", "dis",
+                              "tokenize"})
 
 
 def test_fit_grid_is_rounded_in_integers():

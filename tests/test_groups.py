@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -432,6 +431,42 @@ def test_lazy_acts_read_only_what_is_drawn():
             [oracle_product(fam, g, s)] * 3, (g, s)
 
 
+def test_records_compare_by_type_and_fields():
+    # a family is not a bare tuple of its size: equal sizes of two
+    # families are two different groups
+    assert FreeAbelian(2) != FreeGroup(2)
+    assert MatrixGroup(2) != PermutationGroup(2)
+    assert FreeAbelian(2) != (2,)
+    twins = [
+        (FreeAbelian(2), FreeAbelian(rank=2)),
+        (FreeGroup(3), FreeGroup(3)),
+        (MatrixGroup(3), MatrixGroup(dim=3)),
+        (PermutationGroup(4), PermutationGroup(4)),
+        (free_group_standard(2), MarkedGroup(FreeGroup(2), ((1,), (2,)))),
+        (heisenberg_group(), MarkedGroup(family=MatrixGroup(3),
+                                         generators=heisenberg_group()
+                                         .generators)),
+    ]
+    for a, b in twins:
+        assert a == b and hash(a) == hash(b), a
+        assert len({a, b}) == 1
+    assert free_group_standard(2) != MarkedGroup(
+        FreeGroup(2), ((1,), (2,)), symmetrize=False)
+    assert free_group_standard(2) != free_group_standard(3)
+
+
+def test_records_refuse_assignment():
+    m = free_group_standard(2)
+    for record, field in ((FreeAbelian(2), "rank"), (FreeGroup(2), "rank"),
+                          (MatrixGroup(2), "dim"),
+                          (PermutationGroup(2), "degree"),
+                          (m, "family"), (m, "generators"),
+                          (m, "symmetrize")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert m == free_group_standard(2)
+
+
 def test_marked_group_needs_generators():
     with pytest.raises(ConfigError):
         MarkedGroup(FreeAbelian(2), ())
@@ -518,5 +553,5 @@ def test_canonicalize_accepts_its_own_output():
     for m in (free_group_standard(2), free_group_standard(200),
               MarkedGroup(FreeGroup(2), ((1, 2), (-2,)))):
         assert MarkedGroup(m.family, m.generators) == m
-        asym = dataclasses.replace(m, symmetrize=False)
+        asym = MarkedGroup(m.family, m.generators, symmetrize=False)
         assert asym.generators == m.generators

@@ -120,8 +120,9 @@ def test_prefix_invariants_enforced():
         ThetaPrefix(2, (2, 0, 0))  # r(0) must be 1
     with pytest.raises(ArgumentError):
         ThetaPrefix(2, (1, 3, 0))  # odd count at positive norm
-    with pytest.raises(ArgumentError):
-        ThetaPrefix(2, (1, 0))  # length mismatch
+    with pytest.raises(ArgumentError,
+                       match="^counts length does not match rmax$"):
+        ThetaPrefix(2, (1, 0))
     with pytest.raises(ArgumentError):
         ThetaPrefix(-1, ())
     # a valid prefix passes
