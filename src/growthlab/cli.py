@@ -96,10 +96,9 @@ _GROUP_KEYS = ("family", "rank", "degree", "dim", "symmetrize")
 def cmd_growth(args) -> int:
     from . import cayley, series
     doc = _merged_document(
-        args, _GROUP_KEYS + ("kmax", "guard", "budget"), ("generator",))
+        args, _GROUP_KEYS + ("kmax", "budget"), ("generator",))
     m = build_marked_group(doc)
     kmax = get_int(doc, "kmax", default=12, minimum=0)
-    guard = get_int(doc, "guard", default=4, minimum=1)
     budget = get_budget(doc)
     doc.refuse_unread("growth")
     stopped = None
@@ -112,10 +111,7 @@ def cmd_growth(args) -> int:
               file=sys.stderr)
         table, stopped = exc.partial, exc
     partial = stopped is not None
-    sigma = list(table.sphere_sizes)
-    recognized = None
-    if len(sigma) >= 2 * guard + 2:
-        recognized = series.recognize_rational(sigma, guard=guard)
+    recognized = series.recognize_rational(table.sphere_sizes)
     shown = recognized.display() if recognized is not None else "none"
     csv_lines = [f"# group: {m.describe()}", f"# recognized: {shown}"]
     if partial:
@@ -177,16 +173,6 @@ def _flatten_for_csv(prefix: str, obj, rows) -> None:
         rows.append((prefix, obj))
 
 
-def _dyadic_extension(tmax: int, upto: int) -> list:
-    ts = []
-    j = 1
-    while 2 ** j <= upto:
-        if 2 ** j > tmax:
-            ts.append(2 ** j)
-        j += 1
-    return ts
-
-
 def _fit_grid_value(j: int) -> int:
     """round(2^(j/4)), the j-th value of the four-per-octave fit grid, in
     integers so that no j overflows a float: f = floor(2^(j/4)), plus 1
@@ -197,11 +183,11 @@ def _fit_grid_value(j: int) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from decimal import Decimal, InvalidOperation, localcontext
+    from decimal import localcontext
 
     from . import gauss
     doc = _merged_document(
-        args, ("tmax", "kmax", "dyadic-to", "margin", "budget"))
+        args, ("tmax", "kmax", "dyadic-to", "budget"))
     modes = [m for m, on in (("table", args.table), ("check-bound", args.check_bound),
                              ("fit", args.fit)) if on]
     if len(modes) != 1:
@@ -227,18 +213,8 @@ def cmd_gauss(args) -> int:
 
     if mode == "check-bound":
         tmax = _table_bound(doc, "tmax", default=10000, minimum=1)
-        margin, entry = gauss.DEFAULT_MARGIN, doc.get("margin")
-        if entry is not None:
-            try:
-                margin = Decimal(entry.value)
-            except InvalidOperation:
-                margin = Decimal("NaN")
-            # a negative margin would weaken the bound check
-            if not margin.is_finite() or margin < 0:
-                raise ConfigError("expected a finite nonnegative number, "
-                                  f"got {entry.value!r}",
-                                  line=entry.line, field="margin")
-        dyadic = _dyadic_extension(tmax, get_int(doc, "dyadic-to", default=0))
+        dyadic = gauss.dyadic_extension(tmax,
+                                        get_int(doc, "dyadic-to", default=0))
         # a t beyond the sieve is counted alone, over 2 isqrt(t) + 1 rows
         rows = sum(2 * math.isqrt(t) + 1 for t in dyadic)
         refuse_over_budget(doc, "dyadic-to", rows,
@@ -246,7 +222,7 @@ def cmd_gauss(args) -> int:
                            "values exceed")
         doc.refuse_unread("gauss")
         ts = list(range(0, tmax + 1)) + dyadic
-        results = gauss.gauss_bound_check(ts, margin=margin)
+        results = gauss.gauss_bound_check(ts)
         with localcontext() as ctx:
             ctx.prec = DIGITS
             worst = min(r.bound - r.error for r in results)
@@ -255,7 +231,7 @@ def cmd_gauss(args) -> int:
         json_result = {
             "checked": len(results),
             "digits": DIGITS,
-            "margin": str(margin),
+            "margin": str(gauss.MARGIN),
             "worst_slack": f"{worst:E}",
             "holds": True,
         }
@@ -296,7 +272,7 @@ def cmd_gauss(args) -> int:
 def cmd_ehrhart(args) -> int:
     from . import ehrhart, series
     doc = _merged_document(
-        args, ("polytope", "n", "kmax", "guard", "ambient-dim", "budget"),
+        args, ("polytope", "n", "kmax", "ambient-dim", "budget"),
         ("vertex", "basis"))
     kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
     if kind == "custom":
@@ -304,9 +280,6 @@ def cmd_ehrhart(args) -> int:
     else:  # 2n or n(n+1) vertices in dimension n, known before the build
         n = require_int(doc, "n", minimum=1)
     kmax = get_int(doc, "kmax", default=6, minimum=0)
-    # stock polytopes take their closed form, so only custom ones recognize
-    if kind == "custom":
-        guard = get_int(doc, "guard", default=4, minimum=1)
     # the count tries C(vertices, e) facet subsets, then counts one line
     # per point of kP's box in all lattice coordinates but the last
     if kmax:
@@ -335,8 +308,8 @@ def cmd_ehrhart(args) -> int:
         closed = ehrhart.cross_polytope_series(n)
     elif kind == "root":
         closed = ehrhart.root_polytope_series(n)
-    elif len(counts) >= 2 * guard + 2:
-        closed = series.recognize_rational(counts, guard=guard)
+    else:  # stock polytopes take their closed form, custom ones recognize
+        closed = series.recognize_rational(counts)
     if closed is not None and closed.expand(kmax) != counts:
         raise CheckFailure("closed form disagrees with lattice counts",
                            context=kind)
@@ -461,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sphere/ball table of a marked group, with "
                             "rational-series recognition")
     p.add_argument("--kmax", type=int)
-    p.add_argument("--guard", type=int,
-                   help="trailing terms held back for recognition")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("analyze", parents=[common, group_parent],
@@ -485,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int)
     p.add_argument("--dyadic-to", type=int,
                    help="extend --check-bound with powers of two up to here")
-    p.add_argument("--margin", help="required slack for the bound check")
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("ehrhart", parents=[common],
@@ -493,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", help="cross, root or custom (default)")
     p.add_argument("--n", type=int, help="index of the stock family")
     p.add_argument("--kmax", type=int)
-    p.add_argument("--guard", type=int)
     p.add_argument("--ambient-dim", type=int)
     p.add_argument("--vertex", action="append")
     p.add_argument("--basis", action="append")

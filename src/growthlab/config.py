@@ -326,15 +326,22 @@ POLYTOPE_FAMILIES = frozenset({"cross", "root", "custom"})
 
 def build_polytope(doc: ConfigDocument) -> LatticePolytope:
     """Construct a lattice polytope from a config document: either one
-    of the stock families (`polytope = cross|root` with `n = ...`) or a
-    custom vertex list with optional lattice basis rows."""
+    of the stock families (`polytope = cross|root` with `n = ...`), whose
+    V vertices of `ambient` entries each count against the budget before
+    the build, or a custom vertex list with optional lattice basis rows."""
     from . import ehrhart
 
     kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
-    if kind == "cross":
-        return ehrhart.cross_polytope(require_int(doc, "n", minimum=1))
-    if kind == "root":
-        return ehrhart.root_polytope(require_int(doc, "n", minimum=1))
+    if kind != "custom":
+        n = require_int(doc, "n", minimum=1)
+        vertices, ambient = ((2 * n, n) if kind == "cross"
+                             else (n * (n + 1), n + 1))
+        entries = vertices * ambient
+        refuse_over_budget(doc, "n", entries, f"the {entries} entries of "
+                           f"the {vertices} stock vertices exceed")
+        build = (ehrhart.cross_polytope if kind == "cross"
+                 else ehrhart.root_polytope)
+        return build(n)
     ambient = require_int(doc, "ambient-dim", minimum=1)
     vertex_entries = doc.get_all("vertex")
     if not vertex_entries:
@@ -361,26 +368,28 @@ def build_polytope(doc: ConfigDocument) -> LatticePolytope:
 
 def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     """Construct an integral lattice: explicit `gram` rows, or `rank`
-    alone for the standard Z^rank identity form, whose rank^2 entries
-    count against the budget before the matrix is built."""
+    alone for the standard Z^rank identity form.  The lattice and the
+    theta descent each eliminate on the gram matrix, so its rank^3
+    steps count against the budget before either runs."""
     from . import theta
 
     gram_entries = doc.get_all("gram")
     if gram_entries:
         rows = [_int_list(e) for e in gram_entries]
-        width = len(rows)
+        rank, key = len(rows), "gram"
         for e, row in zip(gram_entries, rows):
-            if len(row) != width:
+            if len(row) != rank:
                 raise ConfigError(
-                    f"gram matrix must be square ({width} rows)",
+                    f"gram matrix must be square ({rank} rows)",
                     line=e.line, field="gram")
-        try:
-            return theta.IntegralLattice.make(rows)
-        except StructuralError as exc:
-            raise ConfigError(str(exc), line=gram_entries[0].line,
-                              field="gram")
-    rank = require_int(doc, "rank", minimum=1)
-    refuse_over_budget(doc, "rank", rank * rank, f"the {rank}x{rank} "
-                       "identity gram matrix exceeds")
-    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    return theta.IntegralLattice.make(identity)
+    else:
+        rank, key = require_int(doc, "rank", minimum=1), "rank"
+    steps = rank ** 3
+    refuse_over_budget(doc, key, steps, f"the {steps} elimination steps "
+                       f"of a rank {rank} gram matrix exceed")
+    if not gram_entries:
+        rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    try:
+        return theta.IntegralLattice.make(rows)
+    except StructuralError as exc:  # only given rows can fail
+        raise ConfigError(str(exc), line=gram_entries[0].line, field="gram")

@@ -176,14 +176,14 @@ def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cross_polytope(n: int) -> LatticePolytope:
-    """conv(+-e_1, ..., +-e_n) in Z^n."""
+    """conv(+-e_1, ..., +-e_n) in Z^n, whose vertices are their own
+    lattice coordinates on the identity basis."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
-    verts = []
-    for i in range(n):
-        for sign in (1, -1):
-            verts.append(tuple(sign * int(i == j) for j in range(n)))
-    return LatticePolytope.make(n, verts)
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    verts = tuple(tuple(sign * x for x in row)
+                  for row in basis for sign in (1, -1))
+    return LatticePolytope(n, basis, verts, verts)
 
 
 def cross_polytope_series(n: int) -> RationalFunction:
@@ -198,18 +198,23 @@ def cross_polytope_series(n: int) -> RationalFunction:
 
 def root_polytope(n: int) -> LatticePolytope:
     """A_n root polytope conv{e_i - e_j, i != j} inside the lattice
-    Z^{n+1} with coordinate sum zero."""
+    Z^{n+1} with coordinate sum zero, on the basis e_i - e_{i+1}, in
+    which each vertex's lattice coordinates are read off directly."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
     dim = n + 1
-    basis = [tuple(int(j == i) - int(j == i + 1) for j in range(dim))
-             for i in range(n)]
-    verts = []
+    basis = tuple(tuple(int(j == i) - int(j == i + 1) for j in range(dim))
+                  for i in range(n))
+    verts, coords = [], []
     for i in range(dim):
         for j in range(dim):
             if i != j:
-                verts.append(tuple(int(l == i) - int(l == j) for l in range(dim)))
-    return LatticePolytope.make(dim, verts, basis)
+                verts.append(tuple(int(l == i) - int(l == j)
+                                   for l in range(dim)))
+                # e_i - e_j = +-(sum of e_l - e_{l+1} for l between them)
+                lo, hi, s = (i, j, 1) if i < j else (j, i, -1)
+                coords.append(tuple(s * int(lo <= l < hi) for l in range(n)))
+    return LatticePolytope(dim, basis, tuple(verts), tuple(coords))
 
 
 def legendre(n: int) -> tuple:

@@ -4,8 +4,8 @@ empirical fit of the error exponent.
 
 All counts are exact integers computed with integer square roots; the
 bound check runs in fixed 60-digit decimal arithmetic, shows its values
-at 50 significant digits (DIGITS) and demands a safety margin, so a pass
-can never be a rounding artifact.
+at 50 significant digits (DIGITS) and demands a fixed safety margin
+(MARGIN), so a pass can never be a rounding artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from statistics import linear_regression
 from .config import DIGITS
 from .errors import ArgumentError, CheckFailure, Record
 
-DEFAULT_MARGIN = Decimal("1e-20")
+# the slack by which every bound must exceed its error
+MARGIN = Decimal("1e-20")
 
 
 def pi_decimal(digits: int = DIGITS) -> Decimal:
@@ -85,23 +86,33 @@ def r2_table(kmax: int) -> list[int]:
 class CircleCount(Record):
     """One bound check: exact count R(t), |R - pi t| and the classical
     bound, both to DIGITS significant digits.  Construction fails
-    (CheckFailure) unless the bound exceeds the error by the margin."""
+    (CheckFailure) unless the bound exceeds the error by MARGIN."""
 
-    __slots__ = ("t", "R", "error", "bound", "margin")
+    __slots__ = ("t", "R", "error", "bound")
 
-    def __init__(self, t: int, R: int, error: Decimal, bound: Decimal,
-                 margin: Decimal = DEFAULT_MARGIN):
+    def __init__(self, t: int, R: int, error: Decimal, bound: Decimal):
         with localcontext() as ctx:
             ctx.prec = DIGITS + 10
-            if bound - error <= margin:
+            if bound - error <= MARGIN:
                 raise CheckFailure(
                     f"Gauss bound violated at t={t}: "
                     f"error {error} vs bound {bound}", context=t)
-        super().__init__(t, R, error, bound, margin)
+        super().__init__(t, R, error, bound)
 
 
-def gauss_bound_check(t_values,
-                      margin: Decimal = DEFAULT_MARGIN) -> list[CircleCount]:
+def dyadic_extension(tmax: int, upto: int) -> list[int]:
+    """The powers of two 2^j, j >= 1, above tmax and at most upto: the
+    values that extend a bound check past a dense range 0..tmax."""
+    ts = []
+    j = 1
+    while 2 ** j <= upto:
+        if 2 ** j > tmax:
+            ts.append(2 ** j)
+        j += 1
+    return ts
+
+
+def gauss_bound_check(t_values) -> list[CircleCount]:
     """Check |R(t) - pi t| <= 2 pi (1 + sqrt(2t)) for every t given.
 
     One sieve of as many entries as there are values counts every t up
@@ -124,7 +135,7 @@ def gauss_bound_check(t_values,
             error = abs(Decimal(R) - pi * t)
             bound = 2 * pi * (1 + Decimal(2 * t).sqrt())
             ctx.prec = DIGITS
-            out.append(CircleCount(t, R, +error, +bound, margin))
+            out.append(CircleCount(t, R, +error, +bound))
     return out
 
 

@@ -259,14 +259,14 @@ def recognize_rational(seq, guard: int = 4) -> RationalFunction | None:
 
     The minimal recurrence is fitted on all but the last ``guard``
     terms; the candidate is accepted only if its expansion reproduces
-    the entire input, guard band included.
+    the entire input, guard band included.  A prefix shorter than
+    2 guard + 2 terms is too short to recognize and gives None.
     """
     if guard < 1:
         raise ArgumentError("guard must be at least 1")
     seq = [Fraction(x) for x in seq]
     if len(seq) < 2 * guard + 2:
-        raise ArgumentError(
-            f"need at least {2 * guard + 2} terms for guard {guard}, got {len(seq)}")
+        return None
     fit = seq[: len(seq) - guard]
     C, L = _berlekamp_massey(fit)
     # numerator: the product seq * C truncated below degree L

@@ -4,13 +4,16 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import growthlab
+from growthlab import gauss
 from growthlab.cli import _fit_grid_value, build_parser, main
+from growthlab.errors import CheckFailure
 
 
 def run(capsys, *argv):
@@ -306,19 +309,6 @@ def test_gauss_modes(capsys):
     assert out.splitlines()[-1] == \
         "51,50,5.2831853071795864769252867665590057683943387987502E+0"
 
-    rc, out, _ = run(capsys, "gauss", "--check-bound", "--tmax", "20",
-                     "--margin", "10")
-    assert rc == 4
-
-    # a margin must be a finite nonnegative number: a negative one would
-    # weaken the check
-    for bad in ("abc", "-5", "NaN", "Infinity", "-inf"):
-        rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "20",
-                           f"--margin={bad}")
-        assert rc == 2, bad
-        assert "field 'margin'" in err
-        assert out == ""
-
     rc, out, _ = run(capsys, "gauss", "--fit", "--tmax", "2000",
                      "--format", "json", "--no-timestamp")
     assert rc == 0
@@ -507,15 +497,21 @@ def test_ehrhart_work_counts_against_the_budget(capsys, tmp_path):
                        "0", "--vertex", "1", "--kmax", str(10 ** 12))
     assert rc == 2
     assert f"at least {10 ** 12} lines" in err
-    # the cuboctahedron tries C(12, 3) = 220 subsets, and kmax 0 none
+    # the cuboctahedron tries C(12, 3) = 220 subsets, and kmax 0 none:
+    # then only its 12 vertices of 4 entries each count
     root = ("ehrhart", "--polytope", "root", "--n", "3", "--no-timestamp")
     rc, out, err = run(capsys, *root, "--kmax", "1", "--budget", "219")
     assert rc == 2
     assert "field 'n'" in err
     assert "220 facet subsets of 12 vertices" in err
-    rc, out, err = run(capsys, *root, "--kmax", "0", "--budget", "1")
+    rc, out, err = run(capsys, *root, "--kmax", "0", "--budget", "48")
     assert rc == 0
     assert out.splitlines()[-1] == "0,1"
+    rc, out, err = run(capsys, *root, "--kmax", "0", "--budget", "47")
+    assert rc == 2
+    assert "field 'n': the 48 entries of the 12 stock vertices exceed " \
+        "the budget of 47" in err
+    assert out == ""
     # a custom polytope names its first vertex row
     cfg = tmp_path / "job.cfg"
     cfg.write_text("ambient-dim = 2\nbudget = 2\nvertex = 0 0\n"
@@ -543,6 +539,33 @@ def test_stock_polytope_is_refused_before_it_is_built(capsys, monkeypatch):
         assert f"field 'n': the {comb(vertices, n)} facet subsets of " \
             f"{vertices} vertices exceed the budget of 10000000" in err
         assert out == ""
+
+
+def test_stock_polytope_counts_its_vertex_entries(capsys, tmp_path):
+    # the 6 vertices of the octahedron have 3 entries each
+    cross = ("ehrhart", "--polytope", "cross", "--n", "3", "--kmax", "0",
+             "--no-timestamp")
+    rc, out, err = run(capsys, *cross, "--budget", "18")
+    assert rc == 0
+    assert out.splitlines()[-1] == "0,1"
+    rc, out, err = run(capsys, *cross, "--budget", "17")
+    assert rc == 2
+    assert "field 'n': the 18 entries of the 6 stock vertices exceed " \
+        "the budget of 17" in err
+    assert out == ""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("polytope = cross\nkmax = 0\nn = 3\nbudget = 17\n")
+    rc, out, err = run(capsys, "ehrhart", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'n'" in err
+    # the vertices are written down, not solved for, so n = 80 at kmax 0
+    # builds at once and prints E(0) = 1 with the closed form
+    rc, out, err = run(capsys, "ehrhart", "--polytope", "cross", "--n", "80",
+                       "--kmax", "0", "--no-timestamp")
+    assert rc == 0
+    lines = out.splitlines()
+    assert "# polytope: cross, ambient dim 80, 160 vertices" in lines
+    assert lines[-2:] == ["k,count", "0,1"]
 
 
 def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
@@ -577,20 +600,31 @@ def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
     assert "143 disc rows of 11 grid values" in err
     assert out == ""
 
-    # the identity gram of rank 3 has 9 entries
+    # a gram matrix of rank 3 takes 27 elimination steps, whether it is
+    # the identity of --rank or given as rows
     rc, out, err = run(capsys, "theta", "--rank", "3", "--rmax", "2",
-                       "--budget", "9", "--no-timestamp")
+                       "--budget", "27", "--no-timestamp")
     assert rc == 0
     assert out.splitlines()[-1] == "2,12"
     rc, out, err = run(capsys, "theta", "--rank", "3", "--rmax", "2",
-                       "--budget", "8")
+                       "--budget", "26")
     assert rc == 2
-    assert "field 'rank'" in err
+    assert "field 'rank': the 27 elimination steps of a rank 3 gram " \
+        "matrix exceed the budget of 26" in err
     assert out == ""
-    cfg.write_text("rank = 3\nbudget = 8\n")
+    cfg.write_text("rank = 3\nbudget = 26\n")
     rc, out, err = run(capsys, "theta", "--config", str(cfg))
     assert rc == 2
     assert "line 1: field 'rank'" in err
+    cfg.write_text("budget = 26\ngram = 1 0 0\ngram = 0 1 0\n"
+                   "gram = 0 0 1\n")
+    rc, out, err = run(capsys, "theta", "--config", str(cfg))
+    assert rc == 2
+    assert "line 2: field 'gram': the 27 elimination steps" in err
+    rc, out, err = run(capsys, "theta", "--config", str(cfg), "--budget",
+                       "27", "--rmax", "2", "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == "2,12"
 
 
 def test_unread_config_key_is_config_error(capsys, tmp_path):
@@ -629,7 +663,7 @@ def test_unread_budget_flags_are_config_errors(capsys):
     rc, out, err = run(capsys, "catalan", "--kmax", "2", "--budget", "6")
     assert rc == 0
     rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "4",
-                       "--budget", "5")
+                       "--budget", "8")
     assert rc == 0
     rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "4",
                        "--budget", "5")
@@ -639,21 +673,20 @@ def test_unread_budget_flags_are_config_errors(capsys):
     assert rc == 0
 
 
-def test_rounding_decides_no_check(capsys, tmp_path):
-    # at t = 0 the slack is 2 pi - 1 = 5.283..., so a margin of 5.29
-    # fails however the job is given; rounded to two digits the slack
-    # would read 5.3 and pass
-    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "1",
-                       "--margin", "5.29")
-    assert rc == 4
-    assert "t=0" in err
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text("tmax = 1\nmargin = 5.29\n")
-    rc, out, err = run(capsys, "gauss", "--check-bound", "--config", str(cfg))
-    assert rc == 4
-    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "1",
-                       "--margin", "5.28")
-    assert rc == 0
+def test_rounding_decides_no_check(capsys):
+    # a slack of exactly the margin fails the Gauss bound check, and one
+    # 1e-45 above it passes: the check compares at 60 digits, so no
+    # rounding of the 50 digits shown can decide it
+    error = Decimal(7)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        at_margin = error + gauss.MARGIN
+        above = at_margin + Decimal("1e-45")
+    with pytest.raises(CheckFailure) as exc:
+        gauss.CircleCount(3, 29, error, at_margin)
+    assert exc.value.context == 3
+    assert "t=3" in str(exc.value)
+    assert gauss.CircleCount(3, 29, error, above).bound == above
 
     # beta(8)^(1/8) = 2.5509... is the smallest rate estimate; rounded
     # to one digit radius 4 would tie with it at 3 and win
@@ -668,13 +701,13 @@ def test_rounding_decides_no_check(capsys, tmp_path):
 
 def test_table_within_budget(capsys):
     # a table of exactly --budget entries is allowed, and the budget is
-    # echoed as a job option
-    rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "5",
-                       "--budget", "6", "--no-timestamp")
+    # echoed as a job option (rank 2 takes 8 elimination steps)
+    rc, out, err = run(capsys, "theta", "--rank", "2", "--rmax", "8",
+                       "--budget", "9", "--no-timestamp")
     assert rc == 0
     assert "Traceback" not in err
-    assert "# option: budget = 6" in out
-    assert out.splitlines()[-1] == "5,8"
+    assert "# option: budget = 9" in out
+    assert out.splitlines()[-1] == "8,4"
 
     rc, out, err = run(capsys, "gauss", "--table", "--kmax", "10",
                        "--budget", "11", "--no-timestamp")
@@ -796,12 +829,13 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
     (("growth", "--family", "symmetric", "--degree", "3", "--generator", "1"),
      "generator"),
     (("gauss", "--table", "--kmax", "3", "--tmax", "99"), "tmax"),
-    (("gauss", "--table", "--kmax", "3", "--margin", "5"), "margin"),
-    (("gauss", "--fit", "--tmax", "100", "--margin", "5"), "margin"),
+    (("gauss", "--table", "--kmax", "3", "--dyadic-to", "64"), "dyadic-to"),
+    (("gauss", "--fit", "--tmax", "100", "--kmax", "5"), "kmax"),
     (("gauss", "--check-bound", "--tmax", "10", "--kmax", "5"), "kmax"),
     (("gauss", "--fit", "--tmax", "100", "--dyadic-to", "1000"), "dyadic-to"),
     (("theta", "--rank", "3", "--gram", "1"), "rank"),
-    (("ehrhart", "--polytope", "cross", "--n", "2", "--guard", "1"), "guard"),
+    (("ehrhart", "--polytope", "cross", "--n", "2", "--basis", "1 0"),
+     "basis"),
     (("ehrhart", "--polytope", "cross", "--n", "2", "--ambient-dim", "5"),
      "ambient-dim"),
     (("ehrhart", "--polytope", "root", "--n", "2", "--vertex", "1"), "vertex"),
@@ -879,9 +913,9 @@ _BASE_JOBS = {
 }
 _OPTION_VALUES = {
     "family": "free-abelian", "rank": "1", "degree": "2", "dim": "1",
-    "generator": "1", "symmetrize": None, "kmax": "6", "guard": "1",
+    "generator": "1", "symmetrize": None, "kmax": "6",
     "budget": "1000", "dye-convention": "as-given",
-    "tmax": "10", "dyadic-to": "64", "margin": "0", "polytope": "cross",
+    "tmax": "10", "dyadic-to": "64", "polytope": "cross",
     "n": "1", "ambient-dim": "1", "vertex": "0", "basis": "1", "gram": "1",
     "rmax": "2",
 }
@@ -943,6 +977,34 @@ def test_precision_is_no_option(capsys, tmp_path, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (("growth", "--family", "free-abelian", "--rank", "1", "--kmax", "11"),
+     "guard", "4"),
+    (("ehrhart", "--ambient-dim", "1", "--vertex", "0", "--vertex", "1",
+      "--kmax", "9"), "guard", "4"),
+    (("gauss", "--check-bound", "--tmax", "10"), "margin", "1e-20"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_guard_and_margin_are_no_options(capsys, tmp_path, argv, key, value):
+    # recognition holds back a fixed 4 terms and the bound check demands
+    # a fixed margin: the flag is a usage error and the config key is
+    # refused like any key no job reads
+    command, *argv = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, f"--{key}", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"--{key}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"budget = 1000\n{key} = {value}\n")
+    rc, out, err = run(capsys, command, *argv, "--config", str(cfg))
+    assert rc == 2
+    assert f"line 2: field '{key}'" in err
+    assert out == ""
+
+
 # (config file bytes or None, argv after the command, field named or None);
 # the config file, when given, is passed as --config
 MALFORMED = {
@@ -961,7 +1023,7 @@ MALFORMED = {
     "unwritable-output": (None, ["catalan", "--output",
                                  "{tmp}/missing/out.csv"], None),
     # refused before any work: 2 isqrt(t) + 1 disc rows per dyadic t,
-    # and the rank^2 entries of the identity gram
+    # and the rank^3 elimination steps of the identity gram
     "huge-dyadic-to": (None, ["gauss", "--check-bound", "--tmax", "10",
                               "--dyadic-to", str(10 ** 30)], "dyadic-to"),
     "huge-theta-rank": (None, ["theta", "--rank", "100000"], "rank"),

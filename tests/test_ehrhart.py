@@ -129,6 +129,17 @@ def test_pick_theorem_random_triangles():
             assert counts[k] == expected
 
 
+def test_stock_polytopes_match_solved_coordinates():
+    # the stock constructors write lattice coordinates down; make solves
+    # for them from the same vertices and basis
+    for n in range(1, 5):
+        for P in (cross_polytope(n), root_polytope(n)):
+            assert P == LatticePolytope.make(P.ambient_dim, P.vertices,
+                                             P.basis)
+    assert cross_polytope(2).vertices == ((1, 0), (-1, 0), (0, 1), (0, -1))
+    assert root_polytope(1).vertex_coords == ((1,), (-1,))
+
+
 def test_duplicate_vertices_collapse():
     P = LatticePolytope.make(1, [(0,), (1,), (0,)])
     assert len(P.vertices) == 2

@@ -5,6 +5,7 @@ from itertools import accumulate
 
 import pytest
 
+from growthlab import gauss
 from growthlab.errors import ArgumentError, CheckFailure
 from growthlab.gauss import (CircleCount, count_disc, error_exponent_fit,
                              gauss_bound_check, pi_decimal, r2, r2_table)
@@ -86,11 +87,13 @@ def test_circle_count_record():
     assert rec.bound - rec.error > 0
 
 
-def test_circle_count_margin_can_force_failure():
+def test_circle_count_margin_can_force_failure(monkeypatch):
     # at t=0 the slack is exactly 2 pi - 1, about 5.28, so a margin of
-    # 10 must trip the check even though the bound itself holds
+    # 10 must trip the check even though the bound itself holds, and
+    # the batch check carries the offending t
+    monkeypatch.setattr(gauss, "MARGIN", Decimal(10))
     with pytest.raises(CheckFailure) as err:
-        gauss_bound_check([0], margin=Decimal(10))
+        gauss_bound_check([3, 0, 1])
     assert err.value.context == 0
 
 

@@ -203,8 +203,10 @@ def test_recognize_round_trip_random():
 
 
 def test_recognize_preconditions():
-    with pytest.raises(ArgumentError):
-        recognize_rational([1, 2, 3], guard=4)  # too short
+    # a prefix shorter than 2 guard + 2 terms is not recognized
+    assert recognize_rational([1, 2, 3], guard=4) is None
+    assert recognize_rational([1] * 9) is None
+    assert recognize_rational([1] * 10) == RationalFunction.make([1], [1, -1])
     with pytest.raises(ArgumentError):
         recognize_rational([1] * 20, guard=0)
 
