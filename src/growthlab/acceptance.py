@@ -112,8 +112,9 @@ def _check_z2_random():
         found = series.recognize_rational(list(table.sphere_sizes))
         if found is None:
             return False, f"set {i}: sigma-series not recognized as rational"
-        _, rem = series.poly_divmod(cube, list(found.denominator))
-        if rem:
+        # Q divides (1-z)^3 exactly when (1-z)^3/Q reduces to a polynomial
+        quotient = RationalFunction.make(cube, found.denominator)
+        if len(quotient.denominator) != 1:
             return False, (f"set {i}: denominator {found.denominator}"
                            " does not divide (1-z)^3")
     return True, "10 seeded generating sets, every denominator divides (1-z)^3"

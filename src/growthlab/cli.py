@@ -214,7 +214,8 @@ def cmd_gauss(args) -> int:
     if mode == "check-bound":
         tmax = _table_bound(doc, "tmax", default=10000, minimum=1)
         dyadic = gauss.dyadic_extension(tmax,
-                                        get_int(doc, "dyadic-to", default=0))
+                                        get_int(doc, "dyadic-to", default=0,
+                                                minimum=0))
         # a t beyond the sieve is counted alone, over 2 isqrt(t) + 1 rows
         rows = sum(2 * math.isqrt(t) + 1 for t in dyadic)
         refuse_over_budget(doc, "dyadic-to", rows,

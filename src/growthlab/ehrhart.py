@@ -18,14 +18,16 @@ Null spaces and ranks come from :mod:`growthlab.linalg`; the test
 oracle, a phase-1 simplex with no facet data, is in
 ``tests/lattice_oracle.py``.
 
-Closed forms for the two families treated here:
+Closed forms for the two families treated here, each written down as
+one reduced pair:
 
-* cross-polytope conv(+-e_1..+-e_n):  (1/(1-z)) ((1+z)/(1-z))^n
+* cross-polytope conv(+-e_1..+-e_n):  (1+z)^n/(1-z)^{n+1}
 * A_n root polytope conv{e_i - e_j}:  (sum_j C(n,j)^2 z^j)/(1-z)^{n+1},
   equivalently P_n((1+z)/(1-z))/(1-z) with P_n the Legendre polynomial.
 
-Both forms of the root-polytope series are computed independently and
-compared; a mismatch would be an internal invariant violation.
+The root-polytope numerator is cross-checked against the Legendre
+substitution coefficient by coefficient; a mismatch would be an
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import comb
 
 from . import linalg
 from .errors import ArgumentError, CheckFailure, Record, StructuralError
-from .series import RationalFunction, poly_mul
+from .series import RationalFunction, binomial_row, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +189,13 @@ def cross_polytope(n: int) -> LatticePolytope:
 
 
 def cross_polytope_series(n: int) -> RationalFunction:
-    """Ehrhart series of the n-dimensional cross-polytope:
-    (1/(1-z)) ((1+z)/(1-z))^n, normalized."""
+    """Ehrhart series of the n-dimensional cross-polytope,
+    (1+z)^n/(1-z)^{n+1}, written reduced: the numerator is 2^n at z = 1
+    and the denominator's constant term is 1."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
-    ball = RationalFunction.make([1], [1, -1])
-    growth = RationalFunction.make([1, 1], [1, -1]) ** n
-    return ball * growth
+    return RationalFunction(tuple(binomial_row(n)),
+                            tuple(binomial_row(n + 1, -1)))
 
 
 def root_polytope(n: int) -> LatticePolytope:
@@ -235,26 +237,21 @@ def legendre(n: int) -> tuple:
 
 
 def root_polytope_series(n: int) -> RationalFunction:
-    """Ehrhart series of the A_n root polytope, computed two ways
-    (binomial-square numerator over (1-z)^{n+1}; Legendre substitution
-    P_n((1+z)/(1-z))/(1-z)) and cross-checked before returning."""
+    """Ehrhart series of the A_n root polytope, sum_j C(n,j)^2 z^j over
+    (1-z)^{n+1}, written reduced: the numerator is C(2n, n) at z = 1 and
+    the denominator's constant term is 1.  Before returning, the
+    numerator is checked against the Legendre substitution
+    (1-z)^n P_n((1+z)/(1-z)) = sum_i c_i (1+z)^i (1-z)^{n-i}."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
     numerator = [comb(n, j) ** 2 for j in range(n + 1)]
-    den = [1]
-    for _ in range(n + 1):
-        den = poly_mul(den, [1, -1])
-    form_binomial = RationalFunction.make(numerator, den)
-
-    u = RationalFunction.make([1, 1], [1, -1])
-    coeffs = legendre(n)
-    acc = RationalFunction.constant(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * u + RationalFunction.constant(c)
-    form_legendre = acc * RationalFunction.make([1], [1, -1])
-
-    if form_binomial != form_legendre:
+    substituted = [0] * (n + 1)
+    for i, c in enumerate(legendre(n)):
+        term = poly_mul(binomial_row(i), binomial_row(n - i, -1))
+        for j, x in enumerate(term):
+            substituted[j] += c * x
+    if substituted != numerator:
         raise CheckFailure(
             f"root polytope closed forms disagree at n={n}",
-            context=(form_binomial, form_legendre))
-    return form_binomial
+            context=(numerator, substituted))
+    return RationalFunction(tuple(numerator), tuple(binomial_row(n + 1, -1)))

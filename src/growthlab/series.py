@@ -1,23 +1,24 @@
 """Exact formal power series over the rationals.
 
 Coefficient sequences are plain lists of exact numbers (``int`` or
-``fractions.Fraction``).  A :class:`RationalFunction` is a normalized
-pair of integer polynomials P/Q with Q(0) > 0; normalization cancels
-common polynomial factors and integer content, so two equal rational
-functions compare equal as values.
+``fractions.Fraction``).  A :class:`RationalFunction` is a pair of
+integer polynomials P/Q normalized uniquely: coprime, no common integer
+content, Q(0) > 0, so two equal rational functions compare equal.
 
-``recognize_rational`` infers the minimal linear recurrence of a
-sequence prefix (Berlekamp-Massey over Q), builds the induced P/Q, and
-accepts it only when re-expansion reproduces every input term including
-a trailing guard band that took no part in the fit.  Sequences without
-a stable recurrence at the window, such as the Catalan numbers, come
-back as ``None``.
+One reduction reaches that form: the minimal recurrence of 2L terms of
+an order-L series is unique (Massey, 1969), so the P/Q it induces is
+already coprime.  ``RationalFunction.make`` reduces enough terms of
+num/den to fix the order; ``recognize_rational`` reduces a fitted
+prefix and accepts it only when re-expansion reproduces every input
+term, including a trailing guard band that took no part in the fit.
+Sequences without a stable recurrence at the window, such as the
+Catalan numbers, come back as ``None``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ArgumentError, Record
 
@@ -33,12 +34,6 @@ def poly_trim(p) -> list:
     return p
 
 
-def poly_add(a, b) -> list:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-
 def poly_mul(a, b) -> list:
     if not a or not b:
         return []
@@ -50,34 +45,9 @@ def poly_mul(a, b) -> list:
     return poly_trim(out)
 
 
-def poly_divmod(a, b):
-    """Exact division with remainder over the rationals."""
-    a = [Fraction(x) for x in poly_trim(a)]
-    b = [Fraction(x) for x in poly_trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        r = poly_trim([r[i] - (c * b[i - shift] if 0 <= i - shift < len(b) else 0)
-                       for i in range(len(r))])
-    return poly_trim(q), r
-
-
-def poly_gcd(a, b) -> list:
-    """Monic greatest common divisor over the rationals."""
-    a = [Fraction(x) for x in poly_trim(a)]
-    b = [Fraction(x) for x in poly_trim(b)]
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
+def binomial_row(n: int, sign: int = 1) -> list[int]:
+    """The coefficients of (1 + sign z)^n, ascending."""
+    return [comb(n, j) * sign ** j for j in range(n + 1)]
 
 
 def poly_eval(p, x: Fraction) -> Fraction:
@@ -116,78 +86,26 @@ def poly_str(p, var: str = "z") -> str:
 class RationalFunction(Record):
     """P(z)/Q(z) as tuples of integer coefficients in ascending degree,
     normalized uniquely: no common polynomial factor, no common integer
-    content, Q(0) > 0."""
+    content, Q(0) > 0.  ``make`` normalizes any pair; a record built
+    directly must already be in that form."""
 
     __slots__ = ("numerator", "denominator")
 
     @staticmethod
     def make(num, den) -> "RationalFunction":
-        num = [Fraction(x) for x in poly_trim(num)]
-        den = [Fraction(x) for x in poly_trim(den)]
+        """The normalized form of num/den.  Its order is at most
+        max(len num, len den), so twice that many terms of the expansion
+        fix it."""
+        num, den = poly_trim(num), poly_trim(den)
         if not den or den[0] == 0:
             raise ArgumentError("denominator must have nonzero constant term")
-        if not num:
-            return RationalFunction((0,), (1,))
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        # clear denominators jointly, then strip joint integer content
-        scale = lcm(*[c.denominator for c in num + den])
-        inum = [int(c * scale) for c in num]
-        iden = [int(c * scale) for c in den]
-        content = 0
-        for c in inum + iden:
-            content = gcd(content, c)
-        inum = [c // content for c in inum]
-        iden = [c // content for c in iden]
-        if iden[0] < 0:
-            inum = [-c for c in inum]
-            iden = [-c for c in iden]
-        return RationalFunction(tuple(inum), tuple(iden))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_add(poly_mul(self.numerator, other.denominator),
-                     poly_mul(other.numerator, self.denominator)),
-            poly_mul(self.denominator, other.denominator))
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_mul(self.numerator, other.numerator),
-            poly_mul(self.denominator, other.denominator))
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            raise ArgumentError("negative powers are not supported")
-        out = RationalFunction.make([1], [1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @staticmethod
-    def constant(c) -> "RationalFunction":
-        c = Fraction(c)
-        return RationalFunction.make([c.numerator], [c.denominator])
+        return _from_terms(_expand(num, den, 2 * max(len(num), len(den))))
 
     def expand(self, kmax: int) -> list:
-        """First kmax+1 Taylor coefficients at 0, exact.
-
-        Unrolls the linear recurrence imposed by the denominator."""
+        """First kmax+1 Taylor coefficients at 0, exact."""
         if kmax < 0:
             raise ArgumentError("kmax must be nonnegative")
-        p, q = self.numerator, self.denominator
-        q0 = Fraction(q[0])
-        out: list[Fraction] = []
-        for k in range(kmax + 1):
-            acc = Fraction(p[k]) if k < len(p) else Fraction(0)
-            for j in range(1, min(k, len(q) - 1) + 1):
-                acc -= q[j] * out[k - j]
-            out.append(acc / q0)
+        out = _expand(self.numerator, self.denominator, kmax + 1)
         return [int(c) if c.denominator == 1 else c for c in out]
 
     def evaluate(self, x) -> Fraction | None:
@@ -210,16 +128,31 @@ class RationalFunction(Record):
 
 
 def closed_form_free_abelian(n: int) -> RationalFunction:
-    """The normalized growth series ((1+z)/(1-z))^n of Z^n with its
-    standard symmetric basis."""
+    """The growth series ((1+z)/(1-z))^n of Z^n with its standard
+    symmetric basis, written reduced: the numerator is 2^n at z = 1, so
+    it shares no factor 1 - z with the denominator, whose constant term
+    is 1."""
     if n < 0:
         raise ArgumentError("n must be nonnegative")
-    return RationalFunction.make([1, 1], [1, -1]) ** n
+    return RationalFunction(tuple(binomial_row(n)), tuple(binomial_row(n, -1)))
 
 
 # ---------------------------------------------------------------------------
-# recognition
+# the one reduction, and recognition
 # ---------------------------------------------------------------------------
+
+def _expand(p, q, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients of p/q at 0, exact, by the linear
+    recurrence the denominator imposes; q[0] must be nonzero."""
+    q0 = Fraction(q[0])
+    out: list[Fraction] = []
+    for k in range(n):
+        acc = Fraction(p[k]) if k < len(p) else Fraction(0)
+        for j in range(1, min(k, len(q) - 1) + 1):
+            acc -= q[j] * out[k - j]
+        out.append(acc / q0)
+    return out
+
 
 def _berlekamp_massey(seq: list[Fraction]):
     """Minimal LFSR for a sequence over Q.
@@ -254,6 +187,25 @@ def _berlekamp_massey(seq: list[Fraction]):
     return C, L
 
 
+def _from_terms(seq) -> "RationalFunction":
+    """The normalized P/Q of least order whose expansion starts with seq.
+
+    Q is the connection polynomial C of the minimal recurrence and P is
+    seq * C below degree L.  A factor shared by P and C would give a
+    shorter recurrence, so the two are coprime; C(0) = 1 fixes the sign,
+    one lcm clears the denominators and one gcd the integer content."""
+    C, L = _berlekamp_massey(seq)
+    P = poly_trim(poly_mul(seq[:L], C)[:L])
+    if not P:
+        return RationalFunction((0,), (1,))
+    scale = lcm(*(c.denominator for c in P + C))
+    P = [int(c * scale) for c in P]
+    C = [int(c * scale) for c in C]
+    content = gcd(*P, *C)
+    return RationalFunction(tuple(c // content for c in P),
+                            tuple(c // content for c in C))
+
+
 def recognize_rational(seq, guard: int = 4) -> RationalFunction | None:
     """Infer P/Q from a coefficient prefix, or None.
 
@@ -267,16 +219,7 @@ def recognize_rational(seq, guard: int = 4) -> RationalFunction | None:
     seq = [Fraction(x) for x in seq]
     if len(seq) < 2 * guard + 2:
         return None
-    fit = seq[: len(seq) - guard]
-    C, L = _berlekamp_massey(fit)
-    # numerator: the product seq * C truncated below degree L
-    P = []
-    for k in range(L):
-        acc = Fraction(0)
-        for i in range(min(k, len(C) - 1) + 1):
-            acc += C[i] * fit[k - i]
-        P.append(acc)
-    candidate = RationalFunction.make(P, C)
+    candidate = _from_terms(seq[: len(seq) - guard])
     if candidate.expand(len(seq) - 1) == seq:
         return candidate
     return None

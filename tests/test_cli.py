@@ -587,6 +587,17 @@ def test_dyadic_rows_and_identity_gram_count_against_the_budget(capsys,
     rc, out, err = run(capsys, "gauss", "--check-bound", "--config", str(cfg))
     assert rc == 2
     assert "line 3: field 'dyadic-to'" in err
+    # a negative --dyadic-to would extend nothing, so it is refused
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "5",
+                       "--dyadic-to", "-3")
+    assert rc == 2
+    assert "field 'dyadic-to': value must be at least 0" in err
+    assert out == ""
+    cfg.write_text("tmax = 5\ndyadic-to = -3\n")
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--config", str(cfg))
+    assert rc == 2
+    assert "line 2: field 'dyadic-to': value must be at least 0" in err
+    assert out == ""
 
     # the --fit grid up to 100 is t = 16, 19, 23, 27, 32, 38, 45, 54, 64,
     # 76, 91, each counted alone over 2 isqrt(t) + 1 rows: 143 in all
@@ -738,6 +749,23 @@ def _ehrhart_series(numerator, kmax):
                 if k >= j) for k in range(kmax + 1)]
 
 
+def _series_json(numerator, denominator):
+    # the series record as printed, its display written out here term by
+    # term: signs between terms, no unit coefficient before z
+    def shown(p):
+        terms = []
+        for k, c in enumerate(p):
+            if c:
+                var = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+                mag = "" if abs(c) == 1 and k else str(abs(c))
+                sign = ("- " if c < 0 else "+ ") if terms else "-" * (c < 0)
+                terms.append(sign + mag + var)
+        return " ".join(terms)
+    return {"numerator": [str(c) for c in numerator],
+            "denominator": [str(c) for c in denominator],
+            "display": f"({shown(numerator)}) / ({shown(denominator)})"}
+
+
 def _custom_argv(vertices, basis, kmax):
     return ("ehrhart", *(a for v in vertices for a in ("--vertex", v)),
             *(a for b in basis for a in ("--basis", b)),
@@ -771,7 +799,23 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
     r8 = [1] + [16 * sum((-1) ** (m + d) * d ** 3
                          for d in range(1, m + 1) if m % d == 0)
                 for m in range(1, 13)]
+    # at n = 12 and kmax 0: (1 + z)^12 and C(12, j)^2 over (1 - z)^13
+    den13 = [(-1) ** j * comb(13, j) for j in range(14)]
     expected = {
+        ("ehrhart", "--polytope", "cross", "--n", "12", "--kmax", "0"):
+            _stock_payload("ehrhart", [("polytope", "cross"), ("n", "12"),
+                                       ("kmax", "0")], {
+                "polytope": "cross", "ambient_dim": 12, "vertices": 24,
+                "counts": ["1"],
+                "series": _series_json([comb(12, j) for j in range(13)],
+                                       den13)}),
+        ("ehrhart", "--polytope", "root", "--n", "12", "--kmax", "0"):
+            _stock_payload("ehrhart", [("polytope", "root"), ("n", "12"),
+                                       ("kmax", "0")], {
+                "polytope": "root", "ambient_dim": 13, "vertices": 156,
+                "counts": ["1"],
+                "series": _series_json([comb(12, j) ** 2 for j in range(13)],
+                                       den13)}),
         ("ehrhart", "--polytope", "cross", "--n", "3", "--kmax", "8"):
             _stock_payload("ehrhart", [("polytope", "cross"), ("n", "3"),
                                        ("kmax", "8")], {
@@ -821,6 +865,28 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
         assert rc == 0, argv
         assert err == ""
         assert out == text, argv
+
+
+def test_root_closed_form_at_n30(capsys):
+    # written down, not reduced, so n = 30 at kmax 0 prints E(0) = 1 at
+    # once; the numerator sums to the normalized volume C(60, 30)
+    rc, out, err = run(capsys, "ehrhart", "--polytope", "root", "--n", "30",
+                       "--kmax", "0", "--format", "json", "--no-timestamp")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["counts"] == ["1"]
+    assert sum(map(int, result["series"]["numerator"])) == comb(60, 30)
+
+
+def test_root_closed_form_mismatch_exits_4(capsys, monkeypatch):
+    from growthlab import ehrhart
+    legendre = ehrhart.legendre
+    monkeypatch.setattr(ehrhart, "legendre",
+                        lambda n: (legendre(n)[0] + 1, *legendre(n)[1:]))
+    rc, out, err = run(capsys, "ehrhart", "--polytope", "root", "--n", "3")
+    assert rc == 4
+    assert out == ""
+    assert "check failed: root polytope closed forms disagree at n=3" in err
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -6,12 +6,13 @@ from math import comb
 
 import pytest
 
-from growthlab import linalg
+from growthlab import ehrhart, linalg
 from growthlab.ehrhart import (LatticePolytope, _halfspaces, cross_polytope,
                                cross_polytope_series, ehrhart_sequence,
                                legendre, root_polytope, root_polytope_series)
-from growthlab.errors import ArgumentError, StructuralError
-from growthlab.series import poly_eval
+from growthlab.errors import ArgumentError, CheckFailure, StructuralError
+from growthlab.series import (RationalFunction, closed_form_free_abelian,
+                              poly_eval)
 from lattice_oracle import hull_contains
 
 
@@ -91,6 +92,26 @@ def test_root_series_denominator_degree():
         assert len(f.denominator) == n + 2  # (1 - z)^(n+1)
         assert sum(f.numerator) == math.factorial(2 * n) // (
             math.factorial(n) ** 2)  # volume numerator C(2n, n)
+
+
+def test_closed_forms_are_normalized():
+    # the three closed forms are built directly, not through make, so
+    # each must already be make's normal form of its own pair
+    for n in range(1, 13):
+        for f in (closed_form_free_abelian(n), cross_polytope_series(n),
+                  root_polytope_series(n)):
+            assert f == RationalFunction.make(f.numerator, f.denominator)
+
+
+def test_root_series_check_catches_a_wrong_legendre(monkeypatch):
+    def perturbed(n):
+        c = list(legendre(n))
+        c[0] += Fraction(1, 7)
+        return tuple(c)
+
+    monkeypatch.setattr(ehrhart, "legendre", perturbed)
+    with pytest.raises(CheckFailure, match="disagree at n=3"):
+        root_polytope_series(3)
 
 
 def test_legendre_polynomials():

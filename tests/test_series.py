@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+from growthlab import linalg
 from growthlab.errors import ArgumentError
-from growthlab.series import (RationalFunction, catalan,
-                              closed_form_free_abelian, poly_add, poly_divmod,
-                              poly_eval, poly_gcd, poly_mul, poly_str,
-                              poly_trim, recognize_rational)
+from growthlab.series import (RationalFunction, binomial_row, catalan,
+                              closed_form_free_abelian, poly_eval, poly_mul,
+                              poly_str, poly_trim, recognize_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -18,39 +18,11 @@ from growthlab.series import (RationalFunction, catalan,
 def test_poly_basics():
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
     assert poly_trim([0, 0]) == []
-    assert poly_add([1, 2], [3, -2, 5]) == [4, 0, 5]
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
     assert poly_mul([], [1, 2]) == []
     assert poly_eval([1, 2, 3], Fraction(2)) == 17
-
-
-def test_poly_divmod_random_products():
-    rng = random.Random(42)
-    for _ in range(100):
-        a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
-        b = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
-        if not poly_trim(a) or not poly_trim(b):
-            continue
-        prod = poly_mul(a, b)
-        q, r = poly_divmod(prod, b)
-        assert r == []
-        assert poly_trim([Fraction(x) for x in a]) == q
-
-
-def test_poly_divmod_remainder():
-    # z^2 + 1 = (z + 1)(z - 1) + 2
-    q, r = poly_divmod([1, 0, 1], [1, 1])
-    assert q == [-1, 1]
-    assert r == [2]
-
-
-def test_poly_gcd_is_monic():
-    a = poly_mul([1, -1], [1, 1])
-    b = poly_mul([1, -1], [1, 2])
-    # the common factor 1 - z comes back monic in the leading coefficient
-    assert poly_gcd(a, b) == [-1, 1]
-    # coprime polynomials give the constant 1
-    assert poly_gcd([1, 1], [1, -1]) == [1]
+    assert binomial_row(3) == [1, 3, 3, 1]
+    assert binomial_row(4, -1) == [1, -4, 6, -4, 1]
 
 
 def test_poly_str_signs():
@@ -96,27 +68,56 @@ def test_fraction_coefficients_are_cleared():
     assert f.denominator == (6,)
 
 
-def test_arithmetic_matches_expansion():
-    rng = random.Random(5)
-    for _ in range(60):
-        fs = []
-        for _ in range(2):
-            num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-            den = [rng.choice([1, 2, -2, 3])] + \
-                [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
-            fs.append(RationalFunction.make(num, den))
-        f, g = fs
-        fg = f.expand(12), g.expand(12)
-        assert (f + g).expand(12) == [a + b for a, b in zip(*fg)]
-        prod = f * g
-        conv = [sum(fg[0][i] * fg[1][k - i] for i in range(k + 1))
-                for k in range(13)]
-        assert prod.expand(12) == conv
-    f = RationalFunction.make([1, 1], [1, -1])
-    assert f ** 3 == f * f * f
-    assert f ** 0 == RationalFunction.make([1], [1])
-    with pytest.raises(ArgumentError):
-        f ** -1
+def _resultant(a, b):
+    """The Sylvester resultant of two integer polynomials, ascending,
+    with nonzero leading coefficients: nonzero exactly when they share
+    no root."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return linalg.det_exact(rows)
+
+
+def _random_poly(rng, degree, head=None):
+    return ([rng.choice(head) if head else rng.randint(-3, 3)]
+            + [rng.randint(-3, 3) for _ in range(degree - 1)]
+            + [rng.choice([-2, -1, 1, 3])])[:degree + 1]
+
+
+def _normalization_cases():
+    rng = random.Random(2026)
+    cases = []
+    for i in range(150):
+        # a planted common factor with a nonzero constant term, so the
+        # denominator keeps one
+        factor = _random_poly(rng, rng.randint(0, 3), head=[1, -1, 2, 3])
+        num = poly_mul(_random_poly(rng, rng.randint(0, 4)), factor)
+        den = poly_mul(_random_poly(rng, rng.randint(0, 3),
+                                    head=[1, -1, 2, -3]), factor)
+        if i % 3 == 0:
+            num = [Fraction(c, rng.randint(1, 6)) for c in num]
+            den = [Fraction(c, rng.randint(1, 6)) for c in den]
+        cases.append((num, den))
+    cases.append(([0, 0, 0], [-4, 2]))
+    cases.append(([1, 2, 3, 4, 5, 6], [-2, 1]))  # numerator longer
+    factor = _random_poly(rng, 10, head=[1])
+    cases.append((poly_mul(_random_poly(rng, 20), factor),
+                  poly_mul(_random_poly(rng, 20, head=[-1]), factor)))
+    return cases
+
+
+def test_make_is_the_normal_form():
+    # checked without Berlekamp-Massey: the same value, a nonzero
+    # resultant (coprime), joint content 1 and a positive Q(0)
+    for num, den in _normalization_cases():
+        r = RationalFunction.make(num, den)
+        if not poly_trim(num):
+            assert (r.numerator, r.denominator) == ((0,), (1,))
+            continue
+        assert poly_mul(r.numerator, den) == poly_mul(num, r.denominator)
+        assert _resultant(list(r.numerator), list(r.denominator)) != 0
+        assert gcd(*r.numerator, *r.denominator) == 1
+        assert r.denominator[0] > 0
 
 
 def test_expand_known_series():
