@@ -16,15 +16,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("DyeResult", "GrowthReport", "classify", "dye_quantity",
                  "dye_quantity_strict", "exponential_rate", "krause_degree"),
-    "cayley": ("BallTable", "enumerate_balls", "trivial_ball_table",
-               "word_distance", "word_length"),
+    "cayley": ("BallTable", "enumerate_balls", "word_length"),
     "ehrhart": ("LatticePolytope", "cross_polytope", "cross_polytope_series",
                 "ehrhart_sequence", "legendre", "root_polytope",
                 "root_polytope_series"),
     "errors": ("ArgumentError", "BudgetExceededError", "CheckFailure",
                "ConfigError", "GrowthLabError", "StructuralError"),
     "gauss": ("count_disc", "error_exponent_fit", "gauss_bound_check",
-              "pi_decimal", "r2", "r2_table"),
+              "pi_decimal", "r2_table"),
     "groups": ("FreeAbelian", "FreeGroup", "MarkedGroup", "MatrixGroup",
                "PermutationGroup", "free_abelian_standard",
                "free_group_standard", "heisenberg_group",

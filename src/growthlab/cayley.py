@@ -18,8 +18,7 @@ membership tests, appends and inserts run inside ``filterfalse``,
 ``list.extend`` and ``set.update``, so no Python code runs per
 product.  The product sets of
 :func:`growthlab.analysis.dye_quantity_strict` are built by the same
-step.  ``word_distance`` forms its one product g^-1 h as a batch of
-one.
+step.
 
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
@@ -86,14 +85,6 @@ class BallTable(Record):
 def _table(radius: int, sigma: list[int], description: str) -> BallTable:
     return BallTable(radius, tuple(sigma), tuple(accumulate(sigma)),
                      description)
-
-
-def trivial_ball_table(kmax: int) -> BallTable:
-    """Ball table of the one-element group (a marked group cannot carry
-    an empty generating set, so this table is constructed directly)."""
-    if kmax < 0:
-        raise ArgumentError("kmax must be nonnegative")
-    return _table(kmax, [1] + [0] * kmax, "trivial group")
 
 
 def expand(acts, frontier, seen, room: int) -> list | None:
@@ -192,12 +183,3 @@ def word_length(m: MarkedGroup, g, kmax: int,
         if not sphere:
             return None
     return None
-
-
-def word_distance(m: MarkedGroup, g, h, kmax: int) -> int | None:
-    """Word-metric distance d_S(g, h) = word length of g^-1 h."""
-    fam = m.family
-    a = fam.canonicalize(g)
-    b = fam.canonicalize(h)
-    [x] = fam.right_multiplier(b)([fam.inverse(a)])
-    return word_length(m, x, kmax)

@@ -13,7 +13,8 @@ class Record:
     """Base of growthlab's immutable records, written out so that no
     class is generated at import.  A subclass names its fields in
     ``__slots__``; its own ``__init__``, if any, checks the arguments
-    and passes the values on.  Records are equal, and hash equal, by
+    and passes the values on (or, on a hot path, sets them with
+    ``object.__setattr__``).  Records are equal, and hash equal, by
     type and ``_values``; a field cannot be assigned or deleted."""
 
     __slots__ = ()

@@ -2,18 +2,20 @@
 classical error bound |R(t) - pi t| <= 2 pi (1 + sqrt(2t)), and an
 empirical fit of the error exponent.
 
-All counts are exact integers computed with integer square roots; the
-bound check runs in fixed 60-digit decimal arithmetic, shows its values
-at 50 significant digits (DIGITS) and demands a fixed safety margin
-(MARGIN), so a pass can never be a rounding artifact.
+All counts are exact integers computed with integer square roots.  The
+bound check is decided in integers too: each t gets an integer lower
+bound on its slack, in units of 1/SCALE, and passes only when that
+bound exceeds a fixed safety margin (MARGIN), so a pass proves the
+margin and no rounding decides it.  Decimals, at 50 significant digits
+(DIGITS), are built only for the values that are shown.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from functools import cache
 from itertools import accumulate
-from statistics import linear_regression
 
 from .config import DIGITS
 from .errors import ArgumentError, CheckFailure, Record
@@ -21,7 +23,14 @@ from .errors import ArgumentError, CheckFailure, Record
 # the slack by which every bound must exceed its error
 MARGIN = Decimal("1e-20")
 
+# the fixed point of the bound check: slacks are integers in units of
+# 1/SCALE, ten digits finer than the DIGITS shown
+SCALE = 10 ** (DIGITS + 10)
 
+_set = object.__setattr__
+
+
+@cache
 def pi_decimal(digits: int = DIGITS) -> Decimal:
     """Pi to `digits` significant digits (arctan-free spigot iteration,
     the classic Decimal recipe)."""
@@ -42,25 +51,34 @@ def pi_decimal(digits: int = DIGITS) -> Decimal:
         return +s
 
 
+@cache
+def _fixed_pi() -> int:
+    """PI with PI <= pi * SCALE <= PI + 2.  Pi to DIGITS + 11 digits is
+    within one unit of its last digit, 10^-(DIGITS + 10), of pi, so
+    scaled by SCALE it is an integer within 1 of pi * SCALE.  The scaling
+    runs at twice the digits of SCALE: scaleb rounds to the context."""
+    with localcontext() as ctx:
+        ctx.prec = 2 * (DIGITS + 10)
+        return int(pi_decimal(DIGITS + 11).scaleb(DIGITS + 10)) - 1
+
+
+@cache
+def _units(value: Decimal) -> int:
+    """int(value * SCALE), scaled at twice the digits of SCALE.  For
+    0 < value < 10^DIGITS every integer digit is kept, so the result is
+    at least floor(value * SCALE), and an integer above it exceeds
+    value * SCALE."""
+    with localcontext() as ctx:
+        ctx.prec = 2 * (DIGITS + 10)
+        return int(value.scaleb(DIGITS + 10))
+
+
 def count_disc(t: int) -> int:
     """R(t): number of integer points (a, b) with a^2 + b^2 <= t."""
     if t < 0:
         raise ArgumentError("t must be nonnegative")
     r = math.isqrt(t)
     return sum(2 * math.isqrt(t - a * a) + 1 for a in range(-r, r + 1))
-
-
-def r2(k: int) -> int:
-    """Number of representations k = a^2 + b^2 counting signs and order."""
-    if k < 0:
-        raise ArgumentError("k must be nonnegative")
-    total = 0
-    for a in range(-math.isqrt(k), math.isqrt(k) + 1):
-        rem = k - a * a
-        s = math.isqrt(rem)
-        if s * s == rem:
-            total += 2 if s > 0 else 1
-    return total
 
 
 def r2_table(kmax: int) -> list[int]:
@@ -84,20 +102,43 @@ def r2_table(kmax: int) -> list[int]:
 
 
 class CircleCount(Record):
-    """One bound check: exact count R(t), |R - pi t| and the classical
-    bound, both to DIGITS significant digits.  Construction fails
-    (CheckFailure) unless the bound exceeds the error by MARGIN."""
+    """One bound check: the exact count R(t) and `slack`, an integer with
+    slack / SCALE <= 2 pi (1 + sqrt(2t)) - |R - pi t|.  Construction
+    fails (CheckFailure) unless slack exceeds MARGIN * SCALE, so a record
+    proves that the bound exceeds the error by more than MARGIN.
 
-    __slots__ = ("t", "R", "error", "bound")
+    `error` and `bound` are |R - pi t| and 2 pi (1 + sqrt(2t)), computed
+    at DIGITS + 10 digits and shown at DIGITS; nothing decides on them."""
 
-    def __init__(self, t: int, R: int, error: Decimal, bound: Decimal):
+    __slots__ = ("t", "R", "slack")
+
+    def __init__(self, t: int, R: int, slack: int):
+        # one record per t: the fields are set here rather than through
+        # Record.__init__, which would double the cost of the batch
+        _set(self, "t", t)
+        _set(self, "R", R)
+        _set(self, "slack", slack)
+        if slack <= _units(MARGIN):
+            raise CheckFailure(
+                f"Gauss bound violated at t={t}: "
+                f"error {self.error} vs bound {self.bound}", context=t)
+
+    @property
+    def error(self) -> Decimal:
         with localcontext() as ctx:
             ctx.prec = DIGITS + 10
-            if bound - error <= MARGIN:
-                raise CheckFailure(
-                    f"Gauss bound violated at t={t}: "
-                    f"error {error} vs bound {bound}", context=t)
-        super().__init__(t, R, error, bound)
+            error = abs(self.R - pi_decimal(DIGITS + 10) * self.t)
+            ctx.prec = DIGITS
+            return +error
+
+    @property
+    def bound(self) -> Decimal:
+        with localcontext() as ctx:
+            ctx.prec = DIGITS + 10
+            root = Decimal(2 * self.t).sqrt()
+            bound = 2 * pi_decimal(DIGITS + 10) * (1 + root)
+            ctx.prec = DIGITS
+            return +bound
 
 
 def dyadic_extension(tmax: int, upto: int) -> list[int]:
@@ -117,26 +158,47 @@ def gauss_bound_check(t_values) -> list[CircleCount]:
 
     One sieve of as many entries as there are values counts every t up
     to that size, so a dense range costs one linear pass; a t beyond
-    the sieve is counted on its own.  Returns the per-t records on
-    success; raises CheckFailure carrying the offending t if any check
-    fails (it never should).
+    the sieve is counted on its own.  Returns the per-t records, in the
+    order given; raises CheckFailure carrying the first offending t if
+    any check fails (it never should).
     """
     ts = list(t_values)
     if not ts:
         raise ArgumentError("t_values must be nonempty")
     # the cumulative counts sum_{j<=k} r2(j) are the disc counts R(k)
     table = list(accumulate(r2_table(len(ts))))
-    pi = pi_decimal(DIGITS + 10)
-    out = []
-    for t in ts:
-        R = table[t] if 0 <= t < len(table) else count_disc(t)
-        with localcontext() as ctx:
-            ctx.prec = DIGITS + 10
-            error = abs(Decimal(R) - pi * t)
-            bound = 2 * pi * (1 + Decimal(2 * t).sqrt())
-            ctx.prec = DIGITS
-            out.append(CircleCount(t, R, +error, +bound))
-    return out
+    counts = [table[t] if 0 <= t < len(table) else count_disc(t) for t in ts]
+    # With p = pi * SCALE and PI <= p <= PI + 2, the slack times SCALE is
+    # 2p + sqrt(8t) p - |R SCALE - p t|, and each term is bounded in
+    # integers: 2 PI is within 4 below 2p; isqrt(8t PI^2) is within
+    # 2 sqrt(8t) + 1 below sqrt(8t) p; |R SCALE - PI t| + 2t is within 4t
+    # above |R SCALE - p t|.  So slack <= the true slack times SCALE
+    # < slack + 4t + 2 sqrt(8t) + 5, at most 6t + 9.
+    PI = _fixed_pi()
+    pi2, pi8 = 2 * PI, 8 * PI * PI
+    isqrt = math.isqrt
+    return [CircleCount(t, R, pi2 + isqrt(pi8 * t)
+                        - abs(R * SCALE - PI * t) - 2 * t)
+            for t, R in zip(ts, counts)]
+
+
+def near_least_slack(records: list[CircleCount]) -> list[CircleCount]:
+    """The records whose shown slack, bound - error, can be the least.
+
+    In units of 1/SCALE: a shown value is its DIGITS + 10 digit value
+    rounded to DIGITS digits, off by half a unit in its last digit, and
+    that unit is at most U, the one of the largest shown bound, as
+    error < bound.  The DIGITS + 10 digit values are off by at most
+    30t + 35 bound + 5, below 251t + 338, so a shown slack is within
+    U + 251t + 338 of the true one, and a record's slack is at most
+    6t + 9 below the true one.  So only a record whose slack is within
+    2U + 508t + 685 of the least, less than 2U + 1000 (tmax + 1), can
+    show the least."""
+    top = max(records, key=lambda r: r.t)
+    unit = 10 ** top.bound.adjusted() * SCALE // 10 ** (DIGITS - 1)
+    tolerance = 2 * unit + 1000 * (top.t + 1)
+    least = min(r.slack for r in records)
+    return [r for r in records if r.slack - least <= tolerance]
 
 
 class ExponentFit(Record):
@@ -153,27 +215,28 @@ def error_exponent_fit(t_grid) -> ExponentFit:
     smooths the heavy oscillation of the raw error term.  Diagnostic
     only: no pass/fail is attached to the fitted exponent.
     """
+    from statistics import linear_regression
+
     ts = sorted(set(int(t) for t in t_grid))
     if len(ts) < 10:
         raise ArgumentError("need at least 10 grid values")
     if ts[0] < 1:
         raise ArgumentError("grid values must be at least 1")
-    pi = pi_decimal(DIGITS + 10)
-    window_max: dict[int, Decimal] = {}
-    with localcontext() as ctx:
-        ctx.prec = DIGITS + 10
-        for t in ts:
-            err = abs(Decimal(count_disc(t)) - pi * t)
-            j = t.bit_length() - 1
-            if j not in window_max or err > window_max[j]:
-                window_max[j] = err
+    # |R SCALE - PI t| is within 2t of |R - pi t| SCALE, as in the check
+    PI = _fixed_pi()
+    window_max: dict[int, int] = {}
+    for t in ts:
+        err = abs(count_disc(t) * SCALE - PI * t)
+        j = t.bit_length() - 1
+        if err > window_max.get(j, -1):
+            window_max[j] = err
     if len(window_max) < 2:
         raise ArgumentError(
             "degenerate grid: need at least two dyadic windows")
     xs, ys = [], []
     for j in sorted(window_max):
         xs.append((j + 0.5) * math.log(2.0))
-        ys.append(math.log(max(float(window_max[j]), 1e-300)))
+        ys.append(math.log(max(window_max[j] / SCALE, 1e-300)))
     slope, intercept = linear_regression(xs, ys)
     residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))

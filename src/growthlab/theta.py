@@ -66,12 +66,6 @@ class ThetaPrefix(Record):
                     f"coefficient at norm {m} violates the +-x pairing")
         super().__init__(rmax, counts)
 
-    def vector_count(self, norm_bound: int) -> int:
-        """Exact number of lattice vectors of squared norm <= norm_bound."""
-        if norm_bound < 0 or norm_bound > self.rmax:
-            raise ArgumentError("norm bound outside the computed prefix")
-        return sum(self.counts[: norm_bound + 1])
-
     def to_csv_lines(self) -> list:
         lines = ["m,r"]
         for m, c in enumerate(self.counts):

@@ -6,6 +6,12 @@ simplex, with no facet data, so it checks the facet counter of
 evaluates the form directly, with its own elimination for the box, so
 it checks the Fincke-Pohst descent of :mod:`growthlab.theta`.  Both
 work over ``Fraction`` and share no code with the kernels they check.
+
+``machin_pi``, ``quadrant_disc_count`` and ``gauss_slack_bracket``
+check the bound check of :mod:`growthlab.gauss`: pi by Machin's formula
+instead of the kernel's spigot, R(t) from one quadrant instead of the
+kernel's rows and sieve, and the slack bracketed by interval arithmetic
+at 100 digits, in plain integers.
 """
 
 from fractions import Fraction
@@ -116,3 +122,52 @@ def theta_naive(L: IntegralLattice, rmax: int) -> ThetaPrefix:
         if 0 <= norm <= rmax:
             counts[norm] += 1
     return ThetaPrefix(rmax, tuple(counts))
+
+
+def machin_pi(digits: int) -> tuple:
+    """(lo, hi) with lo < pi * 10^digits < hi and hi - lo <= 2, from
+    pi = 16 arctan(1/5) - 4 arctan(1/239) summed in integers with ten
+    guard digits."""
+    guard = 10 ** 10
+    one = 10 ** digits * guard
+
+    def arctan_inv(x):
+        # sum_k (-1)^k floor(one / x^(2k+1)) // (2k+1): repeated floor
+        # division is exact, so each term is off by less than 1, and the
+        # first zero term bounds the alternating tail by 1
+        total, power, k = 0, one // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a5, n5 = arctan_inv(5)
+    a239, n239 = arctan_inv(239)
+    approx = 16 * a5 - 4 * a239
+    err = 16 * n5 + 4 * n239
+    return (approx - err) // guard, -(-(approx + err) // guard)
+
+
+def quadrant_disc_count(t: int) -> int:
+    """R(t) = 1 + 4r + 4 sum_{a=1}^{r} floor(sqrt(t - a^2)), r = floor(sqrt t):
+    the origin, the four half-axes and four copies of the open quadrant."""
+    r = isqrt(t)
+    return 1 + 4 * r + 4 * sum(isqrt(t - a * a) for a in range(1, r + 1))
+
+
+def gauss_slack_bracket(t: int, R: int, pi: tuple, digits: int) -> tuple:
+    """(lo, hi) with lo <= (2 pi (1 + sqrt(2t)) - |R - pi t|) * 10^digits
+    <= hi, given pi's bracket from ``machin_pi(digits)``."""
+    one = 10 ** digits
+    pi_lo, pi_hi = pi
+    q = isqrt(2 * t * one * one)          # q <= sqrt(2t) * one < q + 1
+    bound_lo = 2 * pi_lo * (one + q) // one
+    bound_hi = -(-2 * pi_hi * (one + q + 1) // one)
+    # |R one - x t| over x in [pi_lo, pi_hi] is largest at an end and is
+    # 0 inside only if it changes sign there
+    ends = (R * one - pi_lo * t, R * one - pi_hi * t)
+    error_hi = max(abs(e) for e in ends)
+    error_lo = 0 if ends[0] * ends[1] <= 0 else min(abs(e) for e in ends)
+    return bound_lo - error_hi, bound_hi - error_lo

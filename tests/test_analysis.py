@@ -10,7 +10,7 @@ from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
                                 dye_quantity, dye_quantity_strict,
                                 exponential_rate, krause_degree,
                                 log_ratio_within)
-from growthlab.cayley import BallTable, enumerate_balls, trivial_ball_table
+from growthlab.cayley import BallTable, enumerate_balls
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
@@ -41,7 +41,7 @@ def test_exponential_rate_matches_float_oracle():
 
 def test_exponential_rate_needs_radius():
     with pytest.raises(ArgumentError):
-        exponential_rate(trivial_ball_table(1))
+        exponential_rate(ball_table([1, 1]))
 
 
 def test_krause_degree_abelian():
@@ -235,14 +235,14 @@ def test_classify_heisenberg_shallow_is_inconclusive():
 
 
 def test_classify_trivial_group():
-    report = classify(trivial_ball_table(8))
+    report = classify(ball_table([1] * 9))
     assert report.verdict == "evidence-polynomial(0)"
     assert report.polynomial_degree == 0
 
 
 def test_classify_needs_radius():
     with pytest.raises(ArgumentError):
-        classify(trivial_ball_table(5))
+        classify(ball_table([1] * 6))
 
 
 def ball_table(beta):

@@ -3,8 +3,7 @@ from math import comb
 
 import pytest
 
-from growthlab.cayley import (BallTable, enumerate_balls, trivial_ball_table,
-                              word_distance, word_length)
+from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, MarkedGroup,
                               free_abelian_standard, free_group_standard,
@@ -118,38 +117,6 @@ def test_word_length_finite_group_exhausts():
     assert word_length(m, (3, 2, 1), 50) == 3
 
 
-def test_word_distance_symmetry():
-    m = free_abelian_standard(2)
-    rng = random.Random(55)
-    for _ in range(30):
-        g = (rng.randint(-3, 3), rng.randint(-3, 3))
-        h = (rng.randint(-3, 3), rng.randint(-3, 3))
-        d1 = word_distance(m, g, h, 15)
-        d2 = word_distance(m, h, g, 15)
-        assert d1 == d2
-        manhattan = abs(g[0] - h[0]) + abs(g[1] - h[1])
-        assert d1 == manhattan
-
-
-
-def test_word_distance_free_group():
-    m = free_group_standard(2)
-    fam = m.family
-    assert word_distance(m, (1,), (2,), 5) == 2
-    assert word_distance(m, (1, 2), (1, 2), 5) == 0
-    rng = random.Random(56)
-    for _ in range(30):
-        g = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))]
-        h = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))]
-        d1 = word_distance(m, g, h, 10)
-        d2 = word_distance(m, h, g, 10)
-        assert d1 == d2
-        # in a free basis the distance is the length of the reduced
-        # word g^-1 h
-        inv_g = [-x for x in reversed(g)]
-        reduced = fam.element_repr(fam.canonicalize(inv_g + h))
-        assert d1 == (0 if reduced == "e" else len(reduced.split("*")))
-
 def test_budget_exceeded_carries_partial_table():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_balls(free_group_standard(2), 12, element_budget=500)
@@ -190,12 +157,6 @@ def test_budget_of_exactly_the_ball_completes_it():
             assert err.value.last_radius == k - 1
             assert f": {beta - 1} elements stored," in str(err.value)
             assert err.value.partial.sphere_sizes == full.sphere_sizes[:k]
-
-
-def test_trivial_ball_table():
-    table = trivial_ball_table(5)
-    assert list(table.sphere_sizes) == [1, 0, 0, 0, 0, 0]
-    assert list(table.ball_sizes) == [1] * 6
 
 
 def test_ball_table_validation():

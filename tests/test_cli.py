@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import growthlab
 from growthlab import gauss
 from growthlab.cli import _fit_grid_value, build_parser, main
 from growthlab.errors import CheckFailure
+from lattice_oracle import machin_pi
 
 
 def run(capsys, *argv):
@@ -315,6 +317,43 @@ def test_gauss_modes(capsys):
     result = json.loads(out)["result"]
     assert isinstance(result["alpha"], float)
     assert all(len(w) == 2 for w in result["windows"])
+
+
+WORST_SLACK = "5.2831853071795864769252867665590057683943387987502E+0"
+
+
+@pytest.mark.parametrize("tmax,checked", [(1, 25), (50, 69), (10000, 10011)])
+def test_check_bound_bytes(capsys, tmax, checked):
+    # the worst slack, 2 pi - 1 at t = 0, is shown at all of its 50
+    # digits; the dyadics 2^1..2^23 that tmax does not cover are added
+    argv = ("gauss", "--check-bound", "--tmax", str(tmax),
+            "--dyadic-to", "10000000", "--no-timestamp")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == (
+        "# tool: growthlab 0.1.0\n# command: gauss\n"
+        f"# option: tmax = {tmax}\n# option: dyadic-to = 10000000\n"
+        f"checked,digits,worst_slack\n{checked},50,{WORST_SLACK}\n")
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == json.dumps({
+        "tool": {"name": "growthlab", "version": "0.1.0"},
+        "command": "gauss",
+        "job": [{"key": "tmax", "value": str(tmax)},
+                {"key": "dyadic-to", "value": "10000000"}],
+        "result": {"checked": checked, "digits": 50, "margin": "1E-20",
+                   "worst_slack": WORST_SLACK, "holds": True},
+    }, indent=2) + "\n"
+
+
+def test_verify_gauss_bound_bytes(capsys):
+    rc, out, err = run(capsys, "verify", "--only", "2", "--no-timestamp")
+    assert rc == 0
+    detail = out.splitlines()[-1]
+    head, _, tail = detail.partition(", ")
+    assert head == ("PASS  2 gauss-bound            bound holds at 10011 "
+                    "values of t (worst slack 5.283E+0")
+    assert re.fullmatch(r"\d+\.\d\ds, budget 30s\)", tail)
 
 
 def test_ehrhart_stock_and_custom(capsys):
@@ -684,20 +723,31 @@ def test_unread_budget_flags_are_config_errors(capsys):
     assert rc == 0
 
 
-def test_rounding_decides_no_check(capsys):
-    # a slack of exactly the margin fails the Gauss bound check, and one
-    # 1e-45 above it passes: the check compares at 60 digits, so no
-    # rounding of the 50 digits shown can decide it
-    error = Decimal(7)
+def test_rounding_decides_no_check(capsys, monkeypatch):
+    # the Gauss bound check decides in integers: at t = 0 the true slack
+    # is 2 pi - 1, and a margin 1e-45 below it passes while one 1e-45
+    # above it fails, so no rounding of the 50 digits shown decides it
+    lo, _ = machin_pi(100)      # pi * 10^100 lies in (lo, lo + 2)
     with localcontext() as ctx:
-        ctx.prec = 60
-        at_margin = error + gauss.MARGIN
-        above = at_margin + Decimal("1e-45")
+        ctx.prec = 110
+        slack = 2 * Decimal(lo).scaleb(-100) - 1
+        below, above = slack - Decimal("1e-45"), slack + Decimal("1e-45")
+    monkeypatch.setattr(gauss, "MARGIN", below)
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "3",
+                       "--no-timestamp")
+    assert rc == 0
+    assert out.splitlines()[-1] == \
+        "4,50,5.2831853071795864769252867665590057683943387987502E+0"
+    monkeypatch.setattr(gauss, "MARGIN", above)
     with pytest.raises(CheckFailure) as exc:
-        gauss.CircleCount(3, 29, error, at_margin)
-    assert exc.value.context == 3
-    assert "t=3" in str(exc.value)
-    assert gauss.CircleCount(3, 29, error, above).bound == above
+        gauss.gauss_bound_check([3, 2, 0, 1])
+    assert exc.value.context == 0
+    assert "t=0" in str(exc.value)
+    rc, out, err = run(capsys, "gauss", "--check-bound", "--tmax", "3",
+                       "--no-timestamp")
+    assert rc == 4
+    assert "Gauss bound violated at t=0" in err
+    assert "Traceback" not in err
 
     # beta(8)^(1/8) = 2.5509... is the smallest rate estimate; rounded
     # to one digit radius 4 would tie with it at 3 and win
@@ -1184,6 +1234,19 @@ def test_analyze_loads_no_lattice_kernel():
                                 "--kmax", "6", "--no-timestamp")
     assert "analysis" in loaded
     assert loaded.isdisjoint({"gauss", "ehrhart", "theta", "acceptance"})
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (("gauss", "--check-bound", "--tmax", "100"), False),
+    (("gauss", "--table", "--kmax", "5"), False),
+    (("verify", "--only", "2"), False),
+    (("gauss", "--fit", "--tmax", "200"), True),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else None)
+def test_only_the_fit_loads_statistics(argv, loads):
+    # the bound check decides in integers; only the fit's regression
+    # needs statistics, which also loads fractions
+    _, others = _loaded_modules(*argv, "--no-timestamp")
+    assert ("statistics" in others) is loads
 
 
 def test_version_loads_no_kernel():

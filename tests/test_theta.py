@@ -104,17 +104,6 @@ def test_unimodular_invariance():
         assert theta_coefficients(IntegralLattice.make(g2), 20).counts == base
 
 
-def test_vector_count():
-    pre = theta_coefficients(Z2, 10)
-    assert pre.vector_count(0) == 1
-    assert pre.vector_count(2) == 9
-    assert pre.vector_count(10) == sum(pre.counts)
-    with pytest.raises(ArgumentError):
-        pre.vector_count(11)
-    with pytest.raises(ArgumentError):
-        pre.vector_count(-1)
-
-
 def test_prefix_invariants_enforced():
     with pytest.raises(ArgumentError):
         ThetaPrefix(2, (2, 0, 0))  # r(0) must be 1
