@@ -154,12 +154,13 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     for j in range(2, 2 * K + 1):
         nxt = set()
         # no room is left when F alone outgrows the budget
-        found = expand(acts, current, nxt, max(element_budget - stored, 0))
+        found = expand(acts, [current] * len(acts), nxt,
+                       max(element_budget - stored, 0))
         if found is None:
             raise BudgetExceededError(
                 "product-set enumeration exceeded budget "
                 f"{element_budget}", last_radius=j - 1)
-        stored += len(found)
+        stored += len(nxt)
         h.append(len(nxt - current))
         current = nxt
     return _dye_minimum(h, K, DYE_AS_GIVEN_CONVENTION)

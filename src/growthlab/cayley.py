@@ -11,29 +11,48 @@ s of the effective generating set.  ``_spheres`` asks the family once
 per s for ``right_multiplier(s)``, the family's one group law: an act
 precomputed for that s that maps a batch of elements to their products
 g*s (see :mod:`growthlab.groups`).  ``expand`` is the one frontier
-step: each act maps the whole frontier in one pass, and the images not
-yet seen are appended to the new sphere and then added to the seen
-set, stopping once they outgrow the room left in the budget.  The
+step: each act maps its whole batch in one pass, and the images not
+yet seen are kept in that act's list and then added to the seen set,
+stopping once they outgrow the room left in the budget.  The
 membership tests, appends and inserts run inside ``filterfalse``,
-``list.extend`` and ``set.update``, so no Python code runs per
-product.  The product sets of
-:func:`growthlab.analysis.dye_quantity_strict` are built by the same
-step.
+``list`` and ``set.update``, so no Python code runs per product.  The
+product sets of :func:`growthlab.analysis.dye_quantity_strict` are
+built by the same step, with every act mapping the whole set.
+
+Each sphere S(k) is kept as one list per act i, holding the elements
+that act found first, h = g*s_i with g in S(k-1).  Two rules restrict
+which of these lists act i maps, so the search walks each element
+along one normal form of its geodesics:
+
+* never step back: act i skips the list of the act of s_i^-1, because
+  h*s_i^-1 = g is in S(k-1) and already visited;
+* commuting letters in order: when the family's law is commutative
+  (``family.commutative``), act i also skips the lists of acts j > i.
+  By induction on k, the act that first finds h is the least possible
+  largest letter s_m over h's geodesics: sorted, such a geodesic ends
+  in s_m, its prefix lies in a list m' <= m, which act m maps, and no
+  earlier act can reach h.
+
+Neither rule drops an element: what is skipped is known or found by
+another act.  S(0) = {e} is mapped by every act.
 
 Elements are their own keys: every family stores elements in a
 canonical hashable form, so the visited set holds the elements
 themselves.  When the marking is symmetrized the Cayley graph is
 undirected and every neighbour of S(k) lies in S(k-1), S(k) or S(k+1),
-so once S(k+1) is complete S(k-1) is dropped from the visited set; the
-set then holds at most three spheres.  As-given markings keep every
-element visited.  The element budget counts the whole ball either way.
-The enumeration is deterministic: the resulting sizes do not depend on
+so once S(k+1) is complete S(k-1) is dropped from the visited set, in
+one ``difference_update`` over all its lists (CPython may rebuild the
+table after each such call, at four times its live entries, so one
+call per list doubled the Z^3 table); the set then holds at most three
+spheres.  As-given markings keep every element
+visited.  The element budget counts the whole ball either way.  The
+enumeration is deterministic, and the sphere sizes do not depend on
 any iteration order.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, count, filterfalse, islice
+from itertools import accumulate, chain, count, filterfalse, islice
 
 from .config import DEFAULT_ELEMENT_BUDGET
 from .errors import ArgumentError, BudgetExceededError, Record
@@ -87,30 +106,32 @@ def _table(radius: int, sigma: list[int], description: str) -> BallTable:
                      description)
 
 
-def expand(acts, frontier, seen, room: int) -> list | None:
-    """The images of ``frontier`` under each act that ``seen`` does not
-    hold, in act order; each is added to ``seen`` as its act finishes.
+def expand(acts, batches, seen, room: int) -> list | None:
+    """One list per act: the images of that act's batch that ``seen``
+    does not hold, each added to ``seen`` as its act finishes.
 
-    g -> g*s is injective, so one act's images of a frontier are
-    distinct and only ``seen`` can hold them already.  At most one
-    element more than ``room`` is drawn: when that many turn up the step
-    stops and returns None, so a caller stores no more than room + 1
-    new elements before it reports its budget.
+    g -> g*s is injective, so one act's images of a batch are distinct
+    and only ``seen`` can hold them already.  At most one element more
+    than ``room`` is drawn: when that many turn up the step stops and
+    returns None, so a caller stores no more than room + 1 new elements
+    before it reports its budget.
     """
-    new = []
-    for act in acts:
-        start = len(new)
-        new.extend(islice(filterfalse(seen.__contains__, act(frontier)),
-                          room - start + 1))
-        seen.update(islice(new, start, None))
-        if len(new) > room:
+    found = []
+    for act, batch in zip(acts, batches):
+        new = list(islice(filterfalse(seen.__contains__, act(batch)),
+                          room + 1))
+        seen.update(new)
+        found.append(new)
+        room -= len(new)
+        if room < 0:
             return None
-    return new
+    return found
 
 
 def _spheres(m: MarkedGroup, element_budget: int):
-    """Yield the spheres S(1), S(2), ... of ``m`` as lists, forever
-    (empty once a finite group is exhausted).
+    """Yield the spheres S(1), S(2), ... of ``m``, forever (empty once a
+    finite group is exhausted), each as one list per act: the elements
+    that act found first.
 
     Raises BudgetExceededError, without a partial table, when the ball
     would outgrow ``element_budget`` elements; its message names the
@@ -118,28 +139,41 @@ def _spheres(m: MarkedGroup, element_budget: int):
     |frontier|*|S| on the sphere it was building.
     """
     fam = m.family
-    acts = [fam.right_multiplier(s) for s in m.effective_generating_set()]
+    gens = m.effective_generating_set()
+    acts = [fam.right_multiplier(s) for s in gens]
+    index = {s: i for i, s in enumerate(gens)}
+    # reads[i]: the lists of S(k) that act i maps.  It never steps back
+    # along the letter that found an element, and under a commutative
+    # law it takes no list of a later letter.
+    reads = []
+    for i, s in enumerate(gens):
+        back = index.get(fam.inverse(s))
+        reads.append([j for j in range(i + 1 if fam.commutative else len(gens))
+                      if j != back])
     ident = fam.identity()
     visited = {ident}
-    before, frontier = [], [ident]
+    before, frontier = [], [[ident]]
+    batches = [[ident]] * len(acts)  # every act maps S(0)
     stored = 1
     for k in count(1):
-        sphere = expand(acts, frontier, visited, element_budget - stored)
+        sphere = expand(acts, batches, visited, element_budget - stored)
         if sphere is None:
-            f, n = len(frontier), len(acts)
+            f, n = sum(map(len, frontier)), len(acts)
             raise BudgetExceededError(
                 f"element budget {element_budget} exhausted while "
                 f"expanding radius {k}: {element_budget} elements "
                 f"stored, frontier |S({k - 1})| = {f}, next sphere "
                 f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
                 last_radius=k - 1)
-        stored += len(sphere)
+        stored += sum(map(len, sphere))
         if m.symmetrize:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
-            visited.difference_update(before)
+            visited.difference_update(chain.from_iterable(before))
             before = frontier
         yield sphere
         frontier = sphere
+        batches = [chain.from_iterable(map(sphere.__getitem__, r))
+                   for r in reads]
 
 
 def enumerate_balls(m: MarkedGroup, kmax: int,
@@ -157,7 +191,7 @@ def enumerate_balls(m: MarkedGroup, kmax: int,
     sigma = [1]
     try:
         for _, sphere in zip(range(kmax), _spheres(m, element_budget)):
-            sigma.append(len(sphere))
+            sigma.append(sum(map(len, sphere)))
     except BudgetExceededError as exc:
         exc.partial = _table(exc.last_radius, sigma, m.describe())
         raise
@@ -172,14 +206,16 @@ def word_length(m: MarkedGroup, g, kmax: int,
     The target is looked for only once its sphere is complete, so the
     element budget must hold the whole ball of radius word_length(g).
     """
+    if kmax < 0:
+        raise ArgumentError("kmax must be nonnegative")
     if element_budget <= 0:
         raise ArgumentError("element_budget must be positive")
     target = m.family.canonicalize(g)
     if target == m.family.identity():
         return 0
     for k, sphere in zip(range(1, kmax + 1), _spheres(m, element_budget)):
-        if target in sphere:
+        if any(target in part for part in sphere):
             return k
-        if not sphere:
+        if not any(sphere):
             return None
     return None

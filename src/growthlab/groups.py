@@ -49,6 +49,10 @@ otherwise, a longer word chains the acts of its letters, and a
 permutation is a table lookup per point; these two acts are lazy and
 read ``gs`` only as their output is read.
 
+Each family also states ``commutative``, whether its law commutes for
+every choice of elements: only ``FreeAbelian`` does.  Ball enumeration
+then takes commuting letters in generator order.
+
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
 (the default) makes word length count both generators and their
@@ -116,6 +120,7 @@ class FreeAbelian(Record):
     """Z^rank under addition; elements are integer vectors."""
 
     __slots__ = ("rank",)
+    commutative = True
 
     def __init__(self, rank: int):
         if rank < 0:
@@ -156,6 +161,7 @@ class FreeGroup(Record):
     (see the module docstring)."""
 
     __slots__ = ("rank",)
+    commutative = False
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -237,6 +243,7 @@ class MatrixGroup(Record):
     module docstring)."""
 
     __slots__ = ("dim",)
+    commutative = False
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -296,6 +303,7 @@ class PermutationGroup(Record):
     tuples, img[i-1] = image of i."""
 
     __slots__ = ("degree",)
+    commutative = False
 
     def __init__(self, degree: int):
         if degree < 1:

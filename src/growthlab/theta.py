@@ -103,25 +103,38 @@ def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
             for i in range(n)]
     top = delta * rmax
     counts = [0] * (rmax + 1)
+    # the descent keeps one explicit frame per level: its x_i, the last
+    # x_i in range, c and what is left of top before x_i is chosen
     x = [0] * n
-
-    def descend(i: int, remaining: int):
+    end = [0] * n
+    shift = [0] * n
+    left = [0] * n
+    left[-1] = top
+    i = n - 1
+    while True:
         p, w = piv[i], weight[i]
         c = sum(mij * x[j] for j, mij in tail[i])
-        t = isqrt(remaining // w)
+        t = isqrt(left[i] // w)
         lo = -((t + c) // p)
         hi = (t - c) // p
         if i == 0:
-            used = top - remaining
+            used = top - left[0]
             for u in range(p * lo + c, p * hi + c + 1, p):
                 counts[(used + w * u * u) // delta] += 1
-            return
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            u = p * xi + c
-            descend(i - 1, remaining - w * u * u)
-
-    descend(n - 1, top)
+            i = 1
+        else:  # x_i starts one below lo; lo <= hi + 1, so an empty
+            # range reads as spent at once
+            x[i], end[i], shift[i] = lo - 1, hi, c
+        # climb past the levels whose range is spent, step the next x_i
+        # and enter the level below it
+        while i < n and x[i] == end[i]:
+            i += 1
+        if i == n:
+            break
+        x[i] += 1
+        u = piv[i] * x[i] + shift[i]
+        left[i - 1] = left[i] - weight[i] * u * u
+        i -= 1
     return ThetaPrefix(rmax, tuple(counts))
 
 

@@ -5,12 +5,14 @@ import pytest
 
 from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
-from growthlab.groups import (FreeAbelian, MarkedGroup,
+from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
+                              MatrixGroup, PermutationGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
-from group_oracle import (exact_products, random_f2_set, random_matrix_set,
-                          random_perm_set, random_z2_set, stock_markings)
+from group_oracle import (exact_products, oracle_product, random_f2_set,
+                          random_matrix_set, random_perm_set, random_z2_set,
+                          stock_markings)
 
 
 def abelian_ball(n: int, k: int) -> int:
@@ -77,6 +79,83 @@ def test_bfs_against_brute_force_random_sets():
                 table = enumerate_balls(m, 4)
                 for k in range(5):
                     assert table.ball_sizes[k] == brute_force_ball(m, k)
+
+
+def closure_spheres(m: MarkedGroup, k: int) -> list:
+    """sigma(0..k) from the plain closure B(j) = B(j-1) u B(j-1)*S under
+    the oracle product, with no visited window and no act order."""
+    fam = m.family
+    gens = m.effective_generating_set()
+    ball = {fam.identity()}
+    sigma = [1]
+    for _ in range(k):
+        grown = ball | {oracle_product(fam, g, s) for g in ball for s in gens}
+        sigma.append(len(grown) - len(ball))
+        ball = grown
+    return sigma
+
+
+def test_normal_form_search_against_closure():
+    # the markings the search's two skipping rules are most exposed to:
+    # commuting generators with dependent ones (s3 = s1 + s2), as-given
+    # sets holding both s and -s, involutions, and det -1
+    rng = random.Random(2024)
+    markings = []
+    for n, extra in ((2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(3):
+            basis = [tuple(rng.choice((1, -1)) * int(i == j)
+                           for j in range(n)) for i in range(n)]
+            gens = list(basis)
+            while len(gens) < n + extra:
+                a, b = rng.sample(gens, 2)
+                v = tuple(x + y for x, y in zip(a, b))
+                if any(v) and v not in gens:
+                    gens.append(v)
+            rng.shuffle(gens)
+            for symmetrize in (True, False):
+                markings.append(MarkedGroup(FreeAbelian(n), tuple(gens),
+                                            symmetrize))
+            both = gens[:3] + [tuple(-x for x in gens[0])]
+            markings.append(MarkedGroup(FreeAbelian(n), tuple(both), False))
+    markings.append(MarkedGroup(FreeGroup(2), ((1,), (-1,), (2,), (1, 2)),
+                                False))
+    transpositions = PermutationGroup(5)
+    markings += [MarkedGroup(transpositions, gens, symmetrize)
+                 for gens in (((2, 1, 3, 4, 5), (1, 3, 2, 4, 5),
+                               (2, 3, 4, 5, 1)),
+                              ((1, 2, 4, 3, 5), (3, 2, 1, 4, 5)))
+                 for symmetrize in (True, False)]
+    plane = MatrixGroup(2)
+    markings += [MarkedGroup(plane, (((-1, 0), (0, 1)), ((1, 1), (0, 1))),
+                             symmetrize) for symmetrize in (True, False)]
+    for m in markings:
+        k = 5 if isinstance(m.family, FreeAbelian) and m.family.rank == 3 else 7
+        assert list(enumerate_balls(m, k).sphere_sizes) == \
+            closure_spheres(m, k), m.describe()
+
+
+def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
+    # products drawn = items the acts yield.  F_2 forms only its new
+    # words, one per element of the 11-ball but the identity's 4 -- in
+    # all beta(12) - 1; Z^3 and the Heisenberg group form far fewer than
+    # |B(k-1)|*|S|
+    drawn = [0]
+    for fam in (FreeGroup, FreeAbelian, MatrixGroup):
+        def counted(self, s, law=fam.right_multiplier):
+            act = law(self, s)
+
+            def count(gs):
+                out = list(act(gs))
+                drawn[0] += len(out)
+                return out
+            return count
+        monkeypatch.setattr(fam, "right_multiplier", counted)
+    for m, k, products in ((free_group_standard(2), 12, 1_062_880),
+                           (free_abelian_standard(3), 60, 500_680),
+                           (heisenberg_group(), 20, 166_360)):
+        drawn[0] = 0
+        enumerate_balls(m, k)
+        assert drawn[0] == products, m.describe()
 
 
 def test_symmetric_group_spheres_are_mahonian():
@@ -212,3 +291,5 @@ def test_enumerate_preconditions():
         enumerate_balls(m, 3, element_budget=0)
     with pytest.raises(ArgumentError):
         word_length(m, (1,), 3, element_budget=0)
+    with pytest.raises(ArgumentError):
+        word_length(free_abelian_standard(2), (0, 0), -1)

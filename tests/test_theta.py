@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,24 @@ def test_enumeration_matches_naive_oracle():
             fast = theta_coefficients(L, 30)
             slow = theta_naive(L, 30)
             assert fast.counts == slow.counts
+
+
+def test_descent_does_not_recurse_per_coordinate():
+    # a descent that recursed once per coordinate would need 40 frames
+    # here; the iterative one runs within a few of its caller's
+    L = IntegralLattice.make([[int(i == j) for j in range(40)]
+                              for i in range(40)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        counts = theta_coefficients(L, 2).counts
+    finally:
+        sys.setrecursionlimit(limit)
+    # r(1) = 2n, r(2) = 4 C(n, 2)
+    assert counts == (1, 80, 3120)
 
 
 def test_unimodular_invariance():
