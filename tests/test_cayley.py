@@ -135,10 +135,10 @@ def test_normal_form_search_against_closure():
 
 
 def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
-    # products drawn = items the acts yield.  F_2 forms only its new
-    # words, one per element of the 11-ball but the identity's 4 -- in
-    # all beta(12) - 1; Z^3 and the Heisenberg group form far fewer than
-    # |B(k-1)|*|S|
+    # products drawn = items the acts yield.  F_2 forms only new words:
+    # 4 from the identity and 3 from every other element of the 11-ball,
+    # beta(12) - 1 in all.  Z^3 and the Heisenberg group form far fewer
+    # than |B(k-1)|*|S| (1,685,754 and 221,812)
     drawn = [0]
     for fam in (FreeGroup, FreeAbelian, MatrixGroup):
         def counted(self, s, law=fam.right_multiplier):
