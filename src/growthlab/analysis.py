@@ -64,9 +64,6 @@ class DegreeTrack(Record):
 
     __slots__ = ("values", "terminal")
 
-    def value(self, k: int) -> Decimal:
-        return self.values[k - 2]
-
 
 class DyeResult(Record):
     __slots__ = ("value", "argmin", "K", "convention")

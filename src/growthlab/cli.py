@@ -27,9 +27,9 @@ from itertools import accumulate
 
 from . import __version__
 from .config import (DIGITS, DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
-                     POLYTOPE_FAMILIES, build_lattice, build_marked_group,
-                     build_polytope, empty_document, get_budget, get_choice,
-                     get_int, load_config, refuse_over_budget, require_int)
+                     build_lattice, build_marked_group, build_polytope,
+                     empty_document, get_budget, get_choice, get_int,
+                     load_config, refuse_over_budget, require_int)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -183,8 +183,6 @@ def _fit_grid_value(j: int) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from decimal import localcontext
-
     from . import gauss
     doc = _merged_document(
         args, ("tmax", "kmax", "dyadic-to", "budget"))
@@ -216,18 +214,15 @@ def cmd_gauss(args) -> int:
         dyadic = gauss.dyadic_extension(tmax,
                                         get_int(doc, "dyadic-to", default=0,
                                                 minimum=0))
-        # a t beyond the sieve is counted alone, over 2 isqrt(t) + 1 rows
-        rows = sum(2 * math.isqrt(t) + 1 for t in dyadic)
+        # a t beyond the sieve is counted alone, one disc row at a time
+        rows = sum(len(gauss.disc_rows(t)) for t in dyadic)
         refuse_over_budget(doc, "dyadic-to", rows,
                            f"the {rows} disc rows of {len(dyadic)} dyadic "
                            "values exceed")
         doc.refuse_unread("gauss")
         ts = list(range(0, tmax + 1)) + dyadic
         results = gauss.gauss_bound_check(ts)
-        with localcontext() as ctx:
-            ctx.prec = DIGITS
-            worst = min(r.bound - r.error
-                        for r in gauss.near_least_slack(results))
+        worst = gauss.worst_slack(results)
         csv_lines = ["checked,digits,worst_slack",
                      f"{len(results)},{DIGITS},{worst:E}"]
         json_result = {
@@ -241,8 +236,8 @@ def cmd_gauss(args) -> int:
         return 0
 
     # error-exponent fit on a four-per-octave grid up to tmax; each t is
-    # counted alone, over 2 isqrt(t) + 1 disc rows, and the grid grows
-    # only while its rows fit the budget
+    # counted alone, one disc row at a time, and the grid grows only
+    # while its rows fit the budget
     tmax = get_int(doc, "tmax", default=10000, minimum=1)
     budget = get_budget(doc)
     grid, rows, j = [], 0, 0
@@ -252,7 +247,7 @@ def cmd_gauss(args) -> int:
             break
         if t >= 16:
             grid.append(t)
-            rows += 2 * math.isqrt(t) + 1
+            rows += len(gauss.disc_rows(t))
         j += 1
     refuse_over_budget(doc, "tmax", rows,
                        f"the {rows} disc rows of {len(grid)} grid values "
@@ -276,42 +271,41 @@ def cmd_ehrhart(args) -> int:
     doc = _merged_document(
         args, ("polytope", "n", "kmax", "ambient-dim", "budget"),
         ("vertex", "basis"))
-    kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
+    kind = get_choice(doc, "polytope", {"cross", "root", "custom"},
+                      default="custom")
     if kind == "custom":
         P = build_polytope(doc)
-    else:  # 2n or n(n+1) vertices in dimension n, known before the build
-        n = require_int(doc, "n", minimum=1)
+        vertices, dim = len(P.vertices), P.affine_dim()
+    else:  # a stock polytope's shape is known before it is built
+        n = dim = require_int(doc, "n", minimum=1)
+        vertices, ambient = ehrhart.stock_shape(kind, n)
     kmax = get_int(doc, "kmax", default=6, minimum=0)
-    # the count tries C(vertices, e) facet subsets, then counts one line
-    # per point of kP's box in all lattice coordinates but the last
+    # the count tries C(vertices, e) facet subsets, then walks the lines
+    # of dilates 1..kmax
     if kmax:
-        vertices, dim = ((len(P.vertices), P.affine_dim()) if kind == "custom"
-                         else (2 * n if kind == "cross" else n * (n + 1), n))
         subsets = math.comb(vertices, dim)
         refuse_over_budget(doc, "vertex" if kind == "custom" else "n",
                            subsets, f"the {subsets} facet subsets of "
                            f"{vertices} vertices exceed")
     if kind != "custom":
-        P = build_polytope(doc)
-    widths = [max(col) - min(col) for col in zip(*P.vertex_coords)][:-1]
+        entries = vertices * ambient
+        refuse_over_budget(doc, "n", entries, f"the {entries} entries of "
+                           f"the {vertices} stock vertices exceed")
+        P = getattr(ehrhart, f"{kind}_polytope")(n)
     # each dilate has a line at least, so the sum can stop once the
     # lines so far and one per dilate left exceed the budget
     budget = get_budget(doc)
     lines, k = kmax, 0
     while k < kmax and lines <= budget:
         k += 1
-        lines += math.prod(k * w + 1 for w in widths) - 1
+        lines += math.prod(map(len, ehrhart.box(P, k))) - 1
     refuse_over_budget(doc, "kmax", lines, f"at least {lines} lines of "
                        f"dilates 1..{kmax} exceed")
     doc.refuse_unread("ehrhart")
     counts = ehrhart.ehrhart_sequence(P, kmax)
-    closed = None
-    if kind == "cross":
-        closed = ehrhart.cross_polytope_series(n)
-    elif kind == "root":
-        closed = ehrhart.root_polytope_series(n)
-    else:  # stock polytopes take their closed form, custom ones recognize
-        closed = series.recognize_rational(counts)
+    # stock polytopes take their closed form, custom ones recognize
+    closed = (series.recognize_rational(counts) if kind == "custom"
+              else getattr(ehrhart, f"{kind}_polytope_series")(n))
     if closed is not None and closed.expand(kmax) != counts:
         raise CheckFailure("closed form disagrees with lattice counts",
                            context=kind)
@@ -369,7 +363,7 @@ def cmd_verify(args) -> int:
     doc = _merged_document(args, ("budget",))
     doc.refuse_unread("verify")  # verify reads no config key
     selected = None
-    if args.only:
+    if args.only is not None:
         selected = []
         for chunk in args.only.split(","):
             chunk = chunk.strip()

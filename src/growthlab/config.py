@@ -85,9 +85,6 @@ class ConfigDocument(Record):
                 raise ConfigError(f"this {command} job does not read "
                                   "this key", line=e.line, field=e.key)
 
-    def keys(self) -> set:
-        return {e.key for e in self.entries}
-
     def override(self, single=None, multi=None) -> "ConfigDocument":
         """Apply command-line values on top of this document.
 
@@ -261,9 +258,10 @@ GROUP_FAMILIES = frozenset(_CUSTOM_FAMILIES) | {"heisenberg", "symmetric"}
 
 def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     """Construct a marked group from a config document.  Each `generator`
-    row goes through its family's own canonicalize; without rows a
-    family gets its stock generators, where it has any.  `symmetrize`
-    applies to every family."""
+    row is parsed and goes once through its family's own canonicalize,
+    inside MarkedGroup, which names a refused row by its position;
+    without rows a family gets its stock generators, where it has any.
+    `symmetrize` applies to every family."""
     from . import groups
 
     family = get_choice(doc, "family", GROUP_FAMILIES)
@@ -280,17 +278,14 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
         if stock.symmetrize == symmetrize:
             return stock
         return groups.MarkedGroup(stock.family, stock.generators, symmetrize)
-    fam, gens = getattr(groups, kind)(size), []
-    for e in rows:
-        try:
-            g = fam.canonicalize(parse(e))
-        except StructuralError as exc:
-            raise ConfigError(str(exc), line=e.line, field="generator")
-        if g == fam.identity():
-            raise ConfigError("the identity may not be listed as a generator",
-                              line=e.line, field="generator")
-        gens.append(g)
-    return groups.MarkedGroup(fam, tuple(gens), symmetrize)
+    fam = getattr(groups, kind)(size)
+    # the rows are parsed as the group takes them, so a parse error
+    # after a refused row is never reported before it
+    try:
+        return groups.MarkedGroup(fam, map(parse, rows), symmetrize)
+    except StructuralError as exc:
+        raise ConfigError(str(exc), line=rows[exc.index].line,
+                          field="generator")
 
 
 def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
@@ -321,56 +316,43 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     return groups.free_abelian_standard(rank)
 
 
-POLYTOPE_FAMILIES = frozenset({"cross", "root", "custom"})
-
-
 def build_polytope(doc: ConfigDocument) -> LatticePolytope:
-    """Construct a lattice polytope from a config document: either one
-    of the stock families (`polytope = cross|root` with `n = ...`), whose
-    V vertices of `ambient` entries each count against the budget before
-    the build, or a custom vertex list with optional lattice basis rows."""
+    """Construct a custom lattice polytope from a config document: its
+    `vertex` rows and optional lattice `basis` rows.  A vertex off the
+    lattice is refused at its line, and dependent basis rows at the
+    first basis line."""
     from . import ehrhart
 
-    kind = get_choice(doc, "polytope", POLYTOPE_FAMILIES, default="custom")
-    if kind != "custom":
-        n = require_int(doc, "n", minimum=1)
-        vertices, ambient = ((2 * n, n) if kind == "cross"
-                             else (n * (n + 1), n + 1))
-        entries = vertices * ambient
-        refuse_over_budget(doc, "n", entries, f"the {entries} entries of "
-                           f"the {vertices} stock vertices exceed")
-        build = (ehrhart.cross_polytope if kind == "cross"
-                 else ehrhart.root_polytope)
-        return build(n)
     ambient = require_int(doc, "ambient-dim", minimum=1)
     vertex_entries = doc.get_all("vertex")
     if not vertex_entries:
         raise ConfigError("custom polytopes need vertex rows", field="vertex")
-    vertices = []
-    for e in vertex_entries:
-        vec = _int_list(e)
-        if len(vec) != ambient:
-            raise ConfigError(f"vertex must have {ambient} coordinates",
-                              line=e.line, field="vertex")
-        vertices.append(tuple(vec))
+
+    def rows(entries, what: str) -> list:
+        out = []
+        for e in entries:
+            out.append(tuple(_int_list(e)))
+            if len(out[-1]) != ambient:
+                raise ConfigError(f"{what} must have {ambient} coordinates",
+                                  line=e.line, field=e.key)
+        return out
+    vertices = rows(vertex_entries, "vertex")
     basis_entries = doc.get_all("basis")
-    basis = None
-    if basis_entries:
-        basis = []
-        for e in basis_entries:
-            row = _int_list(e)
-            if len(row) != ambient:
-                raise ConfigError(f"basis row must have {ambient} coordinates",
-                                  line=e.line, field="basis")
-            basis.append(tuple(row))
-    return ehrhart.LatticePolytope.make(ambient, vertices, basis)
+    basis = rows(basis_entries, "basis row") or None
+    try:
+        return ehrhart.LatticePolytope.make(ambient, vertices, basis)
+    except StructuralError as exc:
+        entry = (basis_entries[0] if exc.index is None
+                 else vertex_entries[exc.index])
+        raise ConfigError(str(exc), line=entry.line, field=entry.key)
 
 
 def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     """Construct an integral lattice: explicit `gram` rows, or `rank`
-    alone for the standard Z^rank identity form.  The lattice and the
-    theta descent each eliminate on the gram matrix, so its rank^3
-    steps count against the budget before either runs."""
+    alone for the standard Z^rank identity form.  The lattice eliminates
+    its gram matrix once, for both the definiteness check and the theta
+    descent, so its rank^3 steps count against the budget before it
+    runs."""
     from . import theta
 
     gram_entries = doc.get_all("gram")

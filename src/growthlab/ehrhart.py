@@ -50,7 +50,8 @@ class LatticePolytope(Record):
 
     ``basis`` rows span the lattice inside the ambient space;
     ``vertex_coords`` holds the vertices written in that basis (exact
-    integers, computed at construction).
+    integers, computed at construction).  A vertex that is not a point
+    of the lattice is refused with its position as ``index``.
     """
 
     __slots__ = ("ambient_dim", "basis", "vertices", "vertex_coords")
@@ -68,15 +69,12 @@ class LatticePolytope(Record):
                 raise StructuralError("basis row has wrong length")
         if linalg.rank(basis) != len(basis):
             raise StructuralError("lattice basis rows are dependent")
-        verts = []
-        seen = set()
-        for v in vertices:
+        verts = {}  # each distinct vertex and its first position
+        for pos, v in enumerate(vertices):
             vt = tuple(int(x) for x in v)
             if len(vt) != ambient_dim:
                 raise StructuralError("vertex has wrong length")
-            if vt not in seen:
-                seen.add(vt)
-                verts.append(vt)
+            verts.setdefault(vt, pos)
         if not verts:
             raise ArgumentError("polytope needs at least one vertex")
         # write each vertex in lattice coordinates, B^T c = v: the rows of
@@ -84,15 +82,15 @@ class LatticePolytope(Record):
         # spanned by one primitive (c, t) with t > 0, and t = 1 exactly
         # when c is integral
         coords = []
-        for v in verts:
+        for v, pos in verts.items():
             null = linalg.nullspace([[row[i] for row in basis] + [-v[i]]
                                      for i in range(ambient_dim)],
                                     len(basis) + 1)
             if not null:
-                raise StructuralError(f"vertex {v} is outside the lattice span")
+                raise StructuralError(f"vertex {v} is outside the lattice span", pos)
             *c, t = null[0]
             if t != 1:
-                raise StructuralError(f"vertex {v} is not a lattice point")
+                raise StructuralError(f"vertex {v} is not a lattice point", pos)
             coords.append(tuple(c))
         return LatticePolytope(ambient_dim, basis, tuple(verts), tuple(coords))
 
@@ -141,15 +139,20 @@ def _halfspaces(P: LatticePolytope) -> list:
     return sorted(halfspaces)
 
 
+def box(P: LatticePolytope, k: int) -> list:
+    """The bounding box of kP in all lattice coordinates but the last,
+    one range per coordinate: counting kP walks one line per point."""
+    return [range(k * min(col), k * max(col) + 1)
+            for col in list(zip(*P.vertex_coords))[:-1]]
+
+
 def _count(P: LatticePolytope, k: int, halfspaces) -> int:
     """Lattice points of kP for k >= 1, a line at a time: over the
     bounding box of kP in all lattice coordinates but the last, the last
     coordinate t runs over one interval, found with integers only."""
-    box = [range(k * min(col), k * max(col) + 1)
-           for col in list(zip(*P.vertex_coords))[:-1]]
     cuts = [(a[:-1], k * b, a[-1]) for a, b in halfspaces]
     total = 0
-    for y in product(*box):
+    for y in product(*box(P, k)):
         rooms = [(kb - _dot(a, y), at) for a, kb, at in cuts]
         if all(room >= 0 for room, at in rooms if not at):
             # a_t t <= room bounds t above or below by the sign of a_t; P
@@ -176,6 +179,12 @@ def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # the two closed-form families
 # ---------------------------------------------------------------------------
+
+def stock_shape(kind: str, n: int) -> tuple:
+    """(vertices, ambient dimension) of the n-dimensional "cross" or "root"
+    polytope, `kind`, known before cross_polytope or root_polytope runs."""
+    return (2 * n, n) if kind == "cross" else (n * (n + 1), n + 1)
+
 
 def cross_polytope(n: int) -> LatticePolytope:
     """conv(+-e_1, ..., +-e_n) in Z^n, whose vertices are their own

@@ -82,7 +82,12 @@ class ArgumentError(GrowthLabError):
 class StructuralError(GrowthLabError):
     """An element or matrix does not satisfy the structural requirements
     of its group family (wrong rank, non-unimodular matrix, family
-    mismatch, and the like)."""
+    mismatch, and the like).  ``index``, when known, is the position of
+    the refused generator or vertex among those a constructor was given."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class BudgetExceededError(GrowthLabError):

@@ -7,7 +7,8 @@ bound check is decided in integers too: each t gets an integer lower
 bound on its slack, in units of 1/SCALE, and passes only when that
 bound exceeds a fixed safety margin (MARGIN), so a pass proves the
 margin and no rounding decides it.  Decimals, at 50 significant digits
-(DIGITS), are built only for the values that are shown.
+(DIGITS), are built only for the values shown (`worst_slack`).  A budget
+charges the rows a disc count walks, `disc_rows`.
 """
 
 from __future__ import annotations
@@ -73,12 +74,16 @@ def _units(value: Decimal) -> int:
         return int(value.scaleb(DIGITS + 10))
 
 
+def disc_rows(t: int) -> range:
+    """The rows a, a^2 <= t, of the disc that count_disc walks for R(t)."""
+    return range(-math.isqrt(t), math.isqrt(t) + 1)
+
+
 def count_disc(t: int) -> int:
     """R(t): number of integer points (a, b) with a^2 + b^2 <= t."""
     if t < 0:
         raise ArgumentError("t must be nonnegative")
-    r = math.isqrt(t)
-    return sum(2 * math.isqrt(t - a * a) + 1 for a in range(-r, r + 1))
+    return sum(2 * math.isqrt(t - a * a) + 1 for a in disc_rows(t))
 
 
 def r2_table(kmax: int) -> list[int]:
@@ -199,6 +204,14 @@ def near_least_slack(records: list[CircleCount]) -> list[CircleCount]:
     tolerance = 2 * unit + 1000 * (top.t + 1)
     least = min(r.slack for r in records)
     return [r for r in records if r.slack - least <= tolerance]
+
+
+def worst_slack(records: list[CircleCount]) -> Decimal:
+    """The least slack shown, bound - error at DIGITS significant
+    digits, over the records that can show it (near_least_slack)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return min(r.bound - r.error for r in near_least_slack(records))
 
 
 class ExponentFit(Record):

@@ -349,23 +349,26 @@ class MarkedGroup(Record):
     """A group family together with a finite generating set.
 
     Growth depends on the pair, not on the group alone, so every
-    computation downstream takes a MarkedGroup.  Generators are stored in
-    canonical form; the identity is rejected as a generator.
+    computation downstream takes a MarkedGroup.  Generators, from any
+    iterable, are canonicalized once each and stored so; the identity is
+    refused, and a refused generator's position is the error's ``index``.
     """
 
     __slots__ = ("family", "generators", "symmetrize")
 
-    def __init__(self, family: Family, generators: tuple = (),
-                 symmetrize: bool = True):
-        if not generators:
-            raise ConfigError("generating set must be nonempty", field="generator")
+    def __init__(self, family: Family, generators=(), symmetrize: bool = True):
         canon = []
         ident = family.identity()
-        for g in generators:
-            c = family.canonicalize(g)
+        for i, g in enumerate(generators):
+            try:
+                c = family.canonicalize(g)
+            except StructuralError as exc:
+                raise StructuralError(str(exc), i) from None
             if c == ident:
-                raise StructuralError("the identity may not be listed as a generator")
+                raise StructuralError("the identity may not be listed as a generator", i)
             canon.append(c)
+        if not canon:
+            raise ConfigError("generating set must be nonempty", field="generator")
         super().__init__(family, tuple(canon), symmetrize)
 
     def effective_generating_set(self) -> list:

@@ -57,7 +57,7 @@ def poly_eval(p, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_str(p, var: str = "z") -> str:
+def poly_str(p) -> str:
     """Human-readable polynomial with explicit signs, e.g. '1 - 2z + z^2'."""
     p = poly_trim(p)
     if not p:
@@ -71,7 +71,7 @@ def poly_str(p, var: str = "z") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else f"{mag}"
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}z" if k == 1 else f"{head}z^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -4,13 +4,13 @@ The coefficient r(m) counts lattice vectors of squared norm m, i.e.
 integer coordinate vectors c with c^T G c = m for the Gram matrix G.
 The enumerator is a Fincke-Pohst descent (Fincke & Pohst, Math.
 Comp. 44, 1985) that runs on Python ints alone: the fraction-free
-elimination in :mod:`growthlab.linalg` writes the form as
-sum_i u_i^2 / (p_i p_{i-1}) with integer u_i and pivot minors p_i,
-scaling by the lcm of the denominators makes every term an integer, and
-coordinates are enumerated from the last one down with `isqrt` and
-floor-division bounds at every level.  Its independent oracle, a naive
-box scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) with its own
-elimination, lives with the tests (``tests/lattice_oracle.py``).
+elimination in :mod:`growthlab.linalg`, run once per lattice, writes
+the form as sum_i u_i^2 / (p_i p_{i-1}) with integer u_i and pivot
+minors p_i, scaling by the lcm of the denominators makes every term an
+integer, and coordinates are enumerated from the last one down with
+`isqrt` and floor-division bounds at every level.  Its independent
+oracle, a naive box scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) with
+its own elimination, lives with the tests (``tests/lattice_oracle.py``).
 
 For Z^n the theta series is the n-th power of
 theta3 = 1 + 2q + 2q^4 + 2q^9 + ...; `theta3_power` produces that
@@ -28,9 +28,10 @@ from .errors import ArgumentError, Record, StructuralError
 
 class IntegralLattice(Record):
     """Lattice presented by a symmetric positive-definite integer Gram
-    matrix of pairwise inner products of basis vectors."""
+    matrix of pairwise inner products of basis vectors.  ``ldl`` keeps
+    the rows of its one elimination, :func:`growthlab.linalg.ldl`."""
 
-    __slots__ = ("rank", "gram")
+    __slots__ = ("rank", "gram", "ldl")
 
     @staticmethod
     def make(gram) -> "IntegralLattice":
@@ -44,8 +45,8 @@ class IntegralLattice(Record):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise StructuralError("gram matrix is not symmetric")
-        linalg.ldl(rows)  # raises when not positive definite
-        return IntegralLattice(n, rows)
+        # ldl raises when the form is not positive definite
+        return IntegralLattice(n, rows, tuple(map(tuple, linalg.ldl(rows))))
 
 
 class ThetaPrefix(Record):
@@ -83,18 +84,17 @@ def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
     """Exact theta coefficients r(0..rmax) by Fincke-Pohst descent in
     integers.
 
-    With the integer LDL^T form from :func:`growthlab.linalg.ldl` the
-    norm is sum_i u_i^2 / N_i with N_i = p_i p_{i-1}; scaled by
-    delta = lcm(N_i) it is sum_i w_i u_i^2 with integer weights
-    w_i = delta / N_i.  Level i fixes x_i with w_i u_i^2 <= R, where R is
-    what is left of delta * rmax, i.e. |u_i| <= isqrt(R // w_i), and
-    u_i = p_i x_i + c with c fixed by x_{i+1..n-1}, so the range of x_i
-    comes from floor division.
+    With the integer LDL^T form that the lattice keeps from
+    :func:`growthlab.linalg.ldl`, the norm is sum_i u_i^2 / N_i with
+    N_i = p_i p_{i-1}; scaled by delta = lcm(N_i) it is sum_i w_i u_i^2
+    with integer weights w_i = delta / N_i.  Level i fixes x_i with
+    w_i u_i^2 <= R, where R is what is left of delta * rmax, i.e.
+    |u_i| <= isqrt(R // w_i), and u_i = p_i x_i + c with c fixed by
+    x_{i+1..n-1}, so the range of x_i comes from floor division.
     """
     if rmax < 0:
         raise ArgumentError("rmax must be nonnegative")
-    m = linalg.ldl(L.gram)
-    n = L.rank
+    m, n = L.ldl, L.rank
     piv = [m[i][i] for i in range(n)]
     norms = [piv[i] * (piv[i - 1] if i else 1) for i in range(n)]
     delta = lcm(*norms)

@@ -159,6 +159,34 @@ def test_bad_generator_row_is_config_error(capsys, tmp_path):
     rc, out, err = run(capsys, "growth", "--config", str(cfg))
     assert rc == 2
     assert "line 4: field 'generator': matrix has determinant 2" in err
+    # rows are checked in file order: a refused row before a row that
+    # does not parse is the one named, and the other way round
+    cfg.write_text("family = free-abelian\nrank = 2\ngenerator = 0 0\n"
+                   "generator = 1 x\n")
+    rc, out, err = run(capsys, "growth", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'generator': the identity may not be listed" in err
+    cfg.write_text("family = free-abelian\nrank = 2\ngenerator = 1 x\n"
+                   "generator = 0 0\n")
+    rc, out, err = run(capsys, "growth", "--config", str(cfg))
+    assert rc == 2
+    assert "line 3: field 'generator': expected integers, got 'x'" in err
+
+
+def test_generator_rows_are_canonicalized_once(capsys, monkeypatch):
+    from growthlab import groups
+    real, calls = groups.FreeAbelian.canonicalize, []
+
+    def canonicalize(self, obj):
+        calls.append(obj)
+        return real(self, obj)
+    monkeypatch.setattr(groups.FreeAbelian, "canonicalize", canonicalize)
+    rc, out, err = run(capsys, "growth", "--family", "free-abelian",
+                       "--rank", "2", "--generator", "2 0",
+                       "--generator", "0 1", "--kmax", "1", "--no-timestamp")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "1,4,5"
+    assert calls == [[2, 0], [0, 1]]
 
 
 def test_output_file(capsys, tmp_path):
@@ -407,6 +435,13 @@ def test_verify_selection(capsys):
 
     rc, out, err = run(capsys, "verify", "--only", "99")
     assert rc == 2
+
+    # an empty selection is refused like "," and runs no check
+    for only in ("", ","):
+        rc, out, err = run(capsys, "verify", "--only", only)
+        assert rc == 2
+        assert err == "argument error: --only takes check numbers, got ''\n"
+        assert out == ""
 
 
 def test_verify_known_failure(capsys):
@@ -1155,6 +1190,21 @@ MALFORMED = {
     # C(80, 40) facet subsets of the 40-dimensional cross-polytope
     "huge-cross-n": (None, ["ehrhart", "--polytope", "cross", "--n", "40",
                             "--kmax", "1"], "n"),
+    # a stock polytope needs its n, and the family must be known
+    "stock-polytope-without-n": (None, ["ehrhart", "--polytope", "cross"],
+                                 "n"),
+    "unknown-polytope": (b"polytope = simplex\nn = 2\n", ["ehrhart"],
+                         "polytope"),
+    # vertices off the lattice of the basis, and dependent basis rows
+    "vertex-not-a-lattice-point": (None, ["ehrhart", "--ambient-dim", "2",
+                                          "--vertex", "1 0", "--basis",
+                                          "2 0"], "vertex"),
+    "vertex-outside-the-span": (None, ["ehrhart", "--ambient-dim", "2",
+                                       "--vertex", "1 1", "--basis", "1 0"],
+                                "vertex"),
+    "dependent-basis": (None, ["ehrhart", "--ambient-dim", "2", "--vertex",
+                               "1 0", "--basis", "1 0", "--basis", "1 0"],
+                        "basis"),
 }
 
 

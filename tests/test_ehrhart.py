@@ -8,8 +8,9 @@ import pytest
 
 from growthlab import ehrhart, linalg
 from growthlab.ehrhart import (LatticePolytope, _halfspaces, cross_polytope,
-                               cross_polytope_series, ehrhart_sequence,
-                               legendre, root_polytope, root_polytope_series)
+                               box, cross_polytope_series, ehrhart_sequence,
+                               legendre, root_polytope, root_polytope_series,
+                               stock_shape)
 from growthlab.errors import ArgumentError, CheckFailure, StructuralError
 from growthlab.series import (RationalFunction, closed_form_free_abelian,
                               poly_eval)
@@ -152,11 +153,15 @@ def test_pick_theorem_random_triangles():
 
 def test_stock_polytopes_match_solved_coordinates():
     # the stock constructors write lattice coordinates down; make solves
-    # for them from the same vertices and basis
+    # for them from the same vertices and basis.  Their shape, which
+    # the CLI charges to the budget before either is built, is known
     for n in range(1, 5):
-        for P in (cross_polytope(n), root_polytope(n)):
+        for kind, P in (("cross", cross_polytope(n)),
+                        ("root", root_polytope(n))):
             assert P == LatticePolytope.make(P.ambient_dim, P.vertices,
                                              P.basis)
+            assert stock_shape(kind, n) == (len(P.vertices), P.ambient_dim)
+            assert P.affine_dim() == n
     assert cross_polytope(2).vertices == ((1, 0), (-1, 0), (0, 1), (0, -1))
     assert root_polytope(1).vertex_coords == ((1,), (-1,))
 
@@ -191,6 +196,10 @@ def test_validation_errors():
     with pytest.raises(StructuralError):
         # in the span but not on the lattice
         LatticePolytope.make(1, [(1,)], basis=[(2,)])
+    # a refused vertex carries its first position among those given
+    with pytest.raises(StructuralError) as err:
+        LatticePolytope.make(1, [(0,), (2,), (0,), (3,), (3,)], basis=[(2,)])
+    assert err.value.index == 3
 
 
 def test_vertex_coordinates_on_random_lattices():
@@ -325,6 +334,43 @@ def test_facet_counter_matches_simplex_oracle():
             kmax = 2 if flat_dim >= 2 else 3
             assert ehrhart_sequence(P, kmax) == [
                 simplex_box_scan(P, k) for k in range(kmax + 1)], P
+
+
+def test_line_budget_is_the_walk(monkeypatch, capsys):
+    # the lines the CLI charges to the budget are the lines _count walks,
+    # both read off box(P, k)
+    from growthlab.cli import main
+    rng = random.Random(77)
+    real, walked = ehrhart.product, []
+
+    def walk(*ranges):
+        for y in real(*ranges):
+            walked.append(y)
+            yield y
+    monkeypatch.setattr(ehrhart, "product", walk)
+    refused = 0
+    for ambient, rank, flat_dim in [(1, 1, 1), (2, 2, 1), (2, 2, 2),
+                                    (3, 3, 1), (3, 3, 3), (3, 2, 2)]:
+        for _ in range(3):
+            P = random_polytope(rng, ambient, rank, flat_dim)
+            kmax = rng.randint(2, 4)
+            walked.clear()
+            ehrhart_sequence(P, kmax)
+            lines = len(walked)
+            assert lines == sum(math.prod(map(len, box(P, k)))
+                                for k in range(1, kmax + 1))
+            argv = ["ehrhart", "--ambient-dim", str(ambient), "--kmax",
+                    str(kmax), "--no-timestamp"]
+            argv += [f"--vertex={' '.join(map(str, v))}" for v in P.vertices]
+            argv += [f"--basis={' '.join(map(str, b))}" for b in P.basis]
+            if comb(len(P.vertices), P.affine_dim()) >= lines:
+                continue  # the facet subsets would be refused first
+            assert main(argv + ["--budget", str(lines)]) == 0
+            assert main(argv + ["--budget", str(lines - 1)]) == 2
+            assert f"at least {lines} lines of dilates 1..{kmax} exceed " \
+                f"the budget of {lines - 1}" in capsys.readouterr().err
+            refused += 1
+    assert refused >= 12
 
 
 def test_facet_counts():

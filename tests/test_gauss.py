@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from itertools import accumulate
 
@@ -10,7 +11,7 @@ from growthlab.errors import ArgumentError, CheckFailure
 from growthlab.gauss import (SCALE, CircleCount, count_disc,
                              dyadic_extension, error_exponent_fit,
                              gauss_bound_check, near_least_slack, pi_decimal,
-                             r2_table)
+                             r2_table, worst_slack)
 from lattice_oracle import gauss_slack_bracket, machin_pi, quadrant_disc_count
 
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -167,7 +168,7 @@ def test_slack_against_interval_oracle():
 
 def test_worst_slack_is_read_from_near_least_records():
     # the records near_least_slack keeps hold the least shown slack of
-    # all records, at either precision a caller reads it at
+    # all records, and worst_slack reads it off them at 50 digits
     rng = random.Random(7)
     sets = [range(1, 500), range(0, 40), [5, 5, 9, 2 ** 20, 5],
             [rng.randrange(0, 10 ** 6) for _ in range(60)]]
@@ -175,14 +176,37 @@ def test_worst_slack_is_read_from_near_least_records():
         recs = gauss_bound_check(ts)
         near = near_least_slack(recs)
         assert 1 <= len(near) < len(recs)
-        for prec in (50, 60):
-            assert shown_least(near, prec) == shown_least(recs, prec)
+        assert worst_slack(recs) == shown_least(recs, 50)
     # above t = 0 the least shown slack, about 13.3, is at t = 1
-    near = near_least_slack(gauss_bound_check(range(1, 500)))
-    assert [r.t for r in near] == [1]
-    assert f"{shown_least(near, 50):E}" == \
+    recs = gauss_bound_check(range(1, 500))
+    assert [r.t for r in near_least_slack(recs)] == [1]
+    assert f"{worst_slack(recs):E}" == \
         "1.3310543837086112209419692129959896049820751576877E+1"
-    assert f"{shown_least(near, 60):.3E}" == "1.331E+1"
+    assert f"{worst_slack(recs):.3E}" == "1.331E+1"
+
+
+def test_count_disc_walks_the_rows_the_budget_counts(monkeypatch, capsys):
+    # --dyadic-to 64 past --tmax 10 adds t = 16, 32, 64; the refusal
+    # counts the rows that count_disc then walks, one per a^2 <= t
+    from growthlab.cli import main
+    assert main(["gauss", "--check-bound", "--tmax", "10", "--dyadic-to",
+                 "64", "--budget", "36"]) == 2
+    counted = int(re.search(r"the (\d+) disc rows",
+                            capsys.readouterr().err)[1])
+    real, walked = gauss.disc_rows, []
+
+    def walk(t):
+        walked.append(0)
+        for a in real(t):
+            walked[-1] += 1
+            yield a
+    monkeypatch.setattr(gauss, "disc_rows", walk)
+    assert [count_disc(t) for t in (16, 32, 64)] == [49, 101, 197]
+    assert walked == [9, 11, 17]
+    assert sum(walked) == counted == 37
+    for t in range(200):
+        assert count_disc(t) == brute_disc(t)
+        assert walked[-1] == len(real(t)) == 2 * math.isqrt(t) + 1
 
 
 def test_near_least_tolerance():

@@ -4,6 +4,7 @@ calls: ``perfbench/tracing.py`` looks every kernel up by name through
 its traced job into a failed one.  The names are resolved lazily, on
 first access, so importing the package loads none of its kernels."""
 
+import ast
 import os
 import re
 import subprocess
@@ -70,3 +71,22 @@ def test_exported_names_resolve_in_a_fresh_process(module):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert f"growthlab.{module}" in proc.stdout.split()
+
+
+def test_package_imports_only_the_standard_library():
+    # growthlab stays stdlib-only: every absolute import in its modules
+    # names a standard-library module; relative ones stay in the package
+    package = Path(growthlab.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 13
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"

@@ -215,3 +215,19 @@ def test_a2_hexagonal_closed_form():
     assert [counts[2 * n] for n in range(1, 31)] == [
         6 * _divisor_sum(n, chi) for n in range(1, 31)]
     assert all(counts[m] == 0 for m in range(1, 61, 2))
+
+
+def test_theta_run_eliminates_its_gram_once(monkeypatch, capsys):
+    # one LDL^T elimination both checks the form and starts the descent
+    from growthlab import linalg
+    from growthlab.cli import main
+    real, calls = linalg.ldl, []
+    monkeypatch.setattr(linalg, "ldl",
+                        lambda gram: calls.append(gram) or real(gram))
+    for argv in (["--gram", "2 1", "--gram", "1 2"], ["--rank", "8"]):
+        calls.clear()
+        assert main(["theta", *argv, "--rmax", "4", "--no-timestamp"]) == 0
+        assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "4,1136"
+    lattice = IntegralLattice.make([[2, 1], [1, 2]])
+    assert lattice.ldl == tuple(map(tuple, real(lattice.gram)))
