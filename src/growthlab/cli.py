@@ -267,7 +267,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
-    from . import ehrhart, series
+    from . import ehrhart
     doc = _merged_document(
         args, ("polytope", "n", "kmax", "ambient-dim", "budget"),
         ("vertex", "basis"))
@@ -280,8 +280,9 @@ def cmd_ehrhart(args) -> int:
         n = dim = require_int(doc, "n", minimum=1)
         vertices, ambient = ehrhart.stock_shape(kind, n)
     kmax = get_int(doc, "kmax", default=6, minimum=0)
-    # the count tries C(vertices, e) facet subsets, then walks the lines
-    # of dilates 1..kmax
+    # the count tries C(vertices, e) facet subsets, walks the lines of
+    # dilates 1..min(kmax, e), then takes e + 1 steps of the series'
+    # recurrence for each later dilate
     if kmax:
         subsets = math.comb(vertices, dim)
         refuse_over_budget(doc, "vertex" if kind == "custom" else "n",
@@ -292,23 +293,25 @@ def cmd_ehrhart(args) -> int:
         refuse_over_budget(doc, "n", entries, f"the {entries} entries of "
                            f"the {vertices} stock vertices exceed")
         P = getattr(ehrhart, f"{kind}_polytope")(n)
-    # each dilate has a line at least, so the sum can stop once the
-    # lines so far and one per dilate left exceed the budget
-    budget = get_budget(doc)
-    lines, k = kmax, 0
-    while k < kmax and lines <= budget:
-        k += 1
-        lines += math.prod(map(len, ehrhart.box(P, k))) - 1
-    refuse_over_budget(doc, "kmax", lines, f"at least {lines} lines of "
-                       f"dilates 1..{kmax} exceed")
+    counted = min(kmax, dim)
+    lines = sum(math.prod(map(len, ehrhart.box(P, k)))
+                for k in range(1, counted + 1))
+    steps = (dim + 1) * (kmax - counted)
+    refuse_over_budget(doc, "kmax", lines + steps,
+                       f"the {lines} lines of dilates 1..{counted} and "
+                       f"{steps} recurrence steps to {kmax} exceed")
     doc.refuse_unread("ehrhart")
     counts = ehrhart.ehrhart_sequence(P, kmax)
-    # stock polytopes take their closed form, custom ones recognize
-    closed = (series.recognize_rational(counts) if kind == "custom"
-              else getattr(ehrhart, f"{kind}_polytope_series")(n))
-    if closed is not None and closed.expand(kmax) != counts:
-        raise CheckFailure("closed form disagrees with lattice counts",
-                           context=kind)
+    # a custom polytope reads its series off the counts once they reach
+    # E(e); a stock one checks its closed form against them
+    if kind == "custom":
+        closed = (ehrhart.ehrhart_series(counts[:dim + 1]) if kmax >= dim
+                  else None)
+    else:
+        closed = getattr(ehrhart, f"{kind}_polytope_series")(n)
+        if closed.expand(kmax) != counts:
+            raise CheckFailure("closed form disagrees with lattice counts",
+                               context=kind)
     shown = closed.display() if closed is not None else "none"
     csv_lines = [f"# polytope: {kind}, ambient dim {P.ambient_dim},"
                  f" {len(P.vertices)} vertices",

@@ -274,10 +274,7 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
         size = require_int(doc, size_key, minimum=1)
         rows = doc.get_all("generator")
     if not rows:
-        stock = _stock_marking(doc, family, size)
-        if stock.symmetrize == symmetrize:
-            return stock
-        return groups.MarkedGroup(stock.family, stock.generators, symmetrize)
+        return _stock_marking(doc, family, size, symmetrize)
     fam = getattr(groups, kind)(size)
     # the rows are parsed as the group takes them, so a parse error
     # after a refused row is never reported before it
@@ -288,11 +285,12 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
                           field="generator")
 
 
-def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
+def _stock_marking(doc, family: str, rank: int | None,
+                   symmetrize: bool) -> MarkedGroup:
     from . import groups
 
     if family == "heisenberg":
-        return groups.heisenberg_group()
+        return groups.heisenberg_group(symmetrize)
     if family == "symmetric":
         # checked first: for a huge degree the stock generators would
         # never finish, each being a tuple of degree points
@@ -300,7 +298,7 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
         entries = (degree - 1) * degree
         refuse_over_budget(doc, "degree", entries, f"the {entries} entries "
                            f"of the {degree - 1} stock generators exceed")
-        return groups.symmetric_group_adjacent(degree)
+        return groups.symmetric_group_adjacent(degree, symmetrize)
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
                           field="generator")
@@ -309,11 +307,11 @@ def _stock_marking(doc, family: str, rank: int | None) -> MarkedGroup:
     if family == "free":
         refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
                            "generators and inverses exceed")
-        return groups.free_group_standard(rank)
+        return groups.free_group_standard(rank, symmetrize)
     entries = rank * rank
     refuse_over_budget(doc, "rank", entries, f"the {entries} entries of "
                        f"the {rank} stock generators exceed")
-    return groups.free_abelian_standard(rank)
+    return groups.free_abelian_standard(rank, symmetrize)
 
 
 def build_polytope(doc: ConfigDocument) -> LatticePolytope:

@@ -5,18 +5,23 @@ space) together with a basis of the lattice it lives in; for full
 Z^n the basis is the identity and can be omitted.  Counting works in
 lattice coordinates.  P is computed once, exactly, as one list of
 halfspaces a.x <= b: both sides of each equation of its affine hull
-(an integer null-space basis of the vertex differences) and one
-primitive outward normal per facet, found from the e-subsets of
-vertices (e the dimension of P) whose hyperplane inside the affine hull
-has every vertex on one side (Beck & Robins, *Computing the Continuous
-Discretely*, 2nd ed., 2015, ch. 2-3).  Each dilate kP is then counted
-line by line: over the bounding box of kP in all lattice coordinates
-but the last, the last one runs over an interval cut with one floor
-division per halfspace.  The A_n root polytope inside Z^{n+1} and
-lower-dimensional custom polytopes are counted exactly on that path.
-Null spaces and ranks come from :mod:`growthlab.linalg`; the test
-oracle, a phase-1 simplex with no facet data, is in
+(an integer null-space basis of the vertex differences, kept on the
+polytope) and one primitive outward normal per facet, found from the
+e-subsets of vertices (e the dimension of P) whose hyperplane inside
+the affine hull has every vertex on one side (Beck & Robins, *Computing
+the Continuous Discretely*, 2nd ed., 2015, ch. 2-3).  A dilate kP is
+then counted line by line: over the bounding box of kP in all lattice
+coordinates but the last, the last one runs over an interval cut with
+one floor division per halfspace.  The A_n root polytope inside Z^{n+1}
+and lower-dimensional custom polytopes are counted exactly on that
+path.  Null spaces and ranks come from :mod:`growthlab.linalg`; the
+test oracle, a phase-1 simplex with no facet data, is in
 ``tests/lattice_oracle.py``.
+
+Only the dilates 1..e are counted.  E_P(k) is a polynomial of degree e
+(Ehrhart, 1962), so its series is h*(z)/(1-z)^{e+1} with h* of degree
+at most e (Stanley, 1980; Beck & Robins ch. 3-4), and E_P(0..e) fix
+h*, every later count and the series.
 
 Closed forms for the two families treated here, each written down as
 one reduced pair:
@@ -38,7 +43,7 @@ from math import comb
 
 from . import linalg
 from .errors import ArgumentError, CheckFailure, Record, StructuralError
-from .series import RationalFunction, binomial_row, poly_mul
+from .series import RationalFunction, binomial_row, poly_mul, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +57,13 @@ class LatticePolytope(Record):
     ``vertex_coords`` holds the vertices written in that basis (exact
     integers, computed at construction).  A vertex that is not a point
     of the lattice is refused with its position as ``index``.
+    ``normals`` is an integer basis of the null space of the vertex
+    differences, the equations of the affine hull, found once at
+    construction; it is empty when P is full-dimensional.
     """
 
-    __slots__ = ("ambient_dim", "basis", "vertices", "vertex_coords")
+    __slots__ = ("ambient_dim", "basis", "vertices", "vertex_coords",
+                 "normals")
 
     @staticmethod
     def make(ambient_dim: int, vertices, basis=None) -> "LatticePolytope":
@@ -92,19 +101,17 @@ class LatticePolytope(Record):
             if t != 1:
                 raise StructuralError(f"vertex {v} is not a lattice point", pos)
             coords.append(tuple(c))
-        return LatticePolytope(ambient_dim, basis, tuple(verts), tuple(coords))
+        diffs = [[a - b for a, b in zip(v, coords[0])] for v in coords[1:]]
+        normals = linalg.nullspace(diffs, len(basis))
+        return LatticePolytope(ambient_dim, basis, tuple(verts), tuple(coords),
+                               tuple(map(tuple, normals)))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def affine_dim(self) -> int:
-        v0 = self.vertex_coords[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0))
-                 for v in self.vertex_coords[1:]]
-        if not diffs:
-            return 0
-        return linalg.rank(diffs)
+        return self.rank - len(self.normals)
 
 
 def _dot(a, x) -> int:
@@ -114,19 +121,17 @@ def _dot(a, x) -> int:
 def _halfspaces(P: LatticePolytope) -> list:
     """P as one sorted list of pairs (a, b) in lattice coordinates: x is
     in kP exactly when a.x <= k b for every pair.  Each normal a of P's
-    affine hull (an integer basis of the null space of the vertex
-    differences) gives (a, b) and (-a, -b).  An e-subset of vertices (e
-    = affine_dim) that leaves, with the hull's normals, one primitive
-    normal gives a facet when every vertex lies on one side of its
-    hyperplane.  The work grows as C(vertices, e), not with k."""
+    affine hull (``P.normals``) gives (a, b) and (-a, -b).  An e-subset
+    of vertices (e = affine_dim) that leaves, with the hull's normals,
+    one primitive normal gives a facet when every vertex lies on one
+    side of its hyperplane.  The work grows as C(vertices, e), not with
+    k."""
     v0 = P.vertex_coords[0]
-    diffs = [[a - b for a, b in zip(v, v0)] for v in P.vertex_coords[1:]]
-    normals = linalg.nullspace(diffs, P.rank)
     halfspaces = {(tuple(s * c for c in a), s * _dot(a, v0))
-                  for a in normals for s in (1, -1)}
-    for subset in combinations(P.vertex_coords, P.rank - len(normals)):
+                  for a in P.normals for s in (1, -1)}
+    for subset in combinations(P.vertex_coords, P.affine_dim()):
         flat = [[a - b for a, b in zip(s, subset[0])] for s in subset[1:]]
-        normal = linalg.nullspace(normals + flat, P.rank)
+        normal = linalg.nullspace([*P.normals, *flat], P.rank)
         if len(normal) != 1:
             continue
         # a subset normal is orthogonal to the hull's normals, so never
@@ -166,14 +171,30 @@ def _count(P: LatticePolytope, k: int, halfspaces) -> int:
 
 
 def ehrhart_sequence(P: LatticePolytope, kmax: int) -> list[int]:
-    """E_P(0)..E_P(kmax); P's halfspaces are computed once, and only
-    when some k >= 1 is counted."""
+    """E_P(0)..E_P(kmax).  Dilates 1..min(kmax, e) are counted, with P's
+    halfspaces computed once and only when some dilate is; the counts
+    past e are the expansion of the series those counts fix."""
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
-    if kmax == 0:
-        return [1]
-    halfspaces = _halfspaces(P)
-    return [1] + [_count(P, k, halfspaces) for k in range(1, kmax + 1)]
+    e = P.affine_dim()
+    counted = min(kmax, e)
+    counts = [1]
+    if counted:
+        halfspaces = _halfspaces(P)
+        counts += [_count(P, k, halfspaces) for k in range(1, counted + 1)]
+    return counts if kmax <= e else ehrhart_series(counts).expand(kmax)
+
+
+def ehrhart_series(counts) -> RationalFunction:
+    """The Ehrhart series h*(z)/(1-z)^{e+1} of a lattice polytope of
+    dimension e, read off its counts E(0..e): h* is (1-z)^{e+1} times
+    sum_k E(k) z^k below degree e + 1.  The pair is already reduced, as
+    h*(1) is the normalized volume of P, which is positive, and the
+    denominator's constant term is 1."""
+    e = len(counts) - 1
+    denominator = binomial_row(e + 1, -1)
+    numerator = poly_trim(poly_mul(list(counts), denominator)[:e + 1])
+    return RationalFunction(tuple(numerator), tuple(denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +209,14 @@ def stock_shape(kind: str, n: int) -> tuple:
 
 def cross_polytope(n: int) -> LatticePolytope:
     """conv(+-e_1, ..., +-e_n) in Z^n, whose vertices are their own
-    lattice coordinates on the identity basis."""
+    lattice coordinates on the identity basis; it is full-dimensional,
+    so its affine hull has no normals."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
     basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     verts = tuple(tuple(sign * x for x in row)
                   for row in basis for sign in (1, -1))
-    return LatticePolytope(n, basis, verts, verts)
+    return LatticePolytope(n, basis, verts, verts, ())
 
 
 def cross_polytope_series(n: int) -> RationalFunction:
@@ -210,7 +232,9 @@ def cross_polytope_series(n: int) -> RationalFunction:
 def root_polytope(n: int) -> LatticePolytope:
     """A_n root polytope conv{e_i - e_j, i != j} inside the lattice
     Z^{n+1} with coordinate sum zero, on the basis e_i - e_{i+1}, in
-    which each vertex's lattice coordinates are read off directly."""
+    which each vertex's lattice coordinates are read off directly; it
+    is full-dimensional in that lattice, so its affine hull has no
+    normals."""
     if n < 1:
         raise ArgumentError("n must be at least 1")
     dim = n + 1
@@ -225,7 +249,7 @@ def root_polytope(n: int) -> LatticePolytope:
                 # e_i - e_j = +-(sum of e_l - e_{l+1} for l between them)
                 lo, hi, s = (i, j, 1) if i < j else (j, i, -1)
                 coords.append(tuple(s * int(lo <= l < hi) for l in range(n)))
-    return LatticePolytope(dim, basis, tuple(verts), tuple(coords))
+    return LatticePolytope(dim, basis, tuple(verts), tuple(coords), ())
 
 
 def legendre(n: int) -> tuple:

@@ -390,29 +390,30 @@ class MarkedGroup(Record):
 # stock constructions
 # ---------------------------------------------------------------------------
 
-def free_abelian_standard(n: int) -> MarkedGroup:
-    """Z^n marked with the standard basis e_1..e_n (symmetrized)."""
+def free_abelian_standard(n: int, symmetrize: bool = True) -> MarkedGroup:
+    """Z^n marked with the standard basis e_1..e_n."""
     fam = FreeAbelian(n)
     gens = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return MarkedGroup(fam, gens)
+    return MarkedGroup(fam, gens, symmetrize)
 
 
-def free_group_standard(n: int) -> MarkedGroup:
-    """Free group F_n marked with its free basis (symmetrized)."""
+def free_group_standard(n: int, symmetrize: bool = True) -> MarkedGroup:
+    """Free group F_n marked with its free basis."""
     fam = FreeGroup(n)
-    return MarkedGroup(fam, tuple((i,) for i in range(1, n + 1)))
+    return MarkedGroup(fam, tuple((i,) for i in range(1, n + 1)), symmetrize)
 
 
-def heisenberg_group() -> MarkedGroup:
+def heisenberg_group(symmetrize: bool = True) -> MarkedGroup:
     """Discrete Heisenberg group H_3(Z) with the two standard unipotent
     generators x = I + E12 and y = I + E23."""
     fam = MatrixGroup(3)
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    return MarkedGroup(fam, (x, y))
+    return MarkedGroup(fam, (x, y), symmetrize)
 
 
-def symmetric_group_adjacent(degree: int) -> MarkedGroup:
+def symmetric_group_adjacent(degree: int,
+                             symmetrize: bool = True) -> MarkedGroup:
     """Symmetric group S_degree marked with the adjacent transpositions
     (1 2), (2 3), ..., (degree-1 degree)."""
     fam = PermutationGroup(degree)
@@ -421,4 +422,4 @@ def symmetric_group_adjacent(degree: int) -> MarkedGroup:
         img = list(range(1, degree + 1))
         img[i - 1], img[i] = img[i], img[i - 1]
         gens.append(tuple(img))
-    return MarkedGroup(fam, tuple(gens))
+    return MarkedGroup(fam, tuple(gens), symmetrize)

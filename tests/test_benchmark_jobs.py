@@ -1,5 +1,6 @@
 """The benchmark's own jobs, run in process through the CLI and checked by
-the benchmark's own oracles.  A change that breaks what the benchmark
+the benchmark's own oracles, at full size and at the size-zero set-up
+pass the benchmark also times.  A change that breaks what the benchmark
 reads of the program (a config key, an echoed option, a JSON field)
 fails here, not only when the benchmark runs."""
 
@@ -27,13 +28,14 @@ def _load(name):
 workloads = _load("workloads")
 oracles = _load("oracles")
 
-JOBS = [(workload, job) for workload in workloads.WORKLOADS
+JOBS = [pytest.param(job.at_size_zero() if zero else job,
+                     id=f"{workload}-{job.name}" + "-size-zero" * zero)
+        for zero in (False, True) for workload in workloads.WORKLOADS
         for job in workloads.build(workload, seed=1)]
 
 
-@pytest.mark.parametrize("workload, job", JOBS,
-                         ids=[f"{w}-{job.name}" for w, job in JOBS])
-def test_benchmark_job_passes_its_oracles(capsys, tmp_path, workload, job):
+@pytest.mark.parametrize("job", JOBS)
+def test_benchmark_job_passes_its_oracles(capsys, tmp_path, job):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(job.document())
     rc = main([job.command, *job.flags, "--config", str(cfg),

@@ -187,6 +187,17 @@ def test_generator_rows_are_canonicalized_once(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     assert out.splitlines()[-1] == "1,4,5"
     assert calls == [[2, 0], [0, 1]]
+    # a stock marking is built once, as-given, under --no-symmetrize
+    calls.clear()
+    rc, out, err = run(capsys, "growth", "--family", "free-abelian",
+                       "--rank", "3", "--no-symmetrize", "--kmax", "1",
+                       "--no-timestamp")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-5:] == [
+        "# group: free-abelian rank 3; S = {(1, 0, 0), (0, 1, 0), "
+        "(0, 0, 1)} (as-given)", "# recognized: none", "k,sigma,beta",
+        "0,1,1", "1,3,4"]
+    assert len(calls) == 3
 
 
 def test_output_file(capsys, tmp_path):
@@ -403,6 +414,47 @@ def test_ehrhart_stock_and_custom(capsys):
     assert result["series"] is not None
 
 
+def test_custom_series_is_read_off_the_counts(capsys, monkeypatch):
+    # the series of a custom polytope comes from E(0..e), never from the
+    # recognizer: none below kmax = e, h*/(1 - z)^(e+1) from there on
+    from growthlab import series
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recognize_rational called")
+    monkeypatch.setattr(series, "recognize_rational", refuse)
+    simplex = ("ehrhart", "--ambient-dim", "3", "--vertex", "0 0 0",
+               "--vertex", "1 0 0", "--vertex", "0 1 0", "--vertex",
+               "0 0 1", "--no-timestamp")
+    rc, out, err = run(capsys, *simplex, "--kmax", "2")
+    assert (rc, err) == (0, "")
+    assert "# series: none" in out.splitlines()
+    rc, out, err = run(capsys, *simplex, "--kmax", "5")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert "# series: (1) / (1 - 4z + 6z^2 - 4z^3 + z^4)" in lines
+    assert lines[-1] == "5,56"
+
+
+def test_vertex_differences_are_eliminated_once(capsys, monkeypatch):
+    # the affine hull's normals are found once, when the polytope is
+    # made, and serve both its dimension and its halfspaces
+    from growthlab import linalg
+    real, calls = linalg._echelon, []
+
+    def echelon(rows):
+        calls.append([list(r) for r in rows])
+        return real(rows)
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    rc, out, err = run(capsys, "ehrhart", "--ambient-dim", "3",
+                       "--vertex", "0 0 0", "--vertex", "1 0 0",
+                       "--vertex", "0 1 0", "--vertex", "1 1 2",
+                       "--kmax", "2", "--no-timestamp")
+    assert (rc, err) == (0, "")
+    assert calls.count([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == 1
+    # the basis, 4 vertices' coordinates, the differences, 4 facets
+    assert len(calls) == 10
+
+
 def test_theta_command(capsys):
     rc, out, _ = run(capsys, "theta", "--gram", "2 1", "--gram", "1 2",
                      "--rmax", "8", "--no-timestamp")
@@ -554,23 +606,26 @@ def test_oversized_stock_degree_is_config_error(capsys, tmp_path):
 
 
 def test_ehrhart_work_counts_against_the_budget(capsys, tmp_path):
-    # cross n=3 at kmax 8 counts sum (2k + 1)^2 = 968 lines over k = 1..8
-    # after C(6, 3) = 20 facet subsets
+    # cross n=3 at kmax 8 counts sum (2k + 1)^2 = 83 lines over k = 1..3
+    # after C(6, 3) = 20 facet subsets, then takes the 4 steps of the
+    # series' recurrence for each of k = 4..8: 103 in all
     cross = ("ehrhart", "--polytope", "cross", "--n", "3", "--kmax", "8",
              "--no-timestamp")
-    rc, out, err = run(capsys, *cross, "--budget", "968")
+    rc, out, err = run(capsys, *cross, "--budget", "103")
     assert rc == 0
     assert out.splitlines()[-1] == "8,833"
-    rc, out, err = run(capsys, *cross, "--budget", "967")
+    rc, out, err = run(capsys, *cross, "--budget", "102")
     assert rc == 2
-    assert "field 'kmax'" in err
-    assert "at least 968 lines of dilates 1..8" in err
+    assert "field 'kmax': the 83 lines of dilates 1..3 and 20 recurrence " \
+        "steps to 8 exceed the budget of 102" in err
     assert out == ""
-    # each dilate is a line at least, so a huge kmax is refused at once
+    # each dilate past e costs e + 1 steps, so a huge kmax is refused at
+    # once
     rc, out, err = run(capsys, "ehrhart", "--ambient-dim", "1", "--vertex",
                        "0", "--vertex", "1", "--kmax", str(10 ** 12))
     assert rc == 2
-    assert f"at least {10 ** 12} lines" in err
+    assert f"field 'kmax': the 1 lines of dilates 1..1 and " \
+        f"{2 * (10 ** 12 - 1)} recurrence steps" in err
     # the cuboctahedron tries C(12, 3) = 220 subsets, and kmax 0 none:
     # then only its 12 vertices of 4 entries each count
     root = ("ehrhart", "--polytope", "root", "--n", "3", "--no-timestamp")
@@ -921,15 +976,18 @@ def test_stock_ehrhart_and_theta_bytes(capsys):
                                       "(1 - 4z + 6z^2 - 4z^3 + z^4)"}}),
         # the lattice-count presentations at seed 1: the cross-polytope
         # under a signed permutation, the root polytope with a permuted
-        # basis; too few counts for the recognizer, so no series
+        # basis; each reads its series off E(0..3), equal to the stock
+        # closed form
         _custom_argv(cross3, (), 8):
             _stock_payload("ehrhart", _custom_job(cross3, (), 8), {
                 "polytope": "custom", "ambient_dim": 3, "vertices": 6,
-                "counts": [str(c) for c in cross], "series": None}),
+                "counts": [str(c) for c in cross],
+                "series": _series_json([1, 3, 3, 1], [1, -4, 6, -4, 1])}),
         _custom_argv(root3, root3_basis, 6):
             _stock_payload("ehrhart", _custom_job(root3, root3_basis, 6), {
                 "polytope": "custom", "ambient_dim": 4, "vertices": 12,
-                "counts": [str(c) for c in root], "series": None}),
+                "counts": [str(c) for c in root],
+                "series": _series_json([1, 9, 9, 1], [1, -4, 6, -4, 1])}),
         # a triangle in Z^3 with C(k + 2, 2) points in its k-th dilate
         _custom_argv(triangle, (), 9):
             _stock_payload("ehrhart", _custom_job(triangle, (), 9), {

@@ -7,9 +7,10 @@ from math import comb
 import pytest
 
 from growthlab import ehrhart, linalg
-from growthlab.ehrhart import (LatticePolytope, _halfspaces, cross_polytope,
-                               box, cross_polytope_series, ehrhart_sequence,
-                               legendre, root_polytope, root_polytope_series,
+from growthlab.ehrhart import (LatticePolytope, _count, _halfspaces,
+                               cross_polytope, box, cross_polytope_series,
+                               ehrhart_sequence, ehrhart_series, legendre,
+                               root_polytope, root_polytope_series,
                                stock_shape)
 from growthlab.errors import ArgumentError, CheckFailure, StructuralError
 from growthlab.series import (RationalFunction, closed_form_free_abelian,
@@ -331,14 +332,74 @@ def test_facet_counter_matches_simplex_oracle():
         for _ in range(4):
             P = random_polytope(rng, ambient, rank, flat_dim)
             assert_halfspaces(P)
-            kmax = 2 if flat_dim >= 2 else 3
+            # k = 3 is past e, so derived, for all but the 3-polytopes,
+            # whose oracle scan at k = 4 is slow
+            kmax = 3 if flat_dim < 3 else 2
             assert ehrhart_sequence(P, kmax) == [
                 simplex_box_scan(P, k) for k in range(kmax + 1)], P
 
 
+def test_derived_counts_match_counted_dilates():
+    # past e the counts are read off h*, which E(0..e) fix; counting
+    # every dilate to e + 3 must give the same, on 208 polytopes of every
+    # dimension up to the lattice rank, and h* is nonnegative
+    rng = random.Random(5)
+    shapes = [(ambient, rank, flat_dim) for ambient in (1, 2, 3)
+              for rank in range(1, ambient + 1)
+              for flat_dim in range(rank + 1)]
+    for ambient, rank, flat_dim in shapes:
+        for _ in range(13):
+            P = random_polytope(rng, ambient, rank, flat_dim)
+            kmax = flat_dim + 3
+            halfspaces = _halfspaces(P)
+            counted = [1] + [_count(P, k, halfspaces)
+                             for k in range(1, kmax + 1)]
+            assert ehrhart_sequence(P, kmax) == counted, P
+            f = ehrhart_series(counted[:flat_dim + 1])
+            assert min(f.numerator) >= 0 and len(f.numerator) <= flat_dim + 1
+
+
+def test_h_star_of_random_simplices():
+    # for a full-dimensional lattice simplex h*(1) is the normalized
+    # volume, |det| of its edge vectors; h* >= 0 (Stanley), and the pair
+    # is already in make's normal form
+    rng = random.Random(1980)
+    done = 0
+    while done < 40:
+        d = rng.choice((1, 2, 2, 3, 3, 4))
+        verts = [tuple(rng.randint(-2, 2) for _ in range(d))
+                 for _ in range(d + 1)]
+        edges = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+        det = linalg.det_exact(edges)
+        if det == 0:
+            continue
+        done += 1
+        P = LatticePolytope.make(d, verts)
+        f = ehrhart_series(ehrhart_sequence(P, d))
+        assert min(f.numerator) >= 0
+        assert sum(f.numerator) == abs(det)
+        assert f == RationalFunction.make(f.numerator, f.denominator)
+
+
+def test_only_dilates_to_e_are_counted(monkeypatch, capsys):
+    # cross n=3 at kmax 8 counts k = 1, 2, 3 and derives k = 4..8
+    from growthlab.cli import main
+    counted = []
+
+    def count(P, k, halfspaces):
+        counted.append(k)
+        return _count(P, k, halfspaces)
+    monkeypatch.setattr(ehrhart, "_count", count)
+    assert main(["ehrhart", "--polytope", "cross", "--n", "3", "--kmax",
+                 "8", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "8,833"
+    assert counted == [1, 2, 3]
+
+
 def test_line_budget_is_the_walk(monkeypatch, capsys):
-    # the lines the CLI charges to the budget are the lines _count walks,
-    # both read off box(P, k)
+    # the lines the CLI charges to the budget are the lines _count walks
+    # over the counted dilates 1..min(kmax, e), both read off box(P, k);
+    # each later dilate adds the e + 1 steps of its recurrence
     from growthlab.cli import main
     rng = random.Random(77)
     real, walked = ehrhart.product, []
@@ -348,7 +409,7 @@ def test_line_budget_is_the_walk(monkeypatch, capsys):
             walked.append(y)
             yield y
     monkeypatch.setattr(ehrhart, "product", walk)
-    refused = 0
+    refused = derived = 0
     for ambient, rank, flat_dim in [(1, 1, 1), (2, 2, 1), (2, 2, 2),
                                     (3, 3, 1), (3, 3, 3), (3, 2, 2)]:
         for _ in range(3):
@@ -357,20 +418,26 @@ def test_line_budget_is_the_walk(monkeypatch, capsys):
             walked.clear()
             ehrhart_sequence(P, kmax)
             lines = len(walked)
+            e = P.affine_dim()
+            counted = min(kmax, e)
             assert lines == sum(math.prod(map(len, box(P, k)))
-                                for k in range(1, kmax + 1))
+                                for k in range(1, counted + 1))
+            steps = (e + 1) * (kmax - counted)
+            cost = lines + steps
             argv = ["ehrhart", "--ambient-dim", str(ambient), "--kmax",
                     str(kmax), "--no-timestamp"]
             argv += [f"--vertex={' '.join(map(str, v))}" for v in P.vertices]
             argv += [f"--basis={' '.join(map(str, b))}" for b in P.basis]
-            if comb(len(P.vertices), P.affine_dim()) >= lines:
+            if comb(len(P.vertices), e) >= cost:
                 continue  # the facet subsets would be refused first
-            assert main(argv + ["--budget", str(lines)]) == 0
-            assert main(argv + ["--budget", str(lines - 1)]) == 2
-            assert f"at least {lines} lines of dilates 1..{kmax} exceed " \
-                f"the budget of {lines - 1}" in capsys.readouterr().err
+            assert main(argv + ["--budget", str(cost)]) == 0
+            assert main(argv + ["--budget", str(cost - 1)]) == 2
+            assert f"the {lines} lines of dilates 1..{counted} and {steps} " \
+                f"recurrence steps to {kmax} exceed the budget of " \
+                f"{cost - 1}" in capsys.readouterr().err
             refused += 1
-    assert refused >= 12
+            derived += steps > 0
+    assert refused >= 12 and derived >= 8
 
 
 def test_facet_counts():
