@@ -36,8 +36,17 @@ along one normal form of its geodesics:
 Neither rule drops an element: what is skipped is known or found by
 another act.  S(0) = {e} is mapped by every act.
 
-Elements are their own keys: every family stores elements in a
-canonical hashable form, so the visited set holds the elements
+When the family calls the marking a tree (``family.tree``: a free group
+whose generators are single letters, symmetrized or as-given), every
+product is a new element and the search keeps no visited set.  A word g
+in act j's list of S(k) ends in the letter s_j, and act i maps only the
+lists whose letter is not s_i^-1, so g*s_i is the reduced word g
+followed by s_i, of length k+1.  Dropping its last letter gives back g,
+so distinct pairs (g, s_i) give distinct words, none of them in an
+earlier sphere.
+
+Otherwise elements are their own keys: every family stores elements in
+a canonical hashable form, so the visited set holds the elements
 themselves.  When the marking is symmetrized the Cayley graph is
 undirected and every neighbour of S(k) lies in S(k-1), S(k) or S(k+1),
 so once S(k+1) is complete S(k-1) is dropped from the visited set, in
@@ -108,7 +117,9 @@ def _table(radius: int, sigma: list[int], description: str) -> BallTable:
 
 def expand(acts, batches, seen, room: int) -> list | None:
     """One list per act: the images of that act's batch that ``seen``
-    does not hold, each added to ``seen`` as its act finishes.
+    does not hold, each added to ``seen`` as its act finishes.  With
+    ``seen`` None (a tree marking) no image is known, and each list holds
+    all of its act's images.
 
     g -> g*s is injective, so one act's images of a batch are distinct
     and only ``seen`` can hold them already.  At most one element more
@@ -118,9 +129,12 @@ def expand(acts, batches, seen, room: int) -> list | None:
     """
     found = []
     for act, batch in zip(acts, batches):
-        new = list(islice(filterfalse(seen.__contains__, act(batch)),
-                          room + 1))
-        seen.update(new)
+        if seen is None:
+            new = list(islice(act(batch), room + 1))
+        else:
+            new = list(islice(filterfalse(seen.__contains__, act(batch)),
+                              room + 1))
+            seen.update(new)
         found.append(new)
         room -= len(new)
         if room < 0:
@@ -151,7 +165,8 @@ def _spheres(m: MarkedGroup, element_budget: int):
         reads.append([j for j in range(i + 1 if fam.commutative else len(gens))
                       if j != back])
     ident = fam.identity()
-    visited = {ident}
+    # a tree forms every element once (see the module docstring)
+    visited = None if fam.tree(gens) else {ident}
     before, frontier = [], [[ident]]
     batches = [[ident]] * len(acts)  # every act maps S(0)
     stored = 1
@@ -166,7 +181,7 @@ def _spheres(m: MarkedGroup, element_budget: int):
                 f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
                 last_radius=k - 1)
         stored += sum(map(len, sphere))
-        if m.symmetrize:
+        if m.symmetrize and visited is not None:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
             visited.difference_update(chain.from_iterable(before))
             before = frontier

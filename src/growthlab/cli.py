@@ -93,8 +93,23 @@ def _table_bound(doc, key: str, default: int, minimum: int) -> int:
 _GROUP_KEYS = ("family", "rank", "degree", "dim", "symmetrize")
 
 
+def _recognized(m, sizes):
+    """The recognized sphere series, or None when there is none or a
+    theorem refutes it.  A marking of Z^n whose generators have rank r
+    has balls of size a polynomial of degree r in k for all large k
+    (Khovanskii, 1992), so its reduced series has denominator exactly
+    (1 - z)^r, and any other is refuted."""
+    from . import groups, linalg, series
+    recognized = series.recognize_rational(sizes)
+    if (recognized is not None and isinstance(m.family, groups.FreeAbelian)
+            and list(recognized.denominator)
+            != series.binomial_row(linalg.rank(m.generators), -1)):
+        return None
+    return recognized
+
+
 def cmd_growth(args) -> int:
-    from . import cayley, series
+    from . import cayley
     doc = _merged_document(
         args, _GROUP_KEYS + ("kmax", "budget"), ("generator",))
     m = build_marked_group(doc)
@@ -111,7 +126,7 @@ def cmd_growth(args) -> int:
               file=sys.stderr)
         table, stopped = exc.partial, exc
     partial = stopped is not None
-    recognized = series.recognize_rational(table.sphere_sizes)
+    recognized = _recognized(m, table.sphere_sizes)
     shown = recognized.display() if recognized is not None else "none"
     csv_lines = [f"# group: {m.describe()}", f"# recognized: {shown}"]
     if partial:

@@ -51,7 +51,11 @@ read ``gs`` only as their output is read.
 
 Each family also states ``commutative``, whether its law commutes for
 every choice of elements: only ``FreeAbelian`` does.  Ball enumeration
-then takes commuting letters in generator order.
+then takes commuting letters in generator order.  And each states
+``tree(gens)``, whether it vouches that the distinct generators gens
+mark a tree, on which the ball search forms every element once: only
+``FreeGroup`` does, when every generator is one letter.  Ball
+enumeration then keeps no visited set.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -127,6 +131,9 @@ class FreeAbelian(Record):
             raise StructuralError("rank must be nonnegative")
         super().__init__(rank)
 
+    def tree(self, gens) -> bool:
+        return False
+
     def identity(self) -> Element:
         return (0,) * self.rank
 
@@ -177,6 +184,12 @@ class FreeGroup(Record):
             out.append(d)
         out.reverse()
         return out
+
+    def tree(self, gens) -> bool:
+        """Whether the distinct words gens are each one letter, one digit
+        0 < s < 2*rank + 1; the search then forms no word twice (see
+        :mod:`growthlab.cayley`)."""
+        return all(0 < s <= 2 * self.rank for s in gens)
 
     def identity(self) -> int:
         return 0
@@ -254,6 +267,9 @@ class MatrixGroup(Record):
         n = self.dim
         return tuple(a[i:i + n] for i in range(0, n * n, n))
 
+    def tree(self, gens) -> bool:
+        return False
+
     def identity(self) -> Element:
         n = self.dim
         return tuple(int(i == j) for i in range(n) for j in range(n))
@@ -309,6 +325,9 @@ class PermutationGroup(Record):
         if degree < 1:
             raise StructuralError("permutation degree must be at least 1")
         super().__init__(degree)
+
+    def tree(self, gens) -> bool:
+        return False
 
     def identity(self) -> Element:
         return tuple(range(1, self.degree + 1))

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from growthlab.cli import main
+from growthlab.cayley import enumerate_balls
+from growthlab.cli import _recognized, main
+from growthlab.config import build_marked_group, parse_config_text
+from growthlab.series import binomial_row
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,3 +46,22 @@ def test_benchmark_job_passes_its_oracles(capsys, tmp_path, job):
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert oracles.check_cli(job, json.loads(out)) == []
+
+
+def _marking(job):
+    return build_marked_group(parse_config_text(job.document()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_free_job_marks_a_tree(seed):
+    # growth-free's gain comes from the search keeping no visited set,
+    # which a tree marking allows at every seed, not only the stock one
+    m = _marking(workloads.free_job(seed))
+    assert m.family.tree(m.effective_generating_set())
+
+
+def test_z3_job_keeps_its_series():
+    # the series rule for free-abelian markings keeps (1 + z)^3 / (1 - z)^3
+    m = _marking(workloads.z3_job(seed=1))
+    fit = _recognized(m, enumerate_balls(m, 60).sphere_sizes)
+    assert list(fit.denominator) == binomial_row(3, -1)

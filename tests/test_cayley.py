@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from growthlab import cayley
 from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
@@ -158,6 +159,81 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
         assert drawn[0] == products, m.describe()
 
 
+def test_free_basis_spheres_are_those_of_the_tree():
+    # the 2r-regular tree: 2r(2r-1)^(k-1) words of length k >= 1, and
+    # r^k positive words when the basis is as given
+    for r in range(1, 5):
+        sym = enumerate_balls(free_group_standard(r), 6).sphere_sizes
+        assert list(sym) == [1] + [2 * r * (2 * r - 1) ** (k - 1)
+                                   for k in range(1, 7)]
+        given = enumerate_balls(free_group_standard(r, False), 6)
+        assert list(given.sphere_sizes) == [r ** k for k in range(7)]
+
+
+def test_single_letter_markings_against_closure():
+    # any set of signed letters marks a tree, with or without inverses;
+    # the search keeps no visited set there and must still count right
+    rng = random.Random(26)
+    for _ in range(24):
+        r = rng.randint(1, 3)
+        letters = [l for l in range(-r, r + 1) if l]
+        gens = [(l,) for l in rng.sample(letters, rng.randint(1, 2 * r))]
+        for symmetrize in (True, False):
+            m = MarkedGroup(FreeGroup(r), gens, symmetrize)
+            assert m.family.tree(m.effective_generating_set())
+            assert list(enumerate_balls(m, 5).sphere_sizes) == \
+                closure_spheres(m, 5), m.describe()
+
+
+# {a, b, ab} and {a, a^2, b}: F_2 markings whose products repeat
+NOT_TREES = (((1,), (2,), (1, 2)), ((1,), (1, 1), (2,)))
+
+
+def test_free_markings_that_are_not_trees_still_dedupe():
+    for gens in NOT_TREES:
+        for symmetrize in (True, False):
+            m = MarkedGroup(FreeGroup(2), gens, symmetrize)
+            assert not m.family.tree(m.effective_generating_set())
+            assert list(enumerate_balls(m, 6).sphere_sizes) == \
+                closure_spheres(m, 6), m.describe()
+
+
+def test_a_tree_marking_passes_no_visited_set(monkeypatch):
+    passed, expand = [], cayley.expand
+
+    def recording(acts, batches, seen, room):
+        passed.append(seen)
+        return expand(acts, batches, seen, room)
+    monkeypatch.setattr(cayley, "expand", recording)
+    for symmetrize in (True, False):
+        passed.clear()
+        enumerate_balls(free_group_standard(2, symmetrize), 5)
+        assert passed == [None] * 5
+        passed.clear()
+        enumerate_balls(MarkedGroup(FreeGroup(2), NOT_TREES[0], symmetrize), 5)
+        assert len(passed) == 5 and all(isinstance(s, set) for s in passed)
+    passed.clear()
+    assert word_length(free_group_standard(2), [1, 2, -1], 5) == 3
+    assert passed == [None] * 3
+
+
+def test_word_length_of_a_reduced_word_is_its_length():
+    rng = random.Random(12)
+    for r in (1, 2, 3):
+        m = free_group_standard(r)
+        for _ in range(10):
+            word, n = [], rng.randint(0, 6)
+            while len(word) < n:
+                l = rng.choice([l for l in range(-r, r + 1) if l])
+                if not word or word[-1] != -l:
+                    word.append(l)
+            assert word_length(m, word, 6) == len(word), word
+    # as given, a word with an inverse letter is never reached
+    given = free_group_standard(2, False)
+    assert word_length(given, [1, 2, 2], 5) == 3
+    assert word_length(given, [1, -2], 5) is None
+
+
 def test_symmetric_group_spheres_are_mahonian():
     # sigma(k) of S_n under adjacent transpositions counts permutations
     # with k inversions: the coefficients of prod_{i<=n} (1 + ... + z^(i-1))
@@ -224,8 +300,10 @@ def test_budget_message_names_what_was_reached():
 def test_budget_of_exactly_the_ball_completes_it():
     # a budget of |B(k)| holds the k-ball; one less stops at radius k-1
     # with the whole budget stored, so the search neither stops short of
-    # its budget nor stores past it
-    for m in stock_markings():
+    # its budget nor stores past it.  The stock F_2 markings are trees
+    markings = list(stock_markings())
+    assert any(m.family.tree(m.effective_generating_set()) for m in markings)
+    for m in markings:
         full = enumerate_balls(m, 5)
         for k in range(1, 6):
             beta = full.ball_sizes[k]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,8 +14,11 @@ import pytest
 
 import growthlab
 from growthlab import gauss
-from growthlab.cli import _fit_grid_value, build_parser, main
+from growthlab.cayley import enumerate_balls
+from growthlab.cli import _fit_grid_value, _recognized, build_parser, main
 from growthlab.errors import CheckFailure
+from growthlab.groups import FreeAbelian, MarkedGroup
+from growthlab.series import closed_form_free_abelian, recognize_rational
 from lattice_oracle import machin_pi
 
 
@@ -59,6 +63,61 @@ def test_growth_skips_recognition_on_short_tables(capsys):
                        "--rank", "1", "--kmax", "3", "--no-timestamp")
     assert rc == 0
     assert "# recognized: none" in out
+
+
+def test_series_a_theorem_refutes_is_not_printed(capsys):
+    # three generators of rank 2 fit (1 + z)^3 / (1 - z)^3 at kmax 11,
+    # which predicts sigma(12) = 578 where the search finds 486; a
+    # marking of Z^n of rank r has a series over exactly (1 - z)^r
+    args = ("growth", "--family", "free-abelian", "--rank", "2",
+            "--generator", "-3 -2", "--generator", "-2 2",
+            "--generator", "3 -1", "--no-timestamp")
+    rc, out, _ = run(capsys, *args, "--kmax", "11")
+    assert rc == 0
+    assert "# recognized: none" in out.splitlines()
+    rc, out, _ = run(capsys, *args, "--kmax", "12", "--format", "json")
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["recognized"] is None
+    assert result["table"]["sphere_sizes"][12] == "486"
+
+
+def test_standard_free_abelian_keeps_its_series(capsys):
+    for n in range(1, 5):
+        rc, out, _ = run(capsys, "growth", "--family", "free-abelian",
+                         "--rank", str(n), "--kmax", "14", "--no-timestamp")
+        assert rc == 0
+        shown = closed_form_free_abelian(n).display()
+        assert f"# recognized: {shown}" in out.splitlines()
+
+
+def test_series_rule_refuses_exactly_what_more_spheres_refute():
+    # seeded markings of Z^2 by three vectors, symmetrized and as given:
+    # a recognition at kmax 9..16 is refused exactly when the spheres to
+    # radius 40 disagree with it.  As given, three vectors with a
+    # relation xa + yb + zc = 0, x, y, z > 0, form no coincidence before
+    # radius x + y + z, so a wrong 1/(1 - z)^3 fits every radius below
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(40):
+        gens = []
+        while len(gens) < 3:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if v != (0, 0) and v not in gens:
+                gens.append(v)
+        for symmetrize in (True, False):
+            m = MarkedGroup(FreeAbelian(2), gens, symmetrize)
+            sizes = list(enumerate_balls(m, 40).sphere_sizes)
+            for k in range(9, 17):
+                fit = recognize_rational(sizes[:k + 1])
+                if fit is None:
+                    continue
+                kept = _recognized(m, sizes[:k + 1])
+                assert kept in (fit, None)
+                assert (kept is None) == (fit.expand(40) != sizes), \
+                    (gens, symmetrize, k)
+                refused += kept is None
+    assert refused > 0
 
 
 def test_byte_identical_reruns(capsys):
