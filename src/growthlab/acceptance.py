@@ -8,8 +8,9 @@ human-readable detail string, and never raises: failures of any kind,
 including internal errors, are folded into the result so the whole
 suite always completes.
 
-Checks with an explicit runtime budget (1, 2, 4, 9) include the elapsed
-time in the pass condition, not just in the report.
+Checks 1, 2, 4 and 9 fail past their runtime budgets (BUDGETS), timed
+over the whole check by run_check.  The time shows only on run_all's
+progress lines; a result's line and detail carry none.
 """
 
 from __future__ import annotations
@@ -38,22 +39,15 @@ class CheckResult(Record):
 
 
 def _check_gauss_value():
-    t0 = time.perf_counter()
     value = gauss.count_disc(100000)
-    elapsed = time.perf_counter() - t0
-    ok = value == 314197 and elapsed < 1.0
-    return ok, f"R2(100000) = {value}, expected 314197 ({elapsed:.3f}s, budget 1s)"
+    return value == 314197, f"R2(100000) = {value}, expected 314197"
 
 
 def _check_gauss_bound():
-    t0 = time.perf_counter()
     ts = list(range(0, 10001)) + gauss.dyadic_extension(10000, 10 ** 7)
     results = gauss.gauss_bound_check(ts)
-    elapsed = time.perf_counter() - t0
-    worst = gauss.worst_slack(results)
-    ok = elapsed < 30.0
-    return ok, (f"bound holds at {len(results)} values of t"
-                f" (worst slack {worst:.3E}, {elapsed:.2f}s, budget 30s)")
+    return True, (f"bound holds at {len(results)} values of t"
+                  f" (worst slack {gauss.worst_slack(results):.3E})")
 
 
 def _check_z_series():
@@ -69,17 +63,13 @@ def _check_z_series():
 
 
 def _check_zn_series():
-    t0 = time.perf_counter()
     for n, kmax in ((2, 25), (3, 25), (4, 15)):
         m = free_abelian_standard(n)
         table = cayley.enumerate_balls(m, kmax)
         want = closed_form_free_abelian(n).expand(kmax)
         if list(table.sphere_sizes) != want:
             return False, f"Z^{n} spheres disagree with ((1+z)/(1-z))^{n}"
-    elapsed = time.perf_counter() - t0
-    ok = elapsed < 60.0
-    return ok, (f"Z^2, Z^3 (k<=25) and Z^4 (k<=15) all match"
-                f" ({elapsed:.2f}s, budget 60s)")
+    return True, "Z^2, Z^3 (k<=25) and Z^4 (k<=15) all match"
 
 
 def _random_z2_group(rng: random.Random) -> MarkedGroup:
@@ -155,7 +145,6 @@ def _check_root_polytope():
 
 
 def _check_theta():
-    t0 = time.perf_counter()
     cases = [(f"Z^{n} vs theta3^{n}", n, theta.theta3_power(n, 100))
              for n in range(1, 5)]
     cases.append(("Z^2 vs r2", 2, gauss.r2_table(1000)))
@@ -166,10 +155,7 @@ def _check_theta():
         if got != want:
             at = next(i for i, (x, y) in enumerate(zip(got, want)) if x != y)
             return False, f"{label} mismatch at {at}"
-    elapsed = time.perf_counter() - t0
-    ok = elapsed < 60.0
-    return ok, (f"Z^n = theta3^n (n<=4, rmax=100) and Z^2 = r2 (k<=1000)"
-                f" ({elapsed:.2f}s, budget 60s)")
+    return True, "Z^n = theta3^n (n<=4, rmax=100) and Z^2 = r2 (k<=1000)"
 
 
 def _check_free_group():
@@ -267,6 +253,9 @@ CHECKS = (
 
 CHECK_IDS = tuple(ident for ident, _, _ in CHECKS)
 
+# seconds a check may run, timed over the whole check by run_check
+BUDGETS = {1: 1, 2: 30, 4: 60, 9: 60}
+
 
 def run_check(ident: int) -> CheckResult:
     for cid, slug, fn in CHECKS:
@@ -277,19 +266,24 @@ def run_check(ident: int) -> CheckResult:
             except Exception as exc:
                 passed, detail = False, f"error: {type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - t0
+            budget = BUDGETS.get(cid)
+            if budget is not None and elapsed >= budget:
+                passed = False
+                detail += f"; ran past its budget of {budget}s"
             return CheckResult(cid, slug, passed, detail, elapsed)
     raise ValueError(f"no acceptance check numbered {ident}")
 
 
 def run_all(selected=None, stream=None) -> list:
-    """Run the selected checks (all by default), print one line per
-    check to the stream, and return the results."""
+    """Run the selected checks (all by default), print one progress
+    line per check, with its time, to the stream, and return the
+    results."""
     if stream is None:
         stream = sys.stdout
     picked = CHECK_IDS if selected is None else tuple(selected)
     results = []
     for ident in picked:
         result = run_check(ident)
-        print(result.line(), file=stream)
+        print(f"{result.line()} ({result.elapsed:.2f}s)", file=stream)
         results.append(result)
     return results

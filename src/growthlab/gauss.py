@@ -6,15 +6,16 @@ All counts are exact integers computed with integer square roots.  The
 bound check is decided in integers too: each t gets an integer lower
 bound on its slack, in units of 1/SCALE, and passes only when that
 bound exceeds a fixed safety margin (MARGIN), so a pass proves the
-margin and no rounding decides it.  Decimals, at 50 significant digits
-(DIGITS), are built only for the values shown (`worst_slack`).  A budget
-charges the rows a disc count walks, `disc_rows`.
+margin and no rounding decides it.  A slack is shown as slack / SCALE
+rounded down to 50 significant digits (DIGITS), so the value shown
+(`worst_slack`) is a lower bound too.  A budget charges the rows a disc
+count walks, `disc_rows`.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cache
 from itertools import accumulate
 
@@ -110,10 +111,7 @@ class CircleCount(Record):
     """One bound check: the exact count R(t) and `slack`, an integer with
     slack / SCALE <= 2 pi (1 + sqrt(2t)) - |R - pi t|.  Construction
     fails (CheckFailure) unless slack exceeds MARGIN * SCALE, so a record
-    proves that the bound exceeds the error by more than MARGIN.
-
-    `error` and `bound` are |R - pi t| and 2 pi (1 + sqrt(2t)), computed
-    at DIGITS + 10 digits and shown at DIGITS; nothing decides on them."""
+    proves that the bound exceeds the error by more than MARGIN."""
 
     __slots__ = ("t", "R", "slack")
 
@@ -125,25 +123,8 @@ class CircleCount(Record):
         _set(self, "slack", slack)
         if slack <= _units(MARGIN):
             raise CheckFailure(
-                f"Gauss bound violated at t={t}: "
-                f"error {self.error} vs bound {self.bound}", context=t)
-
-    @property
-    def error(self) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = DIGITS + 10
-            error = abs(self.R - pi_decimal(DIGITS + 10) * self.t)
-            ctx.prec = DIGITS
-            return +error
-
-    @property
-    def bound(self) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = DIGITS + 10
-            root = Decimal(2 * self.t).sqrt()
-            bound = 2 * pi_decimal(DIGITS + 10) * (1 + root)
-            ctx.prec = DIGITS
-            return +bound
+                f"Gauss bound violated at t={t}: slack {_shown(slack):E}"
+                f" does not exceed the margin {MARGIN}", context=t)
 
 
 def dyadic_extension(tmax: int, upto: int) -> list[int]:
@@ -187,31 +168,18 @@ def gauss_bound_check(t_values) -> list[CircleCount]:
             for t, R in zip(ts, counts)]
 
 
-def near_least_slack(records: list[CircleCount]) -> list[CircleCount]:
-    """The records whose shown slack, bound - error, can be the least.
-
-    In units of 1/SCALE: a shown value is its DIGITS + 10 digit value
-    rounded to DIGITS digits, off by half a unit in its last digit, and
-    that unit is at most U, the one of the largest shown bound, as
-    error < bound.  The DIGITS + 10 digit values are off by at most
-    30t + 35 bound + 5, below 251t + 338, so a shown slack is within
-    U + 251t + 338 of the true one, and a record's slack is at most
-    6t + 9 below the true one.  So only a record whose slack is within
-    2U + 508t + 685 of the least, less than 2U + 1000 (tmax + 1), can
-    show the least."""
-    top = max(records, key=lambda r: r.t)
-    unit = 10 ** top.bound.adjusted() * SCALE // 10 ** (DIGITS - 1)
-    tolerance = 2 * unit + 1000 * (top.t + 1)
-    least = min(r.slack for r in records)
-    return [r for r in records if r.slack - least <= tolerance]
+def _shown(slack: int) -> Decimal:
+    """slack / SCALE rounded down to DIGITS significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        ctx.rounding = ROUND_FLOOR
+        return Decimal(slack).scaleb(-(DIGITS + 10))
 
 
 def worst_slack(records: list[CircleCount]) -> Decimal:
-    """The least slack shown, bound - error at DIGITS significant
-    digits, over the records that can show it (near_least_slack)."""
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        return min(r.bound - r.error for r in near_least_slack(records))
+    """The least slack, shown: a lower bound on the least
+    bound - error, at DIGITS significant digits."""
+    return _shown(min(r.slack for r in records))
 
 
 class ExponentFit(Record):

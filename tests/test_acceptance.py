@@ -13,6 +13,7 @@ the requirement itself is what the tie violates.  See README.
 """
 
 import io
+from itertools import count
 
 from growthlab import acceptance
 
@@ -88,3 +89,25 @@ def test_internal_error_is_a_failed_check(monkeypatch):
     assert not results[0].passed
     assert "ZeroDivisionError" in results[0].detail
     assert results[1].passed
+
+
+def test_budgeted_checks_fail_past_their_budgets(monkeypatch):
+    # run_check's one timer, over the whole check, decides: a check that
+    # takes its whole budget fails with a detail naming it, and one that
+    # takes a hundredth of a second less passes, with the same detail as
+    # an untimed run
+    assert acceptance.BUDGETS == {1: 1, 2: 30, 4: 60, 9: 60}
+    for ident, budget in acceptance.BUDGETS.items():
+        detail = acceptance.run_check(ident).detail
+        for step, passed in ((budget, False), (budget - 0.01, True)):
+            clock = count(0, step)
+            monkeypatch.setattr(acceptance.time, "perf_counter",
+                                clock.__next__)
+            result = acceptance.run_check(ident)
+            assert result.passed is passed, (ident, step)
+            assert result.elapsed == step
+            if passed:
+                assert result.detail == detail
+            else:
+                assert result.detail == \
+                    f"{detail}; ran past its budget of {budget}s"

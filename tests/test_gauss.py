@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from itertools import accumulate
 
 import pytest
@@ -10,8 +10,8 @@ from growthlab import gauss
 from growthlab.errors import ArgumentError, CheckFailure
 from growthlab.gauss import (SCALE, CircleCount, count_disc,
                              dyadic_extension, error_exponent_fit,
-                             gauss_bound_check, near_least_slack, pi_decimal,
-                             r2_table, worst_slack)
+                             gauss_bound_check, pi_decimal, r2_table,
+                             worst_slack)
 from lattice_oracle import gauss_slack_bracket, machin_pi, quadrant_disc_count
 
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -37,13 +37,6 @@ def r2(k):
     return total
 
 
-def shown_least(records, prec):
-    """The least bound - error over every record, at prec digits."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return min(r.bound - r.error for r in records)
-
-
 def test_pi_decimal_digits():
     assert str(pi_decimal(50)) == PI_50
     assert str(pi_decimal(10)) == "3.141592654"
@@ -53,7 +46,7 @@ def test_pi_decimal_digits():
 
 def test_pi_decimal_within_a_unit_of_its_last_digit():
     # the fixed-point check scales pi to DIGITS + 11 digits and needs it
-    # within 10^-(DIGITS + 10) of pi; the shown values use DIGITS + 10
+    # within 10^-(DIGITS + 10) of pi
     lo, hi = PI_100
     for digits in (10, 50, 60, 61, 62, 90):
         _, coefficient, exponent = pi_decimal(digits).as_tuple()
@@ -120,7 +113,6 @@ def test_circle_count_record():
     assert rec.t == 100
     assert rec.R == count_disc(100)
     assert rec.slack > 0
-    assert rec.bound - rec.error > 0
     assert rec == CircleCount(100, rec.R, rec.slack)
 
 
@@ -141,7 +133,9 @@ def test_circle_count_validates_on_construction():
     with pytest.raises(CheckFailure) as err:
         CircleCount(t=1, R=100, slack=floor)
     assert err.value.context == 1
-    assert "t=1" in str(err.value)
+    assert str(err.value) == (
+        "Gauss bound violated at t=1: slack 1." + "0" * 40 + "E-20"
+        " does not exceed the margin 1E-20")
     assert CircleCount(t=1, R=100, slack=floor + 1).slack == floor + 1
 
 
@@ -166,22 +160,32 @@ def test_slack_against_interval_oracle():
         assert hi < rec.slack * shift + 10 ** (100 - 45), t
 
 
-def test_worst_slack_is_read_from_near_least_records():
-    # the records near_least_slack keeps hold the least shown slack of
-    # all records, and worst_slack reads it off them at 50 digits
+def test_worst_slack_against_interval_oracle():
+    # the shown worst slack is the least integer slack rounded down to 50
+    # digits: at most the least true slack, bracketed at 100 digits, and
+    # less than one unit in its 50th digit below it, on sets with and
+    # without t = 0
     rng = random.Random(7)
     sets = [range(1, 500), range(0, 40), [5, 5, 9, 2 ** 20, 5],
-            [rng.randrange(0, 10 ** 6) for _ in range(60)]]
+            [rng.randrange(0, 10 ** 6) for _ in range(60)],
+            [rng.randrange(1, 10 ** 7) for _ in range(60)] + [0]]
     for ts in sets:
         recs = gauss_bound_check(ts)
-        near = near_least_slack(recs)
-        assert 1 <= len(near) < len(recs)
-        assert worst_slack(recs) == shown_least(recs, 50)
-    # above t = 0 the least shown slack, about 13.3, is at t = 1
+        brackets = [gauss_slack_bracket(r.t, r.R, PI_100, 100) for r in recs]
+        least_lo = min(lo for lo, _ in brackets)
+        least_hi = min(hi for _, hi in brackets)
+        worst = worst_slack(recs)
+        _, digits, exponent = worst.as_tuple()
+        assert len(digits) <= 50
+        # worst and one unit in its 50th digit, in units of 10^-100
+        shown = int("".join(map(str, digits))) * 10 ** (exponent + 100)
+        unit = 10 ** (worst.adjusted() - 49 + 100)
+        assert shown <= least_lo and least_hi < shown + unit, ts
+    # above t = 0 the least slack, about 13.3, is at t = 1, and its 51st
+    # digit is 6, so rounding to nearest would show a value above it
     recs = gauss_bound_check(range(1, 500))
-    assert [r.t for r in near_least_slack(recs)] == [1]
     assert f"{worst_slack(recs):E}" == \
-        "1.3310543837086112209419692129959896049820751576877E+1"
+        "1.3310543837086112209419692129959896049820751576876E+1"
     assert f"{worst_slack(recs):.3E}" == "1.331E+1"
 
 
@@ -209,36 +213,6 @@ def test_count_disc_walks_the_rows_the_budget_counts(monkeypatch, capsys):
         assert walked[-1] == len(real(t)) == 2 * math.isqrt(t) + 1
 
 
-def test_near_least_tolerance():
-    # a record can show the least slack only if its integer slack is
-    # within 2U + 1000 (tmax + 1) of the least, U being one unit in the
-    # 50th digit of the largest bound (here 2 pi (1 + sqrt 14) = 29.8...,
-    # so U = 10^-48, 10^12 in units of 1/SCALE); the tolerance keeps
-    # every such record and nothing beyond it
-    least = SCALE
-    tolerance = 2 * 10 ** 12 + 1000 * (7 + 1)
-    recs = [CircleCount(0, 1, least), CircleCount(7, 21, least + tolerance),
-            CircleCount(3, 9, least + tolerance + 1)]
-    assert recs[1].bound.adjusted() == 1
-    assert near_least_slack(recs) == recs[:2]
-
-
-def test_shown_values_are_rounded_to_digits():
-    # error and bound are shown at DIGITS digits, within 0.6 of a unit
-    # in their last digit of the values at 100 digits
-    lo, _ = PI_100
-    for rec in gauss_bound_check([0, 7, 2 ** 23]):
-        with localcontext() as ctx:
-            ctx.prec = 110
-            pi = Decimal(lo).scaleb(-100)
-            error = abs(rec.R - pi * rec.t)
-            bound = 2 * pi * (1 + Decimal(2 * rec.t).sqrt())
-            for shown, exact in ((rec.error, error), (rec.bound, bound)):
-                assert len(shown.as_tuple().digits) <= 50
-                assert abs(shown - exact) <= \
-                    Decimal(6).scaleb(shown.adjusted() - 50), rec.t
-
-
 def test_gauss_bound_check_batch():
     recs = gauss_bound_check(range(0, 50))
     assert len(recs) == 50
@@ -260,7 +234,7 @@ def test_bound_holds_at_random_points():
     ts = [rng.randrange(0, 1_000_000) for _ in range(25)]
     recs = gauss_bound_check(ts)  # raises CheckFailure on any violation
     for rec in recs:
-        assert rec.error < rec.bound
+        assert rec.slack > 0
     # the dense range and the dyadics of the stock check, in order
     ts = list(range(10001)) + dyadic_extension(10000, 10 ** 7)
     assert [r.t for r in gauss_bound_check(ts)] == ts
