@@ -26,23 +26,41 @@ along one normal form of its geodesics:
 
 * never step back: act i skips the list of the act of s_i^-1, because
   h*s_i^-1 = g is in S(k-1) and already visited;
-* commuting letters in order: when the family's law is commutative
-  (``family.commutative``), act i also skips the lists of acts j > i.
-  By induction on k, the act that first finds h is the least possible
-  largest letter s_m over h's geodesics: sorted, such a geodesic ends
-  in s_m, its prefix lies in a list m' <= m, which act m maps, and no
-  earlier act can reach h.
+* commuting letters in order, by inverse pair: when the family's law
+  is commutative (``family.commutative``), let pair(i) be the first
+  index of s_i or s_i^-1 in the effective generating set.  The acts
+  run in pair order, each letter next to its inverse, and act i maps
+  list j only when pair(j) < pair(i) or j = i.  By induction on k, the
+  act that first finds h is in the least possible pair of a largest
+  letter over h's geodesics.  Sort such a geodesic by pair; it ends in
+  a letter s of that pair, and its prefix p = h*s^-1 lies in S(k-1).
+  No geodesic of p uses s^-1, or h = p*s would be shorter than k.  So
+  the act that first found p is in a lower pair than s, or it is s
+  itself, and either way act s maps p's list.  Every act that forms h
+  shows a geodesic of h whose largest letter is in that act's pair, and
+  the acts run in pair order, so no act of a later pair finds h first.
 
 Neither rule drops an element: what is skipped is known or found by
 another act.  S(0) = {e} is mapped by every act.
 
-When the family calls the marking a tree (``family.tree``: a free group
-whose generators are single letters, symmetrized or as-given), every
-product is a new element and the search keeps no visited set.  A word g
-in act j's list of S(k) ends in the letter s_j, and act i maps only the
-lists whose letter is not s_i^-1, so g*s_i is the reduced word g
-followed by s_i, of length k+1.  Dropping its last letter gives back g,
-so distinct pairs (g, s_i) give distinct words, none of them in an
+When the family vouches that the marking is a free basis
+(``family.free_basis``, see :mod:`growthlab.groups`), every product is
+a new element and the search keeps no visited set:
+
+* a free group whose generators are single letters, symmetrized or
+  as-given.  A word g in act j's list of S(k) ends in the letter s_j,
+  and act i maps only the lists whose letter is not s_i^-1, so g*s_i is
+  the reduced word g followed by s_i, of length k+1;
+* a free abelian group whose generators, up to sign, each have a
+  private coordinate.  They are independent, so every element has one
+  sorted normal form, and its length is the sum of the absolute
+  coefficients.  An element g in act j's list of S(k) has no letter in
+  a pair above pair(j).  Act i maps it only when pair(j) < pair(i), or
+  when j = i and g's letters in that pair are all s_i.  So g*s_i is
+  g's normal form with one more s_i at its end, of length k+1.
+
+In both cases dropping the last letter of g*s_i gives back g, so
+distinct pairs (g, s_i) give distinct elements, none of them in an
 earlier sphere.
 
 Otherwise elements are their own keys: every family stores elements in
@@ -118,8 +136,8 @@ def _table(radius: int, sigma: list[int], description: str) -> BallTable:
 def expand(acts, batches, seen, room: int) -> list | None:
     """One list per act: the images of that act's batch that ``seen``
     does not hold, each added to ``seen`` as its act finishes.  With
-    ``seen`` None (a tree marking) no image is known, and each list holds
-    all of its act's images.
+    ``seen`` None (a free basis marking) no image is known, and each
+    list holds all of its act's images.
 
     g -> g*s is injective, so one act's images of a batch are distinct
     and only ``seen`` can hold them already.  At most one element more
@@ -154,19 +172,29 @@ def _spheres(m: MarkedGroup, element_budget: int):
     """
     fam = m.family
     gens = m.effective_generating_set()
-    acts = [fam.right_multiplier(s) for s in gens]
+    inverse = {s: fam.inverse(s) for s in gens}
     index = {s: i for i, s in enumerate(gens)}
+    if fam.commutative:
+        # each letter next to its inverse, pairs in order of first listing
+        gens.sort(key=lambda s: min(index[s],
+                                    index.get(inverse[s], index[s])))
+        index = {s: i for i, s in enumerate(gens)}
+    acts = [fam.right_multiplier(s) for s in gens]
     # reads[i]: the lists of S(k) that act i maps.  It never steps back
-    # along the letter that found an element, and under a commutative
-    # law it takes no list of a later letter.
+    # along the letter that found an element.  Under a commutative law
+    # it maps its own list and those of earlier pairs, which are the
+    # lists before s_i and s_i^-1.
     reads = []
     for i, s in enumerate(gens):
-        back = index.get(fam.inverse(s))
-        reads.append([j for j in range(i + 1 if fam.commutative else len(gens))
-                      if j != back])
+        back = index.get(inverse[s])
+        if fam.commutative:
+            first = i if back is None else min(i, back)
+            reads.append(list(range(first)) + ([i] if i != back else []))
+        else:
+            reads.append([j for j in range(len(gens)) if j != back])
     ident = fam.identity()
-    # a tree forms every element once (see the module docstring)
-    visited = None if fam.tree(gens) else {ident}
+    # a free basis forms every element once (see the module docstring)
+    visited = None if fam.free_basis(gens) else {ident}
     before, frontier = [], [[ident]]
     batches = [[ident]] * len(acts)  # every act maps S(0)
     stored = 1

@@ -51,11 +51,20 @@ read ``gs`` only as their output is read.
 
 Each family also states ``commutative``, whether its law commutes for
 every choice of elements: only ``FreeAbelian`` does.  Ball enumeration
-then takes commuting letters in generator order.  And each states
-``tree(gens)``, whether it vouches that the distinct generators gens
-mark a tree, on which the ball search forms every element once: only
-``FreeGroup`` does, when every generator is one letter.  Ball
-enumeration then keeps no visited set.
+then takes commuting letters in order, each next to its inverse.  And
+each states ``free_basis(gens)``, whether it vouches that the distinct
+generators gens are a free basis of what they generate, up to sign: then
+every element has one normal form, and the ball search forms every
+element once and keeps no visited set (see :mod:`growthlab.cayley`).
+Two families vouch:
+
+* ``FreeGroup``, when every generator is one letter;
+* ``FreeAbelian``, when the distinct generators, taken up to sign, each
+  have a coordinate where every other one is zero.  Such vectors are
+  independent.  The test is linear in the number of entries, where a
+  rank by elimination would take cubic time at the ranks the budget
+  admits.  Independent vectors without such coordinates, like (1, 1)
+  and (1, -1), are not vouched for and keep the visited set.
 
 A :class:`MarkedGroup` bundles a family with a finite generating set.
 The generating set never contains the identity; ``symmetrize=True``
@@ -65,8 +74,9 @@ inverses.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable
-from itertools import chain
+from itertools import chain, compress
 from operator import add, itemgetter
 
 from .errors import ConfigError, Record, StructuralError
@@ -131,8 +141,14 @@ class FreeAbelian(Record):
             raise StructuralError("rank must be nonnegative")
         super().__init__(rank)
 
-    def tree(self, gens) -> bool:
-        return False
+    def free_basis(self, gens) -> bool:
+        """Whether the distinct vectors gens, taken up to sign, each have a
+        coordinate where every other one is zero.  Such vectors are
+        independent; the test is linear in the number of entries."""
+        classes = {max(s, self.inverse(s)) for s in gens}  # one per sign
+        supports = [list(compress(range(self.rank), v)) for v in classes]
+        users = Counter(chain.from_iterable(supports))
+        return all(any(users[c] == 1 for c in sup) for sup in supports)
 
     def identity(self) -> Element:
         return (0,) * self.rank
@@ -185,7 +201,7 @@ class FreeGroup(Record):
         out.reverse()
         return out
 
-    def tree(self, gens) -> bool:
+    def free_basis(self, gens) -> bool:
         """Whether the distinct words gens are each one letter, one digit
         0 < s < 2*rank + 1; the search then forms no word twice (see
         :mod:`growthlab.cayley`)."""
@@ -267,7 +283,7 @@ class MatrixGroup(Record):
         n = self.dim
         return tuple(a[i:i + n] for i in range(0, n * n, n))
 
-    def tree(self, gens) -> bool:
+    def free_basis(self, gens) -> bool:
         return False
 
     def identity(self) -> Element:
@@ -326,7 +342,7 @@ class PermutationGroup(Record):
             raise StructuralError("permutation degree must be at least 1")
         super().__init__(degree)
 
-    def tree(self, gens) -> bool:
+    def free_basis(self, gens) -> bool:
         return False
 
     def identity(self) -> Element:

@@ -57,7 +57,14 @@ def test_every_free_job_marks_a_tree(seed):
     # growth-free's gain comes from the search keeping no visited set,
     # which a tree marking allows at every seed, not only the stock one
     m = _marking(workloads.free_job(seed))
-    assert m.family.tree(m.effective_generating_set())
+    assert m.family.free_basis(m.effective_generating_set())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_z3_job_marks_a_free_basis(seed):
+    # growth-nilpotent's Z^3 job keeps no visited set at every seed
+    m = _marking(workloads.z3_job(seed))
+    assert m.family.free_basis(m.effective_generating_set())
 
 
 def test_z3_job_keeps_its_series():

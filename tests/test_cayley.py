@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from growthlab import cayley
+from growthlab import cayley, linalg
 from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
@@ -136,10 +136,11 @@ def test_normal_form_search_against_closure():
 
 
 def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
-    # products drawn = items the acts yield.  F_2 forms only new words:
-    # 4 from the identity and 3 from every other element of the 11-ball,
-    # beta(12) - 1 in all.  Z^3 and the Heisenberg group form far fewer
-    # than |B(k-1)|*|S| (1,685,754 and 221,812)
+    # products drawn = items the acts yield.  F_2 and Z^3 form only new
+    # elements, beta(k) - 1 in all: F_2 4 words from the identity and 3
+    # from every other element of the 11-ball, Z^3 each vector once along
+    # its normal form sorted by inverse pair.  The Heisenberg group forms
+    # far fewer than |B(k-1)|*|S| (221,812)
     drawn = [0]
     for fam in (FreeGroup, FreeAbelian, MatrixGroup):
         def counted(self, s, law=fam.right_multiplier):
@@ -152,7 +153,7 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
             return count
         monkeypatch.setattr(fam, "right_multiplier", counted)
     for m, k, products in ((free_group_standard(2), 12, 1_062_880),
-                           (free_abelian_standard(3), 60, 500_680),
+                           (free_abelian_standard(3), 60, 295_360),
                            (heisenberg_group(), 20, 166_360)):
         drawn[0] = 0
         enumerate_balls(m, k)
@@ -180,7 +181,7 @@ def test_single_letter_markings_against_closure():
         gens = [(l,) for l in rng.sample(letters, rng.randint(1, 2 * r))]
         for symmetrize in (True, False):
             m = MarkedGroup(FreeGroup(r), gens, symmetrize)
-            assert m.family.tree(m.effective_generating_set())
+            assert m.family.free_basis(m.effective_generating_set())
             assert list(enumerate_balls(m, 5).sphere_sizes) == \
                 closure_spheres(m, 5), m.describe()
 
@@ -193,12 +194,58 @@ def test_free_markings_that_are_not_trees_still_dedupe():
     for gens in NOT_TREES:
         for symmetrize in (True, False):
             m = MarkedGroup(FreeGroup(2), gens, symmetrize)
-            assert not m.family.tree(m.effective_generating_set())
+            assert not m.family.free_basis(m.effective_generating_set())
             assert list(enumerate_balls(m, 6).sphere_sizes) == \
                 closure_spheres(m, 6), m.describe()
 
 
-def test_a_tree_marking_passes_no_visited_set(monkeypatch):
+def random_zn_markings(rng, count):
+    """Random markings of Z^1..Z^3 with entries -3..3 and 1 to d+2
+    distinct generators, each symmetrized and as given, then as-given
+    markings that list some v and -v both."""
+    markings = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        size, gens = rng.randint(1, d + 2), []
+        while len(gens) < size:
+            v = tuple(rng.randint(-3, 3) for _ in range(d))
+            if any(v) and v not in gens:
+                gens.append(v)
+        markings += [MarkedGroup(FreeAbelian(d), gens, symmetrize)
+                     for symmetrize in (True, False)]
+        # a repeated -v is dropped from the effective generating set
+        both = gens + [tuple(-x for x in rng.choice(gens))]
+        markings.append(MarkedGroup(FreeAbelian(d), both, False))
+    return markings
+
+
+def test_free_abelian_markings_against_closure():
+    # the pair rule walks every marking along one normal form, and a
+    # vouched marking keeps no visited set; both must count right
+    markings = random_zn_markings(random.Random(28), 90)
+    vouched = [m.family.free_basis(m.effective_generating_set())
+               for m in markings]
+    assert any(vouched) and not all(vouched)
+    for m in markings:
+        assert list(enumerate_balls(m, 6).sphere_sizes) == \
+            closure_spheres(m, 6), m.describe()
+
+
+# Z^n markings vouched for as free bases: the standard basis, a scaled
+# one, and vectors with private coordinates 1 and 2
+FREE_BASES = ([free_abelian_standard(n, symmetrize) for n in range(1, 5)
+               for symmetrize in (True, False)]
+              + [MarkedGroup(FreeAbelian(n), gens, symmetrize)
+                 for n, gens in ((2, ((2, 0), (0, 3))),
+                                 (3, ((1, 0, 1), (0, 1, 1))))
+                 for symmetrize in (True, False)])
+# {e1, e2, e1 + e2} and {v, 2v} are dependent.  {(1, 1), (1, -1)} is
+# independent but has no private coordinate, so it is not vouched for
+NOT_FREE_BASES = (((1, 0), (0, 1), (1, 1)), ((1, 2), (2, 4)),
+                  ((1, 1), (1, -1)))
+
+
+def test_a_free_basis_marking_passes_no_visited_set(monkeypatch):
     passed, expand = [], cayley.expand
 
     def recording(acts, batches, seen, room):
@@ -212,9 +259,37 @@ def test_a_tree_marking_passes_no_visited_set(monkeypatch):
         passed.clear()
         enumerate_balls(MarkedGroup(FreeGroup(2), NOT_TREES[0], symmetrize), 5)
         assert len(passed) == 5 and all(isinstance(s, set) for s in passed)
+        for gens in NOT_FREE_BASES:
+            passed.clear()
+            enumerate_balls(MarkedGroup(FreeAbelian(2), gens, symmetrize), 5)
+            assert len(passed) == 5 and all(isinstance(s, set)
+                                            for s in passed), gens
+    for m in FREE_BASES:
+        passed.clear()
+        enumerate_balls(m, 5)
+        assert passed == [None] * 5, m.describe()
     passed.clear()
     assert word_length(free_group_standard(2), [1, 2, -1], 5) == 3
     assert passed == [None] * 3
+
+
+def test_free_basis_runs_no_elimination(monkeypatch):
+    # the private-coordinate test is linear in the entries; a rank by
+    # elimination would be cubic in the stock rank-400 marking
+    def refused(rows):
+        raise AssertionError("free_basis ran an elimination")
+    monkeypatch.setattr(linalg, "_echelon", refused)
+    m = free_abelian_standard(400)
+    assert m.family.free_basis(m.effective_generating_set())
+
+
+def test_word_length_under_the_standard_basis_is_the_l1_norm():
+    rng = random.Random(1)
+    for n in (1, 2, 3):
+        m = free_abelian_standard(n)
+        for _ in range(10):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert word_length(m, v, 9) == sum(map(abs, v)), v
 
 
 def test_word_length_of_a_reduced_word_is_its_length():
@@ -300,9 +375,11 @@ def test_budget_message_names_what_was_reached():
 def test_budget_of_exactly_the_ball_completes_it():
     # a budget of |B(k)| holds the k-ball; one less stops at radius k-1
     # with the whole budget stored, so the search neither stops short of
-    # its budget nor stores past it.  The stock F_2 markings are trees
+    # its budget nor stores past it.  The stock F_2 and Z^n markings are
+    # free bases, which keep no visited set
     markings = list(stock_markings())
-    assert any(m.family.tree(m.effective_generating_set()) for m in markings)
+    assert any(m.family.free_basis(m.effective_generating_set())
+               for m in markings)
     for m in markings:
         full = enumerate_balls(m, 5)
         for k in range(1, 6):
