@@ -150,8 +150,9 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):
         nxt = set()
-        # no room is left when F alone outgrows the budget
-        found = expand(acts, [current] * len(acts), nxt,
+        # every act maps one list of F^(j-1); no room is left when F
+        # alone outgrows the budget
+        found = expand(acts, [list(current)] * len(acts), nxt,
                        max(element_budget - stored, 0))
         if found is None:
             raise BudgetExceededError(

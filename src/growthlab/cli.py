@@ -120,20 +120,19 @@ def cmd_growth(args) -> int:
     try:
         table = cayley.enumerate_balls(m, kmax, budget)
     except BudgetExceededError as exc:
-        if exc.partial is None:
-            raise
         print(f"warning: budget exceeded, emitting radii 0..{exc.last_radius}",
               file=sys.stderr)
         table, stopped = exc.partial, exc
     partial = stopped is not None
     recognized = _recognized(m, table.sphere_sizes)
     shown = recognized.display() if recognized is not None else "none"
-    csv_lines = [f"# group: {m.describe()}", f"# recognized: {shown}"]
+    group = table.group_description
+    csv_lines = [f"# group: {group}", f"# recognized: {shown}"]
     if partial:
         csv_lines.append("# partial: true")
     csv_lines.extend(table.to_csv_lines())
     json_result = {
-        "group": m.describe(),
+        "group": group,
         "table": table.to_json_dict(),
         "recognized": None if recognized is None else recognized.to_json_dict(),
         "partial": partial,
@@ -156,21 +155,22 @@ def cmd_analyze(args) -> int:
                             default=DYE_IDENTITY_CONVENTION)
     budget = get_budget(doc)
     doc.refuse_unread("analyze")
-    report = analysis.classify(cayley.enumerate_balls(m, kmax, budget))
+    table = cayley.enumerate_balls(m, kmax, budget)
+    report = analysis.classify(table)
     if convention == DYE_AS_GIVEN_CONVENTION:
         strict = analysis.dye_quantity_strict(m, max(1, kmax // 2),
                                               element_budget=budget)
         report = analysis.GrowthReport(
             report.rate, report.degree, strict, report.persistence,
             report.verdict, report.polynomial_degree)
+    payload = report.to_json_dict()
     rows = []
-    _flatten_for_csv("", report.to_json_dict(), rows)
+    _flatten_for_csv("", payload, rows)
     # the group description holds commas, so it rides in a comment line
     # and the data cells stay comma-free
-    csv_lines = [f"# group: {m.describe()}", "key,value"]
+    csv_lines = [f"# group: {table.group_description}", "key,value"]
     csv_lines.extend(f"{key},{value}" for key, value in rows)
-    payload = report.to_json_dict()
-    payload["group"] = m.describe()
+    payload["group"] = table.group_description
     _emit(args, "analyze", doc, csv_lines, payload)
     return 0
 

@@ -19,12 +19,9 @@ class Record:
 
     __slots__ = ()
 
-    def __init__(self, *values, **named):
+    def __init__(self, *values):
         names = self.__slots__
-        if named:
-            values += tuple(named.pop(name) for name in names[len(values):]
-                            if name in named)
-        if named or len(values) != len(names):
+        if len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)

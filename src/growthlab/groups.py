@@ -36,18 +36,18 @@ elements and returns an iterable of the products g*s, in the order of
 each sphere whole, so the per-product work runs inside one expression
 instead of one Python call per product; a single product is
 ``[gs] = act([g])``.  Vectors and matrices share one act,
-``_column_act``: each entry of g*s is a short sum of integer multiples
-of entries of g, so the act reads each entry it needs as a column of
-the batch with ``itemgetter``, scales and adds whole columns with
-``map`` in C, and zips the columns back into elements.  Entry i of a
-vector g + s is column i shifted by s_i; entry (r, c) of a matrix g*s
-is the sum of s[j][c] * g[r][j] over the nonzero s[j][c].  That act
-reads ``gs`` once per column, so it makes a batch that is not a list
-into one when called and needs a finite batch.  A one-letter word s
-drops the last digit of g when it is the digit of s^-1 and appends s
-otherwise, a longer word chains the acts of its letters, and a
-permutation is a table lookup per point; these two acts are lazy and
-read ``gs`` only as their output is read.
+``_column_act``: each entry of g*s is a constant plus a short sum of
+integer multiples of entries of g, read as columns of the batch with
+``itemgetter`` and shifted, scaled, added and zipped in C.  The act
+stores the terms and shift of each entry it changes and makes its
+getters when it runs.  A vector g + s shifts entry i by each nonzero
+s_i; entry (r, c) of a matrix g*s is the sum of s[j][c] * g[r][j] over
+the nonzero s[j][c].  That act reads ``gs`` once per column, so it
+makes a batch that is not a list into one when called and needs a
+finite batch.  A one-letter word s drops the last digit of g when it is
+the digit of s^-1 and appends s otherwise, a longer word chains the
+acts of its letters, and a permutation is a table lookup per point;
+these two acts are lazy and read ``gs`` only as their output is read.
 
 Each family also states ``commutative``, whether its law commutes for
 every choice of elements: only ``FreeAbelian`` does.  Ball enumeration
@@ -77,7 +77,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable
 from itertools import chain, compress
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 
 from .errors import ConfigError, Record, StructuralError
 from .linalg import det_exact, mat_inverse_exact
@@ -104,25 +104,29 @@ def _sequence(obj, what: str):
 # the column-read act (exact determinants and inverses come from linalg.py)
 # ---------------------------------------------------------------------------
 
-def _column_act(entries) -> Act:
+def _column_act(width: int, changed: dict) -> Act:
     """The act of a law whose product g*s is read off columns of g.
 
-    ``entries`` holds, for each entry of g*s in order, its terms and a
-    function ``finish`` or None: the entry is finish(sum of x * get(g)
-    over the terms (get, x)), or that sum when ``finish`` is None.
+    Entry i of g*s, for i < width, is entry i of g, unless
+    ``changed[i] = (terms, shift)``: then it is shift plus the sum of
+    x * g[j] over the terms (j, x).
     """
-    def column(gs, terms, finish):
-        cols = [map(get, gs) if x == 1 else map(x.__mul__, map(get, gs))
-                for get, x in terms]
+    def column(gs, i):
+        if i not in changed:
+            return map(itemgetter(i), gs)
+        terms, shift = changed[i]
+        cols = [map(itemgetter(j), gs) if x == 1
+                else map(x.__mul__, map(itemgetter(j), gs))
+                for j, x in terms]
         col = cols[0]
         for other in cols[1:]:
             col = map(add, col, other)
-        return map(finish, col) if finish else col
+        return map(shift.__add__, col) if shift else col
 
     def act(gs: Iterable[Element]) -> Iterable[Element]:
         if not isinstance(gs, list):
             gs = list(gs)  # each column reads the batch once more
-        return zip(*[column(gs, terms, finish) for terms, finish in entries])
+        return zip(*[column(gs, i) for i in range(width)])
     return act
 
 
@@ -165,11 +169,11 @@ class FreeAbelian(Record):
         if not s:  # rank 0: no columns to read, and g*s is g
             return iter
         # entry i is column i, shifted by s_i where s_i is nonzero
-        return _column_act([([(itemgetter(i), 1)], x.__add__ if x else None)
-                            for i, x in enumerate(s)])
+        return _column_act(self.rank, {i: (((i, 1),), x)
+                                       for i, x in enumerate(s) if x})
 
     def inverse(self, a: Element) -> Element:
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def describe(self) -> str:
         return f"free-abelian rank {self.rank}"
@@ -314,10 +318,10 @@ class MatrixGroup(Record):
         # entry (r, c) is the sum of s[j][c] * g[r][j] over the nonzero
         # s[j][c]; an invertible s has one in every column
         n = self.dim
-        return _column_act([
-            ([(itemgetter(r + j), s[j * n + c]) for j in range(n)
-              if s[j * n + c]], None)
-            for r in range(0, n * n, n) for c in range(n)])
+        return _column_act(n * n, {
+            r + c: ([(r + j, s[j * n + c]) for j in range(n)
+                     if s[j * n + c]], 0)
+            for r in range(0, n * n, n) for c in range(n)})
 
     def inverse(self, a: Element) -> Element:
         return tuple(chain.from_iterable(mat_inverse_exact(self._rows(a))))

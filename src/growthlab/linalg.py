@@ -73,19 +73,16 @@ def mat_inverse_exact(rows) -> tuple:
     n = len(rows)
     if rank(rows) < n:
         raise StructuralError("matrix is singular, no inverse exists")
-    # column j of the inverse solves A c = e_j: the null space of
-    # [A | -e_j] is spanned by one primitive (c, t) with t > 0, and
-    # t = 1 exactly when c is integral
-    cols = []
-    for j in range(n):
-        [[*col, t]] = nullspace([[*row, -int(i == j)]
-                                 for i, row in enumerate(rows)], n + 1)
-        if t != 1:
-            raise StructuralError(
-                "matrix inverse is not integral; the matrix is not "
-                "invertible over the integers")
-        cols.append(col)
-    return tuple(zip(*cols))
+    # A has full rank, so the null space of [A | -I] has one primitive
+    # (c, t e_j), t > 0, per column j: A c = t e_j, and t = 1 exactly
+    # when c, column j of the inverse, is integral
+    basis = nullspace([[*row, *(-int(i == j) for j in range(n))]
+                       for i, row in enumerate(rows)], 2 * n)
+    if any(x[n + j] != 1 for j, x in enumerate(basis)):
+        raise StructuralError(
+            "matrix inverse is not integral; the matrix is not "
+            "invertible over the integers")
+    return tuple(zip(*(x[:n] for x in basis)))
 
 
 def nullspace(rows, n: int) -> list:

@@ -15,6 +15,8 @@ the requirement itself is what the tie violates.  See README.
 import io
 from itertools import count
 
+import pytest
+
 from growthlab import acceptance
 
 
@@ -75,6 +77,11 @@ def test_criterion_12_dye_quantity(capsys):
 
 def test_criterion_13_s3_polynomial(capsys):
     _run(13, capsys)
+
+
+def test_an_unknown_check_number_is_refused():
+    with pytest.raises(ValueError, match="no acceptance check numbered 99"):
+        acceptance.run_check(99)
 
 
 def test_internal_error_is_a_failed_check(monkeypatch):

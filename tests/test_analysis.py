@@ -110,6 +110,8 @@ def test_dye_quantity_preconditions():
         dye_quantity(table, 0)
     with pytest.raises(ArgumentError):
         dye_quantity(table, 4)  # needs radius 8
+    with pytest.raises(ArgumentError, match="K must be at least 1"):
+        dye_quantity_strict(free_abelian_standard(1), 0)
 
 
 def test_dye_strict_z():
@@ -156,6 +158,38 @@ def test_dye_strict_budget(monkeypatch):
         dye_quantity_strict(free_group_standard(2), 3, element_budget=18)
     assert err.value.last_radius == 2
     assert len(products) == 16 + 2
+
+
+def test_dye_strict_maps_one_shared_list_per_step(monkeypatch):
+    # every act of one step maps the same list of F^(j-1), so a column
+    # act copies nothing and a lazy act reads a list, and the values
+    # are those of the unwrapped acts
+    markings = (free_abelian_standard(2), heisenberg_group(),
+                free_group_standard(2))
+    expected = [dye_quantity_strict(m, 3) for m in markings]
+    # Z^2: h = [4, 9, 16, 25, 36, 49], and 49/29 is the K=3 minimum
+    assert expected[0].value == Fraction(49, 29)
+    for m, value in zip(markings, expected):
+        batches = []
+        family = type(m.family)
+        right_multiplier = family.right_multiplier
+
+        def recording(self, s, right_multiplier=right_multiplier):
+            act = right_multiplier(self, s)
+
+            def recorded(gs):
+                batches.append(gs)
+                return act(gs)
+            return recorded
+
+        with monkeypatch.context() as patch:
+            patch.setattr(family, "right_multiplier", recording)
+            assert dye_quantity_strict(m, 3) == value
+        n = len(m.effective_generating_set())
+        assert len(batches) == 5 * n  # F^2 .. F^6
+        for j in range(0, len(batches), n):
+            step = batches[j:j + n]
+            assert all(type(b) is list and b is step[0] for b in step)
 
 
 def test_dye_strict_budget_boundary():

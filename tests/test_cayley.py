@@ -337,6 +337,7 @@ def test_word_length_basics():
     assert word_length(m, (1, 0), 5) == 1
     assert word_length(m, (3, -4), 10) == 7
     assert word_length(m, (3, -4), 5) is None
+    assert word_length(free_abelian_standard(1), (5,), 3) is None
 
 
 def test_word_length_finite_group_exhausts():
@@ -403,6 +404,9 @@ def test_ball_table_validation():
     with pytest.raises(ArgumentError,
                        match="^table length does not match radius_max$"):
         BallTable(2, (1, 2), (1, 3))
+    with pytest.raises(ArgumentError,
+                       match="^sphere sizes must be nonnegative$"):
+        BallTable(2, (1, -1, 2), (1, 0, 2))
 
 
 def test_ball_table_is_immutable():

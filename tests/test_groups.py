@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from growthlab import groups
 from growthlab.cayley import enumerate_balls
 from growthlab.errors import ConfigError, StructuralError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
@@ -283,6 +284,57 @@ def test_column_acts_read_a_one_shot_batch():
         act = m3.right_multiplier(s)
         assert list(act(iter(batch))) == expected
         assert list(act(g for g in batch)) == expected
+
+
+def test_column_acts_are_built_without_getters(monkeypatch):
+    # an act stores the entries its generator changes and makes its
+    # getters only when it runs, one per entry of the product
+    made = []
+    itemgetter = groups.itemgetter
+
+    def counting(*items):
+        made.append(items)
+        return itemgetter(*items)
+
+    stored = []
+    column_act = groups._column_act
+
+    def recording(width, changed):
+        stored.append(changed)
+        return column_act(width, changed)
+
+    monkeypatch.setattr(groups, "itemgetter", counting)
+    monkeypatch.setattr(groups, "_column_act", recording)
+    rng = random.Random(59)
+    fam = FreeAbelian(10_000)
+    for s in (tuple(int(i == 0) for i in range(10_000)),
+              tuple(rng.choice((0,) * 20 + (-3, 2)) for _ in range(10_000))):
+        act = fam.right_multiplier(s)
+        assert made == []
+        # a free-abelian act stores only the generator's nonzero shifts
+        assert sorted(stored.pop()) == [i for i, x in enumerate(s) if x]
+        batch = [tuple(rng.randint(-9, 9) for _ in range(10_000))
+                 for _ in range(3)]
+        assert list(act(batch)) == [oracle_product(fam, g, s)
+                                    for g in batch]
+        assert len(made) == 10_000
+        made.clear()
+    m3 = MatrixGroup(3)
+    batch = [m3.canonicalize(_random_unimodular(3, rng)) for _ in range(10)]
+    for s in heisenberg_group().effective_generating_set():
+        act = m3.right_multiplier(s)
+        assert made == []
+        assert list(act(batch)) == [oracle_product(m3, g, s) for g in batch]
+        assert made
+        made.clear()
+
+
+def test_families_refuse_sizes_below_their_least():
+    for make, size in ((FreeAbelian, -1), (FreeGroup, 0), (MatrixGroup, 0),
+                       (PermutationGroup, 0)):
+        with pytest.raises(StructuralError):
+            make(size)
+        make(size + 1)
 
 
 def test_permutation_group_law():

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from growthlab import linalg
 from growthlab.errors import StructuralError
 from growthlab.linalg import (det_exact, ldl, mat_inverse_exact, nullspace,
                              rank)
@@ -94,6 +95,24 @@ def test_inverse_exists_exactly_for_unit_determinant():
             expected = ("singular" if d == 0 else "not integral")
             with pytest.raises(StructuralError, match=expected):
                 mat_inverse_exact(m)
+
+
+def test_inverse_is_one_elimination_after_the_rank(monkeypatch):
+    # the rank check, then all n columns off one null space of [A | -I]
+    runs = []
+    echelon = linalg._echelon
+
+    def counting(rows):
+        runs.append(len(rows[0]))
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    a = [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [2, 4, 1, 7]]
+    inv = mat_inverse_exact(a)
+    assert runs == [4, 8]
+    assert [[sum(a[i][k] * inv[k][j] for k in range(4)) for j in range(4)]
+            for i in range(4)] == [[int(i == j) for j in range(4)]
+                                   for i in range(4)]
 
 
 def random_gram(rng, n, nonsingular=True):
