@@ -1,10 +1,13 @@
 """Exact breadth-first enumeration of word-metric spheres and balls.
 
 For a marked group (G, S) the word length of g is the least k with
-g in (S u S^-1)^k.  One private generator, ``_spheres``, expands the
-spheres S(1), S(2), ... frontier by frontier; ``enumerate_balls`` turns
-their sizes into the exact sphere sizes sigma(k) and ball sizes beta(k)
-up to a radius, and ``word_length`` searches them for one element.
+g in (S u S^-1)^k.  ``_read_rule`` fixes the order of the generators'
+acts and which lists of a sphere each act maps.  One private
+generator, ``_spheres``, expands the spheres S(1), S(2), ... frontier
+by frontier under that rule; ``enumerate_balls`` turns their sizes
+into the exact sphere sizes sigma(k) and ball sizes beta(k) up to a
+radius, and ``word_length`` searches them for one element.  A free
+basis is counted on the same rule, not searched (see below).
 
 Each product is a neighbour g*s of a frontier element g by one element
 s of the effective generating set.  ``_spheres`` asks the family once
@@ -44,8 +47,8 @@ Neither rule drops an element: what is skipped is known or found by
 another act.  S(0) = {e} is mapped by every act.
 
 When the family vouches that the marking is a free basis
-(``family.free_basis``, see :mod:`growthlab.groups`), every product is
-a new element and the search keeps no visited set:
+(``family.free_basis``, see :mod:`growthlab.groups`), every product the
+search would form is a new element:
 
 * a free group whose generators are single letters, symmetrized or
   as-given.  A word g in act j's list of S(k) ends in the letter s_j,
@@ -61,10 +64,19 @@ a new element and the search keeps no visited set:
 
 In both cases dropping the last letter of g*s_i gives back g, so
 distinct pairs (g, s_i) give distinct elements, none of them in an
-earlier sphere.
+earlier sphere.  So act i's list of S(k+1) holds exactly as many
+elements as the lists it reads in S(k) hold together: with c_i(1) = 1,
+c_i(k+1) is the sum of c_j(k) over the lists j that act i reads, and
+sigma(k) is the sum of the c_i(k).  These are the counts of the
+normal-form automaton whose transfer matrix is the read rule (Cannon,
+Geom. Dedicata 16, 1984; Epstein et al., Word Processing in Groups,
+1992, ch. 2).  ``enumerate_balls`` keeps them and forms no element and
+builds no act; the budget still counts the whole ball, and refuses at
+the radius and with the message of the search.  ``word_length`` still
+searches a free basis, with a visited set.
 
-Otherwise elements are their own keys: every family stores elements in
-a canonical hashable form, so the visited set holds the elements
+The search's elements are their own keys: every family stores elements
+in a canonical hashable form, so the visited set holds the elements
 themselves.  When the marking is symmetrized the Cayley graph is
 undirected and every neighbour of S(k) lies in S(k-1), S(k) or S(k+1),
 so once S(k+1) is complete S(k-1) is dropped from the visited set, in
@@ -79,6 +91,7 @@ any iteration order.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, chain, count, filterfalse, islice
 
 from .config import DEFAULT_ELEMENT_BUDGET
@@ -135,9 +148,7 @@ def _table(radius: int, sigma: list[int], description: str) -> BallTable:
 
 def expand(acts, batches, seen, room: int) -> list | None:
     """One list per act: the images of that act's batch that ``seen``
-    does not hold, each added to ``seen`` as its act finishes.  With
-    ``seen`` None (a free basis marking) no image is known, and each
-    list holds all of its act's images.
+    does not hold, each added to ``seen`` as its act finishes.
 
     g -> g*s is injective, so one act's images of a batch are distinct
     and only ``seen`` can hold them already.  At most one element more
@@ -146,13 +157,11 @@ def expand(acts, batches, seen, room: int) -> list | None:
     before it reports its budget.
     """
     found = []
+    room = min(room, sys.maxsize - 1)  # no list is longer: no bound past it
     for act, batch in zip(acts, batches):
-        if seen is None:
-            new = list(islice(act(batch), room + 1))
-        else:
-            new = list(islice(filterfalse(seen.__contains__, act(batch)),
-                              room + 1))
-            seen.update(new)
+        new = list(islice(filterfalse(seen.__contains__, act(batch)),
+                          room + 1))
+        seen.update(new)
         found.append(new)
         room -= len(new)
         if room < 0:
@@ -160,15 +169,14 @@ def expand(acts, batches, seen, room: int) -> list | None:
     return found
 
 
-def _spheres(m: MarkedGroup, element_budget: int):
-    """Yield the spheres S(1), S(2), ... of ``m``, forever (empty once a
-    finite group is exhausted), each as one list per act: the elements
-    that act found first.
+def _read_rule(m: MarkedGroup) -> tuple[list, list]:
+    """The effective generators of ``m`` in act order, and the read rule:
+    reads[i] lists the lists of S(k) that act i maps.
 
-    Raises BudgetExceededError, without a partial table, when the ball
-    would outgrow ``element_budget`` elements; its message names the
-    elements stored, the frontier being expanded and the bound
-    |frontier|*|S| on the sphere it was building.
+    Act i never steps back along the letter that found an element.
+    Under a commutative law the generators run pair by pair, each letter
+    next to its inverse, and act i maps its own list and those of
+    earlier pairs, which are the lists before s_i and s_i^-1.
     """
     fam = m.family
     gens = m.effective_generating_set()
@@ -179,11 +187,6 @@ def _spheres(m: MarkedGroup, element_budget: int):
         gens.sort(key=lambda s: min(index[s],
                                     index.get(inverse[s], index[s])))
         index = {s: i for i, s in enumerate(gens)}
-    acts = [fam.right_multiplier(s) for s in gens]
-    # reads[i]: the lists of S(k) that act i maps.  It never steps back
-    # along the letter that found an element.  Under a commutative law
-    # it maps its own list and those of earlier pairs, which are the
-    # lists before s_i and s_i^-1.
     reads = []
     for i, s in enumerate(gens):
         back = index.get(inverse[s])
@@ -192,24 +195,45 @@ def _spheres(m: MarkedGroup, element_budget: int):
             reads.append(list(range(first)) + ([i] if i != back else []))
         else:
             reads.append([j for j in range(len(gens)) if j != back])
+    return gens, reads
+
+
+def _exhausted(element_budget: int, k: int, frontier: int,
+               acts: int) -> BudgetExceededError:
+    """The error the ball search raises when S(k) would outgrow the
+    budget: it names the elements stored, the frontier |S(k-1)| being
+    expanded and the bound |S(k-1)|*|S| on the sphere it was building."""
+    return BudgetExceededError(
+        f"element budget {element_budget} exhausted while "
+        f"expanding radius {k}: {element_budget} elements "
+        f"stored, frontier |S({k - 1})| = {frontier}, next sphere "
+        f"estimate |S({k - 1})|*|S| = {frontier}*{acts} = "
+        f"{frontier * acts}",
+        last_radius=k - 1)
+
+
+def _spheres(m: MarkedGroup, gens: list, reads: list, element_budget: int):
+    """Yield the spheres S(1), S(2), ... of ``m``, forever (empty once a
+    finite group is exhausted), each as one list per act: the elements
+    that act found first.  ``gens`` and ``reads`` are ``_read_rule(m)``.
+
+    Raises ``_exhausted``'s BudgetExceededError, without a partial
+    table, when the ball would outgrow ``element_budget`` elements.
+    """
+    fam = m.family
+    acts = [fam.right_multiplier(s) for s in gens]
     ident = fam.identity()
-    # a free basis forms every element once (see the module docstring)
-    visited = None if fam.free_basis(gens) else {ident}
+    visited = {ident}
     before, frontier = [], [[ident]]
     batches = [[ident]] * len(acts)  # every act maps S(0)
     stored = 1
     for k in count(1):
         sphere = expand(acts, batches, visited, element_budget - stored)
         if sphere is None:
-            f, n = sum(map(len, frontier)), len(acts)
-            raise BudgetExceededError(
-                f"element budget {element_budget} exhausted while "
-                f"expanding radius {k}: {element_budget} elements "
-                f"stored, frontier |S({k - 1})| = {f}, next sphere "
-                f"estimate |S({k - 1})|*|S| = {f}*{n} = {f * n}",
-                last_radius=k - 1)
+            raise _exhausted(element_budget, k, sum(map(len, frontier)),
+                             len(acts))
         stored += sum(map(len, sphere))
-        if m.symmetrize and visited is not None:
+        if m.symmetrize:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
             visited.difference_update(chain.from_iterable(before))
             before = frontier
@@ -217,6 +241,28 @@ def _spheres(m: MarkedGroup, element_budget: int):
         frontier = sphere
         batches = [chain.from_iterable(map(sphere.__getitem__, r))
                    for r in reads]
+
+
+def _sphere_sizes(m: MarkedGroup, element_budget: int):
+    """Yield |S(1)|, |S(2)|, ... of ``m``: counted off the read rule when
+    the family vouches that the marking is a free basis (see the module
+    docstring), else searched.  Either way ``_exhausted``'s error is
+    raised once the ball would outgrow ``element_budget`` elements."""
+    gens, reads = _read_rule(m)
+    if m.family.free_basis(gens):
+        sizes = [1] * len(gens)  # every act maps S(0) = {e}
+        stored = frontier = 1
+        for k in count(1):
+            sigma = sum(sizes)
+            if stored + sigma > element_budget:
+                raise _exhausted(element_budget, k, frontier, len(gens))
+            stored += sigma
+            yield sigma
+            frontier = sigma
+            sizes = [sum(map(sizes.__getitem__, r)) for r in reads]
+    else:
+        for sphere in _spheres(m, gens, reads, element_budget):
+            yield sum(map(len, sphere))
 
 
 def enumerate_balls(m: MarkedGroup, kmax: int,
@@ -233,8 +279,8 @@ def enumerate_balls(m: MarkedGroup, kmax: int,
         raise ArgumentError("element_budget must be positive")
     sigma = [1]
     try:
-        for _, sphere in zip(range(kmax), _spheres(m, element_budget)):
-            sigma.append(sum(map(len, sphere)))
+        for _, size in zip(range(kmax), _sphere_sizes(m, element_budget)):
+            sigma.append(size)
     except BudgetExceededError as exc:
         exc.partial = _table(exc.last_radius, sigma, m.describe())
         raise
@@ -256,7 +302,8 @@ def word_length(m: MarkedGroup, g, kmax: int,
     target = m.family.canonicalize(g)
     if target == m.family.identity():
         return 0
-    for k, sphere in zip(range(1, kmax + 1), _spheres(m, element_budget)):
+    spheres = _spheres(m, *_read_rule(m), element_budget)
+    for k, sphere in zip(range(1, kmax + 1), spheres):
         if any(target in part for part in sphere):
             return k
         if not any(sphere):

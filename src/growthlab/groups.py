@@ -158,8 +158,11 @@ class FreeAbelian(Record):
         return (0,) * self.rank
 
     def canonicalize(self, obj) -> Element:
-        vec = tuple(_as_int(x, "vector entry")
-                    for x in _sequence(obj, "vector"))
+        vec = tuple(_sequence(obj, "vector"))
+        # one C pass over the types; _as_int then runs only to name the
+        # first bad entry, or to keep an int subclass it accepts
+        if not set(map(type, vec)) <= {int}:
+            vec = tuple(_as_int(x, "vector entry") for x in vec)
         if len(vec) != self.rank:
             raise StructuralError(
                 f"vector has length {len(vec)}, expected rank {self.rank}")
@@ -396,13 +399,16 @@ class MarkedGroup(Record):
     __slots__ = ("family", "generators", "symmetrize")
 
     def __init__(self, family: Family, generators=(), symmetrize: bool = True):
-        canon = []
-        ident = family.identity()
+        canon, ident = [], None
         for i, g in enumerate(generators):
             try:
                 c = family.canonicalize(g)
             except StructuralError as exc:
                 raise StructuralError(str(exc), i) from None
+            if ident is None:
+                # built once a generator of its size exists, so a size
+                # no row matches is refused by the row, not allocated
+                ident = family.identity()
             if c == ident:
                 raise StructuralError("the identity may not be listed as a generator", i)
             canon.append(c)

@@ -2,10 +2,12 @@
 the benchmark's own oracles, at full size and at the size-zero set-up
 pass the benchmark also times.  A change that breaks what the benchmark
 reads of the program (a config key, an echoed option, a JSON field)
-fails here, not only when the benchmark runs."""
+fails here, not only when the benchmark runs.  The growth jobs, mutated,
+also seed a fuzz of the CLI's error paths."""
 
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -54,15 +56,15 @@ def _marking(job):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_every_free_job_marks_a_tree(seed):
-    # growth-free's gain comes from the search keeping no visited set,
-    # which a tree marking allows at every seed, not only the stock one
+    # growth-free's spheres are counted, not searched, which a tree
+    # marking allows at every seed, not only the stock one
     m = _marking(workloads.free_job(seed))
     assert m.family.free_basis(m.effective_generating_set())
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_every_z3_job_marks_a_free_basis(seed):
-    # growth-nilpotent's Z^3 job keeps no visited set at every seed
+    # growth-nilpotent's Z^3 job is counted, not searched, at every seed
     m = _marking(workloads.z3_job(seed))
     assert m.family.free_basis(m.effective_generating_set())
 
@@ -72,3 +74,80 @@ def test_z3_job_keeps_its_series():
     m = _marking(workloads.z3_job(seed=1))
     fit = _recognized(m, enumerate_balls(m, 60).sphere_sizes)
     assert list(fit.denominator) == binomial_row(3, -1)
+
+
+# what a mutation puts in place of a value: huge, zero, negative,
+# non-numeric and empty
+BAD_VALUES = ("9" * 40, "0", "-1", "-12", "x", "1.5", "")
+STOCK = (("growth", "--family", "free", "--rank", "2", "--kmax", "12"),
+         ("analyze", "--family", "free", "--rank", "3", "--kmax", "8"),
+         ("growth", "--family", "free-abelian", "--rank", "3",
+          "--kmax", "60"),
+         ("analyze", "--family", "free-abelian", "--rank", "2",
+          "--kmax", "20", "--dye-convention", "as-given"))
+
+
+def _mutated(rng, items):
+    """items with one value replaced, one item dropped or one repeated;
+    an item is a config (key, value) line or a command-line flag and
+    its value."""
+    items = list(items)
+    i = rng.randrange(len(items))
+    kind = rng.choice(("value", "value", "drop", "repeat"))
+    if kind == "drop":
+        del items[i]
+    elif kind == "repeat":
+        items.insert(rng.randrange(len(items) + 1), items[i])
+    else:
+        key, value = items[i]
+        if " " in value and rng.random() < 0.5:  # one entry of a row
+            row = value.split(" ")
+            row[rng.randrange(len(row))] = rng.choice(BAD_VALUES)
+            items[i] = (key, " ".join(row))
+        else:
+            items[i] = (key, rng.choice(BAD_VALUES))
+    return items
+
+
+def _cases(rng, per_base):
+    """(argv head, config lines or None) for mutated growth-free and
+    growth-nilpotent jobs at seeds 0-3 and mutated stock command lines."""
+    for seed in range(4):
+        for workload in ("growth-free", "growth-nilpotent"):
+            for job in workloads.build(workload, seed):
+                for _ in range(per_base):
+                    yield ([job.command, *job.flags],
+                           _mutated(rng, job.entries()))
+    for argv in STOCK:
+        pairs = [(argv[j], argv[j + 1]) for j in range(1, len(argv), 2)]
+        for _ in range(per_base):
+            flags = [x for pair in _mutated(rng, pairs) for x in pair]
+            yield [argv[0], *flags], None
+
+
+def test_mutated_growth_runs_exit_with_a_documented_code(capsys, tmp_path):
+    # no traceback reaches a user: every run of a mutated job or command
+    # line exits 0, 2, 3 or 4, and a run that exits 0 prints JSON
+    cfg = tmp_path / "job.cfg"
+    cases = list(_cases(random.Random(31), 6))
+    assert len(cases) == 96
+    codes = set()
+    for head, lines in cases:
+        argv = head + ["--budget", "20000", "--format", "json",
+                       "--no-timestamp"]
+        if lines is not None:
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+            argv += ["--config", str(cfg)]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag's value
+            rc = exc.code
+        out, err = capsys.readouterr()
+        case = f"{argv} {lines}"
+        assert rc in (0, 2, 3, 4), case
+        if rc == 0:
+            json.loads(out)
+        else:
+            assert err, case
+        codes.add(rc)
+    assert {0, 2, 3} <= codes

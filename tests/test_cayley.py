@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 from math import comb
 
 import pytest
@@ -140,7 +141,9 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
     # elements, beta(k) - 1 in all: F_2 4 words from the identity and 3
     # from every other element of the 11-ball, Z^3 each vector once along
     # its normal form sorted by inverse pair.  The Heisenberg group forms
-    # far fewer than |B(k-1)|*|S| (221,812)
+    # far fewer than |B(k-1)|*|S| (221,812).  enumerate_balls counts the
+    # spheres of a free basis without searching, so the search is run
+    # directly on the read rule both share
     drawn = [0]
     for fam in (FreeGroup, FreeAbelian, MatrixGroup):
         def counted(self, s, law=fam.right_multiplier):
@@ -156,24 +159,38 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
                            (free_abelian_standard(3), 60, 295_360),
                            (heisenberg_group(), 20, 166_360)):
         drawn[0] = 0
-        enumerate_balls(m, k)
+        spheres = cayley._spheres(m, *cayley._read_rule(m), 10 ** 7)
+        sigma = [1] + [sum(map(len, sphere))
+                       for sphere in islice(spheres, k)]
         assert drawn[0] == products, m.describe()
+        assert sigma == list(enumerate_balls(m, k).sphere_sizes)
 
 
 def test_free_basis_spheres_are_those_of_the_tree():
     # the 2r-regular tree: 2r(2r-1)^(k-1) words of length k >= 1, and
-    # r^k positive words when the basis is as given
+    # r^k positive words when the basis is as given.  A counted ball
+    # forms no element, so a budget far past memory still holds it
     for r in range(1, 5):
-        sym = enumerate_balls(free_group_standard(r), 6).sphere_sizes
-        assert list(sym) == [1] + [2 * r * (2 * r - 1) ** (k - 1)
-                                   for k in range(1, 7)]
-        given = enumerate_balls(free_group_standard(r, False), 6)
-        assert list(given.sphere_sizes) == [r ** k for k in range(7)]
+        sym = enumerate_balls(free_group_standard(r), 30, 10 ** 30)
+        assert list(sym.sphere_sizes) == [1] + [
+            2 * r * (2 * r - 1) ** (k - 1) for k in range(1, 31)]
+        given = enumerate_balls(free_group_standard(r, False), 30, 10 ** 30)
+        assert list(given.sphere_sizes) == [r ** k for k in range(31)]
+
+
+def test_free_abelian_basis_spheres_match_the_binomial_sum():
+    # a vector of length k >= 1 in Z^n has i nonzero coordinates, chosen
+    # in C(n, i) ways, with 2^i signs and C(k-1, i-1) compositions of k
+    for n in range(1, 6):
+        table = enumerate_balls(free_abelian_standard(n), 40, 10 ** 30)
+        assert list(table.sphere_sizes) == [1] + [
+            sum(2 ** i * comb(n, i) * comb(k - 1, i - 1)
+                for i in range(1, n + 1)) for k in range(1, 41)], n
 
 
 def test_single_letter_markings_against_closure():
     # any set of signed letters marks a tree, with or without inverses;
-    # the search keeps no visited set there and must still count right
+    # its spheres are counted, not searched, and must still count right
     rng = random.Random(26)
     for _ in range(24):
         r = rng.randint(1, 3)
@@ -221,7 +238,7 @@ def random_zn_markings(rng, count):
 
 def test_free_abelian_markings_against_closure():
     # the pair rule walks every marking along one normal form, and a
-    # vouched marking keeps no visited set; both must count right
+    # vouched marking is counted on the same rule; both must count right
     markings = random_zn_markings(random.Random(28), 90)
     vouched = [m.family.free_basis(m.effective_generating_set())
                for m in markings]
@@ -245,17 +262,29 @@ NOT_FREE_BASES = (((1, 0), (0, 1), (1, 1)), ((1, 2), (2, 4)),
                   ((1, 1), (1, -1)))
 
 
-def test_a_free_basis_marking_passes_no_visited_set(monkeypatch):
+def test_counted_free_bases_against_closure():
+    # the count reads the search's rule and forms no element, so check it
+    # against the plain closure on the vouched Z^n bases and an as-given
+    # one that lists v and -v (single letters are checked above)
+    given_both = MarkedGroup(FreeAbelian(2), ((1, 0), (-1, 0), (0, 1)), False)
+    for m in FREE_BASES + [given_both]:
+        assert m.family.free_basis(m.effective_generating_set())
+        assert list(enumerate_balls(m, 5).sphere_sizes) == \
+            closure_spheres(m, 5), m.describe()
+
+
+def test_a_free_basis_is_counted_and_word_length_searches_it(monkeypatch):
     passed, expand = [], cayley.expand
+
+    def refuse(*args):
+        raise AssertionError("a free basis formed an element")
 
     def recording(acts, batches, seen, room):
         passed.append(seen)
         return expand(acts, batches, seen, room)
     monkeypatch.setattr(cayley, "expand", recording)
+    # markings that are not free bases are searched with a visited set
     for symmetrize in (True, False):
-        passed.clear()
-        enumerate_balls(free_group_standard(2, symmetrize), 5)
-        assert passed == [None] * 5
         passed.clear()
         enumerate_balls(MarkedGroup(FreeGroup(2), NOT_TREES[0], symmetrize), 5)
         assert len(passed) == 5 and all(isinstance(s, set) for s in passed)
@@ -264,13 +293,18 @@ def test_a_free_basis_marking_passes_no_visited_set(monkeypatch):
             enumerate_balls(MarkedGroup(FreeAbelian(2), gens, symmetrize), 5)
             assert len(passed) == 5 and all(isinstance(s, set)
                                             for s in passed), gens
-    for m in FREE_BASES:
-        passed.clear()
-        enumerate_balls(m, 5)
-        assert passed == [None] * 5, m.describe()
+    # word_length searches every marking, free bases too, with a set
     passed.clear()
     assert word_length(free_group_standard(2), [1, 2, -1], 5) == 3
-    assert passed == [None] * 3
+    assert word_length(free_abelian_standard(3), (1, -2, 0), 5) == 3
+    assert len(passed) == 6 and all(isinstance(s, set) for s in passed)
+    # a free basis is counted: no frontier step runs and no act is built
+    monkeypatch.setattr(cayley, "expand", refuse)
+    for fam in (FreeGroup, FreeAbelian):
+        monkeypatch.setattr(fam, "right_multiplier", refuse)
+    for m in FREE_BASES + [free_group_standard(2, symmetrize)
+                           for symmetrize in (True, False)]:
+        assert enumerate_balls(m, 5).sphere_sizes[5] > 0, m.describe()
 
 
 def test_free_basis_runs_no_elimination(monkeypatch):

@@ -201,6 +201,23 @@ def test_growth_budget_error_names_what_was_reached(capsys):
     assert err.rstrip().endswith("(complete through radius 4)")
 
 
+def test_a_budget_past_any_list_length_is_no_bound(capsys):
+    # the search draws at most budget - stored + 1 elements per step, and
+    # a budget past sys.maxsize must not reach islice as its stop
+    huge = str(10 ** 23)
+    for argv in (("growth", "--family", "heisenberg", "--kmax", "3"),
+                 ("growth", "--family", "symmetric", "--degree", "4",
+                  "--kmax", "3"),
+                 ("analyze", "--family", "free", "--rank", "2", "--kmax",
+                  "6", "--dye-convention", "as-given")):
+        rc, out, err = run(capsys, *argv, "--budget", huge, "--no-timestamp")
+        assert rc == 0, err
+        echo = f"# option: budget = {huge}\n"
+        assert echo in out
+        assert (0, out.replace(echo, ""), err) == \
+            run(capsys, *argv, "--no-timestamp")
+
+
 def test_bad_generator_row_is_config_error(capsys, tmp_path):
     cases = [
         ("--family", "free-abelian", "--rank", "2", "--generator", "0 0"),

@@ -40,6 +40,37 @@ def test_free_abelian_rejects_wrong_arity():
         fam.canonicalize((1, "x"))
 
 
+def test_free_abelian_refuses_a_bad_entry_of_a_long_vector():
+    # the one-pass type check hands a failing vector to the per-entry
+    # check, which names its first bad entry and keeps int subclasses
+    class Count(int):
+        pass
+    fam = FreeAbelian(50)
+    for bad in (True, 1.0, "1"):
+        vec = [Count(2)] * 50
+        vec[37], vec[45] = bad, None
+        with pytest.raises(StructuralError) as err:
+            fam.canonicalize(vec)
+        assert str(err.value) == f"vector entry must be an integer, got {bad!r}"
+        with pytest.raises(StructuralError) as err:
+            MarkedGroup(fam, [[1] * 50, vec])
+        assert err.value.index == 1
+    vec = fam.canonicalize([Count(2)] * 50)
+    assert vec == (2,) * 50 and type(vec[0]) is Count
+
+
+def test_a_size_no_row_matches_is_refused_by_the_row():
+    # the identity of a declared size is built only once a generator of
+    # that size exists: a huge size is refused by its first row, with no
+    # identity allocated (and none that cannot fit in memory at all)
+    for fam, row in ((FreeAbelian(10 ** 40), (1, 0, 0)),
+                     (MatrixGroup(10 ** 40), ((1, 1), (0, 1))),
+                     (PermutationGroup(10 ** 40), (2, 1))):
+        with pytest.raises(StructuralError) as err:
+            MarkedGroup(fam, [row])
+        assert err.value.index == 0
+
+
 def _check_free_group_reduction(fam, rng, lengths):
     letters = [l for i in range(1, fam.rank + 1) for l in (i, -i)]
     for _ in range(300):
