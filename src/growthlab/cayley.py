@@ -23,16 +23,16 @@ product sets of :func:`growthlab.analysis.dye_quantity_strict` are
 built by the same step, with every act mapping the whole set.
 
 Each sphere S(k) is kept as one list per act i, holding the elements
-that act found first, h = g*s_i with g in S(k-1).  Two rules restrict
-which of these lists act i maps, so the search walks each element
-along one normal form of its geodesics:
+that act found first, h = g*s_i with g in S(k-1).  The read rule gives
+act i two ints: it maps the lists below end_i except back_i.  So the
+search walks each element along one normal form of its geodesics:
 
-* never step back: act i skips the list of the act of s_i^-1, because
-  h*s_i^-1 = g is in S(k-1) and already visited;
-* commuting letters in order, by inverse pair: when the family's law
-  is commutative (``family.commutative``), let pair(i) be the first
-  index of s_i or s_i^-1 in the effective generating set.  The acts
-  run in pair order, each letter next to its inverse, and act i maps
+* never step back: back_i is the act of s_i^-1 (None when there is
+  none below end_i), since h*s_i^-1 = g is in S(k-1), already visited;
+* commuting letters in order, by inverse pair: under a commutative law
+  (``family.commutative``) let pair(i) be the first index of s_i or
+  s_i^-1 in the effective generating set.  The acts run in pair order,
+  each letter next to its inverse, and end_i = i + 1, so act i maps
   list j only when pair(j) < pair(i) or j = i.  By induction on k, the
   act that first finds h is in the least possible pair of a largest
   letter over h's geodesics.  Sort such a geodesic by pair; it ends in
@@ -42,6 +42,7 @@ along one normal form of its geodesics:
   itself, and either way act s maps p's list.  Every act that forms h
   shows a geodesic of h whose largest letter is in that act's pair, and
   the acts run in pair order, so no act of a later pair finds h first.
+  Under any other law end_i is the number of acts.
 
 Neither rule drops an element: what is skipped is known or found by
 another act.  S(0) = {e} is mapped by every act.
@@ -65,15 +66,16 @@ search would form is a new element:
 In both cases dropping the last letter of g*s_i gives back g, so
 distinct pairs (g, s_i) give distinct elements, none of them in an
 earlier sphere.  So act i's list of S(k+1) holds exactly as many
-elements as the lists it reads in S(k) hold together: with c_i(1) = 1,
-c_i(k+1) is the sum of c_j(k) over the lists j that act i reads, and
-sigma(k) is the sum of the c_i(k).  These are the counts of the
-normal-form automaton whose transfer matrix is the read rule (Cannon,
-Geom. Dedicata 16, 1984; Epstein et al., Word Processing in Groups,
-1992, ch. 2).  ``enumerate_balls`` keeps them and forms no element and
-builds no act; the budget still counts the whole ball, and refuses at
-the radius and with the message of the search.  ``word_length`` still
-searches a free basis, with a visited set.
+elements as the lists it reads in S(k) hold together: with c_i(1) = 1
+and P the prefix sums of c(k), c_i(k+1) = P(end_i) - c_{back_i}(k),
+linear in the acts per radius, and sigma(k) is the sum of the c_i(k).
+These are the counts of the normal-form automaton whose transfer
+matrix is the read rule (Cannon, Geom. Dedicata 16, 1984; Epstein et
+al., Word Processing in Groups, 1992, ch. 2).  ``enumerate_balls``
+keeps them and forms no element and builds no act; the budget still
+counts the whole ball, and refuses at the radius and with the message
+of the search.  ``word_length`` still searches a free basis, with a
+visited set.
 
 The search's elements are their own keys: every family stores elements
 in a canonical hashable form, so the visited set holds the elements
@@ -83,10 +85,10 @@ so once S(k+1) is complete S(k-1) is dropped from the visited set, in
 one ``difference_update`` over all its lists (CPython may rebuild the
 table after each such call, at four times its live entries, so one
 call per list doubled the Z^3 table); the set then holds at most three
-spheres.  As-given markings keep every element
-visited.  The element budget counts the whole ball either way.  The
-enumeration is deterministic, and the sphere sizes do not depend on
-any iteration order.
+spheres.  As-given markings keep every element visited.  The element
+budget counts the whole ball either way.  The enumeration is
+deterministic, and the sphere sizes do not depend on any iteration
+order.
 """
 
 from __future__ import annotations
@@ -171,12 +173,10 @@ def expand(acts, batches, seen, room: int) -> list | None:
 
 def _read_rule(m: MarkedGroup) -> tuple[list, list]:
     """The effective generators of ``m`` in act order, and the read rule:
-    reads[i] lists the lists of S(k) that act i maps.
-
-    Act i never steps back along the letter that found an element.
-    Under a commutative law the generators run pair by pair, each letter
-    next to its inverse, and act i maps its own list and those of
-    earlier pairs, which are the lists before s_i and s_i^-1.
+    act i maps the lists j < end of S(k) except back, one pair per act.
+    back is the act of s_i^-1 when it is below end, else None.  end is
+    i + 1 under a commutative law, where the generators run pair by
+    pair, each letter next to its inverse; else it is the number of acts.
     """
     fam = m.family
     gens = m.effective_generating_set()
@@ -187,15 +187,12 @@ def _read_rule(m: MarkedGroup) -> tuple[list, list]:
         gens.sort(key=lambda s: min(index[s],
                                     index.get(inverse[s], index[s])))
         index = {s: i for i, s in enumerate(gens)}
-    reads = []
+    n, rule = len(gens), []
     for i, s in enumerate(gens):
-        back = index.get(inverse[s])
-        if fam.commutative:
-            first = i if back is None else min(i, back)
-            reads.append(list(range(first)) + ([i] if i != back else []))
-        else:
-            reads.append([j for j in range(len(gens)) if j != back])
-    return gens, reads
+        end = i + 1 if fam.commutative else n
+        back = index.get(inverse[s], n)
+        rule.append((end, back if back < end else None))
+    return gens, rule
 
 
 def _exhausted(element_budget: int, k: int, frontier: int,
@@ -212,10 +209,10 @@ def _exhausted(element_budget: int, k: int, frontier: int,
         last_radius=k - 1)
 
 
-def _spheres(m: MarkedGroup, gens: list, reads: list, element_budget: int):
+def _spheres(m: MarkedGroup, gens: list, rule: list, element_budget: int):
     """Yield the spheres S(1), S(2), ... of ``m``, forever (empty once a
     finite group is exhausted), each as one list per act: the elements
-    that act found first.  ``gens`` and ``reads`` are ``_read_rule(m)``.
+    that act found first.  ``gens`` and ``rule`` are ``_read_rule(m)``.
 
     Raises ``_exhausted``'s BudgetExceededError, without a partial
     table, when the ball would outgrow ``element_budget`` elements.
@@ -239,8 +236,9 @@ def _spheres(m: MarkedGroup, gens: list, reads: list, element_budget: int):
             before = frontier
         yield sphere
         frontier = sphere
-        batches = [chain.from_iterable(map(sphere.__getitem__, r))
-                   for r in reads]
+        batches = [chain.from_iterable(sphere[:end] if back is None else
+                                       sphere[:back] + sphere[back + 1:end])
+                   for end, back in rule]
 
 
 def _sphere_sizes(m: MarkedGroup, element_budget: int):
@@ -248,7 +246,7 @@ def _sphere_sizes(m: MarkedGroup, element_budget: int):
     the family vouches that the marking is a free basis (see the module
     docstring), else searched.  Either way ``_exhausted``'s error is
     raised once the ball would outgrow ``element_budget`` elements."""
-    gens, reads = _read_rule(m)
+    gens, rule = _read_rule(m)
     if m.family.free_basis(gens):
         sizes = [1] * len(gens)  # every act maps S(0) = {e}
         stored = frontier = 1
@@ -259,9 +257,11 @@ def _sphere_sizes(m: MarkedGroup, element_budget: int):
             stored += sigma
             yield sigma
             frontier = sigma
-            sizes = [sum(map(sizes.__getitem__, r)) for r in reads]
+            prefix = [0, *accumulate(sizes)]  # prefix[e] sums lists j < e
+            sizes = [prefix[end] - (0 if back is None else sizes[back])
+                     for end, back in rule]
     else:
-        for sphere in _spheres(m, gens, reads, element_budget):
+        for sphere in _spheres(m, gens, rule, element_budget):
             yield sum(map(len, sphere))
 
 

@@ -28,8 +28,8 @@ from itertools import accumulate
 from . import __version__
 from .config import (DIGITS, DYE_AS_GIVEN_CONVENTION, DYE_IDENTITY_CONVENTION,
                      build_lattice, build_marked_group, build_polytope,
-                     empty_document, get_budget, get_choice, get_int,
-                     load_config, refuse_over_budget, require_int)
+                     decimal_limit, empty_document, get_budget, get_choice,
+                     get_int, load_config, refuse_over_budget, require_int)
 from .errors import (ArgumentError, BudgetExceededError, CheckFailure,
                      ConfigError, StructuralError)
 
@@ -81,9 +81,28 @@ def _table_bound(doc, key: str, default: int, minimum: int) -> int:
     """An integer bound whose table holds bound + 1 entries, refused
     before anything is allocated when that exceeds the element budget."""
     value = get_int(doc, key, default=default, minimum=minimum)
-    refuse_over_budget(doc, key, value + 1,
-                       f"a table of {value + 1} entries exceeds")
+    refuse_over_budget(doc, key, value + 1, "a table of {} entries exceeds",
+                       value + 1)
     return value
+
+
+def _length(walk: range) -> int:
+    """The steps of a kernel's walk; len() refuses a range longer than
+    sys.maxsize."""
+    return walk.stop - walk.start
+
+
+def _facet_subsets(vertices: int, dim: int) -> int:
+    """C(vertices, dim), the facet subsets the Ehrhart count tries,
+    multiplied up one factor at a time.  Past ``config.decimal_limit``,
+    which no budget reaches, it stops and returns that lower bound."""
+    limit = decimal_limit()
+    subsets = 1
+    for j in range(min(dim, vertices - dim)):
+        subsets = subsets * (vertices - j) // (j + 1)
+        if limit is not None and subsets >= limit:
+            break
+    return subsets
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +249,9 @@ def cmd_gauss(args) -> int:
                                         get_int(doc, "dyadic-to", default=0,
                                                 minimum=0))
         # a t beyond the sieve is counted alone, one disc row at a time
-        rows = sum(len(gauss.disc_rows(t)) for t in dyadic)
-        refuse_over_budget(doc, "dyadic-to", rows,
-                           f"the {rows} disc rows of {len(dyadic)} dyadic "
-                           "values exceed")
+        rows = sum(map(_length, map(gauss.disc_rows, dyadic)))
+        refuse_over_budget(doc, "dyadic-to", rows, "the {} disc rows of {} "
+                           "dyadic values exceed", rows, len(dyadic))
         doc.refuse_unread("gauss")
         ts = list(range(0, tmax + 1)) + dyadic
         results = gauss.gauss_bound_check(ts)
@@ -262,11 +280,10 @@ def cmd_gauss(args) -> int:
             break
         if t >= 16:
             grid.append(t)
-            rows += len(gauss.disc_rows(t))
+            rows += _length(gauss.disc_rows(t))
         j += 1
-    refuse_over_budget(doc, "tmax", rows,
-                       f"the {rows} disc rows of {len(grid)} grid values "
-                       "exceed")
+    refuse_over_budget(doc, "tmax", rows, "the {} disc rows of {} grid "
+                       "values exceed", rows, len(grid))
     doc.refuse_unread("gauss")
     fit = gauss.error_exponent_fit(grid)
     csv_lines = ["alpha,residual,windows",
@@ -299,22 +316,22 @@ def cmd_ehrhart(args) -> int:
     # dilates 1..min(kmax, e), then takes e + 1 steps of the series'
     # recurrence for each later dilate
     if kmax:
-        subsets = math.comb(vertices, dim)
+        subsets = _facet_subsets(vertices, dim)
         refuse_over_budget(doc, "vertex" if kind == "custom" else "n",
-                           subsets, f"the {subsets} facet subsets of "
-                           f"{vertices} vertices exceed")
+                           subsets, "the {} facet subsets of {} vertices "
+                           "exceed", subsets, vertices)
     if kind != "custom":
         entries = vertices * ambient
-        refuse_over_budget(doc, "n", entries, f"the {entries} entries of "
-                           f"the {vertices} stock vertices exceed")
+        refuse_over_budget(doc, "n", entries, "the {} entries of the {} "
+                           "stock vertices exceed", entries, vertices)
         P = getattr(ehrhart, f"{kind}_polytope")(n)
     counted = min(kmax, dim)
-    lines = sum(math.prod(map(len, ehrhart.box(P, k)))
+    lines = sum(math.prod(map(_length, ehrhart.box(P, k)))
                 for k in range(1, counted + 1))
     steps = (dim + 1) * (kmax - counted)
-    refuse_over_budget(doc, "kmax", lines + steps,
-                       f"the {lines} lines of dilates 1..{counted} and "
-                       f"{steps} recurrence steps to {kmax} exceed")
+    refuse_over_budget(doc, "kmax", lines + steps, "the {} lines of dilates "
+                       "1..{} and {} recurrence steps to {} exceed",
+                       lines, counted, steps, kmax)
     doc.refuse_unread("ehrhart")
     counts = ehrhart.ehrhart_sequence(P, kmax)
     # a custom polytope reads its series off the counts once they reach
@@ -365,8 +382,8 @@ def cmd_catalan(args) -> int:
     kmax = get_int(doc, "kmax", default=20, minimum=0)
     # c_k < 4^k, so c_0..c_kmax take fewer than kmax*(kmax+1) bits
     bits = kmax * (kmax + 1)
-    refuse_over_budget(doc, "kmax", bits,
-                       f"an output bound of {bits} bits exceeds")
+    refuse_over_budget(doc, "kmax", bits, "an output bound of {} bits "
+                       "exceeds", bits)
     doc.refuse_unread("catalan")
     coeffs = series.catalan(kmax)
     csv_lines = ["k,catalan"]

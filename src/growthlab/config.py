@@ -22,7 +22,9 @@ and field so a malformed document never surfaces as a traceback.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, Record, StructuralError
@@ -232,15 +234,37 @@ def get_budget(doc) -> int:
     return get_int(doc, "budget", default=DEFAULT_ELEMENT_BUDGET, minimum=1)
 
 
-def refuse_over_budget(doc, key: str, cost: int, what: str) -> None:
+def decimal_limit() -> int | None:
+    """10^d, d the most digits Python writes an int in
+    (sys.get_int_max_str_digits), or None when there is no limit.  A
+    budget is read from such a decimal, so it is below this bound."""
+    digits = sys.get_int_max_str_digits()
+    return 10 ** digits if digits else None
+
+
+def _shown(n: int) -> str:
+    """n in decimal, or as 10^d+, d its digits less one, when Python
+    would refuse to write it out."""
+    limit = decimal_limit()
+    if limit is None or n < limit:
+        return str(n)
+    d = int(math.log10(n))  # a float: may be one off
+    d += (10 ** (d + 1) <= n) - (10 ** d > n)
+    return f"10^{d}+"
+
+
+def refuse_over_budget(doc, key: str, cost: int, what: str,
+                       *counts: int) -> None:
     """Refuse work of `cost` budget units, before any of it is done, as
-    a config error naming `key` and its line; `what` says what the cost
-    counts and carries the verb, as in "a table of 5 entries exceeds".
-    A key given on several lines is named at its first."""
+    a config error naming `key` and its line.  `what` says what the cost
+    counts and carries the verb, as in "a table of {} entries exceeds":
+    a format string whose fields are the `counts`, each written by
+    ``_shown``.  A key given on several lines is named at its first."""
     budget = get_budget(doc)
     if cost > budget:
         entries = doc.get_all(key)
-        raise ConfigError(f"{what} the budget of {budget}",
+        raise ConfigError(f"{what.format(*map(_shown, counts))} the budget "
+                          f"of {budget}",
                           line=entries[0].line if entries else None,
                           field=key)
 
@@ -296,8 +320,8 @@ def _stock_marking(doc, family: str, rank: int | None,
         # never finish, each being a tuple of degree points
         degree = require_int(doc, "degree", minimum=2)
         entries = (degree - 1) * degree
-        refuse_over_budget(doc, "degree", entries, f"the {entries} entries "
-                           f"of the {degree - 1} stock generators exceed")
+        refuse_over_budget(doc, "degree", entries, "the {} entries of the "
+                           "{} stock generators exceed", entries, degree - 1)
         return groups.symmetric_group_adjacent(degree, symmetrize)
     if family in ("matrix", "permutation"):
         raise ConfigError(f"{family} groups need explicit generators",
@@ -305,12 +329,12 @@ def _stock_marking(doc, family: str, rank: int | None,
     # checked first: for a huge rank the stock generators would never
     # finish.  A free generator is one int, a free-abelian one rank ints
     if family == "free":
-        refuse_over_budget(doc, "rank", 2 * rank, f"the {2 * rank} stock "
-                           "generators and inverses exceed")
+        refuse_over_budget(doc, "rank", 2 * rank, "the {} stock generators "
+                           "and inverses exceed", 2 * rank)
         return groups.free_group_standard(rank, symmetrize)
     entries = rank * rank
-    refuse_over_budget(doc, "rank", entries, f"the {entries} entries of "
-                       f"the {rank} stock generators exceed")
+    refuse_over_budget(doc, "rank", entries, "the {} entries of the {} "
+                       "stock generators exceed", entries, rank)
     return groups.free_abelian_standard(rank, symmetrize)
 
 
@@ -365,8 +389,8 @@ def build_lattice(doc: ConfigDocument) -> IntegralLattice:
     else:
         rank, key = require_int(doc, "rank", minimum=1), "rank"
     steps = rank ** 3
-    refuse_over_budget(doc, key, steps, f"the {steps} elimination steps "
-                       f"of a rank {rank} gram matrix exceed")
+    refuse_over_budget(doc, key, steps, "the {} elimination steps of a "
+                       "rank {} gram matrix exceed", steps, rank)
     if not gram_entries:
         rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
     try:

@@ -2,8 +2,9 @@
 the benchmark's own oracles, at full size and at the size-zero set-up
 pass the benchmark also times.  A change that breaks what the benchmark
 reads of the program (a config key, an echoed option, a JSON field)
-fails here, not only when the benchmark runs.  The growth jobs, mutated,
-also seed a fuzz of the CLI's error paths."""
+fails here, not only when the benchmark runs.  The jobs, mutated, and
+mutated stock command lines of every command also seed a fuzz of the
+CLI's error paths."""
 
 import importlib.util
 import json
@@ -79,12 +80,30 @@ def test_z3_job_keeps_its_series():
 # what a mutation puts in place of a value: huge, zero, negative,
 # non-numeric and empty
 BAD_VALUES = ("9" * 40, "0", "-1", "-12", "x", "1.5", "")
-STOCK = (("growth", "--family", "free", "--rank", "2", "--kmax", "12"),
-         ("analyze", "--family", "free", "--rank", "3", "--kmax", "8"),
-         ("growth", "--family", "free-abelian", "--rank", "3",
-          "--kmax", "60"),
-         ("analyze", "--family", "free-abelian", "--rank", "2",
-          "--kmax", "20", "--dye-convention", "as-given"))
+# stock command lines: the command and its mode, then flag-value pairs
+STOCK = ((("growth",), ("--family", "free", "--rank", "2", "--kmax", "12")),
+         (("analyze",), ("--family", "free", "--rank", "3", "--kmax", "8")),
+         (("growth",), ("--family", "free-abelian", "--rank", "3",
+                        "--kmax", "60")),
+         (("analyze",), ("--family", "free-abelian", "--rank", "2",
+                         "--kmax", "20", "--dye-convention", "as-given")),
+         (("ehrhart",), ("--polytope", "cross", "--n", "3", "--kmax", "8")),
+         (("ehrhart",), ("--polytope", "root", "--n", "3", "--kmax", "6")),
+         (("theta",), ("--rank", "8", "--rmax", "12")),
+         (("gauss", "--table"), ("--kmax", "100")),
+         (("gauss", "--check-bound"), ("--tmax", "10000",
+                                       "--dyadic-to", "10000000")),
+         (("gauss", "--fit"), ("--tmax", "10000")),
+         (("catalan",), ("--kmax", "20")),
+         (("growth",), ("--family", "symmetric", "--degree", "4",
+                        "--kmax", "8")),
+         (("growth",), ("--family", "matrix", "--dim", "3",
+                        "--generator", "1 1 0 ; 0 1 0 ; 0 0 1",
+                        "--generator", "1 0 0 ; 0 1 1 ; 0 0 1",
+                        "--kmax", "8")),
+         (("growth",), ("--family", "permutation", "--degree", "4",
+                        "--generator", "2 1 3 4", "--generator", "2 3 4 1",
+                        "--kmax", "8")))
 
 
 def _mutated(rng, items):
@@ -110,27 +129,28 @@ def _mutated(rng, items):
 
 
 def _cases(rng, per_base):
-    """(argv head, config lines or None) for mutated growth-free and
-    growth-nilpotent jobs at seeds 0-3 and mutated stock command lines."""
+    """(argv head, config lines or None) for mutated benchmark jobs at
+    seeds 0-3 and mutated stock command lines."""
     for seed in range(4):
-        for workload in ("growth-free", "growth-nilpotent"):
+        for workload in workloads.WORKLOADS:
             for job in workloads.build(workload, seed):
                 for _ in range(per_base):
                     yield ([job.command, *job.flags],
                            _mutated(rng, job.entries()))
-    for argv in STOCK:
-        pairs = [(argv[j], argv[j + 1]) for j in range(1, len(argv), 2)]
+    for head, flags in STOCK:
+        pairs = list(zip(flags[::2], flags[1::2]))
         for _ in range(per_base):
-            flags = [x for pair in _mutated(rng, pairs) for x in pair]
-            yield [argv[0], *flags], None
+            mutated = [x for pair in _mutated(rng, pairs) for x in pair]
+            yield [*head, *mutated], None
 
 
-def test_mutated_growth_runs_exit_with_a_documented_code(capsys, tmp_path):
+def test_mutated_runs_exit_with_a_documented_code(capsys, tmp_path):
     # no traceback reaches a user: every run of a mutated job or command
-    # line exits 0, 2, 3 or 4, and a run that exits 0 prints JSON
+    # line exits 0, 2, 3 or 4, and a run that exits 0 prints JSON.  The
+    # small budget refuses a huge mutated size before it runs long
     cfg = tmp_path / "job.cfg"
     cases = list(_cases(random.Random(31), 6))
-    assert len(cases) == 96
+    assert len(cases) == 252  # 6 of each of 7 jobs at 4 seeds, 14 lines
     codes = set()
     for head, lines in cases:
         argv = head + ["--budget", "20000", "--format", "json",

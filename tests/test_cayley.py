@@ -136,6 +136,21 @@ def test_normal_form_search_against_closure():
             closure_spheres(m, k), m.describe()
 
 
+def test_read_rule_is_one_end_and_one_back_per_act():
+    # act i maps the lists j < end except back: under a commutative law
+    # end = i + 1 and back is the earlier letter of i's pair, otherwise
+    # end is every act and back the act of the inverse, when it is one
+    assert cayley._read_rule(free_abelian_standard(2)) == (
+        [(1, 0), (-1, 0), (0, 1), (0, -1)],
+        [(1, None), (2, 0), (3, None), (4, 2)])
+    assert cayley._read_rule(free_abelian_standard(2, False))[1] == [
+        (1, None), (2, None)]
+    assert cayley._read_rule(free_group_standard(2))[1] == [
+        (4, 2), (4, 3), (4, 0), (4, 1)]
+    assert cayley._read_rule(free_group_standard(2, False))[1] == [
+        (2, None), (2, None)]
+
+
 def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
     # products drawn = items the acts yield.  F_2 and Z^3 form only new
     # elements, beta(k) - 1 in all: F_2 4 words from the identity and 3
@@ -180,12 +195,14 @@ def test_free_basis_spheres_are_those_of_the_tree():
 
 def test_free_abelian_basis_spheres_match_the_binomial_sum():
     # a vector of length k >= 1 in Z^n has i nonzero coordinates, chosen
-    # in C(n, i) ways, with 2^i signs and C(k-1, i-1) compositions of k
-    for n in range(1, 6):
-        table = enumerate_balls(free_abelian_standard(n), 40, 10 ** 30)
+    # in C(n, i) ways, with 2^i signs and C(k-1, i-1) compositions of k.
+    # The stock rank-1000 marking is counted on a read rule of two ints
+    # per act, its 12-ball of 31 digits within the budget
+    for n, kmax in [(n, 40) for n in range(1, 6)] + [(1000, 12)]:
+        table = enumerate_balls(free_abelian_standard(n), kmax, 10 ** 40)
         assert list(table.sphere_sizes) == [1] + [
             sum(2 ** i * comb(n, i) * comb(k - 1, i - 1)
-                for i in range(1, n + 1)) for k in range(1, 41)], n
+                for i in range(1, n + 1)) for k in range(1, kmax + 1)], n
 
 
 def test_single_letter_markings_against_closure():

@@ -1346,6 +1346,38 @@ MALFORMED = {
     # C(80, 40) facet subsets of the 40-dimensional cross-polytope
     "huge-cross-n": (None, ["ehrhart", "--polytope", "cross", "--n", "40",
                             "--kmax", "1"], "n"),
+    # disc rows past sys.maxsize, which no range can take the len of
+    "dyadic-rows-past-maxsize": (None, ["gauss", "--check-bound", "--tmax",
+                                        "10", "--dyadic-to", str(10 ** 40)],
+                                 "dyadic-to"),
+    "fit-rows-past-maxsize": (None, ["gauss", "--fit", "--tmax",
+                                     str(10 ** 90), "--budget",
+                                     str(10 ** 30)], "tmax"),
+    "custom-lines-past-maxsize": (None, ["ehrhart", "--ambient-dim", "2",
+                                         "--vertex", "0 0", "--vertex",
+                                         f"{10 ** 30} 0", "--vertex", "0 1",
+                                         "--kmax", "1"], "kmax"),
+    # costs of more digits than Python writes out, and facet subsets
+    # refused without forming C(2n, n) in full
+    "cost-past-printed-digits-cross": (None, ["ehrhart", "--polytope",
+                                              "cross", "--n", "8000",
+                                              "--kmax", "1"], "n"),
+    "cost-past-printed-digits-theta": (None, ["theta", "--rank",
+                                              str(10 ** 1499)], "rank"),
+    "cost-past-printed-digits-free-abelian": (
+        None, ["growth", "--family", "free-abelian", "--rank",
+               str(10 ** 2199)], "rank"),
+    "cost-past-printed-digits-symmetric": (
+        None, ["growth", "--family", "symmetric", "--degree",
+               str(10 ** 2199)], "degree"),
+    "cost-past-printed-digits-catalan": (None, ["catalan", "--kmax",
+                                                str(10 ** 2199)], "kmax"),
+    "huge-cross-n-subsets": (None, ["ehrhart", "--polytope", "cross", "--n",
+                                    "10000000", "--kmax", "1"], "n"),
+    "cross-n-past-maxsize": (None, ["ehrhart", "--polytope", "cross", "--n",
+                                    str(2 ** 63), "--kmax", "1"], "n"),
+    "huge-root-n": (None, ["ehrhart", "--polytope", "root", "--n",
+                           str(10 ** 20), "--kmax", "1"], "n"),
     # a stock polytope needs its n, and the family must be known
     "stock-polytope-without-n": (None, ["ehrhart", "--polytope", "cross"],
                                  "n"),

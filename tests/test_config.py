@@ -1,11 +1,13 @@
+import sys
+
 import pytest
 
 from growthlab.cayley import enumerate_balls
 from growthlab.config import (ConfigDocument, ConfigEntry, build_lattice,
                               build_marked_group, build_polytope,
                               empty_document, get_bool, get_choice, get_int,
-                              load_config, parse_config_text, require,
-                              require_int)
+                              load_config, parse_config_text,
+                              refuse_over_budget, require, require_int)
 from growthlab.errors import ConfigError
 
 
@@ -277,3 +279,24 @@ def test_build_lattice():
         assert (err.value.line, err.value.field) == (1, "gram")
     with pytest.raises(ConfigError):
         build_lattice(empty_document())
+
+
+def test_a_cost_past_the_printed_digits_is_written_by_its_power():
+    # Python writes an int in at most 4300 digits by default, so a larger
+    # cost is written 10^d+, d its digits less one, and every cost within
+    # the limit keeps its full decimal
+    doc = doc_from(("budget", "5"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for cost, shown in ((10 ** 4300 - 1, "9" * 4300),
+                            (10 ** 4300, "10^4300+"),
+                            (10 ** 5000 - 1, "10^4999+"),
+                            (3 * 10 ** 5000, "10^5000+")):
+            with pytest.raises(ConfigError) as exc:
+                refuse_over_budget(doc, "budget", cost, "the {} of {} exceed",
+                                   cost, 7)
+            assert str(exc.value) == (f"field 'budget': the {shown} of 7 "
+                                      "exceed the budget of 5")
+    finally:
+        sys.set_int_max_str_digits(limit)
