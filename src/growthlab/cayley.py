@@ -4,10 +4,14 @@ For a marked group (G, S) the word length of g is the least k with
 g in (S u S^-1)^k.  ``_read_rule`` fixes the order of the generators'
 acts and which lists of a sphere each act maps.  One private
 generator, ``_spheres``, expands the spheres S(1), S(2), ... frontier
-by frontier under that rule; ``enumerate_balls`` turns their sizes
-into the exact sphere sizes sigma(k) and ball sizes beta(k) up to a
-radius, and ``word_length`` searches them for one element.  A free
-basis is counted on the same rule, not searched (see below).
+by frontier under that rule, and ends with a finite group: every
+element of S(k+1) is a neighbour of S(k), so once a sphere is empty so
+is every later one.  ``enumerate_balls`` keeps their sizes, pads the
+rest of its table with empty spheres once, and returns a
+``BallTable``, which holds only the sphere sizes sigma(k) and reads
+the radius and the ball sizes beta(k) off them; ``word_length``
+searches the spheres for one element.  A free basis is counted on the
+same rule, not searched (see below).
 
 Each product is a neighbour g*s of a frontier element g by one element
 s of the effective generating set.  ``_spheres`` asks the family once
@@ -86,8 +90,11 @@ one ``difference_update`` over all its lists (CPython may rebuild the
 table after each such call, at four times its live entries, so one
 call per list doubled the Z^3 table); the set then holds at most three
 spheres.  As-given markings keep every element visited.  The element
-budget counts the whole ball either way.  The enumeration is
-deterministic, and the sphere sizes do not depend on any iteration
+budget counts the whole ball either way, and a table's rows too: an
+exhausted group's table of kmax + 1 rows is refused past the budget,
+with the table through its last nonempty radius, as an infinite
+group's k-ball of at least k + 1 elements would be.  The enumeration
+is deterministic, and the sphere sizes do not depend on any iteration
 order.
 """
 
@@ -96,43 +103,41 @@ from __future__ import annotations
 import sys
 from itertools import accumulate, chain, count, filterfalse, islice
 
-from .config import DEFAULT_ELEMENT_BUDGET
+from .config import DEFAULT_ELEMENT_BUDGET, _shown
 from .errors import ArgumentError, BudgetExceededError, Record
 from .groups import MarkedGroup
 
 
 class BallTable(Record):
-    """Sphere and ball sizes of a marked group up to radius_max."""
+    """Sphere sizes sigma(0..radius_max) of a marked group; the radius
+    and the ball sizes beta(k) = sigma(0) + ... + sigma(k) are read off
+    them."""
 
-    __slots__ = ("radius_max", "sphere_sizes", "ball_sizes",
-                 "group_description")
+    __slots__ = ("sphere_sizes", "group_description")
 
-    def __init__(self, radius_max: int, sphere_sizes: tuple,
-                 ball_sizes: tuple, group_description: str = ""):
-        n = radius_max
-        if n < 0:
-            raise ArgumentError("radius_max must be nonnegative")
-        if len(sphere_sizes) != n + 1 or len(ball_sizes) != n + 1:
-            raise ArgumentError("table length does not match radius_max")
-        if sphere_sizes[0] != 1:
+    def __init__(self, sphere_sizes: tuple, group_description: str = ""):
+        sphere_sizes = tuple(sphere_sizes)
+        if sphere_sizes[:1] != (1,):
             raise ArgumentError("sphere of radius 0 must have size 1")
-        acc = 0
-        for s, b in zip(sphere_sizes, ball_sizes):
-            if s < 0:
-                raise ArgumentError("sphere sizes must be nonnegative")
-            acc += s
-            if b != acc:
-                raise ArgumentError("ball sizes must be partial sums of sphere sizes")
+        if min(sphere_sizes) < 0:
+            raise ArgumentError("sphere sizes must be nonnegative")
         if any(a == 0 < b for a, b in zip(sphere_sizes, sphere_sizes[1:])):
             # a Cayley graph never reaches past an empty sphere
             raise ArgumentError("a sphere cannot be nonempty after an empty one")
-        super().__init__(n, sphere_sizes, ball_sizes, group_description)
+        super().__init__(sphere_sizes, group_description)
+
+    @property
+    def radius_max(self) -> int:
+        return len(self.sphere_sizes) - 1
+
+    @property
+    def ball_sizes(self) -> tuple:
+        return tuple(accumulate(self.sphere_sizes))
 
     def to_csv_lines(self) -> list[str]:
-        lines = ["k,sigma,beta"]
-        for k in range(self.radius_max + 1):
-            lines.append(f"{k},{self.sphere_sizes[k]},{self.ball_sizes[k]}")
-        return lines
+        return ["k,sigma,beta"] + [
+            f"{k},{s},{b}" for k, (s, b) in
+            enumerate(zip(self.sphere_sizes, self.ball_sizes))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,11 +146,6 @@ class BallTable(Record):
             "sphere_sizes": [str(x) for x in self.sphere_sizes],
             "ball_sizes": [str(x) for x in self.ball_sizes],
         }
-
-
-def _table(radius: int, sigma: list[int], description: str) -> BallTable:
-    return BallTable(radius, tuple(sigma), tuple(accumulate(sigma)),
-                     description)
 
 
 def expand(acts, batches, seen, room: int) -> list | None:
@@ -210,9 +210,10 @@ def _exhausted(element_budget: int, k: int, frontier: int,
 
 
 def _spheres(m: MarkedGroup, gens: list, rule: list, element_budget: int):
-    """Yield the spheres S(1), S(2), ... of ``m``, forever (empty once a
-    finite group is exhausted), each as one list per act: the elements
-    that act found first.  ``gens`` and ``rule`` are ``_read_rule(m)``.
+    """Yield the spheres S(1), S(2), ... of ``m``, each as one list per
+    act: the elements that act found first, and return at the first
+    empty one, when a finite group is exhausted.  ``gens`` and ``rule``
+    are ``_read_rule(m)``.
 
     Raises ``_exhausted``'s BudgetExceededError, without a partial
     table, when the ball would outgrow ``element_budget`` elements.
@@ -229,6 +230,8 @@ def _spheres(m: MarkedGroup, gens: list, rule: list, element_budget: int):
         if sphere is None:
             raise _exhausted(element_budget, k, sum(map(len, frontier)),
                              len(acts))
+        if not any(sphere):
+            return
         stored += sum(map(len, sphere))
         if m.symmetrize:
             # undirected graph: S(k+1) has no neighbour in S(k-1)
@@ -267,11 +270,14 @@ def _sphere_sizes(m: MarkedGroup, element_budget: int):
 
 def enumerate_balls(m: MarkedGroup, kmax: int,
                     element_budget: int = DEFAULT_ELEMENT_BUDGET) -> BallTable:
-    """Exact sphere sizes sigma(0..kmax) of the marked group.
+    """Exact sphere sizes sigma(0..kmax) of the marked group.  Once a
+    finite group is exhausted the search ends, and the table's later
+    spheres are empty.
 
     Raises BudgetExceededError when the ball would outgrow
-    ``element_budget`` elements; the error carries the last completed
-    radius and the partial table up to it.
+    ``element_budget`` elements, or when an exhausted group's table
+    would hold more than ``element_budget`` rows; the error carries the
+    last completed radius and the partial table up to it.
     """
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
@@ -281,16 +287,25 @@ def enumerate_balls(m: MarkedGroup, kmax: int,
     try:
         for _, size in zip(range(kmax), _sphere_sizes(m, element_budget)):
             sigma.append(size)
+        if len(sigma) <= kmax:  # exhausted: pad once with empty spheres
+            if kmax + 1 > element_budget:
+                raise BudgetExceededError(
+                    f"a table of {_shown(kmax + 1)} rows exceeds the "
+                    f"element budget {element_budget}: the group has no "
+                    f"element past radius {len(sigma) - 1}",
+                    last_radius=len(sigma) - 1)
+            sigma += [0] * (kmax + 1 - len(sigma))
     except BudgetExceededError as exc:
-        exc.partial = _table(exc.last_radius, sigma, m.describe())
+        exc.partial = BallTable(sigma, m.describe())
         raise
-    return _table(kmax, sigma, m.describe())
+    return BallTable(sigma, m.describe())
 
 
 def word_length(m: MarkedGroup, g, kmax: int,
                 element_budget: int = DEFAULT_ELEMENT_BUDGET) -> int | None:
-    """Least k <= kmax with g in the k-ball, or None when kmax is not
-    enough.  Family mismatch raises StructuralError.
+    """Least k <= kmax with g in the k-ball, or None when g is not in
+    it, found by the search, which ends with a finite group.  Family
+    mismatch raises StructuralError.
 
     The target is looked for only once its sphere is complete, so the
     element budget must hold the whole ball of radius word_length(g).
@@ -306,6 +321,4 @@ def word_length(m: MarkedGroup, g, kmax: int,
     for k, sphere in zip(range(1, kmax + 1), spheres):
         if any(target in part for part in sphere):
             return k
-        if not any(sphere):
-            return None
     return None

@@ -268,19 +268,20 @@ def cmd_gauss(args) -> int:
         _emit(args, "gauss", doc, csv_lines, json_result)
         return 0
 
-    # error-exponent fit on a four-per-octave grid up to tmax; each t is
-    # counted alone, one disc row at a time, and the grid grows only
-    # while its rows fit the budget
-    tmax = get_int(doc, "tmax", default=10000, minimum=1)
+    # error-exponent fit on a four-per-octave grid from 16 = 2^(16/4) up
+    # to tmax, which must reach the fit's 10th value; each t is counted
+    # alone, one disc row at a time, and the grid grows only while its
+    # rows fit the budget
+    tmax = get_int(doc, "tmax", default=10000,
+                   minimum=_fit_grid_value(16 + gauss.FIT_VALUES - 1))
     budget = get_budget(doc)
-    grid, rows, j = [], 0, 0
+    grid, rows, j = [], 0, 16
     while rows <= budget:
         t = _fit_grid_value(j)
         if t > tmax:
             break
-        if t >= 16:
-            grid.append(t)
-            rows += _length(gauss.disc_rows(t))
+        grid.append(t)
+        rows += _length(gauss.disc_rows(t))
         j += 1
     refuse_over_budget(doc, "tmax", rows, "the {} disc rows of {} grid "
                        "values exceed", rows, len(grid))

@@ -189,6 +189,10 @@ class ExponentFit(Record):
     __slots__ = ("alpha", "residual", "windows")
 
 
+# the fewest distinct grid values the exponent fit takes
+FIT_VALUES = 10
+
+
 def error_exponent_fit(t_grid) -> ExponentFit:
     """Fit |R(t) - pi t| ~ t^alpha on dyadic windows of the grid.
 
@@ -199,8 +203,8 @@ def error_exponent_fit(t_grid) -> ExponentFit:
     from statistics import linear_regression
 
     ts = sorted(set(int(t) for t in t_grid))
-    if len(ts) < 10:
-        raise ArgumentError("need at least 10 grid values")
+    if len(ts) < FIT_VALUES:
+        raise ArgumentError(f"need at least {FIT_VALUES} grid values")
     if ts[0] < 1:
         raise ArgumentError("grid values must be at least 1")
     # |R SCALE - PI t| is within 2t of |R - pi t| SCALE, as in the check

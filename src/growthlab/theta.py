@@ -12,6 +12,10 @@ integer, and coordinates are enumerated from the last one down with
 oracle, a naive box scan over |x_i| <= sqrt(rmax * (G^{-1})_ii) with
 its own elimination, lives with the tests (``tests/lattice_oracle.py``).
 
+A ``ThetaPrefix`` holds only the counts r(0..rmax) and reads rmax off
+them; it refuses counts that no lattice has: r(0) other than 1, or a
+negative or odd r(m) for m >= 1, since x and -x pair up.
+
 For Z^n the theta series is the n-th power of
 theta3 = 1 + 2q + 2q^4 + 2q^9 + ...; `theta3_power` produces that
 truncation directly by series multiplication so the enumerator can be
@@ -50,22 +54,24 @@ class IntegralLattice(Record):
 
 
 class ThetaPrefix(Record):
-    """counts[m] = number of lattice vectors of squared norm m."""
+    """counts[m] = number of lattice vectors of squared norm m, for
+    m = 0..rmax; rmax is read off the counts."""
 
-    __slots__ = ("rmax", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, rmax: int, counts: tuple):
-        if rmax < 0:
-            raise ArgumentError("rmax must be nonnegative")
-        if len(counts) != rmax + 1:
-            raise ArgumentError("counts length does not match rmax")
-        if counts[0] != 1:
+    def __init__(self, counts: tuple):
+        counts = tuple(counts)
+        if counts[:1] != (1,):
             raise ArgumentError("theta prefix must start with a single zero vector")
         for m, c in enumerate(counts):
             if c < 0 or (m >= 1 and c % 2 != 0):
                 raise ArgumentError(
                     f"coefficient at norm {m} violates the +-x pairing")
-        super().__init__(rmax, counts)
+        super().__init__(counts)
+
+    @property
+    def rmax(self) -> int:
+        return len(self.counts) - 1
 
     def to_csv_lines(self) -> list:
         lines = ["m,r"]
@@ -135,7 +141,7 @@ def theta_coefficients(L: IntegralLattice, rmax: int) -> ThetaPrefix:
         u = piv[i] * x[i] + shift[i]
         left[i - 1] = left[i] - weight[i] * u * u
         i -= 1
-    return ThetaPrefix(rmax, tuple(counts))
+    return ThetaPrefix(counts)
 
 
 def theta3_power(n: int, rmax: int) -> list:

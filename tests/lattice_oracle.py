@@ -121,7 +121,7 @@ def theta_naive(L: IntegralLattice, rmax: int) -> ThetaPrefix:
                     norm += 2 * g[i][j] * xi * x[j]
         if 0 <= norm <= rmax:
             counts[norm] += 1
-    return ThetaPrefix(rmax, tuple(counts))
+    return ThetaPrefix(tuple(counts))
 
 
 def machin_pi(digits: int) -> tuple:

@@ -280,7 +280,7 @@ def test_classify_needs_radius():
 
 def ball_table(beta):
     sigma = [beta[0]] + [b - a for a, b in zip(beta, beta[1:])]
-    return BallTable(len(beta) - 1, tuple(sigma), tuple(beta))
+    return BallTable(tuple(sigma))
 
 
 def test_classify_exact_persistence_boundary():

@@ -9,6 +9,7 @@ CLI's error paths."""
 import importlib.util
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -78,8 +79,17 @@ def test_z3_job_keeps_its_series():
 
 
 # what a mutation puts in place of a value: huge, zero, negative,
-# non-numeric and empty
-BAD_VALUES = ("9" * 40, "0", "-1", "-12", "x", "1.5", "")
+# non-numeric, empty and non-ASCII (int() reads the Arabic-Indic and
+# full-width digits, not the superscript)
+BAD_VALUES = ("9" * 40, "0", "-1", "-12", "x", "1.5", "",
+              "\u0663", "\uff11\uff12", "\u00b2", "caf\u00e9", "1\u00a00")
+# what a mutation adds: a key no job reads, and keys of another family
+# or command, each with a value it could take there
+STRAY = (("colour", "blue"), ("dim", "3"), ("degree", "4"), ("rank", "2"),
+         ("generator", "1 0"), ("symmetrize", "false"), ("family", "free"),
+         ("polytope", "cross"), ("n", "3"), ("rmax", "4"), ("tmax", "100"),
+         ("gram", "1"), ("dye-convention", "as-given"))
+TEN_TO_40 = str(10 ** 40)
 # stock command lines: the command and its mode, then flag-value pairs
 STOCK = ((("growth",), ("--family", "free", "--rank", "2", "--kmax", "12")),
          (("analyze",), ("--family", "free", "--rank", "3", "--kmax", "8")),
@@ -103,20 +113,31 @@ STOCK = ((("growth",), ("--family", "free", "--rank", "2", "--kmax", "12")),
                         "--kmax", "8")),
          (("growth",), ("--family", "permutation", "--degree", "4",
                         "--generator", "2 1 3 4", "--generator", "2 3 4 1",
-                        "--kmax", "8")))
+                        "--kmax", "8")),
+         # finite groups, exhausted long before their table ends
+         (("growth",), ("--family", "symmetric", "--degree", "4",
+                        "--kmax", TEN_TO_40)),
+         (("growth",), ("--family", "permutation", "--degree", "4",
+                        "--generator", "2 1 3 4", "--generator", "2 3 4 1",
+                        "--kmax", TEN_TO_40)))
 
 
 def _mutated(rng, items):
-    """items with one value replaced, one item dropped or one repeated;
-    an item is a config (key, value) line or a command-line flag and
-    its value."""
+    """items with one value replaced, one item dropped, repeated or
+    added from STRAY; an item is a config (key, value) line or a
+    command-line flag and its value."""
     items = list(items)
     i = rng.randrange(len(items))
-    kind = rng.choice(("value", "value", "drop", "repeat"))
+    kind = rng.choice(("value", "value", "drop", "repeat", "stray"))
     if kind == "drop":
         del items[i]
     elif kind == "repeat":
         items.insert(rng.randrange(len(items) + 1), items[i])
+    elif kind == "stray":
+        key, value = rng.choice(STRAY)
+        if items[i][0].startswith("--"):
+            key = f"--{key}"
+        items.insert(rng.randrange(len(items) + 1), (key, value))
     else:
         key, value = items[i]
         if " " in value and rng.random() < 0.5:  # one entry of a row
@@ -146,17 +167,20 @@ def _cases(rng, per_base):
 
 def test_mutated_runs_exit_with_a_documented_code(capsys, tmp_path):
     # no traceback reaches a user: every run of a mutated job or command
-    # line exits 0, 2, 3 or 4, and a run that exits 0 prints JSON.  The
-    # small budget refuses a huge mutated size before it runs long
+    # line exits 0, 2, 3 or 4, a run that exits 0 prints JSON, and a
+    # config error names the line or the field at fault.  The small
+    # budget refuses a huge mutated size, or the rows of a finite
+    # group's table, before it runs long
     cfg = tmp_path / "job.cfg"
     cases = list(_cases(random.Random(31), 6))
-    assert len(cases) == 252  # 6 of each of 7 jobs at 4 seeds, 14 lines
+    assert len(cases) == 264  # 6 of each of 7 jobs at 4 seeds, 16 lines
     codes = set()
     for head, lines in cases:
         argv = head + ["--budget", "20000", "--format", "json",
                        "--no-timestamp"]
         if lines is not None:
-            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines),
+                           encoding="utf-8")
             argv += ["--config", str(cfg)]
         try:
             rc = main(argv)
@@ -169,5 +193,7 @@ def test_mutated_runs_exit_with_a_documented_code(capsys, tmp_path):
             json.loads(out)
         else:
             assert err, case
+        if "config error:" in err:
+            assert re.search(r"config error: (line \d+: |field ')", err), case
         codes.add(rc)
     assert {0, 2, 3} <= codes

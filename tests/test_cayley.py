@@ -399,6 +399,48 @@ def test_word_length_finite_group_exhausts():
     assert word_length(m, (3, 2, 1), 50) == 3
 
 
+def test_an_exhausted_search_ends_with_its_group(monkeypatch):
+    # S_4 under adjacent transpositions has diameter 6: the search takes
+    # its 6 steps and finds the 7th sphere empty, and the table is padded
+    # with empty spheres once, so kmax 10^6 runs no more steps than 6
+    steps, expand = [0], cayley.expand
+
+    def counted(*args):
+        steps[0] += 1
+        return expand(*args)
+    monkeypatch.setattr(cayley, "expand", counted)
+    table = enumerate_balls(symmetric_group_adjacent(4), 10 ** 6)
+    assert steps[0] <= 7
+    assert table.sphere_sizes == (1, 3, 5, 6, 5, 3, 1) + (0,) * (10 ** 6 - 6)
+    assert table.radius_max == 10 ** 6 and table.ball_sizes[-1] == 24
+
+
+def test_word_length_in_an_exhausted_group_returns_at_once():
+    # the search ends with the group, so a kmax of 10^40 costs nothing
+    # more: the longest element of S_4 has length 6, and a permutation
+    # outside the subgroup a marking generates is never reached
+    s4 = symmetric_group_adjacent(4)
+    assert word_length(s4, (4, 3, 2, 1), 10 ** 40) == 6
+    swap = MarkedGroup(PermutationGroup(4), ((2, 1, 3, 4),))
+    assert word_length(swap, (1, 2, 4, 3), 10 ** 40) is None
+
+
+def test_rows_of_an_exhausted_group_count_against_the_budget():
+    # S_3 has its 6 elements within radius 3.  A budget of 50 holds them
+    # and a table of 50 rows, but not the 101 rows of kmax 100: those are
+    # refused once the search ends, with the table through radius 3
+    m = symmetric_group_adjacent(3)
+    table = enumerate_balls(m, 49, element_budget=50)
+    assert table.sphere_sizes == (1, 2, 2, 1) + (0,) * 46
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_balls(m, 100, element_budget=50)
+    assert str(err.value) == (
+        "a table of 101 rows exceeds the element budget 50: the group has "
+        "no element past radius 3")
+    assert err.value.last_radius == 3
+    assert err.value.partial.sphere_sizes == (1, 2, 2, 1)
+
+
 def test_budget_exceeded_carries_partial_table():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_balls(free_group_standard(2), 12, element_budget=500)
@@ -447,23 +489,21 @@ def test_budget_of_exactly_the_ball_completes_it():
 
 def test_ball_table_validation():
     with pytest.raises(ArgumentError):
-        BallTable(2, (1, 2, 2), (1, 3, 4))   # beta not partial sums
+        BallTable((2, 2))         # sigma(0) must be 1
     with pytest.raises(ArgumentError):
-        BallTable(1, (2, 2), (2, 4))         # sigma(0) must be 1
-    with pytest.raises(ArgumentError):
-        BallTable(-1, (), ())
-    with pytest.raises(ArgumentError,
-                       match="^table length does not match radius_max$"):
-        BallTable(2, (1, 2), (1, 3))
+        BallTable(())             # no sphere of radius 0 at all
     with pytest.raises(ArgumentError,
                        match="^sphere sizes must be nonnegative$"):
-        BallTable(2, (1, -1, 2), (1, 0, 2))
+        BallTable((1, -1, 2))
+    # the radius and the ball sizes are read off the spheres
+    table = BallTable((1, 2, 2))
+    assert table.radius_max == 2 and table.ball_sizes == (1, 3, 5)
 
 
 def test_ball_table_is_immutable():
-    table = BallTable(1, (1, 2), (1, 3), "Z")
-    assert table == BallTable(1, (1, 2), (1, 3), group_description="Z")
-    assert hash(table) == hash(BallTable(1, (1, 2), (1, 3), "Z"))
+    table = BallTable((1, 2), "Z")
+    assert table == BallTable((1, 2), group_description="Z")
+    assert hash(table) == hash(BallTable((1, 2), "Z"))
     with pytest.raises(AttributeError):
         table.sphere_sizes = (1, 4)
     with pytest.raises(AttributeError):
@@ -475,10 +515,10 @@ def test_ball_table_refuses_a_sphere_after_an_empty_one():
     # no Cayley graph reaches past an empty sphere, and classify would
     # divide by a zero log increment on such a table
     with pytest.raises(ArgumentError):
-        BallTable(6, (1, 2, 0, 0, 0, 0, 1), (1, 3, 3, 3, 3, 3, 4))
+        BallTable((1, 2, 0, 0, 0, 0, 1))
     with pytest.raises(ArgumentError):
-        BallTable(3, (1, 0, 2, 2), (1, 1, 3, 5))
-    finite = BallTable(6, (1, 2, 1, 0, 0, 0, 0), (1, 3, 4, 4, 4, 4, 4))
+        BallTable((1, 0, 2, 2))
+    finite = BallTable((1, 2, 1, 0, 0, 0, 0))
     assert finite.ball_sizes[-1] == 4
 
 

@@ -201,6 +201,27 @@ def test_growth_budget_error_names_what_was_reached(capsys):
     assert err.rstrip().endswith("(complete through radius 4)")
 
 
+def test_a_finite_group_refuses_table_rows_past_the_budget(capsys):
+    # the search ends with S_4 at radius 6, and the kmax + 1 rows of its
+    # table count against the budget: past it the run exits 3 at once
+    # with the table through radius 6.  A row count of more digits than
+    # Python writes out is written 10^d+
+    for kmax, rows in ((str(10 ** 40), str(10 ** 40 + 1)),
+                       ("9" * 4300, "10^4300+")):
+        rc, out, err = run(capsys, "growth", "--family", "symmetric",
+                           "--degree", "4", "--kmax", kmax, "--budget",
+                           "20000", "--no-timestamp")
+        assert rc == 3
+        assert "# partial: true" in out
+        assert out.splitlines()[-8:] == [
+            "k,sigma,beta", "0,1,1", "1,3,4", "2,5,9", "3,6,15", "4,5,20",
+            "5,3,23", "6,1,24"]
+        assert err.splitlines()[-1] == (
+            f"budget exceeded: a table of {rows} rows exceeds the element "
+            "budget 20000: the group has no element past radius 6 "
+            "(complete through radius 6)")
+
+
 def test_a_budget_past_any_list_length_is_no_bound(capsys):
     # the search draws at most budget - stored + 1 elements per step, and
     # a budget past sys.maxsize must not reach islice as its stop
@@ -1523,6 +1544,25 @@ def test_fit_grid_is_rounded_in_integers():
     for j in (4097, 4100, 5003):
         t = _fit_grid_value(j)
         assert (2 * t - 1) ** 4 < 2 ** (j + 4) < (2 * t + 1) ** 4
+
+
+def test_fit_refuses_a_tmax_short_of_ten_grid_values(capsys, tmp_path):
+    # the fit takes 10 grid values, 16 = 2^(16/4), 19, ..., 64, 76: a
+    # smaller tmax is refused before any counting, naming tmax and, when
+    # it comes from the file, its line
+    assert [_fit_grid_value(j) for j in (16, 25)] == [16, 76]
+    rc, out, err = run(capsys, "gauss", "--fit", "--tmax", "75")
+    assert (rc, out) == (2, "")
+    assert err == "config error: field 'tmax': value must be at least 76\n"
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("budget = 100000\ntmax = 20\n")
+    rc, out, err = run(capsys, "gauss", "--fit", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err == ("config error: line 2: field 'tmax': value must be at "
+                   "least 76\n")
+    rc, out, err = run(capsys, "gauss", "--fit", "--tmax", "76",
+                       "--no-timestamp")
+    assert rc == 0 and out.splitlines()[-1].endswith(",3")
 
 
 def _readme_commands():

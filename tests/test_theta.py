@@ -125,16 +125,13 @@ def test_unimodular_invariance():
 
 def test_prefix_invariants_enforced():
     with pytest.raises(ArgumentError):
-        ThetaPrefix(2, (2, 0, 0))  # r(0) must be 1
+        ThetaPrefix((2, 0, 0))  # r(0) must be 1
     with pytest.raises(ArgumentError):
-        ThetaPrefix(2, (1, 3, 0))  # odd count at positive norm
-    with pytest.raises(ArgumentError,
-                       match="^counts length does not match rmax$"):
-        ThetaPrefix(2, (1, 0))
+        ThetaPrefix((1, 3, 0))  # odd count at positive norm
     with pytest.raises(ArgumentError):
-        ThetaPrefix(-1, ())
-    # a valid prefix passes
-    ThetaPrefix(2, (1, 0, 6))
+        ThetaPrefix(())  # no r(0) at all
+    # a valid prefix passes, its rmax read off its counts
+    assert ThetaPrefix((1, 0, 6)).rmax == 2
 
 
 def test_gram_validation():
