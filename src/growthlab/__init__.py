@@ -25,9 +25,9 @@ _EXPORTS = {
     "gauss": ("count_disc", "error_exponent_fit", "gauss_bound_check",
               "pi_decimal", "r2_table"),
     "groups": ("FreeAbelian", "FreeGroup", "MarkedGroup", "MatrixGroup",
-               "PermutationGroup", "free_abelian_standard",
-               "free_group_standard", "heisenberg_group",
-               "symmetric_group_adjacent"),
+               "PermutationGroup", "UnitriangularGroup",
+               "free_abelian_standard", "free_group_standard",
+               "heisenberg_group", "symmetric_group_adjacent"),
     "series": ("RationalFunction", "catalan", "closed_form_free_abelian",
                "recognize_rational"),
     "theta": ("IntegralLattice", "ThetaPrefix", "theta3_power",

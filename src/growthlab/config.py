@@ -285,7 +285,9 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     row is parsed and goes once through its family's own canonicalize,
     inside MarkedGroup, which names a refused row by its position;
     without rows a family gets its stock generators, where it has any.
-    `symmetrize` applies to every family."""
+    `symmetrize` applies to every family.  A `matrix` marking whose
+    generators are all upper unitriangular is then built again on
+    ``UnitriangularGroup``, the same group in Mal'cev coordinates."""
     from . import groups
 
     family = get_choice(doc, "family", GROUP_FAMILIES)
@@ -303,10 +305,17 @@ def build_marked_group(doc: ConfigDocument) -> MarkedGroup:
     # the rows are parsed as the group takes them, so a parse error
     # after a refused row is never reported before it
     try:
-        return groups.MarkedGroup(fam, map(parse, rows), symmetrize)
+        m = groups.MarkedGroup(fam, map(parse, rows), symmetrize)
     except StructuralError as exc:
         raise ConfigError(str(exc), line=rows[exc.index].line,
                           field="generator")
+    if family == "matrix":
+        # upper unitriangular rows are searched in Mal'cev coordinates
+        coords = [fam.coordinates(g) for g in m.generators]
+        if None not in coords:
+            m = groups.MarkedGroup(groups.UnitriangularGroup(size), coords,
+                                   symmetrize)
+    return m
 
 
 def _stock_marking(doc, family: str, rank: int | None,

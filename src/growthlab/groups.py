@@ -1,6 +1,6 @@
 """Concrete group families with exact, canonical element representations.
 
-Four families are supported:
+Five families are supported:
 
 * ``FreeAbelian(rank)``   -- elements are integer vectors, the group law
   is componentwise addition;
@@ -21,6 +21,16 @@ Four families are supported:
   and returns the flat form, and ``element_repr`` prints rows.
   Determinants and inverses come from the exact routines in
   :mod:`growthlab.linalg`, applied to the rows;
+* ``UnitriangularGroup(dim)`` -- U_dim(Z), the upper unitriangular
+  integer matrices, a ``MatrixGroup`` whose elements are their Mal'cev
+  coordinates (Kargapolov & Merzljakov, Fundamentals of the Theory of
+  Groups, 1979, sec. 17): the dim*(dim-1)/2 entries above the diagonal,
+  row by row, as one tuple.  ``canonicalize`` takes rows, which must be
+  upper unitriangular, or that tuple; an inverse is integer
+  back-substitution; ``describe`` and ``element_repr`` print what
+  ``MatrixGroup`` prints.  ``MatrixGroup.coordinates`` is the one test
+  of the shape, and ``heisenberg_group`` and every ``matrix`` config
+  whose generators pass it are searched in this family;
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
 
@@ -42,7 +52,10 @@ integer multiples of entries of g, read as columns of the batch with
 stores the terms and shift of each entry it changes and makes its
 getters when it runs.  A vector g + s shifts entry i by each nonzero
 s_i; entry (r, c) of a matrix g*s is the sum of s[j][c] * g[r][j] over
-the nonzero s[j][c].  That act reads ``gs`` once per column, so it
+the nonzero s[j][c]; and coordinate (r, c) of a unitriangular g*s is
+g_rc + s_rc plus g_rj * s_jc over the nonzero s_jc, r < j < c, so the
+act of H_3(Z)'s x reads three columns and changes one, where the flat
+act reads nine.  That act reads ``gs`` once per column, so it
 makes a batch that is not a list into one when called and needs a
 finite batch.  A one-letter word s drops the last digit of g when it is
 the digit of s^-1 and appends s otherwise, a longer word chains the
@@ -50,7 +63,9 @@ acts of its letters, and a permutation is a table lookup per point;
 these two acts are lazy and read ``gs`` only as their output is read.
 
 Each family also states ``commutative``, whether its law commutes for
-every choice of elements: only ``FreeAbelian`` does.  Ball enumeration
+every choice of elements: only ``FreeAbelian`` does (U_2(Z) is Z, but
+like every matrix family it states False and keeps the general read
+rule).  Ball enumeration
 then takes commuting letters in order, each next to its inverse.  And
 each states ``free_basis(gens)``, whether it vouches that the distinct
 generators gens are a free basis of what they generate, up to sign: then
@@ -297,6 +312,16 @@ class MatrixGroup(Record):
         n = self.dim
         return tuple(int(i == j) for i in range(n) for j in range(n))
 
+    def _read_rows(self, obj: tuple) -> Element:
+        """dim rows of dim ints, as one flat row-major tuple."""
+        n = self.dim
+        rows = tuple(tuple(_as_int(x, "matrix entry")
+                           for x in _sequence(row, "matrix row"))
+                     for row in obj)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise StructuralError(f"matrix is not {n}x{n}")
+        return tuple(chain.from_iterable(rows))
+
     def canonicalize(self, obj) -> Element:
         n = self.dim
         obj = tuple(_sequence(obj, "matrix"))
@@ -304,18 +329,21 @@ class MatrixGroup(Record):
             flat = tuple(_as_int(x, "matrix entry") for x in obj)
             if len(flat) != n * n:
                 raise StructuralError(f"matrix is not {n}x{n}")
-            rows = self._rows(flat)
-        else:  # dim rows of dim entries
-            rows = tuple(tuple(_as_int(x, "matrix entry")
-                               for x in _sequence(row, "matrix row"))
-                         for row in obj)
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise StructuralError(f"matrix is not {n}x{n}")
-            flat = tuple(chain.from_iterable(rows))
-        d = det_exact(rows)
+        else:
+            flat = self._read_rows(obj)
+        d = det_exact(self._rows(flat))
         if d not in (1, -1):
             raise StructuralError(f"matrix has determinant {d}, must be +-1")
         return flat
+
+    def coordinates(self, a: Element) -> Element | None:
+        """The entries of the flat matrix a above its diagonal, row by row,
+        when a is upper unitriangular, else None."""
+        n = self.dim
+        if any(a[r * n + c] != (r == c)
+               for r in range(n) for c in range(r + 1)):
+            return None
+        return tuple(a[r * n + c] for r in range(n) for c in range(r + 1, n))
 
     def right_multiplier(self, s: Element) -> Act:
         # entry (r, c) is the sum of s[j][c] * g[r][j] over the nonzero
@@ -335,6 +363,69 @@ class MatrixGroup(Record):
     def element_repr(self, a: Element) -> str:
         return "[" + "; ".join(" ".join(map(str, row))
                                for row in self._rows(a)) + "]"
+
+
+class UnitriangularGroup(MatrixGroup):
+    """U_dim(Z), the upper unitriangular integer matrices; each element is
+    its Mal'cev coordinates, the dim*(dim-1)/2 entries above the diagonal
+    row by row (see the module docstring)."""
+
+    # no __slots__ of its own: Record reads its fields, (dim,), from
+    # self.__slots__, and an empty tuple here would hide them
+
+    def _cells(self) -> list:
+        """The positions (r, c) above the diagonal, in coordinate order."""
+        n = self.dim
+        return [(r, c) for r in range(n) for c in range(r + 1, n)]
+
+    def _rows(self, a: Element) -> tuple:
+        n = self.dim
+        at = dict(zip(self._cells(), a))
+        return tuple(tuple(at.get((r, c), int(r == c)) for c in range(n))
+                     for r in range(n))
+
+    def identity(self) -> Element:
+        return (0,) * (self.dim * (self.dim - 1) // 2)
+
+    def canonicalize(self, obj) -> Element:
+        obj = tuple(_sequence(obj, "matrix"))
+        if obj and hasattr(obj[0], "__iter__"):  # dim rows of dim entries
+            a = self.coordinates(self._read_rows(obj))
+            if a is None:
+                raise StructuralError("matrix is not upper unitriangular")
+            return a
+        a = tuple(_as_int(x, "matrix entry") for x in obj)
+        width = len(self.identity())
+        if len(a) != width:
+            raise StructuralError(f"U_{self.dim} element has {width} "
+                                  f"coordinates, got {len(a)}")
+        return a
+
+    def right_multiplier(self, s: Element) -> Act:
+        if not s:  # dim 1: no columns to read, and g*s is g
+            return iter
+        # entry (r, c) of g*s is g_rc + s_rc plus g_rj * s_jc over the
+        # nonzero s_jc, r < j < c; entries s leaves alone are not stored
+        cells = self._cells()
+        at = {cell: i for i, cell in enumerate(cells)}
+        entry = dict(zip(cells, s))
+        changed = {}
+        for i, (r, c) in enumerate(cells):
+            terms = [(at[r, j], entry[j, c]) for j in range(r + 1, c)
+                     if entry[j, c]]
+            if terms or entry[r, c]:
+                changed[i] = ([(i, 1)] + terms, entry[r, c])
+        return _column_act(len(cells), changed)
+
+    def inverse(self, a: Element) -> Element:
+        # back-substitution, rows bottom up: v_rc = -(g_rc + the sum of
+        # g_rj * v_jc over r < j < c)
+        cells = self._cells()
+        g, v = dict(zip(cells, a)), {}
+        for r, c in reversed(cells):
+            v[r, c] = -g[r, c] - sum(g[r, j] * v[j, c]
+                                     for j in range(r + 1, c))
+        return tuple(v[cell] for cell in cells)
 
 
 class PermutationGroup(Record):
@@ -450,8 +541,8 @@ def free_group_standard(n: int, symmetrize: bool = True) -> MarkedGroup:
 
 def heisenberg_group(symmetrize: bool = True) -> MarkedGroup:
     """Discrete Heisenberg group H_3(Z) with the two standard unipotent
-    generators x = I + E12 and y = I + E23."""
-    fam = MatrixGroup(3)
+    generators x = I + E12 and y = I + E23, in Mal'cev coordinates."""
+    fam = UnitriangularGroup(3)
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     return MarkedGroup(fam, (x, y), symmetrize)

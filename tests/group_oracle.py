@@ -4,15 +4,17 @@ The products are taken from each family's definition and share no code
 with ``right_multiplier``, so the tests use them as the oracle for the
 group law and for everything built on it.  Each ``random_*_set(rng,
 size)`` returns a family and `size` generators for a MarkedGroup;
-``stock_markings()`` gives the stock marked groups both ways.
+``stock_markings()`` gives the stock marked groups both ways, and
+``matrix_twin(m)`` the rows of a matrix marking under ``MatrixGroup``.
 """
 
 from itertools import product
 
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup,
-                              free_abelian_standard, free_group_standard,
-                              heisenberg_group, symmetric_group_adjacent)
+                              UnitriangularGroup, free_abelian_standard,
+                              free_group_standard, heisenberg_group,
+                              symmetric_group_adjacent)
 
 
 def free_letters(fam, w):
@@ -84,6 +86,14 @@ def stock_markings():
         yield MarkedGroup(m.family, m.generators, symmetrize=False)
 
 
+def matrix_twin(m):
+    """The marking m of a matrix family, its generators read back as rows
+    in order and marked under ``MatrixGroup``: the flat-tuple search that
+    a search in Mal'cev coordinates must agree with."""
+    rows = [matrix_rows(m.family, g) for g in m.generators]
+    return MarkedGroup(MatrixGroup(m.family.dim), rows, m.symmetrize)
+
+
 def random_z2_set(rng, size):
     """`size` distinct nonzero vectors of Z^2 with entries in -2..2."""
     gens = []
@@ -122,6 +132,23 @@ def random_matrix_set(rng, size):
         if not gens and rng.random() < 0.5:
             rows = matrix_rows(fam, g)
             g = fam.canonicalize((tuple(-x for x in rows[0]),) + rows[1:])
+        if g != fam.identity() and g not in gens:
+            gens.append(g)
+    return fam, tuple(gens)
+
+
+def random_unitriangular_set(rng, size):
+    """`size` distinct non-identity upper unitriangular matrices of
+    dimension 2, 3 or 4, written as rows: each entry above the diagonal
+    is 0 half the time and else one of -2, -1, 1, 2 (so size <= 4 in
+    dimension 2)."""
+    n = rng.choice((2, 3, 4))
+    fam = UnitriangularGroup(n)
+    gens = []
+    while len(gens) < size:
+        g = fam.canonicalize([[int(r == c) if c <= r else
+                               rng.choice((0, 0, 0, 0, -2, -1, 1, 2))
+                               for c in range(n)] for r in range(n)])
         if g != fam.identity() and g not in gens:
             gens.append(g)
     return fam, tuple(gens)

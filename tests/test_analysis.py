@@ -16,7 +16,8 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, symmetric_group_adjacent)
 from group_oracle import (exact_products, random_f2_set, random_matrix_set,
-                          random_z2_set, stock_markings)
+                          random_unitriangular_set, random_z2_set,
+                          stock_markings)
 
 
 def test_exponential_rate_free_group():
@@ -215,7 +216,8 @@ def test_dye_strict_against_product_oracle():
     # h_1 = |F^1| and h_j = |F^j minus F^(j-1)|, with every F^j counted
     # from all j-fold products of the effective generating set
     rng = random.Random(2024)
-    for make in (random_z2_set, random_f2_set, random_matrix_set):
+    for make in (random_z2_set, random_f2_set, random_matrix_set,
+                 random_unitriangular_set):
         for symmetrize, size in ((True, 2), (False, 3)):
             for _ in range(4):
                 fam, gens = make(rng, size)

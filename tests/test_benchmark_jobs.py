@@ -18,6 +18,7 @@ import pytest
 from growthlab.cayley import enumerate_balls
 from growthlab.cli import _recognized, main
 from growthlab.config import build_marked_group, parse_config_text
+from growthlab.groups import MatrixGroup, UnitriangularGroup
 from growthlab.series import binomial_row
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,6 +63,28 @@ def test_every_free_job_marks_a_tree(seed):
     # marking allows at every seed, not only the stock one
     m = _marking(workloads.free_job(seed))
     assert m.family.free_basis(m.effective_generating_set())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heisenberg_job_prints_what_its_flat_rows_print(capsys, monkeypatch,
+                                                       tmp_path, seed):
+    # growth-nilpotent's Heisenberg rows are all upper unitriangular, so
+    # they are searched in Mal'cev coordinates; stdout, CSV and JSON, is
+    # byte for byte that of the same rows searched as flat matrices
+    job = workloads.heisenberg_job(seed)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(job.document())
+
+    def outputs():
+        return [(main([job.command, *job.flags, "--config", str(cfg),
+                       "--format", fmt, "--no-timestamp"]),
+                 capsys.readouterr()) for fmt in ("csv", "json")]
+    assert type(_marking(job).family) is UnitriangularGroup
+    coordinates = outputs()
+    assert [rc for rc, _ in coordinates] == [0, 0]
+    monkeypatch.setattr(MatrixGroup, "coordinates", lambda self, a: None)
+    assert type(_marking(job).family) is MatrixGroup
+    assert outputs() == coordinates
 
 
 @pytest.mark.parametrize("seed", range(6))

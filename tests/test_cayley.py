@@ -9,11 +9,13 @@ from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup,
-                              free_abelian_standard, free_group_standard,
-                              heisenberg_group, symmetric_group_adjacent)
+                              UnitriangularGroup, free_abelian_standard,
+                              free_group_standard, heisenberg_group,
+                              symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
-from group_oracle import (exact_products, oracle_product, random_f2_set,
-                          random_matrix_set, random_perm_set, random_z2_set,
+from group_oracle import (exact_products, matrix_twin, oracle_product,
+                          random_f2_set, random_matrix_set, random_perm_set,
+                          random_unitriangular_set, random_z2_set,
                           stock_markings)
 
 
@@ -73,7 +75,7 @@ def test_bfs_against_brute_force_random_sets():
     # sphere, which a window would miss.
     rng = random.Random(777)
     for make in (random_z2_set, random_f2_set, random_matrix_set,
-                 random_perm_set):
+                 random_perm_set, random_unitriangular_set):
         for symmetrize, size in ((True, 2), (False, 3)):
             for _ in range(8):
                 fam, gens = make(rng, size)
@@ -81,6 +83,23 @@ def test_bfs_against_brute_force_random_sets():
                 table = enumerate_balls(m, 4)
                 for k in range(5):
                     assert table.ball_sizes[k] == brute_force_ball(m, k)
+
+
+def test_unitriangular_spheres_are_those_of_their_rows():
+    # a marking in Mal'cev coordinates has the spheres of the same rows
+    # under MatrixGroup, on seeded markings of dims 2-4 taken both ways
+    # and on the stock Heisenberg marking
+    rng = random.Random(71)
+    markings = [heisenberg_group(), heisenberg_group(False)]
+    for symmetrize, size in ((True, 2), (False, 3)) * 8:
+        fam, gens = random_unitriangular_set(rng, size)
+        markings.append(MarkedGroup(fam, gens, symmetrize))
+    assert {len(m.family.identity()) for m in markings} == {1, 3, 6}
+    for m in markings:
+        twin = matrix_twin(m)
+        assert type(twin.family) is MatrixGroup
+        assert twin.describe() == m.describe()
+        assert enumerate_balls(m, 7) == enumerate_balls(twin, 7)
 
 
 def closure_spheres(m: MarkedGroup, k: int) -> list:
@@ -156,11 +175,12 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
     # elements, beta(k) - 1 in all: F_2 4 words from the identity and 3
     # from every other element of the 11-ball, Z^3 each vector once along
     # its normal form sorted by inverse pair.  The Heisenberg group forms
-    # far fewer than |B(k-1)|*|S| (221,812).  enumerate_balls counts the
-    # spheres of a free basis without searching, so the search is run
-    # directly on the read rule both share
+    # far fewer than |B(k-1)|*|S| (221,812), in Mal'cev coordinates on the
+    # same read rule as its rows.  enumerate_balls counts the spheres of a
+    # free basis without searching, so the search is run directly on the
+    # read rule both share
     drawn = [0]
-    for fam in (FreeGroup, FreeAbelian, MatrixGroup):
+    for fam in (FreeGroup, FreeAbelian, MatrixGroup, UnitriangularGroup):
         def counted(self, s, law=fam.right_multiplier):
             act = law(self, s)
 
@@ -172,7 +192,8 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
         monkeypatch.setattr(fam, "right_multiplier", counted)
     for m, k, products in ((free_group_standard(2), 12, 1_062_880),
                            (free_abelian_standard(3), 60, 295_360),
-                           (heisenberg_group(), 20, 166_360)):
+                           (heisenberg_group(), 20, 166_360),
+                           (matrix_twin(heisenberg_group()), 20, 166_360)):
         drawn[0] = 0
         spheres = cayley._spheres(m, *cayley._read_rule(m), 10 ** 7)
         sigma = [1] + [sum(map(len, sphere))

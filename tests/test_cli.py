@@ -19,6 +19,7 @@ from growthlab.cli import _fit_grid_value, _recognized, build_parser, main
 from growthlab.errors import CheckFailure
 from growthlab.groups import FreeAbelian, MarkedGroup
 from growthlab.series import closed_form_free_abelian, recognize_rational
+from group_oracle import matrix_twin
 from lattice_oracle import machin_pi
 
 
@@ -295,6 +296,88 @@ def test_generator_rows_are_canonicalized_once(capsys, monkeypatch):
         "(0, 0, 1)} (as-given)", "# recognized: none", "k,sigma,beta",
         "0,1,1", "1,3,4"]
     assert len(calls) == 3
+
+
+def _searched_families(monkeypatch) -> list:
+    """The family of each marking the CLI runs a ball search on, by
+    class name, appended as each search starts."""
+    from growthlab import cayley
+    real, families = cayley.enumerate_balls, []
+
+    def spy(m, *args):
+        families.append(type(m.family).__name__)
+        return real(m, *args)
+    monkeypatch.setattr(cayley, "enumerate_balls", spy)
+    return families
+
+
+def _search_as_flat_matrices(monkeypatch):
+    """Make the CLI search every matrix marking as flat tuples under
+    MatrixGroup: no marking is built again in Mal'cev coordinates, and
+    the stock Heisenberg marking is its rows under MatrixGroup."""
+    from growthlab import groups
+    twins = {s: matrix_twin(groups.heisenberg_group(s)) for s in (True, False)}
+    monkeypatch.setattr(groups.MatrixGroup, "coordinates",
+                        lambda self, a: None)
+    monkeypatch.setattr(groups, "heisenberg_group",
+                        lambda symmetrize=True: twins[symmetrize])
+
+
+def test_unitriangular_markings_print_what_their_rows_print(capsys,
+                                                            monkeypatch):
+    # the stock Heisenberg marking, and matrix rows that are all upper
+    # unitriangular, are searched in Mal'cev coordinates; stdout, the
+    # `# group:` line included, is byte for byte that of the same rows
+    # searched as flat matrices
+    u4 = ("--family", "matrix", "--dim", "4",
+          "--generator", "1 1 0 0 ; 0 1 0 2 ; 0 0 1 0 ; 0 0 0 1",
+          "--generator", "1 0 -1 0 ; 0 1 1 0 ; 0 0 1 1 ; 0 0 0 1")
+    argvs = [(command, *marking, *sym, "--kmax", kmax, "--format", fmt,
+              "--no-timestamp")
+             for command, marking, kmax in (
+                 ("growth", ("--family", "heisenberg"), "14"),
+                 ("analyze", ("--family", "heisenberg"), "20"),
+                 ("growth", u4, "8"), ("analyze", u4, "8"))
+             for sym in ((), ("--no-symmetrize",))
+             for fmt in ("csv", "json")]
+    families = _searched_families(monkeypatch)
+    coordinates = [run(capsys, *argv) for argv in argvs]
+    assert set(families) == {"UnitriangularGroup"}
+    assert {rc for rc, _, _ in coordinates} == {0}
+    families.clear()
+    _search_as_flat_matrices(monkeypatch)
+    assert [run(capsys, *argv) for argv in argvs] == coordinates
+    assert set(families) == {"MatrixGroup"}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 1 0 ; 1 1 0 ; 0 0 1", "matrix has determinant 0, must be +-1"),
+    ("1 1 ; 0 1", "matrix is not 3x3"),
+    ("1 x 0 ; 0 1 0 ; 0 0 1", "expected integers, got 'x'"),
+    ("1 0 0 ; 0 1 0 ; 0 0 1", "the identity may not be listed as a "
+                              "generator"),
+], ids=("singular", "wrong-size", "non-integer", "identity"))
+def test_refused_matrix_rows_beside_unitriangular_rows(capsys, tmp_path,
+                                                       bad, message):
+    # a matrix marking is built and checked as before it is moved to
+    # Mal'cev coordinates, so a refused row keeps its exit code, message
+    # and line whether it comes before or after unitriangular rows
+    ok = ["1 1 0 ; 0 1 0 ; 0 0 1", "1 0 0 ; 0 1 -1 ; 0 0 1"]
+    cfg = tmp_path / "job.cfg"
+    for rows, line in (([bad, *ok], 3), ([*ok, bad], 5)):
+        cfg.write_text("family = matrix\ndim = 3\n" + "".join(
+            f"generator = {row}\n" for row in rows) + "kmax = 6\n")
+        for command in ("growth", "analyze"):
+            assert run(capsys, command, "--config", str(cfg)) == (
+                2, "", f"config error: line {line}: field 'generator': "
+                       f"{message}\n")
+    # a size no row matches is refused by the row, before anything of
+    # that size is allocated
+    huge = 10 ** 42
+    assert run(capsys, "growth", "--family", "matrix", "--dim", str(huge),
+               "--generator", ok[0], "--generator", ok[1]) == (
+        2, "", f"config error: field 'generator': matrix is not "
+               f"{huge}x{huge}\n")
 
 
 def test_output_file(capsys, tmp_path):

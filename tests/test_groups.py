@@ -7,12 +7,14 @@ from growthlab import groups
 from growthlab.cayley import enumerate_balls
 from growthlab.errors import ConfigError, StructuralError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
-                              MatrixGroup, PermutationGroup, det_exact,
+                              MatrixGroup, PermutationGroup,
+                              UnitriangularGroup, det_exact,
                               free_abelian_standard, free_group_standard,
                               heisenberg_group, mat_inverse_exact,
                               symmetric_group_adjacent)
 from group_oracle import (free_letters, free_reduce, matrix_rows,
-                          oracle_product)
+                          matrix_twin, oracle_product,
+                          random_unitriangular_set)
 
 
 def mul(fam, a, b):
@@ -65,6 +67,7 @@ def test_a_size_no_row_matches_is_refused_by_the_row():
     # identity allocated (and none that cannot fit in memory at all)
     for fam, row in ((FreeAbelian(10 ** 40), (1, 0, 0)),
                      (MatrixGroup(10 ** 40), ((1, 1), (0, 1))),
+                     (UnitriangularGroup(10 ** 40), ((1, 1), (0, 1))),
                      (PermutationGroup(10 ** 40), (2, 1))):
         with pytest.raises(StructuralError) as err:
             MarkedGroup(fam, [row])
@@ -281,6 +284,7 @@ def test_canonicalize_refuses_objects_that_are_not_sequences():
     # free group's own word form and no other family's element
     for fam, what in ((FreeAbelian(2), "vector"), (FreeGroup(2), "word"),
                       (MatrixGroup(2), "matrix"),
+                      (UnitriangularGroup(2), "matrix"),
                       (PermutationGroup(2), "permutation")):
         bad = [None, 1.5, object()] + [5] * (what != "word")
         for obj in bad:
@@ -350,22 +354,107 @@ def test_column_acts_are_built_without_getters(monkeypatch):
                                     for g in batch]
         assert len(made) == 10_000
         made.clear()
+    # the Heisenberg generators: a flat act makes 12 getters, 4 per row,
+    # and in Mal'cev coordinates (x12, x13, x23), x^+-1 changes x12 alone
+    # (3 getters) and y^+-1 changes x13 by x12 and shifts x23 (4 getters)
+    h = heisenberg_group()
     m3 = MatrixGroup(3)
-    batch = [m3.canonicalize(_random_unimodular(3, rng)) for _ in range(10)]
-    for s in heisenberg_group().effective_generating_set():
-        act = m3.right_multiplier(s)
-        assert made == []
-        assert list(act(batch)) == [oracle_product(m3, g, s) for g in batch]
-        assert made
-        made.clear()
+    flat = [m3.canonicalize(_random_unimodular(3, rng)) for _ in range(10)]
+    coords = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(10)]
+    for s, entries, getters in zip(h.effective_generating_set(),
+                                   ([0], [1, 2], [0], [1, 2]), (3, 4, 3, 4)):
+        for fam, batch, s, entries, getters in (
+                (m3, flat, m3.canonicalize(matrix_rows(h.family, s)),
+                 list(range(9)), 12),
+                (h.family, coords, s, entries, getters)):
+            act = fam.right_multiplier(s)
+            assert made == []
+            assert sorted(stored.pop()) == entries
+            assert list(act(batch)) == [oracle_product(fam, g, s)
+                                        for g in batch]
+            assert len(made) == getters
+            made.clear()
 
 
 def test_families_refuse_sizes_below_their_least():
     for make, size in ((FreeAbelian, -1), (FreeGroup, 0), (MatrixGroup, 0),
-                       (PermutationGroup, 0)):
+                       (UnitriangularGroup, 0), (PermutationGroup, 0)):
         with pytest.raises(StructuralError):
             make(size)
         make(size + 1)
+
+
+def test_unitriangular_canonicalize_takes_rows_and_coordinates():
+    # an element is the tuple of entries above the diagonal, row by row;
+    # rows and coordinates are told apart as rows and the flat form are,
+    # and the family prints an element as MatrixGroup prints its matrix
+    rng = random.Random(61)
+    for dim in (1, 2, 3, 4):
+        fam, flat = UnitriangularGroup(dim), MatrixGroup(dim)
+        width = dim * (dim - 1) // 2
+        assert fam.identity() == (0,) * width
+        assert fam.describe() == flat.describe() == f"matrix dim {dim}"
+        for _ in range(20):
+            a = tuple(rng.randint(-9, 9) for _ in range(width))
+            rows = matrix_rows(fam, a)
+            assert tuple(rows[r][c] for r in range(dim)
+                         for c in range(r + 1, dim)) == a
+            assert all(rows[r][c] == (r == c) for r in range(dim)
+                       for c in range(r + 1))
+            assert fam.canonicalize(rows) == fam.canonicalize(list(a)) == a
+            assert fam.element_repr(a) == \
+                flat.element_repr(flat.canonicalize(rows))
+            assert flat.coordinates(flat.canonicalize(rows)) == a
+
+
+def test_unitriangular_canonicalize_refusals():
+    fam = UnitriangularGroup(3)
+    # a matrix of determinant +-1 that is not upper unitriangular
+    for bad in (((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+                ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 1, 0), (1, 0, 0), (0, 0, 1))):
+        with pytest.raises(StructuralError,
+                           match="^matrix is not upper unitriangular$"):
+            fam.canonicalize(bad)
+        assert MatrixGroup(3).coordinates(MatrixGroup(3).canonicalize(bad)) \
+            is None
+    for bad in (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0)),
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1, 0))):
+        with pytest.raises(StructuralError, match="not 3x3"):
+            fam.canonicalize(bad)
+    for bad in (((1, True, 0), (0, 1, 0), (0, 0, 1)), (1, 0.0, 2), (True,)):
+        with pytest.raises(StructuralError, match="integer"):
+            fam.canonicalize(bad)
+    for bad in ((), (1, 2), (1, 2, 3, 4), (1,) * 9):
+        with pytest.raises(StructuralError, match="^U_3 element has 3 "
+                                                  f"coordinates, got {len(bad)}$"):
+            fam.canonicalize(bad)
+
+
+def test_unitriangular_law_and_inverse_match_the_oracle():
+    # the coordinate act and the back-substitution inverse against the
+    # oracle's product of rows, on seeded markings of dims 2-4 taken both
+    # ways, and on elements with dense coordinates
+    rng = random.Random(67)
+    for symmetrize, size in ((True, 2), (False, 3)) * 6:
+        fam, gens = random_unitriangular_set(rng, size)
+        m = MarkedGroup(fam, gens, symmetrize)
+        width = len(fam.identity())
+        elements = [fam.identity()] + [
+            tuple(rng.randint(-50, 50) for _ in range(width))
+            for _ in range(20)]
+        dense = elements[1:6]
+        _check_right_multiplier(fam, m.effective_generating_set() + dense,
+                                elements)
+        for a in elements + list(gens):
+            inv = fam.inverse(a)
+            assert oracle_product(fam, a, inv) == fam.identity()
+            assert oracle_product(fam, inv, a) == fam.identity()
+            assert matrix_rows(fam, inv) == mat_inverse_exact(
+                matrix_rows(fam, a))
+    # dim 1: the trivial group, whose one element acts on no columns
+    _check_right_multiplier(UnitriangularGroup(1), [()], [()] * 3)
+    assert UnitriangularGroup(1).inverse(()) == ()
 
 
 def test_permutation_group_law():
@@ -520,15 +609,18 @@ def test_records_compare_by_type_and_fields():
     assert FreeAbelian(2) != FreeGroup(2)
     assert MatrixGroup(2) != PermutationGroup(2)
     assert FreeAbelian(2) != (2,)
+    # the same matrices in Mal'cev coordinates are another family's
+    assert UnitriangularGroup(3) != MatrixGroup(3)
+    assert heisenberg_group() != matrix_twin(heisenberg_group())
     twins = [
         (FreeAbelian(2), FreeAbelian(rank=2)),
         (FreeGroup(3), FreeGroup(3)),
         (MatrixGroup(3), MatrixGroup(dim=3)),
+        (UnitriangularGroup(3), UnitriangularGroup(dim=3)),
         (PermutationGroup(4), PermutationGroup(4)),
         (free_group_standard(2), MarkedGroup(FreeGroup(2), ((1,), (2,)))),
-        (heisenberg_group(), MarkedGroup(family=MatrixGroup(3),
-                                         generators=heisenberg_group()
-                                         .generators)),
+        (heisenberg_group(), MarkedGroup(family=UnitriangularGroup(3),
+                                         generators=((1, 0, 0), (0, 0, 1)))),
     ]
     for a, b in twins:
         assert a == b and hash(a) == hash(b), a
@@ -542,6 +634,7 @@ def test_records_refuse_assignment():
     m = free_group_standard(2)
     for record, field in ((FreeAbelian(2), "rank"), (FreeGroup(2), "rank"),
                           (MatrixGroup(2), "dim"),
+                          (UnitriangularGroup(2), "dim"),
                           (PermutationGroup(2), "degree"),
                           (m, "family"), (m, "generators"),
                           (m, "symmetrize")):
@@ -624,6 +717,7 @@ def test_canonicalize_accepts_its_own_output():
         (FreeGroup(2), (1, 2, -1, -2, 2)),
         (FreeGroup(200), (200, -3, 3, -199)),
         (MatrixGroup(2), ((1, 1), (0, 1))),
+        (UnitriangularGroup(3), ((1, 2, -3), (0, 1, 4), (0, 0, 1))),
         (PermutationGroup(4), (2, 3, 4, 1)),
     ]
     for fam, obj in samples:
