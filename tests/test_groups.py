@@ -363,16 +363,16 @@ def test_column_acts_are_built_without_getters(monkeypatch):
     coords = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(10)]
     for s, entries, getters in zip(h.effective_generating_set(),
                                    ([0], [1, 2], [0], [1, 2]), (3, 4, 3, 4)):
-        for fam, batch, s, entries, getters in (
-                (m3, flat, m3.canonicalize(matrix_rows(h.family, s)),
-                 list(range(9)), 12),
+        s_flat = m3.canonicalize(matrix_rows(h.family, s))
+        for fam, batch, gen, stores, makes in (
+                (m3, flat, s_flat, list(range(9)), 12),
                 (h.family, coords, s, entries, getters)):
-            act = fam.right_multiplier(s)
+            act = fam.right_multiplier(gen)
             assert made == []
-            assert sorted(stored.pop()) == entries
-            assert list(act(batch)) == [oracle_product(fam, g, s)
+            assert sorted(stored.pop()) == stores
+            assert list(act(batch)) == [oracle_product(fam, g, gen)
                                         for g in batch]
-            assert len(made) == getters
+            assert len(made) == makes
             made.clear()
 
 
