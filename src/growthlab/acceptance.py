@@ -16,7 +16,6 @@ progress lines; a result's line and detail carry none.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -274,12 +273,10 @@ def run_check(ident: int) -> CheckResult:
     raise ValueError(f"no acceptance check numbered {ident}")
 
 
-def run_all(selected=None, stream=None) -> list:
-    """Run the selected checks (all by default), print one progress
-    line per check, with its time, to the stream, and return the
-    results."""
-    if stream is None:
-        stream = sys.stdout
+def run_all(selected, stream) -> list:
+    """Run the selected checks (all when selected is None), print one
+    progress line per check, with its time, to the stream, and return
+    the results."""
     picked = CHECK_IDS if selected is None else tuple(selected)
     results = []
     for ident in picked:

@@ -55,8 +55,10 @@ class LatticePolytope(Record):
 
     ``basis`` rows span the lattice inside the ambient space;
     ``vertex_coords`` holds the vertices written in that basis (exact
-    integers, computed at construction).  A vertex that is not a point
-    of the lattice is refused with its position as ``index``.
+    integers, computed at construction).  Vertex and basis entries are
+    read by :func:`growthlab.linalg.ints`, which refuses any that is not
+    an int.  A vertex that is not a point of the lattice is refused with
+    its position as ``index``.
     ``normals`` is an integer basis of the null space of the vertex
     differences, the equations of the affine hull, found once at
     construction; it is empty when P is full-dimensional.
@@ -72,15 +74,16 @@ class LatticePolytope(Record):
         if basis is None:
             basis = [tuple(int(i == j) for j in range(ambient_dim))
                      for i in range(ambient_dim)]
-        basis = tuple(tuple(int(x) for x in row) for row in basis)
+        basis = tuple(linalg.ints(row, "basis row", "basis entry")
+                      for row in linalg.sequence(basis, "basis"))
         for row in basis:
             if len(row) != ambient_dim:
                 raise StructuralError("basis row has wrong length")
         if linalg.rank(basis) != len(basis):
             raise StructuralError("lattice basis rows are dependent")
         verts = {}  # each distinct vertex and its first position
-        for pos, v in enumerate(vertices):
-            vt = tuple(int(x) for x in v)
+        for pos, v in enumerate(linalg.sequence(vertices, "vertices")):
+            vt = linalg.ints(v, "vertex", "vertex entry")
             if len(vt) != ambient_dim:
                 raise StructuralError("vertex has wrong length")
             verts.setdefault(vt, pos)

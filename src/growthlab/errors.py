@@ -12,22 +12,29 @@ from __future__ import annotations
 class Record:
     """Base of growthlab's immutable records, written out so that no
     class is generated at import.  A subclass names its fields in
-    ``__slots__``; its own ``__init__``, if any, checks the arguments
-    and passes the values on (or, on a hot path, sets them with
-    ``object.__setattr__``).  Records are equal, and hash equal, by
-    type and ``_values``; a field cannot be assigned or deleted."""
+    ``__slots__``, kept as ``_fields``; a subclass of it that adds no
+    field declares ``__slots__ = ()`` and keeps them.  Its own
+    ``__init__``, if any, checks the arguments and passes the values on
+    (or, on a hot path, sets them with ``object.__setattr__``).  Records
+    are equal, and hash equal, by type and ``_values``; a field cannot
+    be assigned or deleted."""
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if not cls._fields:  # the first nonempty __slots__ down from Record
+            cls._fields = cls.__slots__
 
     def __init__(self, *values):
-        names = self.__slots__
+        names = self._fields
         if len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -38,7 +45,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = zip(self.__slots__, self._values())
+        fields = zip(self._fields, self._values())
         return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__

@@ -26,13 +26,18 @@ Five families are supported:
   coordinates (Kargapolov & Merzljakov, Fundamentals of the Theory of
   Groups, 1979, sec. 17): the dim*(dim-1)/2 entries above the diagonal,
   row by row, as one tuple.  ``canonicalize`` takes rows, which must be
-  upper unitriangular, or that tuple; an inverse is integer
-  back-substitution; ``describe`` and ``element_repr`` print what
-  ``MatrixGroup`` prints.  ``MatrixGroup.coordinates`` is the one test
-  of the shape, and ``heisenberg_group`` and every ``matrix`` config
-  whose generators pass it are searched in this family;
+  upper unitriangular, or that tuple; an inverse is ``MatrixGroup``'s
+  exact inverse read back into coordinates; ``describe`` and
+  ``element_repr`` print what ``MatrixGroup`` prints.
+  ``MatrixGroup.coordinates`` is the one test of the shape, and
+  ``heisenberg_group`` and every ``matrix`` config whose generators
+  pass it are searched in this family;
 * ``PermutationGroup(degree)`` -- elements are image tuples on
   ``{1..degree}``.
+
+Every ``canonicalize`` reads its entries with
+:func:`growthlab.linalg.ints`, so a float, a bool or a string is
+refused with a ``StructuralError`` that names the entry.
 
 Every element is stored in a canonical hashable form, so equality of
 elements is equality in the group and an element is its own key in the
@@ -69,8 +74,9 @@ rule).  Ball enumeration
 then takes commuting letters in order, each next to its inverse.  And
 each states ``free_basis(gens)``, whether it vouches that the distinct
 generators gens are a free basis of what they generate, up to sign: then
-every element has one normal form, and the ball search forms every
-element once and keeps no visited set (see :mod:`growthlab.cayley`).
+every element has one normal form, every product the ball search would
+form is new, and ``enumerate_balls`` counts the spheres instead of
+searching them (see :mod:`growthlab.cayley`).
 Two families vouch:
 
 * ``FreeGroup``, when every generator is one letter;
@@ -95,24 +101,11 @@ from itertools import chain, compress
 from operator import add, itemgetter, neg
 
 from .errors import ConfigError, Record, StructuralError
-from .linalg import det_exact, mat_inverse_exact
+from .linalg import as_int, det_exact, ints, mat_inverse_exact, sequence
 
 Element = tuple
 # the group law by one element s: a batch of elements g -> their g*s in order
 Act = Callable[[Iterable], Iterable]
-
-
-def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise StructuralError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _sequence(obj, what: str):
-    """obj itself, refused unless it can be iterated over."""
-    if not hasattr(obj, "__iter__"):
-        raise StructuralError(f"{what} must be a sequence, got {obj!r}")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +166,7 @@ class FreeAbelian(Record):
         return (0,) * self.rank
 
     def canonicalize(self, obj) -> Element:
-        vec = tuple(_sequence(obj, "vector"))
-        # one C pass over the types; _as_int then runs only to name the
-        # first bad entry, or to keep an int subclass it accepts
-        if not set(map(type, vec)) <= {int}:
-            vec = tuple(_as_int(x, "vector entry") for x in vec)
+        vec = ints(obj, "vector", "vector entry")
         if len(vec) != self.rank:
             raise StructuralError(
                 f"vector has length {len(vec)}, expected rank {self.rank}")
@@ -236,13 +225,12 @@ class FreeGroup(Record):
         r = self.rank
         base = 2 * r + 1
         if isinstance(obj, int):  # already a word: read its letters back
-            if _as_int(obj, "word") < 0:
+            if as_int(obj, "word") < 0:
                 raise StructuralError(f"word {obj} is negative")
             # a zero digit reads as the letter 0, refused below
             obj = [d if d <= r else r - d for d in self._digits(obj)]
         out: list[int] = []
-        for x in _sequence(obj, "word"):
-            l = _as_int(x, "letter")
+        for l in ints(obj, "word", "letter"):
             if l == 0 or abs(l) > r:
                 raise StructuralError(f"letter {l} outside +-1..+-{r}")
             if out and out[-1] == -l:
@@ -315,18 +303,16 @@ class MatrixGroup(Record):
     def _read_rows(self, obj: tuple) -> Element:
         """dim rows of dim ints, as one flat row-major tuple."""
         n = self.dim
-        rows = tuple(tuple(_as_int(x, "matrix entry")
-                           for x in _sequence(row, "matrix row"))
-                     for row in obj)
+        rows = tuple(ints(row, "matrix row", "matrix entry") for row in obj)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructuralError(f"matrix is not {n}x{n}")
         return tuple(chain.from_iterable(rows))
 
     def canonicalize(self, obj) -> Element:
         n = self.dim
-        obj = tuple(_sequence(obj, "matrix"))
+        obj = tuple(sequence(obj, "matrix"))
         if obj and not hasattr(obj[0], "__iter__"):  # the flat form
-            flat = tuple(_as_int(x, "matrix entry") for x in obj)
+            flat = ints(obj, "matrix", "matrix entry")
             if len(flat) != n * n:
                 raise StructuralError(f"matrix is not {n}x{n}")
         else:
@@ -370,8 +356,7 @@ class UnitriangularGroup(MatrixGroup):
     its Mal'cev coordinates, the dim*(dim-1)/2 entries above the diagonal
     row by row (see the module docstring)."""
 
-    # no __slots__ of its own: Record reads its fields, (dim,), from
-    # self.__slots__, and an empty tuple here would hide them
+    __slots__ = ()
 
     def _cells(self) -> list:
         """The positions (r, c) above the diagonal, in coordinate order."""
@@ -388,13 +373,13 @@ class UnitriangularGroup(MatrixGroup):
         return (0,) * (self.dim * (self.dim - 1) // 2)
 
     def canonicalize(self, obj) -> Element:
-        obj = tuple(_sequence(obj, "matrix"))
+        obj = tuple(sequence(obj, "matrix"))
         if obj and hasattr(obj[0], "__iter__"):  # dim rows of dim entries
             a = self.coordinates(self._read_rows(obj))
             if a is None:
                 raise StructuralError("matrix is not upper unitriangular")
             return a
-        a = tuple(_as_int(x, "matrix entry") for x in obj)
+        a = ints(obj, "matrix", "matrix entry")
         width = len(self.identity())
         if len(a) != width:
             raise StructuralError(f"U_{self.dim} element has {width} "
@@ -418,14 +403,7 @@ class UnitriangularGroup(MatrixGroup):
         return _column_act(len(cells), changed)
 
     def inverse(self, a: Element) -> Element:
-        # back-substitution, rows bottom up: v_rc = -(g_rc + the sum of
-        # g_rj * v_jc over r < j < c)
-        cells = self._cells()
-        g, v = dict(zip(cells, a)), {}
-        for r, c in reversed(cells):
-            v[r, c] = -g[r, c] - sum(g[r, j] * v[j, c]
-                                     for j in range(r + 1, c))
-        return tuple(v[cell] for cell in cells)
+        return self.coordinates(super().inverse(a))
 
 
 class PermutationGroup(Record):
@@ -447,7 +425,7 @@ class PermutationGroup(Record):
         return tuple(range(1, self.degree + 1))
 
     def canonicalize(self, obj) -> Element:
-        img = tuple(_as_int(x, "image") for x in _sequence(obj, "permutation"))
+        img = ints(obj, "permutation", "image")
         if len(img) != self.degree or sorted(img) != list(range(1, self.degree + 1)):
             raise StructuralError(
                 f"{img} is not a permutation of 1..{self.degree}")

@@ -1,5 +1,11 @@
 """Exact linear algebra on small integer matrices, given as row sequences.
 
+Integer input is read here once, for every group family and lattice:
+:func:`ints` reads a sequence as a tuple of ints and refuses anything
+else, a float, a bool or a string among them, with a
+``StructuralError`` that names the first bad entry, and
+:func:`sequence` refuses a row that cannot be iterated over.
+
 Everything rests on one fraction-free row reduction, :func:`_echelon`
 (Bareiss, *Sylvester's identity and multistep integer-preserving
 Gaussian elimination*, Math. Comp. 22, 1968).  By Sylvester's identity
@@ -14,6 +20,31 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import StructuralError
+
+
+def sequence(obj, what: str):
+    """obj itself, refused unless it can be iterated over."""
+    if not hasattr(obj, "__iter__"):
+        raise StructuralError(f"{what} must be a sequence, got {obj!r}")
+    return obj
+
+
+def as_int(x, what: str) -> int:
+    """x itself, refused unless it is an int and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise StructuralError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def ints(obj, what: str, entry: str) -> tuple:
+    """The sequence obj (named what) as a tuple of ints, each named entry
+    when refused."""
+    vec = tuple(sequence(obj, what))
+    # one C pass over the types; as_int then runs only to name the first
+    # bad entry, or to keep an int subclass it accepts
+    if not set(map(type, vec)) <= {int}:
+        vec = tuple(as_int(x, entry) for x in vec)
+    return vec
 
 
 def _echelon(rows) -> tuple:

@@ -32,14 +32,16 @@ from .errors import ArgumentError, Record, StructuralError
 
 class IntegralLattice(Record):
     """Lattice presented by a symmetric positive-definite integer Gram
-    matrix of pairwise inner products of basis vectors.  ``ldl`` keeps
-    the rows of its one elimination, :func:`growthlab.linalg.ldl`."""
+    matrix of pairwise inner products of basis vectors, its entries read
+    by :func:`growthlab.linalg.ints`.  ``ldl`` keeps the rows of its one
+    elimination, :func:`growthlab.linalg.ldl`."""
 
     __slots__ = ("rank", "gram", "ldl")
 
     @staticmethod
     def make(gram) -> "IntegralLattice":
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(linalg.ints(row, "gram row", "gram entry")
+                     for row in linalg.sequence(gram, "gram matrix"))
         n = len(rows)
         if n == 0:
             raise StructuralError("gram matrix is empty")

@@ -1,11 +1,14 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 
+import growthlab
 from growthlab import groups
 from growthlab.cayley import enumerate_balls
-from growthlab.errors import ConfigError, StructuralError
+from growthlab.errors import ConfigError, Record, StructuralError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               MatrixGroup, PermutationGroup,
                               UnitriangularGroup, det_exact,
@@ -292,6 +295,31 @@ def test_canonicalize_refuses_objects_that_are_not_sequences():
                                match=f"{what} must be a sequence, got "):
                 fam.canonicalize(obj)
     assert FreeGroup(2).canonicalize(7) == 7  # the word x1*x2
+
+
+@pytest.mark.parametrize("fam, obj, message", [
+    (FreeGroup(2), (1, 2.0), "letter must be an integer, got 2.0"),
+    (FreeGroup(2), (True,), "letter must be an integer, got True"),
+    (MatrixGroup(2), ((1, 0), (0, "1")),
+     "matrix entry must be an integer, got '1'"),
+    (MatrixGroup(2), (1, 0, 0, 1.0),
+     "matrix entry must be an integer, got 1.0"),
+    (MatrixGroup(2), ((1, 0), 1), "matrix row must be a sequence, got 1"),
+    (UnitriangularGroup(3), ((1, 1, 0), (0, 1, 0), (0, 0, True)),
+     "matrix entry must be an integer, got True"),
+    (UnitriangularGroup(3), (1, 0, 0.5),
+     "matrix entry must be an integer, got 0.5"),
+    (UnitriangularGroup(3), ((1, 1, 0), 0, (0, 0, 1)),
+     "matrix row must be a sequence, got 0"),
+    (PermutationGroup(3), (2, 1, 3.0), "image must be an integer, got 3.0"),
+    (PermutationGroup(3), (2, "1", 3), "image must be an integer, got '1'"),
+])
+def test_each_family_names_its_refused_entry(fam, obj, message):
+    # every family reads its entries through linalg.ints, and names the
+    # first one that is not an int (FreeAbelian's is pinned above)
+    with pytest.raises(StructuralError) as err:
+        fam.canonicalize(obj)
+    assert str(err.value) == message
 
 
 def test_column_acts_read_a_one_shot_batch():
@@ -641,6 +669,21 @@ def test_records_refuse_assignment():
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert m == free_group_standard(2)
+
+
+def test_no_record_carries_a_dict():
+    # Record reads its fields off the class that declares them, so a
+    # subclass that adds none (UnitriangularGroup) declares no __dict__
+    for info in pkgutil.iter_modules(growthlab.__path__):
+        importlib.import_module(f"growthlab.{info.name}")
+    todo, records = [Record], []
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("growthlab."):
+            records.append(cls)
+    assert UnitriangularGroup in records
+    assert [c.__name__ for c in records if c.__dictoffset__] == []
 
 
 def test_marked_group_needs_generators():

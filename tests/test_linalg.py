@@ -1,7 +1,8 @@
 """The exact elimination routines against oracles that share no code
 with them: the Leibniz permutation sum for determinants and pivot
 minors, the largest nonzero minor for rank, and direct multiplication
-for inverse, null spaces and LDL^T."""
+for inverse, null spaces and LDL^T; and the one reading of integer
+input, as the lattice constructors use it."""
 
 import math
 import random
@@ -11,9 +12,11 @@ from itertools import combinations, permutations
 import pytest
 
 from growthlab import linalg
+from growthlab.ehrhart import LatticePolytope
 from growthlab.errors import StructuralError
 from growthlab.linalg import (det_exact, ldl, mat_inverse_exact, nullspace,
                              rank)
+from growthlab.theta import IntegralLattice
 
 
 def leibniz(m):
@@ -191,3 +194,26 @@ def test_ldl_rejects_non_positive_definite():
         with pytest.raises(StructuralError,
                            match="gram matrix is not positive definite"):
             ldl(g)
+
+
+def test_lattice_constructors_refuse_what_is_not_an_int():
+    # an entry was read with int(x): the vertex (1.7,) became (1,), and
+    # [[1.9, 0], [0, True]] the Gram matrix of Z^2
+    polytope, lattice = LatticePolytope.make, IntegralLattice.make
+    cases = [(polytope, (1, 5), "vertices must be a sequence, got 5"),
+             (polytope, (1, [(0,)], 5), "basis must be a sequence, got 5"),
+             (lattice, (5,), "gram matrix must be a sequence, got 5"),
+             (polytope, (1, [0, 1]), "vertex must be a sequence, got 0"),
+             (polytope, (1, [(0,)], [1]),
+              "basis row must be a sequence, got 1"),
+             (lattice, ([1],), "gram row must be a sequence, got 1")]
+    for bad in (1.7, True, "1"):
+        got = f"must be an integer, got {bad!r}"
+        cases += [(polytope, (1, [(0,), (bad,)]), "vertex entry " + got),
+                  (polytope, (1, [(0,), (1,)], [(bad,)]),
+                   "basis entry " + got),
+                  (lattice, ([[2, 0], [0, bad]],), "gram entry " + got)]
+    for make, args, message in cases:
+        with pytest.raises(StructuralError) as err:
+            make(*args)
+        assert str(err.value) == message
