@@ -10,8 +10,9 @@ Four views of the same data:
 * ``dye_quantity``      -- the approximate-finiteness quantity
   min_k h_{2k}/(h_1+...+h_k) over shell sizes, exact rational; its
   as-given form ``dye_quantity_strict`` builds the product sets with
-  the search's own frontier step, :func:`growthlab.cayley.expand`, and
-  both forms take the one minimum over their shells;
+  the search's own acts and frontier step,
+  :func:`growthlab.cayley.expand`, and both forms take the one minimum
+  over their shells;
 * ``classify``          -- a conservative verdict (evidence-exponential,
   evidence-polynomial(d), or inconclusive) assembled from the tracks.
 
@@ -33,7 +34,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
-from .cayley import BallTable, expand
+from .cayley import BallTable, expand, search_law
 from .config import (DEFAULT_ELEMENT_BUDGET, DIGITS, DYE_AS_GIVEN_CONVENTION,
                      DYE_IDENTITY_CONVENTION)
 from .errors import ArgumentError, BudgetExceededError, Record
@@ -144,8 +145,8 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     if K < 1:
         raise ArgumentError("K must be at least 1")
     gens = m.effective_generating_set()
-    acts = [m.family.right_multiplier(s) for s in gens]
-    current = set(gens)  # F^1; generators never contain the identity
+    acts, pack = search_law(m.family, gens, 2 * K)
+    current = set(map(pack, gens))  # F^1; generators are never the identity
     stored = len(current)
     h = [len(current)]  # h_1 = |F|
     for j in range(2, 2 * K + 1):

@@ -14,17 +14,25 @@ searches the spheres for one element.  A free basis is counted on the
 same rule, not searched (see below).
 
 Each product is a neighbour g*s of a frontier element g by one element
-s of the effective generating set.  ``_spheres`` asks the family once
-per s for ``right_multiplier(s)``, the family's one group law: an act
-precomputed for that s that maps a batch of elements to their products
-g*s (see :mod:`growthlab.groups`).  ``expand`` is the one frontier
+s of the effective generating set.  ``search_law`` asks the family once
+per s for an act precomputed for that s that maps a batch of elements
+to their products g*s (see :mod:`growthlab.groups`): the family's one
+group law, ``right_multiplier(s)``, except for ``UnitriangularGroup``,
+whose ``packed`` hook acts on its elements packed into one int each.
+A packing holds to a radius, and ``enumerate_balls`` and
+``word_length`` pack for radius min(kmax, element_budget): each
+completed sphere stores one element at least, so no search completes
+more radii than its budget holds elements.  ``word_length`` packs its
+target too, and a target past the bound of the kmax-ball is not in
+it.  ``expand`` is the one frontier
 step: each act maps its whole batch in one pass, and the images not
 yet seen are kept in that act's list and then added to the seen set,
 stopping once they outgrow the room left in the budget.  The
 membership tests, appends and inserts run inside ``filterfalse``,
 ``list`` and ``set.update``, so no Python code runs per product.  The
 product sets of :func:`growthlab.analysis.dye_quantity_strict` are
-built by the same step, with every act mapping the whole set.
+built by the same step and the same acts, packed for radius 2K, with
+every act mapping the whole set.
 
 Each sphere S(k) is kept as one list per act i, holding the elements
 that act found first, h = g*s_i with g in S(k-1).  The read rule gives
@@ -82,11 +90,12 @@ of the search.  ``word_length`` still searches a free basis, with a
 visited set.
 
 The search's elements are their own keys: every family stores elements
-in a canonical hashable form, so the visited set holds the elements
-themselves.  When the marking is symmetrized the Cayley graph is
-undirected and every neighbour of S(k) lies in S(k-1), S(k) or S(k+1),
-so once S(k+1) is complete S(k-1) is dropped from the visited set, in
-one ``difference_update`` over all its lists (CPython may rebuild the
+in a canonical hashable form, and a packing is injective, so the
+visited set holds the elements themselves, or their ints.  When the
+marking is symmetrized the Cayley graph is undirected and every
+neighbour of S(k) lies in S(k-1), S(k) or S(k+1), so once S(k+1) is
+complete S(k-1) is dropped from the visited set, in one
+``difference_update`` over all its lists (CPython may rebuild the
 table after each such call, at four times its live entries, so one
 call per list doubled the Z^3 table); the set then holds at most three
 spheres.  As-given markings keep every element visited.  The element
@@ -101,6 +110,7 @@ order.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from itertools import accumulate, chain, count, filterfalse, islice
 
 from .config import DEFAULT_ELEMENT_BUDGET, _shown
@@ -209,18 +219,35 @@ def _exhausted(element_budget: int, k: int, frontier: int,
         last_radius=k - 1)
 
 
-def _spheres(m: MarkedGroup, gens: list, rule: list, element_budget: int):
+def search_law(family, gens: list, radius: int) -> tuple[list, Callable]:
+    """The acts of gens, in order, on the form the search stores, and the
+    map of an element to that form: a family with a ``packed`` hook
+    (``UnitriangularGroup``) packs each element into one int, valid
+    for products of at most ``radius`` elements of gens, and maps an
+    element past that bound to None; every other family stores its
+    elements themselves and acts by ``right_multiplier``."""
+    packed = getattr(family, "packed", None)
+    if packed is not None:
+        return packed(gens, radius)
+    return [family.right_multiplier(s) for s in gens], _same
+
+
+def _same(a):
+    return a
+
+
+def _spheres(m: MarkedGroup, rule: list, law: tuple, element_budget: int):
     """Yield the spheres S(1), S(2), ... of ``m``, each as one list per
     act: the elements that act found first, and return at the first
-    empty one, when a finite group is exhausted.  ``gens`` and ``rule``
-    are ``_read_rule(m)``.
+    empty one, when a finite group is exhausted.  ``rule`` is
+    ``_read_rule(m)``'s, and ``law`` is ``search_law``'s for its
+    generators, at a radius no less than the last sphere drawn.
 
     Raises ``_exhausted``'s BudgetExceededError, without a partial
     table, when the ball would outgrow ``element_budget`` elements.
     """
-    fam = m.family
-    acts = [fam.right_multiplier(s) for s in gens]
-    ident = fam.identity()
+    acts, pack = law
+    ident = pack(m.family.identity())
     visited = {ident}
     before, frontier = [], [[ident]]
     batches = [[ident]] * len(acts)  # every act maps S(0)
@@ -244,11 +271,12 @@ def _spheres(m: MarkedGroup, gens: list, rule: list, element_budget: int):
                    for end, back in rule]
 
 
-def _sphere_sizes(m: MarkedGroup, element_budget: int):
-    """Yield |S(1)|, |S(2)|, ... of ``m``: counted off the read rule when
-    the family vouches that the marking is a free basis (see the module
-    docstring), else searched.  Either way ``_exhausted``'s error is
-    raised once the ball would outgrow ``element_budget`` elements."""
+def _sphere_sizes(m: MarkedGroup, radius: int, element_budget: int):
+    """Yield |S(1)|, |S(2)|, ... of ``m``, to be drawn up to S(radius):
+    counted off the read rule when the family vouches that the marking
+    is a free basis (see the module docstring), else searched.  Either
+    way ``_exhausted``'s error is raised once the ball would outgrow
+    ``element_budget`` elements."""
     gens, rule = _read_rule(m)
     if m.family.free_basis(gens):
         sizes = [1] * len(gens)  # every act maps S(0) = {e}
@@ -264,7 +292,8 @@ def _sphere_sizes(m: MarkedGroup, element_budget: int):
             sizes = [prefix[end] - (0 if back is None else sizes[back])
                      for end, back in rule]
     else:
-        for sphere in _spheres(m, gens, rule, element_budget):
+        law = search_law(m.family, gens, radius)
+        for sphere in _spheres(m, rule, law, element_budget):
             yield sum(map(len, sphere))
 
 
@@ -285,8 +314,10 @@ def enumerate_balls(m: MarkedGroup, kmax: int,
         raise ArgumentError("element_budget must be positive")
     sigma = [1]
     try:
-        for _, size in zip(range(kmax), _sphere_sizes(m, element_budget)):
-            sigma.append(size)
+        # each completed sphere stores one element at least, so the
+        # budget is exhausted before radius element_budget is complete
+        radius = min(kmax, element_budget)
+        sigma += islice(_sphere_sizes(m, radius, element_budget), radius)
         if len(sigma) <= kmax:  # exhausted: pad once with empty spheres
             if kmax + 1 > element_budget:
                 raise BudgetExceededError(
@@ -317,7 +348,13 @@ def word_length(m: MarkedGroup, g, kmax: int,
     target = m.family.canonicalize(g)
     if target == m.family.identity():
         return 0
-    spheres = _spheres(m, *_read_rule(m), element_budget)
+    gens, rule = _read_rule(m)
+    radius = min(kmax, element_budget)  # as in enumerate_balls
+    law = search_law(m.family, gens, radius)
+    target = law[1](target)  # packed, None past the bound
+    if target is None and radius == kmax:
+        return None  # past the bound of the kmax-ball, so not in it
+    spheres = _spheres(m, rule, law, element_budget)
     for k, sphere in zip(range(1, kmax + 1), spheres):
         if any(target in part for part in sphere):
             return k

@@ -137,12 +137,12 @@ def random_matrix_set(rng, size):
     return fam, tuple(gens)
 
 
-def random_unitriangular_set(rng, size):
-    """`size` distinct non-identity upper unitriangular matrices of
-    dimension 2, 3 or 4, written as rows: each entry above the diagonal
+def random_unitriangular_set(rng, size, dims=(2, 3, 4)):
+    """`size` distinct non-identity upper unitriangular matrices of a
+    dimension in `dims`, written as rows: each entry above the diagonal
     is 0 half the time and else one of -2, -1, 1, 2 (so size <= 4 in
     dimension 2)."""
-    n = rng.choice((2, 3, 4))
+    n = rng.choice(dims)
     fam = UnitriangularGroup(n)
     gens = []
     while len(gens) < size:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from growthlab import analysis
 from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
                                 DYE_IDENTITY_CONVENTION, classify,
                                 dye_quantity, dye_quantity_strict,
@@ -164,7 +165,8 @@ def test_dye_strict_budget(monkeypatch):
 def test_dye_strict_maps_one_shared_list_per_step(monkeypatch):
     # every act of one step maps the same list of F^(j-1), so a column
     # act copies nothing and a lazy act reads a list, and the values
-    # are those of the unwrapped acts
+    # are those of the unwrapped acts, packed ints for the Heisenberg
+    # group as for every search
     markings = (free_abelian_standard(2), heisenberg_group(),
                 free_group_standard(2))
     expected = [dye_quantity_strict(m, 3) for m in markings]
@@ -172,19 +174,19 @@ def test_dye_strict_maps_one_shared_list_per_step(monkeypatch):
     assert expected[0].value == Fraction(49, 29)
     for m, value in zip(markings, expected):
         batches = []
-        family = type(m.family)
-        right_multiplier = family.right_multiplier
 
-        def recording(self, s, right_multiplier=right_multiplier):
-            act = right_multiplier(self, s)
+        def recording(family, gens, radius, search_law=analysis.search_law):
+            acts, pack = search_law(family, gens, radius)
 
-            def recorded(gs):
-                batches.append(gs)
-                return act(gs)
-            return recorded
+            def recorded(act):
+                def record(gs):
+                    batches.append(gs)
+                    return act(gs)
+                return record
+            return [recorded(act) for act in acts], pack
 
         with monkeypatch.context() as patch:
-            patch.setattr(family, "right_multiplier", recording)
+            patch.setattr(analysis, "search_law", recording)
             assert dye_quantity_strict(m, 3) == value
         n = len(m.effective_generating_set())
         assert len(batches) == 5 * n  # F^2 .. F^6

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from growthlab import cayley, linalg
+from growthlab.analysis import dye_quantity_strict
 from growthlab.cayley import BallTable, enumerate_balls, word_length
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
@@ -13,10 +14,10 @@ from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
                               free_group_standard, heisenberg_group,
                               symmetric_group_adjacent)
 from growthlab.series import closed_form_free_abelian
-from group_oracle import (exact_products, matrix_twin, oracle_product,
-                          random_f2_set, random_matrix_set, random_perm_set,
-                          random_unitriangular_set, random_z2_set,
-                          stock_markings)
+from group_oracle import (exact_products, matrix_rows, matrix_twin,
+                          oracle_product, random_f2_set, random_matrix_set,
+                          random_perm_set, random_unitriangular_set,
+                          random_z2_set, stock_markings)
 
 
 def abelian_ball(n: int, k: int) -> int:
@@ -86,20 +87,45 @@ def test_bfs_against_brute_force_random_sets():
 
 
 def test_unitriangular_spheres_are_those_of_their_rows():
-    # a marking in Mal'cev coordinates has the spheres of the same rows
-    # under MatrixGroup, on seeded markings of dims 2-4 taken both ways
-    # and on the stock Heisenberg marking
+    # a marking searched on packed Mal'cev coordinates has the spheres of
+    # the same rows under MatrixGroup, on seeded markings of dims 2-4 to
+    # radius 7 and of dims 5-6 to radius 5, taken both ways, and on the
+    # stock Heisenberg marking
     rng = random.Random(71)
-    markings = [heisenberg_group(), heisenberg_group(False)]
-    for symmetrize, size in ((True, 2), (False, 3)) * 8:
-        fam, gens = random_unitriangular_set(rng, size)
-        markings.append(MarkedGroup(fam, gens, symmetrize))
-    assert {len(m.family.identity()) for m in markings} == {1, 3, 6}
-    for m in markings:
+    markings = [(heisenberg_group(), 7), (heisenberg_group(False), 7)]
+    for dims, k in (((2, 3, 4), 7), ((5, 6), 5)):
+        for symmetrize, size in ((True, 2), (False, 3)) * 8:
+            fam, gens = random_unitriangular_set(rng, size, dims)
+            markings.append((MarkedGroup(fam, gens, symmetrize), k))
+    assert {len(m.family.identity()) for m, _ in markings} == {1, 3, 6, 10, 15}
+    for m, k in markings:
         twin = matrix_twin(m)
         assert type(twin.family) is MatrixGroup
         assert twin.describe() == m.describe()
-        assert enumerate_balls(m, 7) == enumerate_balls(twin, 7)
+        assert enumerate_balls(m, k) == enumerate_balls(twin, k)
+
+
+def test_unitriangular_word_length_is_that_of_their_rows():
+    # targets in and just past the kmax-ball, and one past the packing's
+    # bound, which is outside the ball without a search; with kmax past
+    # the budget that target is searched for, and the budget is reached
+    rng = random.Random(73)
+    for symmetrize, size in ((True, 2), (False, 3)) * 6:
+        fam, gens = random_unitriangular_set(rng, size, range(2, 7))
+        m = MarkedGroup(fam, gens, symmetrize)
+        twin = matrix_twin(m)
+        pool = m.effective_generating_set()
+        for _ in range(6):
+            g = fam.identity()
+            for _ in range(rng.randint(0, 4)):
+                g = oracle_product(fam, g, rng.choice(pool))
+            assert word_length(m, g, 3) == \
+                word_length(twin, matrix_rows(fam, g), 3)
+        far = (10 ** 6,) + fam.identity()[1:]
+        assert word_length(m, far, 3) is None
+        assert word_length(twin, matrix_rows(fam, far), 3) is None
+    with pytest.raises(BudgetExceededError):
+        word_length(heisenberg_group(), (10 ** 6, 0, 0), 10 ** 6, 500)
 
 
 def closure_spheres(m: MarkedGroup, k: int) -> list:
@@ -175,31 +201,56 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
     # elements, beta(k) - 1 in all: F_2 4 words from the identity and 3
     # from every other element of the 11-ball, Z^3 each vector once along
     # its normal form sorted by inverse pair.  The Heisenberg group forms
-    # far fewer than |B(k-1)|*|S| (221,812), in Mal'cev coordinates on the
-    # same read rule as its rows.  enumerate_balls counts the spheres of a
+    # far fewer than |B(k-1)|*|S| (221,812), on packed ints on the same
+    # read rule as its rows.  enumerate_balls counts the spheres of a
     # free basis without searching, so the search is run directly on the
     # read rule both share
     drawn = [0]
-    for fam in (FreeGroup, FreeAbelian, MatrixGroup, UnitriangularGroup):
-        def counted(self, s, law=fam.right_multiplier):
-            act = law(self, s)
 
-            def count(gs):
-                out = list(act(gs))
-                drawn[0] += len(out)
-                return out
-            return count
-        monkeypatch.setattr(fam, "right_multiplier", counted)
+    def counted(act):
+        def count(gs):
+            out = list(act(gs))
+            drawn[0] += len(out)
+            return out
+        return count
+
+    for fam in (FreeGroup, FreeAbelian, MatrixGroup):
+        def multiplier(self, s, law=fam.right_multiplier):
+            return counted(law(self, s))
+        monkeypatch.setattr(fam, "right_multiplier", multiplier)
+
+    def packed(self, gens, radius, law=UnitriangularGroup.packed):
+        acts, pack = law(self, gens, radius)
+        return [counted(act) for act in acts], pack
+    monkeypatch.setattr(UnitriangularGroup, "packed", packed)
     for m, k, products in ((free_group_standard(2), 12, 1_062_880),
                            (free_abelian_standard(3), 60, 295_360),
                            (heisenberg_group(), 20, 166_360),
                            (matrix_twin(heisenberg_group()), 20, 166_360)):
         drawn[0] = 0
-        spheres = cayley._spheres(m, *cayley._read_rule(m), 10 ** 7)
+        gens, rule = cayley._read_rule(m)
+        law = cayley.search_law(m.family, gens, k)
+        spheres = cayley._spheres(m, rule, law, 10 ** 7)
         sigma = [1] + [sum(map(len, sphere))
                        for sphere in islice(spheres, k)]
         assert drawn[0] == products, m.describe()
         assert sigma == list(enumerate_balls(m, k).sphere_sizes)
+
+
+def test_unitriangular_searches_run_no_tuple_act(monkeypatch):
+    # the ball search, word_length and the product sets of
+    # dye_quantity_strict all act on packed ints: with the coordinate
+    # act refused they still agree with the rows as flat matrices
+    def refuse(self, s):
+        raise AssertionError("a search formed a coordinate tuple")
+    m = heisenberg_group()
+    twin = matrix_twin(m)
+    monkeypatch.setattr(UnitriangularGroup, "right_multiplier", refuse)
+    assert enumerate_balls(m, 8) == enumerate_balls(twin, 8)
+    for g in ((1, 1, 1), (0, 3, 0), (2, -1, 1)):
+        rows = ((1, g[0], g[1]), (0, 1, g[2]), (0, 0, 1))
+        assert word_length(m, g, 8) == word_length(twin, rows, 8)
+    assert dye_quantity_strict(m, 3) == dye_quantity_strict(twin, 3)
 
 
 def test_free_basis_spheres_are_those_of_the_tree():

@@ -223,6 +223,34 @@ def test_a_finite_group_refuses_table_rows_past_the_budget(capsys):
             "(complete through radius 6)")
 
 
+def test_a_huge_kmax_packs_for_the_radius_the_budget_holds(capsys,
+                                                          monkeypatch):
+    # the Heisenberg search packs its elements for radius
+    # min(kmax, budget), since no search completes more radii than its
+    # budget holds elements: kmax 10^40 under budget 20000 packs for
+    # radius 20000, and prints what the same rows print as flat matrices
+    from growthlab import groups
+    radii, packed = [], groups.UnitriangularGroup.packed
+
+    def spy(self, gens, radius):
+        radii.append(radius)
+        return packed(self, gens, radius)
+    monkeypatch.setattr(groups.UnitriangularGroup, "packed", spy)
+    argv = ("growth", "--family", "heisenberg", "--kmax", str(10 ** 40),
+            "--budget", "20000", "--no-timestamp")
+    rc, out, err = run(capsys, *argv)
+    assert radii == [20000]
+    assert rc == 3
+    assert out.splitlines()[-2:] == ["13,3324,12195", "14,4186,16381"]
+    assert err.splitlines()[-1] == (
+        "budget exceeded: element budget 20000 exhausted while expanding "
+        "radius 15: 20000 elements stored, frontier |S(14)| = 4186, next "
+        "sphere estimate |S(14)|*|S| = 4186*4 = 16744 (complete through "
+        "radius 14)")
+    _search_as_flat_matrices(monkeypatch)
+    assert run(capsys, *argv) == (rc, out, err)
+
+
 def test_a_budget_past_any_list_length_is_no_bound(capsys):
     # the search draws at most budget - stored + 1 elements per step, and
     # a budget past sys.maxsize must not reach islice as its stop

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+from math import comb
 
 import pytest
 
@@ -483,6 +484,97 @@ def test_unitriangular_law_and_inverse_match_the_oracle():
     # dim 1: the trivial group, whose one element acts on no columns
     _check_right_multiplier(UnitriangularGroup(1), [()], [()] * 3)
     assert UnitriangularGroup(1).inverse(()) == ()
+
+
+def malcev_bound(n, top, k):
+    """B(k), the bound on every coordinate of a product of k elements of
+    U_n(Z) whose entries above the diagonal are at most top in size: a
+    chain r < j_1 < ... < c through m of the k factors has C(n-2, m-1)
+    choices of inner indices at distance n - 1, and C(k, m) of factors."""
+    return sum(comb(k, m) * comb(n - 2, m - 1) * top ** m
+               for m in range(1, n))
+
+
+def malcev_unpack(n, bound, u):
+    """The coordinates, row by row, of the packed int u: coordinate
+    (r, c) is digit c(c-1)/2 + r of u in base 2*bound + 1, less bound."""
+    base, digits = 2 * bound + 1, []
+    for _ in range(n * (n - 1) // 2):
+        u, d = divmod(u, base)
+        digits.append(d - bound)
+    assert u == 0
+    return tuple(digits[c * (c - 1) // 2 + r]
+                 for r in range(n) for c in range(r + 1, n))
+
+
+def seeded_unitriangular_words(seed, count):
+    """`count` seeded markings of dims 2-6, taken both ways, each with
+    its effective generating set and, for k in 0..5, the oracle's
+    products of 12 seeded words of length k."""
+    rng = random.Random(seed)
+    for i in range(count):
+        symmetrize, size = ((True, 2), (False, 3))[i % 2]
+        fam, gens = random_unitriangular_set(rng, size, dims=range(2, 7))
+        m = MarkedGroup(fam, gens, symmetrize)
+        pool = m.effective_generating_set()
+        words = {}
+        for k in range(6):
+            words[k] = []
+            for _ in range(12):
+                g = fam.identity()
+                for _ in range(k):
+                    g = oracle_product(fam, g, rng.choice(pool))
+                words[k].append(g)
+        yield fam, pool, words
+
+
+def test_malcev_bound_holds_and_packs_every_coordinate_within_it():
+    # B(k) bounds every coordinate of seeded words of length k, and the
+    # packing at radius k takes a coordinate of size B(k) and refuses
+    # B(k) + 1, in every position
+    for fam, pool, words in seeded_unitriangular_words(83, 24):
+        n, top = fam.dim, max(abs(x) for s in pool for x in s)
+        for k, products in words.items():
+            bound = malcev_bound(n, top, k)
+            _, pack = fam.packed(pool, k)
+            for g in products:
+                assert max(map(abs, g)) <= bound
+                assert malcev_unpack(n, bound, pack(g)) == g
+            zero = [0] * len(fam.identity())
+            for i in range(len(zero)):
+                for x, packs in ((bound, True), (-bound, True),
+                                 (bound + 1, False), (-bound - 1, False)):
+                    a = tuple(zero[:i] + [x] + zero[i + 1:])
+                    assert (pack(a) is not None) == packs
+
+
+def test_malcev_coordinates_at_the_bound_pack_and_unpack_to_themselves():
+    rng = random.Random(89)
+    for fam, pool, _ in seeded_unitriangular_words(97, 10):
+        n, top = fam.dim, max(abs(x) for s in pool for x in s)
+        for k in (1, 4, 20):
+            bound = malcev_bound(n, top, k)
+            _, pack = fam.packed(pool, k)
+            width = len(fam.identity())
+            for a in [(bound,) * width, (-bound,) * width] + [
+                    tuple(rng.choice((-bound, 0, bound)) for _ in range(width))
+                    for _ in range(10)]:
+                assert malcev_unpack(n, bound, pack(a)) == a
+
+
+def test_packed_acts_are_the_oracle_product():
+    # each act maps packed elements of the (k-1)-ball to the packed
+    # oracle products, from a list or from a one-shot batch
+    for fam, pool, words in seeded_unitriangular_words(101, 24):
+        k = 5
+        acts, pack = fam.packed(pool, k)
+        batch = [g for j in range(k) for g in words[j]]
+        packed = [pack(g) for g in batch]
+        for s, act in zip(pool, acts):
+            expected = [pack(oracle_product(fam, g, s)) for g in batch]
+            assert None not in expected
+            assert list(act(packed)) == expected
+            assert list(act(u for u in packed)) == expected
 
 
 def test_permutation_group_law():
