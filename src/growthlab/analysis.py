@@ -145,7 +145,8 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     if K < 1:
         raise ArgumentError("K must be at least 1")
     gens = m.effective_generating_set()
-    acts, pack = search_law(m.family, gens, 2 * K)
+    # F^j stores one element at least, so no run passes j = budget
+    acts, pack = search_law(m.family, gens, min(2 * K, element_budget))
     current = set(map(pack, gens))  # F^1; generators are never the identity
     stored = len(current)
     h = [len(current)]  # h_1 = |F|

@@ -20,19 +20,28 @@ to their products g*s (see :mod:`growthlab.groups`): the family's one
 group law, ``right_multiplier(s)``, except for ``UnitriangularGroup``,
 whose ``packed`` hook acts on its elements packed into one int each.
 A packing holds to a radius, and ``enumerate_balls`` and
-``word_length`` pack for radius min(kmax, element_budget): each
+``word_length`` search to radius min(kmax, element_budget): each
 completed sphere stores one element at least, so no search completes
-more radii than its budget holds elements.  ``word_length`` packs its
-target too, and a target past the bound of the kmax-ball is not in
-it.  ``expand`` is the one frontier
+more radii than its budget holds elements.  Within that radius a
+search is not packed for it outright, since the ints of a radius far
+past the one reached run to thousands of bits on wide markings and
+every act then works on them: ``_laws`` sizes the packings for radii
+1, 2, 4, ..., jumping to the search radius once that is at most four
+times the last, and the search starts on the farthest whose identity
+packs into 64 bits.  Once a search has drawn the sphere of the last
+radius its packing holds, it walks again from the identity on the
+next packing, drawing no sphere twice; under polynomial growth the
+walk to radius r costs a small share of the walk to 2r.
+``word_length`` packs its target at each sphere, and a target past
+the bound of the kmax-ball is not in it.  ``expand`` is the one frontier
 step: each act maps its whole batch in one pass, and the images not
 yet seen are kept in that act's list and then added to the seen set,
 stopping once they outgrow the room left in the budget.  The
 membership tests, appends and inserts run inside ``filterfalse``,
 ``list`` and ``set.update``, so no Python code runs per product.  The
 product sets of :func:`growthlab.analysis.dye_quantity_strict` are
-built by the same step and the same acts, packed for radius 2K, with
-every act mapping the whole set.
+built by the same step and the same acts, packed for radius
+min(2K, element_budget), with every act mapping the whole set.
 
 Each sphere S(k) is kept as one list per act i, holding the elements
 that act found first, h = g*s_i with g in S(k-1).  The read rule gives
@@ -236,17 +245,65 @@ def _same(a):
     return a
 
 
-def _spheres(m: MarkedGroup, rule: list, law: tuple, element_budget: int):
-    """Yield the spheres S(1), S(2), ... of ``m``, each as one list per
-    act: the elements that act found first, and return at the first
-    empty one, when a finite group is exhausted.  ``rule`` is
-    ``_read_rule(m)``'s, and ``law`` is ``search_law``'s for its
-    generators, at a radius no less than the last sphere drawn.
+def _laws(family, gens: list, radius: int):
+    """Yield the laws (reach, acts, pack) a search for spheres up to
+    ``radius`` takes in turn, each ``search_law``'s for products of at
+    most reach elements of gens.  A packed family's reaches run 1, 2,
+    4, ..., each next one twice the last, or radius once that is at
+    most four times it: no packing is sized for more than four times a
+    radius the search has to pass.  The search starts on the farthest
+    of them whose identity packs into 64 bits, since ints that narrow
+    cost about the same at any radius, or on the first.  Any other
+    family's one law reaches radius."""
+    def farther(r):
+        return radius if 4 * r >= radius else 2 * r
+    reach = min(1, radius)
+    acts, pack = search_law(family, gens, reach)
+    if pack is _same:  # not packed: good at every radius
+        yield radius, acts, pack
+        return
+    ident = family.identity()
+    while reach < radius:
+        wider = search_law(family, gens, farther(reach))
+        if wider[1](ident).bit_length() > 64:
+            break
+        reach, (acts, pack) = farther(reach), wider
+    while True:
+        yield reach, acts, pack
+        reach = farther(reach)
+        acts, pack = search_law(family, gens, reach)
+
+
+def _spheres(m: MarkedGroup, rule: list, gens: list, radius: int,
+             element_budget: int):
+    """Yield the spheres S(1), S(2), ... of ``m`` up to ``radius``, each
+    as one list per act (the elements that act found first) with the
+    map of an element to the form they are stored in, and return at the
+    first empty one, when a finite group is exhausted.  ``gens`` and
+    ``rule`` are ``_read_rule(m)``'s; no sphere past ``radius`` may be
+    drawn.  The search walks on ``_laws``'s first law, and once it has
+    drawn the sphere of the last radius a packing holds, it walks again
+    from the identity on the next law, drawing nothing twice.
 
     Raises ``_exhausted``'s BudgetExceededError, without a partial
     table, when the ball would outgrow ``element_budget`` elements.
     """
-    acts, pack = law
+    drawn = 0
+    for reach, acts, pack in _laws(m.family, gens, radius):
+        for k, sphere in enumerate(
+                _walk(m, rule, acts, pack, element_budget), 1):
+            if k > drawn:
+                drawn = k
+                yield sphere, pack
+            if k == reach < radius:
+                break  # S(k+1) may pass the packing's bound
+        else:
+            return
+
+
+def _walk(m: MarkedGroup, rule: list, acts: list, pack: Callable,
+          element_budget: int):
+    """The spheres of ``_spheres`` on one law, as long as it holds."""
     ident = pack(m.family.identity())
     visited = {ident}
     before, frontier = [], [[ident]]
@@ -292,8 +349,7 @@ def _sphere_sizes(m: MarkedGroup, radius: int, element_budget: int):
             sizes = [prefix[end] - (0 if back is None else sizes[back])
                      for end, back in rule]
     else:
-        law = search_law(m.family, gens, radius)
-        for sphere in _spheres(m, rule, law, element_budget):
+        for sphere, _ in _spheres(m, rule, gens, radius, element_budget):
             yield sum(map(len, sphere))
 
 
@@ -350,12 +406,11 @@ def word_length(m: MarkedGroup, g, kmax: int,
         return 0
     gens, rule = _read_rule(m)
     radius = min(kmax, element_budget)  # as in enumerate_balls
-    law = search_law(m.family, gens, radius)
-    target = law[1](target)  # packed, None past the bound
-    if target is None and radius == kmax:
+    if radius == kmax and search_law(m.family, gens, kmax)[1](target) is None:
         return None  # past the bound of the kmax-ball, so not in it
-    spheres = _spheres(m, rule, law, element_budget)
-    for k, sphere in zip(range(1, kmax + 1), spheres):
-        if any(target in part for part in sphere):
+    spheres = _spheres(m, rule, gens, radius, element_budget)
+    for k, (sphere, pack) in zip(range(1, kmax + 1), spheres):
+        packed = pack(target)  # None past the bound, so not in S(k)
+        if any(packed in part for part in sphere):
             return k
     return None

@@ -43,9 +43,9 @@ Every element is stored in a canonical hashable form, so equality of
 elements is equality in the group and an element is its own key in the
 visited sets of ball enumeration.
 
-Every family has one group law, ``right_multiplier(s)``.  It does the
-work that depends on s alone once and returns a callable ``act`` that
-maps a whole batch of elements: ``act(gs)`` takes an iterable of
+Every family has one group law.  For all but ``UnitriangularGroup`` it
+is ``right_multiplier(s)``, which does the work that depends on s alone
+once and returns a callable ``act`` that maps a whole batch of elements: ``act(gs)`` takes an iterable of
 elements and returns an iterable of the products g*s, in the order of
 ``gs``.  Ball enumeration builds one act per generator and passes it
 each sphere whole, so the per-product work runs inside one expression
@@ -56,20 +56,22 @@ integer multiples of entries of g, read as columns of the batch with
 ``itemgetter`` and shifted, scaled, added and zipped in C.  The act
 stores the terms and shift of each entry it changes and makes its
 getters when it runs.  A vector g + s shifts entry i by each nonzero
-s_i; entry (r, c) of a matrix g*s is the sum of s[j][c] * g[r][j] over
-the nonzero s[j][c]; and coordinate (r, c) of a unitriangular g*s is
-g_rc + s_rc plus g_rj * s_jc over the nonzero s_jc, r < j < c, so the
-act of H_3(Z)'s x reads three columns and changes one, where the flat
-act reads nine.  That act reads ``gs`` once per column, so it
+s_i, and entry (r, c) of a matrix g*s is the sum of s[j][c] * g[r][j]
+over the nonzero s[j][c].  That act reads ``gs`` once per column, so it
 makes a batch that is not a list into one when called and needs a
 finite batch.  A one-letter word s drops the last digit of g when it is
 the digit of s^-1 and appends s otherwise, a longer word chains the
 acts of its letters, and a permutation is a table lookup per point;
 these two acts are lazy and read ``gs`` only as their output is read.
 
-Inside a search a unitriangular element is one int, not a tuple:
-``UnitriangularGroup.packed(gens, radius)`` returns the acts of gens on
-packed ints and the packing of a coordinate tuple.
+``UnitriangularGroup``'s one law is ``packed(gens, radius)``: inside a
+search its element is one int, not a tuple, and the hook returns the
+acts of gens on packed ints, batch to batch as above, and the packing
+of a coordinate tuple.  Its ``right_multiplier`` refuses with a
+TypeError, so no caller gets ``MatrixGroup``'s flat act on its
+coordinate tuples.  A packing holds up to its radius only; the search
+packs for a radius near the one it reaches and, once past it, walks
+again on a wider packing (see :mod:`growthlab.cayley`).
 
 * The bound.  Let M be the largest entry of gens above the diagonal,
   in size.  A product of k elements I + N of gens is the sum, over the
@@ -417,20 +419,7 @@ class UnitriangularGroup(MatrixGroup):
         return a
 
     def right_multiplier(self, s: Element) -> Act:
-        if not s:  # dim 1: no columns to read, and g*s is g
-            return iter
-        # entry (r, c) of g*s is g_rc + s_rc plus g_rj * s_jc over the
-        # nonzero s_jc, r < j < c; entries s leaves alone are not stored
-        cells = self._cells()
-        at = {cell: i for i, cell in enumerate(cells)}
-        entry = dict(zip(cells, s))
-        changed = {}
-        for i, (r, c) in enumerate(cells):
-            terms = [(at[r, j], entry[j, c]) for j in range(r + 1, c)
-                     if entry[j, c]]
-            if terms or entry[r, c]:
-                changed[i] = ([(i, 1)] + terms, entry[r, c])
-        return _column_act(len(cells), changed)
+        raise TypeError("U_n(Z) acts on packed ints only: use packed()")
 
     def packed(self, gens, radius: int) -> tuple[list, Callable]:
         """The acts of the elements gens on packed ints, in order, and the
@@ -445,6 +434,7 @@ class UnitriangularGroup(MatrixGroup):
         base = 2 * bound + 1
         start = [c * (c - 1) // 2 for c in range(n)]  # column c's first digit
         weight = [base ** (start[c] + r) for r, c in cells]
+        column = [base ** t for t in start]  # the weight of column c's block
         offset = bound * sum(weight)  # the identity: every digit is bound
 
         def pack(a: Element) -> int | None:
@@ -459,10 +449,9 @@ class UnitriangularGroup(MatrixGroup):
             entry = dict(zip(cells, s))
             shift, terms = sum(map(mul, s, weight)), []
             for j in range(1, n - 1):
-                coef = sum(entry[j, c] * base ** start[c]
-                           for c in range(j + 1, n))
+                coef = sum(entry[j, c] * column[c] for c in range(j + 1, n))
                 if coef:
-                    div, mod = base ** start[j], base ** j
+                    div, mod = column[j], base ** j
                     shift -= coef * (offset // div % mod)
                     terms.append((div, mod, coef))
             return _packed_act(shift, terms)

@@ -229,28 +229,60 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
                            (matrix_twin(heisenberg_group()), 20, 166_360)):
         drawn[0] = 0
         gens, rule = cayley._read_rule(m)
-        law = cayley.search_law(m.family, gens, k)
-        spheres = cayley._spheres(m, rule, law, 10 ** 7)
+        spheres = cayley._spheres(m, rule, gens, k, 10 ** 7)
         sigma = [1] + [sum(map(len, sphere))
-                       for sphere in islice(spheres, k)]
+                       for sphere, _ in islice(spheres, k)]
         assert drawn[0] == products, m.describe()
         assert sigma == list(enumerate_balls(m, k).sphere_sizes)
 
 
-def test_unitriangular_searches_run_no_tuple_act(monkeypatch):
+def test_unitriangular_searches_run_on_packed_ints():
     # the ball search, word_length and the product sets of
-    # dye_quantity_strict all act on packed ints: with the coordinate
-    # act refused they still agree with the rows as flat matrices
-    def refuse(self, s):
-        raise AssertionError("a search formed a coordinate tuple")
+    # dye_quantity_strict all act on packed ints, since U_n(Z) has no
+    # tuple act, and agree with the rows as flat matrices
     m = heisenberg_group()
     twin = matrix_twin(m)
-    monkeypatch.setattr(UnitriangularGroup, "right_multiplier", refuse)
+    with pytest.raises(TypeError):
+        m.family.right_multiplier(m.generators[0])
     assert enumerate_balls(m, 8) == enumerate_balls(twin, 8)
     for g in ((1, 1, 1), (0, 3, 0), (2, -1, 1)):
         rows = ((1, g[0], g[1]), (0, 1, g[2]), (0, 0, 1))
         assert word_length(m, g, 8) == word_length(twin, rows, 8)
     assert dye_quantity_strict(m, 3) == dye_quantity_strict(twin, 3)
+
+
+def superdiagonal(n: int, symmetrize: bool = True) -> MarkedGroup:
+    return MarkedGroup(UnitriangularGroup(n), [
+        [[int(r == c or (r == i and c == r + 1)) for c in range(n)]
+         for r in range(n)] for i in range(n - 1)], symmetrize)
+
+
+def test_a_search_past_its_packing_walks_again_on_a_wider_one(monkeypatch):
+    # with kmax far past what the budget holds, a wide marking is packed
+    # for a radius at most four times one it passes, and walks again on
+    # a wider packing as it goes: its table, or its error and partial
+    # table, are those of its rows as flat matrices
+    radii, packed = [], UnitriangularGroup.packed
+
+    def spy(self, gens, radius):
+        radii.append(radius)
+        return packed(self, gens, radius)
+    monkeypatch.setattr(UnitriangularGroup, "packed", spy)
+    for m, kmax, budget in ((superdiagonal(6), 10 ** 40, 20_000),
+                            (superdiagonal(8, False), 10 ** 40, 3_000),
+                            (superdiagonal(12), 6, 2_000),
+                            (superdiagonal(5), 7, 10 ** 7)):
+        radii.clear()
+        outcomes = []
+        for marking in (m, matrix_twin(m)):
+            try:
+                outcomes.append(enumerate_balls(marking, kmax, budget))
+            except BudgetExceededError as exc:
+                outcomes.append((str(exc), exc.last_radius, exc.partial))
+        assert outcomes[0] == outcomes[1], m.describe()
+        passed = (outcomes[0][1] + 1 if isinstance(outcomes[0], tuple)
+                  else kmax)
+        assert len(radii) > 2 and max(radii) <= 4 * passed, radii
 
 
 def test_free_basis_spheres_are_those_of_the_tree():

@@ -223,12 +223,13 @@ def test_a_finite_group_refuses_table_rows_past_the_budget(capsys):
             "(complete through radius 6)")
 
 
-def test_a_huge_kmax_packs_for_the_radius_the_budget_holds(capsys,
-                                                          monkeypatch):
-    # the Heisenberg search packs its elements for radius
-    # min(kmax, budget), since no search completes more radii than its
-    # budget holds elements: kmax 10^40 under budget 20000 packs for
-    # radius 20000, and prints what the same rows print as flat matrices
+def test_a_huge_kmax_packs_for_a_radius_near_the_one_reached(capsys,
+                                                            monkeypatch):
+    # the Heisenberg search under kmax 10^40 and budget 20000 packs its
+    # elements for radius 1024, the farthest of 1, 2, 4, ... whose
+    # identity packs into 64 bits (2048 is asked for and refused), not
+    # for min(kmax, budget), and prints what the same rows print as flat
+    # matrices
     from growthlab import groups
     radii, packed = [], groups.UnitriangularGroup.packed
 
@@ -239,7 +240,7 @@ def test_a_huge_kmax_packs_for_the_radius_the_budget_holds(capsys,
     argv = ("growth", "--family", "heisenberg", "--kmax", str(10 ** 40),
             "--budget", "20000", "--no-timestamp")
     rc, out, err = run(capsys, *argv)
-    assert radii == [20000]
+    assert radii == [2 ** i for i in range(12)]
     assert rc == 3
     assert out.splitlines()[-2:] == ["13,3324,12195", "14,4186,16381"]
     assert err.splitlines()[-1] == (

@@ -383,26 +383,20 @@ def test_column_acts_are_built_without_getters(monkeypatch):
                                     for g in batch]
         assert len(made) == 10_000
         made.clear()
-    # the Heisenberg generators: a flat act makes 12 getters, 4 per row,
-    # and in Mal'cev coordinates (x12, x13, x23), x^+-1 changes x12 alone
-    # (3 getters) and y^+-1 changes x13 by x12 and shifts x23 (4 getters)
+    # the Heisenberg generators as flat matrices: an act makes 12
+    # getters, 4 per row
     h = heisenberg_group()
     m3 = MatrixGroup(3)
     flat = [m3.canonicalize(_random_unimodular(3, rng)) for _ in range(10)]
-    coords = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(10)]
-    for s, entries, getters in zip(h.effective_generating_set(),
-                                   ([0], [1, 2], [0], [1, 2]), (3, 4, 3, 4)):
+    for s in h.effective_generating_set():
         s_flat = m3.canonicalize(matrix_rows(h.family, s))
-        for fam, batch, gen, stores, makes in (
-                (m3, flat, s_flat, list(range(9)), 12),
-                (h.family, coords, s, entries, getters)):
-            act = fam.right_multiplier(gen)
-            assert made == []
-            assert sorted(stored.pop()) == stores
-            assert list(act(batch)) == [oracle_product(fam, g, gen)
-                                        for g in batch]
-            assert len(made) == makes
-            made.clear()
+        act = m3.right_multiplier(s_flat)
+        assert made == []
+        assert sorted(stored.pop()) == list(range(9))
+        assert list(act(flat)) == [oracle_product(m3, g, s_flat)
+                                   for g in flat]
+        assert len(made) == 12
+        made.clear()
 
 
 def test_families_refuse_sizes_below_their_least():
@@ -460,8 +454,26 @@ def test_unitriangular_canonicalize_refusals():
             fam.canonicalize(bad)
 
 
+def _check_packed_acts(fam, gens, elements):
+    """The packed acts of gens against the oracle product g*s on every
+    pair, packed for radius 3, whose bound holds every coordinate here:
+    each act maps the packed elements, as a list and through an
+    iterator, to the packed products in order, and an empty batch to
+    nothing."""
+    acts, pack = fam.packed(gens, 3)
+    packed = list(map(pack, elements))
+    half = len(packed) // 2
+    for s, act in zip(gens, acts):
+        expected = [pack(oracle_product(fam, g, s)) for g in elements]
+        assert None not in packed + expected, s
+        assert list(act(packed)) == expected, s
+        assert list(act(itertools.chain(packed[:half],
+                                        packed[half:]))) == expected, s
+        assert list(act([])) == [], s
+
+
 def test_unitriangular_law_and_inverse_match_the_oracle():
-    # the coordinate act and the back-substitution inverse against the
+    # the packed acts and the back-substitution inverse against the
     # oracle's product of rows, on seeded markings of dims 2-4 taken both
     # ways, and on elements with dense coordinates
     rng = random.Random(67)
@@ -473,8 +485,8 @@ def test_unitriangular_law_and_inverse_match_the_oracle():
             tuple(rng.randint(-50, 50) for _ in range(width))
             for _ in range(20)]
         dense = elements[1:6]
-        _check_right_multiplier(fam, m.effective_generating_set() + dense,
-                                elements)
+        _check_packed_acts(fam, m.effective_generating_set() + dense,
+                           elements)
         for a in elements + list(gens):
             inv = fam.inverse(a)
             assert oracle_product(fam, a, inv) == fam.identity()
@@ -482,8 +494,16 @@ def test_unitriangular_law_and_inverse_match_the_oracle():
             assert matrix_rows(fam, inv) == mat_inverse_exact(
                 matrix_rows(fam, a))
     # dim 1: the trivial group, whose one element acts on no columns
-    _check_right_multiplier(UnitriangularGroup(1), [()], [()] * 3)
+    _check_packed_acts(UnitriangularGroup(1), [()], [()] * 3)
     assert UnitriangularGroup(1).inverse(()) == ()
+
+
+def test_unitriangular_group_has_no_tuple_act():
+    # U_n(Z) has one law, its packed acts: it does not inherit the flat
+    # matrix act of MatrixGroup, whose tuples are not its elements
+    h = heisenberg_group()
+    with pytest.raises(TypeError, match="packed"):
+        h.family.right_multiplier(h.generators[0])
 
 
 def malcev_bound(n, top, k):
