@@ -22,16 +22,11 @@ whose ``packed`` hook acts on its elements packed into one int each.
 A packing holds to a radius, and ``enumerate_balls`` and
 ``word_length`` search to radius min(kmax, element_budget): each
 completed sphere stores one element at least, so no search completes
-more radii than its budget holds elements.  Within that radius a
-search is not packed for it outright, since the ints of a radius far
-past the one reached run to thousands of bits on wide markings and
-every act then works on them: ``_laws`` sizes the packings for radii
-1, 2, 4, ..., jumping to the search radius once that is at most four
-times the last, and the search starts on the farthest whose identity
-packs into 64 bits.  Once a search has drawn the sphere of the last
-radius its packing holds, it walks again from the identity on the
-next packing, drawing no sphere twice; under polynomial growth the
-walk to radius r costs a small share of the walk to 2r.
+more radii than its budget holds elements.  A packing sized for a
+radius far past the one reached would make every int thousands of
+bits wide on wide markings, so ``_laws`` sizes them for radii near it
+and a search walks again on a wider one once past each (under
+polynomial growth the walk to r is a small share of the walk to 2r).
 ``word_length`` packs its target at each sphere, and a target past
 the bound of the kmax-ball is not in it.  ``expand`` is the one frontier
 step: each act maps its whole batch in one pass, and the images not
@@ -246,15 +241,12 @@ def _same(a):
 
 
 def _laws(family, gens: list, radius: int):
-    """Yield the laws (reach, acts, pack) a search for spheres up to
-    ``radius`` takes in turn, each ``search_law``'s for products of at
-    most reach elements of gens.  A packed family's reaches run 1, 2,
-    4, ..., each next one twice the last, or radius once that is at
-    most four times it: no packing is sized for more than four times a
-    radius the search has to pass.  The search starts on the farthest
-    of them whose identity packs into 64 bits, since ints that narrow
-    cost about the same at any radius, or on the first.  Any other
-    family's one law reaches radius."""
+    """Yield the laws (reach, acts, pack) a search up to ``radius``
+    takes in turn, each ``search_law``'s for reach.  A packed family's
+    reaches run 1, 2, 4, ..., then radius once it is at most four times
+    the last, from the farthest whose identity packs into 64 bits (ints
+    that narrow cost about the same at any radius).  Any other family's
+    one law reaches radius."""
     def farther(r):
         return radius if 4 * r >= radius else 2 * r
     reach = min(1, radius)
@@ -281,9 +273,8 @@ def _spheres(m: MarkedGroup, rule: list, gens: list, radius: int,
     map of an element to the form they are stored in, and return at the
     first empty one, when a finite group is exhausted.  ``gens`` and
     ``rule`` are ``_read_rule(m)``'s; no sphere past ``radius`` may be
-    drawn.  The search walks on ``_laws``'s first law, and once it has
-    drawn the sphere of the last radius a packing holds, it walks again
-    from the identity on the next law, drawing nothing twice.
+    drawn.  Past the reach of each of ``_laws``'s laws the search walks
+    again from the identity on the next, drawing nothing twice.
 
     Raises ``_exhausted``'s BudgetExceededError, without a partial
     table, when the ball would outgrow ``element_budget`` elements.
@@ -406,11 +397,12 @@ def word_length(m: MarkedGroup, g, kmax: int,
         return 0
     gens, rule = _read_rule(m)
     radius = min(kmax, element_budget)  # as in enumerate_balls
-    if radius == kmax and search_law(m.family, gens, kmax)[1](target) is None:
+    packed = getattr(m.family, "packed", None)  # only a packing has a bound
+    if radius == kmax and packed and packed(gens, kmax)[1](target) is None:
         return None  # past the bound of the kmax-ball, so not in it
     spheres = _spheres(m, rule, gens, radius, element_budget)
     for k, (sphere, pack) in zip(range(1, kmax + 1), spheres):
-        packed = pack(target)  # None past the bound, so not in S(k)
-        if any(packed in part for part in sphere):
+        key = pack(target)  # None past the bound, so not in S(k)
+        if any(key in part for part in sphere):
             return k
     return None

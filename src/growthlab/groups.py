@@ -64,14 +64,10 @@ the digit of s^-1 and appends s otherwise, a longer word chains the
 acts of its letters, and a permutation is a table lookup per point;
 these two acts are lazy and read ``gs`` only as their output is read.
 
-``UnitriangularGroup``'s one law is ``packed(gens, radius)``: inside a
-search its element is one int, not a tuple, and the hook returns the
-acts of gens on packed ints, batch to batch as above, and the packing
-of a coordinate tuple.  Its ``right_multiplier`` refuses with a
-TypeError, so no caller gets ``MatrixGroup``'s flat act on its
-coordinate tuples.  A packing holds up to its radius only; the search
-packs for a radius near the one it reaches and, once past it, walks
-again on a wider packing (see :mod:`growthlab.cayley`).
+``UnitriangularGroup``'s one law is ``packed(gens, radius)``, the acts
+of gens on elements packed into one int each, batch to batch as
+above, and the packing of a coordinate tuple; its ``right_multiplier``
+refuses rather than inherit ``MatrixGroup``'s flat act.
 
 * The bound.  Let M be the largest entry of gens above the diagonal,
   in size.  A product of k elements I + N of gens is the sum, over the
