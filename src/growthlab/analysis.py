@@ -9,8 +9,8 @@ Four views of the same data:
   like the rate estimates a decimal at DIGITS = 50 significant digits;
 * ``dye_quantity``      -- the approximate-finiteness quantity
   min_k h_{2k}/(h_1+...+h_k) over shell sizes, exact rational; its
-  as-given form ``dye_quantity_strict`` builds the product sets with
-  the search's own acts and frontier step,
+  as-given form ``dye_quantity_strict`` builds the product sets on the
+  ball search's own driver, laws and frontier step,
   :func:`growthlab.cayley.expand`, and both forms take the one minimum
   over their shells;
 * ``classify``          -- a conservative verdict (evidence-exponential,
@@ -34,7 +34,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
-from .cayley import BallTable, expand, search_law
+from .cayley import BallTable, _spheres, expand
 from .config import (DEFAULT_ELEMENT_BUDGET, DIGITS, DYE_AS_GIVEN_CONVENTION,
                      DYE_IDENTITY_CONVENTION)
 from .errors import ArgumentError, BudgetExceededError, Record
@@ -140,29 +140,33 @@ def dye_quantity_strict(m: MarkedGroup, K: int,
     factors, which need not be nested, so the shells are computed by
     honest set products instead of a ball table.  Each product set
     F^j = F^(j-1) F comes from one :func:`growthlab.cayley.expand` step
-    into an empty set, so the element budget counts every product set
-    stored."""
+    into an empty set, walked on the ball search's laws, so the element
+    budget counts every product set stored."""
     if K < 1:
         raise ArgumentError("K must be at least 1")
+    if element_budget <= 0:
+        raise ArgumentError("element_budget must be positive")
     gens = m.effective_generating_set()
-    # F^j stores one element at least, so no run passes j = budget
-    acts, pack = search_law(m.family, gens, min(2 * K, element_budget))
-    current = set(map(pack, gens))  # F^1; generators are never the identity
-    stored = len(current)
-    h = [len(current)]  # h_1 = |F|
-    for j in range(2, 2 * K + 1):
-        nxt = set()
-        # every act maps one list of F^(j-1); no room is left when F
-        # alone outgrows the budget
-        found = expand(acts, [list(current)] * len(acts), nxt,
-                       max(element_budget - stored, 0))
-        if found is None:
-            raise BudgetExceededError(
-                "product-set enumeration exceeded budget "
-                f"{element_budget}", last_radius=j - 1)
-        stored += len(nxt)
-        h.append(len(nxt - current))
-        current = nxt
+
+    def products(acts, pack):
+        current = set(map(pack, gens))  # F^1; generators are never the identity
+        stored = len(current)
+        yield stored  # h_1 = |F|
+        for j in range(2, 2 * K + 1):
+            nxt = set()
+            # every act maps one list of F^(j-1); no room is left when F
+            # alone outgrows the budget
+            found = expand(acts, [list(current)] * len(acts), nxt,
+                           max(element_budget - stored, 0))
+            if found is None:
+                raise BudgetExceededError(
+                    "product-set enumeration exceeded budget "
+                    f"{element_budget}", last_radius=j - 1)
+            stored += len(nxt)
+            yield len(nxt - current)
+            current = nxt
+
+    h = [size for size, _ in _spheres(m, gens, 2 * K, products)]
     return _dye_minimum(h, K, DYE_AS_GIVEN_CONVENTION)
 
 

@@ -3,8 +3,8 @@
 For a marked group (G, S) the word length of g is the least k with
 g in (S u S^-1)^k.  ``_read_rule`` fixes the order of the generators'
 acts and which lists of a sphere each act maps.  One private
-generator, ``_spheres``, expands the spheres S(1), S(2), ... frontier
-by frontier under that rule, and ends with a finite group: every
+generator, ``_walk``, expands the spheres S(1), S(2), ... frontier by
+frontier under that rule, and ends with a finite group: every
 element of S(k+1) is a neighbour of S(k), so once a sphere is empty so
 is every later one.  ``enumerate_balls`` keeps their sizes, pads the
 rest of its table with empty spheres once, and returns a
@@ -14,9 +14,9 @@ searches the spheres for one element.  A free basis is counted on the
 same rule, not searched (see below).
 
 Each product is a neighbour g*s of a frontier element g by one element
-s of the effective generating set.  ``search_law`` asks the family once
-per s for an act precomputed for that s that maps a batch of elements
-to their products g*s (see :mod:`growthlab.groups`): the family's one
+s of the effective generating set.  ``_laws`` asks the family once per
+s for an act precomputed for that s that maps a batch of elements to
+their products g*s (see :mod:`growthlab.groups`): the family's one
 group law, ``right_multiplier(s)``, except for ``UnitriangularGroup``,
 whose ``packed`` hook acts on its elements packed into one int each.
 A packing holds to a radius, and ``enumerate_balls`` and
@@ -24,19 +24,20 @@ A packing holds to a radius, and ``enumerate_balls`` and
 completed sphere stores one element at least, so no search completes
 more radii than its budget holds elements.  A packing sized for a
 radius far past the one reached would make every int thousands of
-bits wide on wide markings, so ``_laws`` sizes them for radii near it
-and a search walks again on a wider one once past each (under
-polynomial growth the walk to r is a small share of the walk to 2r).
-``word_length`` packs its target at each sphere, and a target past
-the bound of the kmax-ball is not in it.  ``expand`` is the one frontier
-step: each act maps its whole batch in one pass, and the images not
-yet seen are kept in that act's list and then added to the seen set,
-stopping once they outgrow the room left in the budget.  The
-membership tests, appends and inserts run inside ``filterfalse``,
-``list`` and ``set.update``, so no Python code runs per product.  The
-product sets of :func:`growthlab.analysis.dye_quantity_strict` are
-built by the same step and the same acts, packed for radius
-min(2K, element_budget), with every act mapping the whole set.
+bits wide on wide markings, so ``_laws`` sizes them for radii near it,
+and ``_spheres``, the one driver of every search, walks again on a
+wider one once past each (under polynomial growth the walk to r is a
+small share of the walk to 2r).  ``word_length`` packs its target at
+each sphere, and a target past the bound of the kmax-ball is not in
+it.  ``expand`` is the one frontier step: each act maps its whole
+batch in one pass, and the images not yet seen are kept in that act's
+list and then added to the seen set, stopping once they outgrow the
+room left in the budget.  The membership tests, appends and inserts
+run inside ``filterfalse``, ``list`` and ``set.update``, so no Python
+code runs per product.  The product sets of
+:func:`growthlab.analysis.dye_quantity_strict` are walked by the same
+driver on the same laws, one step per set, with every act mapping the
+whole set.
 
 Each sphere S(k) is kept as one list per act i, holding the elements
 that act found first, h = g*s_i with g in S(k-1).  The read rule gives
@@ -115,6 +116,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
+from functools import partial
 from itertools import accumulate, chain, count, filterfalse, islice
 
 from .config import DEFAULT_ELEMENT_BUDGET, _shown
@@ -223,78 +225,65 @@ def _exhausted(element_budget: int, k: int, frontier: int,
         last_radius=k - 1)
 
 
-def search_law(family, gens: list, radius: int) -> tuple[list, Callable]:
-    """The acts of gens, in order, on the form the search stores, and the
-    map of an element to that form: a family with a ``packed`` hook
-    (``UnitriangularGroup``) packs each element into one int, valid
-    for products of at most ``radius`` elements of gens, and maps an
-    element past that bound to None; every other family stores its
-    elements themselves and acts by ``right_multiplier``."""
-    packed = getattr(family, "packed", None)
-    if packed is not None:
-        return packed(gens, radius)
-    return [family.right_multiplier(s) for s in gens], _same
-
-
 def _same(a):
     return a
 
 
 def _laws(family, gens: list, radius: int):
     """Yield the laws (reach, acts, pack) a search up to ``radius``
-    takes in turn, each ``search_law``'s for reach.  A packed family's
-    reaches run 1, 2, 4, ..., then radius once it is at most four times
+    takes in turn: the acts of gens on the form the search stores, and
+    the map of an element to it.  A ``packed`` hook
+    (``UnitriangularGroup``) packs each element into one int, valid for
+    products of at most reach elements of gens (None past that bound),
+    for reaches 1, 2, 4, ..., then radius once it is at most four times
     the last, from the farthest whose identity packs into 64 bits (ints
     that narrow cost about the same at any radius).  Any other family's
-    one law reaches radius."""
+    one law, by ``right_multiplier``, reaches radius."""
+    packed = getattr(family, "packed", None)
+    if packed is None:
+        yield radius, [family.right_multiplier(s) for s in gens], _same
+        return
+
     def farther(r):
         return radius if 4 * r >= radius else 2 * r
     reach = min(1, radius)
-    acts, pack = search_law(family, gens, reach)
-    if pack is _same:  # not packed: good at every radius
-        yield radius, acts, pack
-        return
+    acts, pack = packed(gens, reach)
     ident = family.identity()
     while reach < radius:
-        wider = search_law(family, gens, farther(reach))
+        wider = packed(gens, farther(reach))
         if wider[1](ident).bit_length() > 64:
             break
         reach, (acts, pack) = farther(reach), wider
-    while True:
-        yield reach, acts, pack
+    yield reach, acts, pack
+    while reach < radius:
         reach = farther(reach)
-        acts, pack = search_law(family, gens, reach)
+        yield reach, *packed(gens, reach)
 
 
-def _spheres(m: MarkedGroup, rule: list, gens: list, radius: int,
-             element_budget: int):
-    """Yield the spheres S(1), S(2), ... of ``m`` up to ``radius``, each
-    as one list per act (the elements that act found first) with the
-    map of an element to the form they are stored in, and return at the
-    first empty one, when a finite group is exhausted.  ``gens`` and
-    ``rule`` are ``_read_rule(m)``'s; no sphere past ``radius`` may be
-    drawn.  Past the reach of each of ``_laws``'s laws the search walks
-    again from the identity on the next, drawing nothing twice.
-
-    Raises ``_exhausted``'s BudgetExceededError, without a partial
-    table, when the ball would outgrow ``element_budget`` elements.
+def _spheres(m: MarkedGroup, gens: list, radius: int, walk: Callable):
+    """Yield the steps 1, 2, ... of a search of ``m`` up to ``radius``,
+    each with the map of an element to the form the search stores, and
+    return earlier when the walk does.  ``walk(acts, pack)`` yields one
+    step per radius on one law of gens.  Past the reach of each of
+    ``_laws``'s laws the search walks again from the start on the next,
+    drawing nothing twice: a step past it may pass the packing's bound.
     """
     drawn = 0
     for reach, acts, pack in _laws(m.family, gens, radius):
-        for k, sphere in enumerate(
-                _walk(m, rule, acts, pack, element_budget), 1):
-            if k > drawn:
-                drawn = k
-                yield sphere, pack
-            if k == reach < radius:
-                break  # S(k+1) may pass the packing's bound
-        else:
+        for step in islice(walk(acts, pack), drawn, reach):
+            drawn += 1
+            yield step, pack
+        if drawn < reach:  # the walk ended before the law's reach
             return
 
 
-def _walk(m: MarkedGroup, rule: list, acts: list, pack: Callable,
-          element_budget: int):
-    """The spheres of ``_spheres`` on one law, as long as it holds."""
+def _walk(m: MarkedGroup, rule: list, element_budget: int, acts: list,
+          pack: Callable):
+    """The ball search's walk on one law: the spheres S(1), S(2), ...,
+    each as one list per act (the elements that act found first), up to
+    the first empty one, when a finite group is exhausted.  Raises
+    ``_exhausted``'s BudgetExceededError, without a partial table, once
+    the ball would outgrow ``element_budget`` elements."""
     ident = pack(m.family.identity())
     visited = {ident}
     before, frontier = [], [[ident]]
@@ -340,7 +329,8 @@ def _sphere_sizes(m: MarkedGroup, radius: int, element_budget: int):
             sizes = [prefix[end] - (0 if back is None else sizes[back])
                      for end, back in rule]
     else:
-        for sphere, _ in _spheres(m, rule, gens, radius, element_budget):
+        walk = partial(_walk, m, rule, element_budget)
+        for sphere, _ in _spheres(m, gens, radius, walk):
             yield sum(map(len, sphere))
 
 
@@ -400,8 +390,8 @@ def word_length(m: MarkedGroup, g, kmax: int,
     packed = getattr(m.family, "packed", None)  # only a packing has a bound
     if radius == kmax and packed and packed(gens, kmax)[1](target) is None:
         return None  # past the bound of the kmax-ball, so not in it
-    spheres = _spheres(m, rule, gens, radius, element_budget)
-    for k, (sphere, pack) in zip(range(1, kmax + 1), spheres):
+    walk = partial(_walk, m, rule, element_budget)
+    for k, (sphere, pack) in enumerate(_spheres(m, gens, radius, walk), 1):
         key = pack(target)  # None past the bound, so not in S(k)
         if any(key in part for part in sphere):
             return k

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from growthlab import analysis
 from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
                                 DYE_IDENTITY_CONVENTION, classify,
                                 dye_quantity, dye_quantity_strict,
@@ -14,8 +13,9 @@ from growthlab.analysis import (DYE_AS_GIVEN_CONVENTION,
 from growthlab.cayley import BallTable, enumerate_balls
 from growthlab.errors import ArgumentError, BudgetExceededError
 from growthlab.groups import (FreeAbelian, FreeGroup, MarkedGroup,
-                              free_abelian_standard, free_group_standard,
-                              heisenberg_group, symmetric_group_adjacent)
+                              UnitriangularGroup, free_abelian_standard,
+                              free_group_standard, heisenberg_group,
+                              symmetric_group_adjacent)
 from group_oracle import (exact_products, random_f2_set, random_matrix_set,
                           random_unitriangular_set, random_z2_set,
                           stock_markings)
@@ -172,22 +172,26 @@ def test_dye_strict_maps_one_shared_list_per_step(monkeypatch):
     expected = [dye_quantity_strict(m, 3) for m in markings]
     # Z^2: h = [4, 9, 16, 25, 36, 49], and 49/29 is the K=3 minimum
     assert expected[0].value == Fraction(49, 29)
+    batches = []
+
+    def recorded(act):
+        def record(gs):
+            batches.append(gs)
+            return act(gs)
+        return record
+
+    for fam in (FreeGroup, FreeAbelian):
+        def multiplier(self, s, law=fam.right_multiplier):
+            return recorded(law(self, s))
+        monkeypatch.setattr(fam, "right_multiplier", multiplier)
+
+    def packed(self, gens, radius, law=UnitriangularGroup.packed):
+        acts, pack = law(self, gens, radius)
+        return [recorded(act) for act in acts], pack
+    monkeypatch.setattr(UnitriangularGroup, "packed", packed)
     for m, value in zip(markings, expected):
-        batches = []
-
-        def recording(family, gens, radius, search_law=analysis.search_law):
-            acts, pack = search_law(family, gens, radius)
-
-            def recorded(act):
-                def record(gs):
-                    batches.append(gs)
-                    return act(gs)
-                return record
-            return [recorded(act) for act in acts], pack
-
-        with monkeypatch.context() as patch:
-            patch.setattr(analysis, "search_law", recording)
-            assert dye_quantity_strict(m, 3) == value
+        batches.clear()
+        assert dye_quantity_strict(m, 3) == value
         n = len(m.effective_generating_set())
         assert len(batches) == 5 * n  # F^2 .. F^6
         for j in range(0, len(batches), n):

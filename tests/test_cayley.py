@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import islice
 from math import comb
 
@@ -229,7 +230,8 @@ def test_search_skips_steps_back_and_later_commuting_letters(monkeypatch):
                            (matrix_twin(heisenberg_group()), 20, 166_360)):
         drawn[0] = 0
         gens, rule = cayley._read_rule(m)
-        spheres = cayley._spheres(m, rule, gens, k, 10 ** 7)
+        walk = partial(cayley._walk, m, rule, 10 ** 7)
+        spheres = cayley._spheres(m, gens, k, walk)
         sigma = [1] + [sum(map(len, sphere))
                        for sphere, _ in islice(spheres, k)]
         assert drawn[0] == products, m.describe()
@@ -260,28 +262,39 @@ def test_a_search_past_its_packing_walks_again_on_a_wider_one(monkeypatch):
     # with kmax far past what the budget holds, a wide marking is packed
     # for a radius at most four times one it passes, and walks again on
     # a wider packing as it goes: its table, or its error and partial
-    # table, are those of its rows as flat matrices
+    # table, are those of its rows as flat matrices.  So are the product
+    # sets of dye_quantity_strict at a K far past what the budget holds
     radii, packed = [], UnitriangularGroup.packed
 
     def spy(self, gens, radius):
         radii.append(radius)
         return packed(self, gens, radius)
     monkeypatch.setattr(UnitriangularGroup, "packed", spy)
-    for m, kmax, budget in ((superdiagonal(6), 10 ** 40, 20_000),
-                            (superdiagonal(8, False), 10 ** 40, 3_000),
-                            (superdiagonal(12), 6, 2_000),
-                            (superdiagonal(5), 7, 10 ** 7)):
+
+    def outcome(run, m):
         radii.clear()
         outcomes = []
         for marking in (m, matrix_twin(m)):
             try:
-                outcomes.append(enumerate_balls(marking, kmax, budget))
+                outcomes.append(run(marking))
             except BudgetExceededError as exc:
                 outcomes.append((str(exc), exc.last_radius, exc.partial))
         assert outcomes[0] == outcomes[1], m.describe()
-        passed = (outcomes[0][1] + 1 if isinstance(outcomes[0], tuple)
-                  else kmax)
+        return outcomes[0]
+
+    for m, kmax, budget in ((superdiagonal(6), 10 ** 40, 20_000),
+                            (superdiagonal(8, False), 10 ** 40, 3_000),
+                            (superdiagonal(12), 6, 2_000),
+                            (superdiagonal(5), 7, 10 ** 7)):
+        first = outcome(lambda g: enumerate_balls(g, kmax, budget), m)
+        passed = first[1] + 1 if isinstance(first, tuple) else kmax
         assert len(radii) > 2 and max(radii) <= 4 * passed, radii
+    for m, budget in ((superdiagonal(6), 3_000),
+                      (superdiagonal(8, False), 3_000),
+                      (superdiagonal(12), 2_000),
+                      (superdiagonal(5), 1_000)):
+        first = outcome(lambda g: dye_quantity_strict(g, 10 ** 6, budget), m)
+        assert len(radii) > 2 and max(radii) <= 4 * (first[1] + 1), radii
 
 
 def test_free_basis_spheres_are_those_of_the_tree():
@@ -646,3 +659,8 @@ def test_enumerate_preconditions():
         word_length(m, (1,), 3, element_budget=0)
     with pytest.raises(ArgumentError):
         word_length(free_abelian_standard(2), (0, 0), -1)
+    for m in (heisenberg_group(), free_abelian_standard(2)):
+        for budget in (0, -5):
+            with pytest.raises(ArgumentError,
+                               match="element_budget must be positive"):
+                dye_quantity_strict(m, 2, element_budget=budget)
